@@ -40,10 +40,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_m_value(argv):
+    """Rewrite `--m VALUE` as `--m=VALUE`.
+
+    argparse reads a value such as `-r` or `-2/3*r^2+5` as an option and
+    rejects `--m -r`; glued to its flag, the value is taken as given.
+    """
+    out = []
+    args = iter(argv)
+    for arg in args:
+        value = next(args, None) if arg == "--m" else None
+        out.append(arg if value is None else f"--m={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_m_value(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize
         return USAGE_EXIT if exc.code not in (0, None) else 0
@@ -69,8 +83,13 @@ def main(argv=None) -> int:
         render = render_json if config.fmt == "json" else render_text
         text = render(args.suite, config, checks)
         if config.out:
-            with open(config.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(config.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"configuration error: cannot write {config.out}: {exc.strerror}",
+                      file=sys.stderr)
+                return USAGE_EXIT
         else:
             sys.stdout.write(text)
         return ERROR_EXIT if any(c.error for c in checks) else 0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .nf import NFElem, NF_ONE, nf_str
+from .nf import NFElem, NF_ONE, binary_power, nf_str
 from .upoly import UPoly
 
 VARS = ("X", "Y", "Z", "T", "m")
@@ -145,14 +145,7 @@ class MPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent")
-        out = MPoly.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, MPoly.constant(1))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, NFElem)):
@@ -162,7 +155,10 @@ class MPoly:
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(("MPoly", frozenset(self.terms.items())))
+        # a constant hashes like its coefficient, so like an equal int or Fraction
+        if self.is_constant():
+            return hash(self.terms.get(ZERO_EXP, 0))
+        return hash(frozenset(self.terms.items()))
 
     # -- ring maps ---------------------------------------------------------
 

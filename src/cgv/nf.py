@@ -1,17 +1,19 @@
 """Exact arithmetic in the cubic field Q(r), where r^3 + r^2 - 1 = 0.
 
-Elements are stored on the power basis (1, r, r^2) with Fraction
-coordinates, always fully reduced modulo the defining relation, so
-structural equality coincides with equality in the field.  The single
-real root of x^3 + x^2 - 1 is r ~ 0.7548776662.
+An element (n0 + n1*r + n2*r^2)/d is stored on the power basis (1, r, r^2)
+as three integer numerators over one denominator (Cohen, GTM 138, 4.2),
+with d > 0 and gcd(n0, n1, n2, d) = 1.  That form is unique, so structural
+equality coincides with equality in the field.  A product reduces with
+r^3 = 1 - r^2 and r^4 = -1 + r + r^2 and runs one gcd; an inverse is the
+first column of the adjugate of the multiplication-by-a matrix over its
+determinant, the norm.  The single real root of x^3 + x^2 - 1 is
+r ~ 0.7548776662.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-# x^3 + x^2 - 1, ascending coefficients
-MIN_POLY = (Fraction(-1), Fraction(0), Fraction(1), Fraction(1))
+from math import gcd, lcm
 
 
 def _as_fraction(v) -> Fraction:
@@ -25,12 +27,13 @@ def _as_fraction(v) -> Fraction:
 class NFElem:
     """An element c0 + c1*r + c2*r^2 of Q(r)."""
 
-    __slots__ = ("c0", "c1", "c2")
+    # _v = (n0, n1, n2, d), normalised: d > 0 and gcd(n0, n1, n2, d) = 1
+    __slots__ = ("_v",)
 
-    def __init__(self, c0=0, c1=0, c2=0):
-        object.__setattr__(self, "c0", _as_fraction(c0))
-        object.__setattr__(self, "c1", _as_fraction(c1))
-        object.__setattr__(self, "c2", _as_fraction(c2))
+    def __new__(cls, c0=0, c1=0, c2=0):
+        qs = [_as_fraction(c) for c in (c0, c1, c2)]
+        d = lcm(*(q.denominator for q in qs))
+        return _elem(*(q.numerator * (d // q.denominator) for q in qs), d)
 
     def __setattr__(self, name, value):
         raise AttributeError("NFElem is immutable")
@@ -41,9 +44,23 @@ class NFElem:
     def coerce(v) -> "NFElem":
         if isinstance(v, NFElem):
             return v
-        if isinstance(v, (int, Fraction)):
-            return NFElem(v)
+        if isinstance(v, int):
+            return _elem(v, 0, 0, 1)
+        if isinstance(v, Fraction):
+            return _elem(v.numerator, 0, 0, v.denominator)
         raise TypeError(f"cannot coerce {v!r} to NFElem")
+
+    @property
+    def c0(self) -> Fraction:
+        return Fraction(self._v[0], self._v[3])
+
+    @property
+    def c1(self) -> Fraction:
+        return Fraction(self._v[1], self._v[3])
+
+    @property
+    def c2(self) -> Fraction:
+        return Fraction(self._v[2], self._v[3])
 
     def coords(self):
         return (self.c0, self.c1, self.c2)
@@ -51,10 +68,8 @@ class NFElem:
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not (self.c0 or self.c1 or self.c2)
-
-    def is_rational(self) -> bool:
-        return not (self.c1 or self.c2)
+        v = self._v
+        return not (v[0] or v[1] or v[2])
 
     def __bool__(self):
         return not self.is_zero()
@@ -62,23 +77,30 @@ class NFElem:
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
-        try:
-            o = NFElem.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return NFElem(self.c0 + o.c0, self.c1 + o.c1, self.c2 + o.c2)
+        if type(other) is not NFElem:
+            try:
+                other = NFElem.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a0, a1, a2, ad = self._v
+        b0, b1, b2, bd = other._v
+        if ad == bd:
+            return _elem(a0 + b0, a1 + b1, a2 + b2, ad)
+        return _elem(a0 * bd + b0 * ad, a1 * bd + b1 * ad, a2 * bd + b2 * ad, ad * bd)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return NFElem(-self.c0, -self.c1, -self.c2)
+        n0, n1, n2, d = self._v
+        return _elem(-n0, -n1, -n2, d)
 
     def __sub__(self, other):
-        try:
-            o = NFElem.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-o)
+        if type(other) is not NFElem:
+            try:
+                other = NFElem.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         try:
@@ -88,19 +110,20 @@ class NFElem:
         return o + (-self)
 
     def __mul__(self, other):
-        try:
-            o = NFElem.coerce(other)
-        except TypeError:
-            return NotImplemented
-        a0, a1, a2 = self.c0, self.c1, self.c2
-        b0, b1, b2 = o.c0, o.c1, o.c2
-        e0 = a0 * b0
-        e1 = a0 * b1 + a1 * b0
-        e2 = a0 * b2 + a1 * b1 + a2 * b0
+        if type(other) is not NFElem:
+            try:
+                other = NFElem.coerce(other)
+            except TypeError:
+                return NotImplemented
+        a0, a1, a2, ad = self._v
+        b0, b1, b2, bd = other._v
         e3 = a1 * b2 + a2 * b1
         e4 = a2 * b2
         # r^3 = 1 - r^2,  r^4 = -1 + r + r^2
-        return NFElem(e0 + e3 - e4, e1 + e4, e2 - e3 + e4)
+        n0 = a0 * b0 + e3 - e4
+        n1 = a0 * b1 + a1 * b0 + e4
+        n2 = a0 * b2 + a1 * b1 + a2 * b0 - e3 + e4
+        return _elem(n0, n1, n2, ad * bd)
 
     __rmul__ = __mul__
 
@@ -118,26 +141,24 @@ class NFElem:
             raise TypeError("exponent must be an integer")
         if n < 0:
             return self.inverse() ** (-n)
-        out = NF_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return binary_power(self, n, NF_ONE)
 
     # -- equality / hashing ---------------------------------------------
 
     def __eq__(self, other):
-        try:
-            o = NFElem.coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.coords() == o.coords()
+        if type(other) is not NFElem:
+            try:
+                other = NFElem.coerce(other)
+            except TypeError:
+                return NotImplemented
+        return self._v == other._v
 
     def __hash__(self):
-        return hash(("NFElem", self.c0, self.c1, self.c2))
+        # a rational element hashes like the equal Fraction or int
+        n0, n1, n2, d = self._v
+        if n1 or n2:
+            return hash(self._v)
+        return hash(Fraction(n0, d))
 
     # -- printing --------------------------------------------------------
 
@@ -146,6 +167,38 @@ class NFElem:
 
     def __repr__(self):
         return f"NFElem({self.c0!r}, {self.c1!r}, {self.c2!r})"
+
+
+_new = object.__new__
+_set_v = NFElem._v.__set__
+
+
+def _elem(n0, n1, n2, d) -> NFElem:
+    """(n0 + n1*r + n2*r^2)/d, stored with d > 0 and no factor common to all four."""
+    g = gcd(n0, n1, n2, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n0, n1, n2, d = n0 // g, n1 // g, n2 // g, d // g
+    a = _new(NFElem)
+    _set_v(a, (n0, n1, n2, d))
+    return a
+
+
+def binary_power(base, n: int, one):
+    """base**n for n >= 0 by square-and-multiply.
+
+    Takes bit_length(n) - 1 squarings and popcount(n) - 1 other products;
+    `one` is returned for n = 0.
+    """
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if not n:
+            return one if out is None else out
+        base = base * base
 
 
 NF_ZERO = NFElem(0)
@@ -168,56 +221,24 @@ def nf_reduce(coeffs) -> NFElem:
     return NFElem(cs[0], cs[1], cs[2])
 
 
-def _poly_divmod(f, g):
-    """Quotient and remainder of rational coefficient lists (ascending)."""
-    f = list(f)
-    dg = len(g) - 1
-    while g and not g[-1]:
-        g = g[:-1]
-        dg -= 1
-    q = [Fraction(0)] * max(len(f) - dg, 0)
-    inv_lead = 1 / g[-1]
-    for k in range(len(f) - 1, dg - 1, -1):
-        if f[k]:
-            c = f[k] * inv_lead
-            q[k - dg] = c
-            for j in range(dg + 1):
-                f[k - dg + j] -= c * g[j]
-    while f and not f[-1]:
-        f.pop()
-    return q, f
-
-
 def nf_invert(a: NFElem) -> NFElem:
-    """Multiplicative inverse in Q(r), by the extended Euclidean algorithm."""
+    """Multiplicative inverse in Q(r), from the norm and the adjugate.
+
+    With a = (n0 + n1*r + n2*r^2)/d, the columns of M below are the
+    coordinates of n*1, n*r and n*r^2.  n^-1 solves M x = e0, so it is the
+    first column of adj(M) over det(M) = N(n), and a^-1 = d * n^-1.
+    """
     a = NFElem.coerce(a)
-    if a.is_zero():
+    n0, n1, n2, d = a._v
+    if not (n0 or n1 or n2):
         raise ZeroDivisionError("cannot invert 0 in Q(r)")
-    # run gcdex(a, min_poly) over Q[x]; the gcd is a nonzero constant
-    r0, r1 = [a.c0, a.c1, a.c2], list(MIN_POLY)
-    s0, s1 = [Fraction(1)], []
-    while r1:
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        # s_{k+1} = s_{k-1} - q*s_k
-        prod = [Fraction(0)] * (len(q) + len(s1)) if s1 else []
-        for i, qi in enumerate(q):
-            if not qi:
-                continue
-            for j, sj in enumerate(s1):
-                prod[i + j] += qi * sj
-        new = [Fraction(0)] * max(len(s0), len(prod))
-        for i, c in enumerate(s0):
-            new[i] += c
-        for i, c in enumerate(prod):
-            new[i] -= c
-        while new and not new[-1]:
-            new.pop()
-        s0, s1 = s1, new
-    # r0 is the (constant) gcd, s0 the cofactor of a
-    g = r0[0]
-    inv = [c / g for c in s0]
-    return nf_reduce(inv)
+    # M = [[n0, n2, n1 - n2], [n1, n0, n2], [n2, n1 - n2, n0 - n1 + n2]]
+    m02, m22 = n1 - n2, n0 - n1 + n2
+    x0 = n0 * m22 - n2 * m02
+    x1 = n2 * n2 - n1 * m22
+    x2 = n1 * m02 - n0 * n2
+    norm = n0 * x0 + n2 * x1 + m02 * x2
+    return _elem(d * x0, d * x1, d * x2, norm)
 
 
 def _frac_str(q: Fraction) -> str:

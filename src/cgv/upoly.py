@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .nf import NFElem
+from .nf import NFElem, binary_power
 
 
 def _is_scalar(v):
@@ -98,14 +98,8 @@ class UPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent")
-        out = UPoly((self.lead() / self.lead(),)) if self.coeffs else UPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        one = UPoly((self.lead() / self.lead(),)) if self.coeffs else UPoly((1,))
+        return binary_power(self, n, one)
 
     def __divmod__(self, other):
         if other.is_zero():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -134,3 +135,11 @@ def test_pow_matches_repeated_multiplication():
     f = X + NFElem(0, 1) * Y
     assert f ** 0 == MPoly.constant(1)
     assert f ** 3 == f * f * f
+
+
+def test_constants_hash_like_their_coefficient():
+    assert NFElem(1) in {MPoly.constant(1)}
+    assert 0 in {MPoly.zero()}
+    assert MPoly.constant(Fraction(1, 2)) in {Fraction(1, 2)}
+    assert MPoly.constant(NFElem(0, 1)) in {NFElem(0, 1)}
+    assert hash(X * Y) == hash(Y * X)

@@ -116,3 +116,12 @@ def test_immutability():
     a = NFElem(1, 2, 3)
     with pytest.raises(AttributeError):
         a.c0 = Fraction(5)
+
+
+def test_rational_elements_hash_like_fractions():
+    assert 1 in {NFElem(1)}
+    assert Fraction(1, 2) in {NFElem(Fraction(1, 2))}
+    assert NFElem(-3) in {-3}
+    assert hash(NFElem(Fraction(-4, 6))) == hash(Fraction(-2, 3))
+    # an irrational element built two ways hashes alike
+    assert hash(NFElem(0, 1) * NFElem(0, 1)) == hash(NFElem(0, 0, 1))

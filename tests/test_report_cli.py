@@ -151,3 +151,25 @@ def test_cli_full_run_deterministic(capsys):
 def test_suite_names_stable():
     assert SUITE_NAMES == ("sigma", "cubics", "base-locus", "quadric-independence",
                            "tangent", "divisors", "genus", "pencil", "all")
+
+
+@pytest.mark.parametrize("m", ["-r", "-2/3*r^2+5"])
+def test_cli_accepts_m_starting_with_minus(m, capsys):
+    assert main(["check", "base-locus", "--m", m, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["m"] == m
+    assert doc["summary"]["errors"] == "0"
+
+
+def test_cli_m_without_value_is_a_usage_error(capsys):
+    assert main(["check", "sigma", "--m"]) == 2
+    assert "expected one argument" in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "report.txt"
+    assert main(["check", "sigma", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and str(out) in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
