@@ -8,15 +8,14 @@ Floating point appears only in test oracles.
 
 from .nf import NFElem, NF_ONE, NF_R, NF_ZERO, nf_invert, nf_reduce, nf_str
 from .upoly import UPoly, squarefree_part, upoly_gcd
-from .mpoly import MPoly, mp_partial, mp_substitute
+from .mpoly import MPoly
 from .linalg import (RingMatrix, circulant_det_formula, circulant_matrix,
                      matrix_det, matrix_rank, nf_kernel_basis, nf_rank)
 from .parsing import ParseError, UnknownIdentifierError, parse_poly, parse_scalar
 from .geometry import (CoordMap, CubicFamily, LINE_R, LINE_R_PRIME, LineSub,
                        REFERENCE_POINTS, SIGMA, SIGMA2, apply_map, build_cubics,
                        fixed_line_check)
-from .divisors import (DEFAULT_LATTICE, DivisorClass, IntersectionLattice,
-                       adjunction_genus, exceptional_multiplicity, pair)
+from .divisors import DEFAULT_LATTICE, DivisorClass, IntersectionLattice
 from .genus import (AccountingScenario, BinaryForm, ci_genus, cubic_one_root_probe,
                     distinct_points, multiplicity_pattern, quintuple_root_condition,
                     quotient_feasibility, restrict_to_line, rh_relation,
@@ -24,7 +23,6 @@ from .genus import (AccountingScenario, BinaryForm, ci_genus, cubic_one_root_pro
                     z4_witness_search)
 from .reportlib import CheckReport, RunConfig, render_json, render_text
 from .suites import SUITE_NAMES, eval_expr, run_suite
-from .tangent import (ChartPoint, lambda_replay, pairwise_independence,
-                      rank_survey, tangent_form)
+from .tangent import lambda_replay, pairwise_independence, rank_survey
 
 __version__ = "0.1.0"

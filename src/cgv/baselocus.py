@@ -21,16 +21,16 @@ exactly:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 from .nf import NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
-from .mpoly import MPoly, GEOM_VARS, geom_monomial
+from .mpoly import MPoly, GEOM_VARS
 from .linalg import (RingMatrix, matrix_det, matrix_rank, nf_kernel_basis,
                      circulant_det_formula, circulant_matrix)
-from .geometry import (COFACTOR_COORDS, REFERENCE_POINTS, SIGMA, apply_map,
-                       eval_at_point, point_name)
+from .geometry import COFACTOR_COORDS, REFERENCE_POINTS, eval_at_point, point_name
 
 
 class InternalCheckError(RuntimeError):
@@ -90,6 +90,13 @@ def _coord_position(name: str) -> int:
 def _reference_point_for(coord_name: str):
     """The reference point with the named coordinate equal to 1."""
     return REFERENCE_POINTS[_coord_position(coord_name)]
+
+
+def _coefficient_row(q: MPoly, basis, name: str):
+    """Coefficients of q over a basis of geometric monomials; q must lie in their span."""
+    if not set(q.geom_support()) <= set(basis):
+        raise InternalCheckError(f"{name} is not supported on the monomial basis")
+    return [q.coeff_of_geom(e) for e in basis]
 
 
 def _verify_membership(family, stratum, pt, m_value=None):
@@ -192,12 +199,6 @@ def stratum_double_hyperplane(family, stratum, m_value=None) -> StratumResult:
 
 # -- single-hyperplane strata -------------------------------------------------
 
-def _sigma_monomial(exp4):
-    img = apply_map(geom_monomial(exp4), SIGMA)
-    (e,) = list(img.terms)
-    return e[:4]
-
-
 def _free_cycle(h: str):
     """Ordered triple (p, q, s) of free coordinates with basis (pq, qs, sp).
 
@@ -242,13 +243,7 @@ def single_hyperplane_system(family, h: str):
     rows = []
     for pos, j in enumerate(row_quadrics):
         restricted = family.quadrics[j].substitute({h: MPoly.zero()})
-        entries = [restricted.coeff_of_geom(e) for e in basis]
-        # basis sanity: the row must reproduce the restriction exactly
-        rebuilt = MPoly.zero()
-        for e, c in zip(basis, entries):
-            rebuilt = rebuilt + c * geom_monomial(e)
-        if rebuilt != restricted:
-            raise InternalCheckError(f"Q{j} restricted to {h}=0 is not supported on the product basis")
+        entries = _coefficient_row(restricted, basis, f"Q{j} restricted to {h}=0")
         if pos == 0:
             entries = [c * unit_inv for c in entries]
         rows.append(entries)
@@ -397,13 +392,7 @@ def mixed_monomial_matrix(family, m_value=None) -> RingMatrix:
     for j, q in enumerate(family.quadrics):
         if m_value is not None:
             q = q.specialize_m(m_value)
-        entries = [q.coeff_of_geom(e) for e in MIXED_MONOMIALS]
-        rebuilt = MPoly.zero()
-        for e, c in zip(MIXED_MONOMIALS, entries):
-            rebuilt = rebuilt + c * geom_monomial(e)
-        if rebuilt != q:
-            raise InternalCheckError(f"Q{j} is not supported on the mixed monomials")
-        rows.append(entries)
+        rows.append(_coefficient_row(q, MIXED_MONOMIALS, f"Q{j}"))
     return RingMatrix(rows)
 
 
@@ -562,6 +551,7 @@ def circulant_entries(family):
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=1)  # `check all` asks twice for the one family it builds
 def quadric_independence(family) -> IndependenceResult:
     a, b, c, d = circulant_entries(family)
     expected = (
@@ -577,9 +567,7 @@ def quadric_independence(family) -> IndependenceResult:
     det_formula = circulant_det_formula(a, b, c, d)
     if det_cof != det_formula:
         raise InternalCheckError("cofactor determinant disagrees with the eigenvalue-product formula")
-    coeff_rows = []
-    for q in family.quadrics:
-        coeff_rows.append([q.coeff_of_geom(e) for e in QUADRIC_BASIS])
+    coeff_rows = [_coefficient_row(q, QUADRIC_BASIS, f"Q{j}") for j, q in enumerate(family.quadrics)]
     rank, witness = matrix_rank(RingMatrix(coeff_rows))
     return IndependenceResult(
         entries=(a, b, c, d),

@@ -3,7 +3,9 @@
 Each entry pairs the claimed value (in this package's canonical printing)
 with a verbatim quote fragment from the source text, used verbatim as the
 citation string on check reports.  Values here are what the source asserts,
-not what this package computes; disagreements surface as `refuted`.
+not what this package computes; disagreements surface as `refuted`.  The
+printed displays that checks compare against are kept here too, as
+expression text that is parsed where it is used.
 """
 
 from __future__ import annotations
@@ -109,6 +111,27 @@ CLAIMS = {
     "three-two-quadric": Claim("2", r"So it defines a quadric in $\PR^7$"),
     "two-closed-points": Claim("2", r"has only two closed points"),
     "eight-base-points": Claim("8", r"It has eight base points"),
+}
+
+
+# The printed h = T single-hyperplane matrix: rows Q1, Q2, Q3 over (XY, YZ, ZX).
+PRINTED_SYSTEM_MATRIX = (
+    ("1", "r+1", "m"),
+    ("r^2*(3*r-2)", "3*r-2", "-6*r^2+2*r+2"),
+    ("(-2*r^2-5*r+5)", "r^2*(3*r-2)", "(3*r-2)*m"),
+)
+
+# The printed tangent displays of C0, C1, C2, written in chart coordinates (T = 1).
+CLAIMED_TANGENT_ROWS = {
+    0: ("(3*r-2)+(r+1)*(3*r-2)*Y+(-6*r^2+2*r+2)*Z",
+        "(3*r-2)*m+(3*r-2)*(r+1)*X+(-2*r^2-5*r+5)*Z",
+        "(3*r-2)*r^2+(-6*r^2+2*r+2)*X+(-2*r^2-5*r+5)*Y"),
+    1: ("(3*r-2)*(Y+m*Z+r^2)*(1+X)+(r+1)*(3*r-2)*Y*Z+(-6*r^2+2*r+2)*Y+(-2*r^2-5*r+5)*Z",
+        "(3*r-2)*X^2+(3*r-2)*(r+1)*X*Z+(-6*r^2+2*r+2)*X",
+        "(3*r-2)*m*X^2+(r+1)*(3*r-2)*X*Y+(-2*r^2-5*r+5)*X"),
+    2: ("(3*r-2)*r^2*Y^2+(-6*r^2+2*r+2)*Y*Z+(-2*r^2-5*r+5)*Y",
+        "(3*r-2)*(Z+m+r^2*X)*(1+Y)+(3*r-2)*(r+1)*Z+(-6*r^2+2*r+2)*Z*X+(-2*r^2-5*r+5)*X",
+        "(3*r-2)*Y^2+(3*r-2)*(r+1)*Y+(-6*r^2+2*r+2)*X*Y"),
 }
 
 

@@ -93,14 +93,3 @@ class IntersectionLattice:
 
 DEFAULT_LATTICE = IntersectionLattice()
 
-
-def pair(d1: DivisorClass, d2: DivisorClass, lattice: IntersectionLattice = DEFAULT_LATTICE) -> int:
-    return lattice.pair(d1, d2)
-
-
-def exceptional_multiplicity(n: int, lattice: IntersectionLattice = DEFAULT_LATTICE) -> int:
-    return lattice.exceptional_multiplicity(n)
-
-
-def adjunction_genus(d: DivisorClass, lattice: IntersectionLattice = DEFAULT_LATTICE) -> Fraction:
-    return lattice.adjunction_genus(d)

@@ -200,16 +200,6 @@ def multiplicity_pattern(bf: BinaryForm):
 # -- the witness pencil -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PencilAnalysis:
-    identity_holds: bool
-    first_component: bool     # (XZ C0)|line == X^2 Y Qbar0
-    second_component: bool    # (YT C1)|line == -X Y^2 Qbar1
-    xy_points: tuple
-    count: int | None
-    restriction: BinaryForm | None
-
-
 def _pencil_generators(family):
     a = MPoly.var("X") * MPoly.var("Z") * family.cubics[0]
     b = MPoly.var("Y") * MPoly.var("T") * family.cubics[1]
@@ -235,24 +225,17 @@ XY_FACTOR_POINTS = (
 )
 
 
-def witness_pencil_analysis(family, lam, mu, m_value, line: LineSub = LINE_R) -> PencilAnalysis:
+def witness_pencil_analysis(family, lam, mu, m_value, line: LineSub = LINE_R) -> int | None:
+    """Distinct points of the pencil member lambda XZ C0 + mu YT C1 on the
+    line; None when the member vanishes on it."""
     lam = NFElem.coerce(lam)
     mu = NFElem.coerce(mu)
     if lam.is_zero() and mu.is_zero():
         raise ValueError("(lambda, mu) must not both vanish")
-    first, second, _, _ = pencil_factorization(family, line)
     a, b = _pencil_generators(family)
     member = MPoly.constant(lam) * a + MPoly.constant(mu) * b
     bf = restrict_to_line(member.specialize_m(m_value), line)
-    count = None if bf.is_zero() else distinct_points(bf)
-    return PencilAnalysis(
-        identity_holds=first and second,
-        first_component=first,
-        second_component=second,
-        xy_points=XY_FACTOR_POINTS,
-        count=count,
-        restriction=bf,
-    )
+    return None if bf.is_zero() else distinct_points(bf)
 
 
 def z4_witness_search(family, bound: int, m_value, line: LineSub = LINE_R):
@@ -265,8 +248,6 @@ def z4_witness_search(family, bound: int, m_value, line: LineSub = LINE_R):
     br = restrict_to_line(b.specialize_m(m_value), line)
     for lam in range(1, bound + 1):
         for mu in range(-bound, bound + 1):
-            if lam == 0 and mu == 0:
-                continue
             coeffs = tuple(MPoly.coerce(lam) * ca + MPoly.coerce(mu) * cb
                            for ca, cb in zip(ar.coeffs, br.coeffs))
             bf = BinaryForm(5, coeffs)

@@ -30,9 +30,6 @@ class RingMatrix:
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
-    def entry(self, i, j) -> MPoly:
-        return self.rows[i][j]
-
     def specialize_m(self, value) -> "RingMatrix":
         return RingMatrix([[e.specialize_m(value) for e in row] for row in self.rows])
 
@@ -41,10 +38,6 @@ class RingMatrix:
 
     def is_scalar(self):
         return all(e.is_constant() for row in self.rows for e in row)
-
-    def transpose(self) -> "RingMatrix":
-        n, c = self.shape
-        return RingMatrix([[self.rows[i][j] for i in range(n)] for j in range(c)])
 
     def __eq__(self, other):
         if not isinstance(other, RingMatrix):

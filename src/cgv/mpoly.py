@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .nf import NFElem, NF_ONE, binary_power, nf_str
+from .nf import NFElem, NF_ONE, binary_power, join_terms, nf_str, term_str
 from .upoly import UPoly
 
 VARS = ("X", "Y", "Z", "T", "m")
@@ -19,10 +19,6 @@ NVARS = len(VARS)
 ZERO_EXP = (0,) * NVARS
 
 
-def _coerce_coeff(v) -> NFElem:
-    return NFElem.coerce(v)
-
-
 class MPoly:
     __slots__ = ("terms",)
 
@@ -30,7 +26,7 @@ class MPoly:
         clean = {}
         if terms:
             for exp, c in terms.items():
-                c = _coerce_coeff(c)
+                c = NFElem.coerce(c)
                 if not c.is_zero():
                     clean[tuple(exp)] = c
         object.__setattr__(self, "terms", clean)
@@ -42,7 +38,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, c) -> "MPoly":
-        return cls({ZERO_EXP: _coerce_coeff(c)})
+        return cls({ZERO_EXP: NFElem.coerce(c)})
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "MPoly":
@@ -240,51 +236,8 @@ class MPoly:
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                (v if k == 1 else f"{v}^{k}")
-                for v, k in zip(VARS, e)
-                if k
-            )
-            cs = nf_str(c)
-            if not mono:
-                body = f"({cs})" if (" " in cs) else cs
-            elif cs == "1":
-                body = mono
-            elif cs == "-1":
-                body = "-" + mono
-            elif " " in cs:
-                body = f"({cs})*{mono}"
-            else:
-                body = f"{cs}*{mono}"
-            pieces.append(body)
-        out = pieces[0]
-        for p in pieces[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return join_terms(term_str(nf_str(c), zip(VARS, e)) for e, c in self.sorted_terms())
 
     def __repr__(self):
         return f"MPoly<{self}>"
 
-
-M_ZERO = MPoly.zero()
-M_ONE = MPoly.constant(1)
-
-
-def mp_substitute(f: MPoly, mapping) -> MPoly:
-    return f.substitute(mapping)
-
-
-def mp_partial(f: MPoly, name: str) -> MPoly:
-    return f.partial(name)
-
-
-def geom_monomial(exps4) -> MPoly:
-    e = tuple(exps4) + (0,)
-    return MPoly({e: NF_ONE})

@@ -241,30 +241,32 @@ def nf_invert(a: NFElem) -> NFElem:
     return _elem(d * x0, d * x1, d * x2, norm)
 
 
-def _frac_str(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
-def _piece(q: Fraction, power: int) -> str:
-    mono = "" if power == 0 else ("r" if power == 1 else f"r^{power}")
+def term_str(coeff: str, powers) -> str:
+    """One printed term: the printed coefficient times the monomial of the
+    (name, exponent) pairs in `powers`; a coefficient that is a sum is parenthesized."""
+    mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in powers if k)
     if not mono:
-        return _frac_str(q)
-    if q == 1:
+        return f"({coeff})" if " " in coeff else coeff
+    if coeff == "1":
         return mono
-    if q == -1:
+    if coeff == "-1":
         return "-" + mono
-    return f"{_frac_str(q)}*{mono}"
+    return f"({coeff})*{mono}" if " " in coeff else f"{coeff}*{mono}"
+
+
+def join_terms(terms) -> str:
+    """Join printed terms with explicit signs, "a + b - c"; "0" for no terms."""
+    out = ""
+    for t in terms:
+        if not out:
+            out = t
+        elif t.startswith("-"):
+            out += " - " + t[1:]
+        else:
+            out += " + " + t
+    return out or "0"
 
 
 def nf_str(a: NFElem) -> str:
     """Canonical print: ascending powers of r, reduced fractions, explicit signs."""
-    pieces = [(c, k) for k, c in enumerate(a.coords()) if c]
-    if not pieces:
-        return "0"
-    out = _piece(*pieces[0])
-    for c, k in pieces[1:]:
-        if c > 0:
-            out += " + " + _piece(c, k)
-        else:
-            out += " - " + _piece(-c, k)
-    return out
+    return join_terms(term_str(str(c), (("r", k),)) for k, c in enumerate(a.coords()) if c)

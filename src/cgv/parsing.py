@@ -155,7 +155,13 @@ class _Parser:
 
 
 def parse_poly(text: str) -> MPoly:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        _, found, off = parser.peek()
+        raise ParseError(off, (), found or "end of input",
+                         f"at offset {off}: nesting too deep") from None
 
 
 def parse_scalar(text: str) -> NFElem:

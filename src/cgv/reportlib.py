@@ -155,7 +155,3 @@ def render_json(suite: str, config: RunConfig, checks) -> str:
         "summary": {k: str(v) for k, v in s.items()},
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def parse_json_report(text: str) -> dict:
-    return json.loads(text)

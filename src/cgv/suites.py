@@ -8,20 +8,19 @@ refuting a published claim is a successful run, not an error.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import baselocus, divisors, genus, tangent
 from .baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
                         all_strata, classify_stratum, points_str,
                         quadric_independence, single_hyperplane_det_analysis,
                         single_hyperplane_system)
-from .claims import Claim, claim
+from .claims import PRINTED_SYSTEM_MATRIX, claim
 from .geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME, REFERENCE_POINTS,
                        SIGMA, SIGMA2, build_cubics, eval_at_point,
                        fixed_line_check, point_name)
 from .linalg import RingMatrix
 from .nf import NFElem, nf_str
-from .parsing import parse_poly
+from .upoly import UPoly, upoly_gcd
+from .parsing import parse_poly, parse_scalar
 from .reportlib import RunConfig, error_check, make_check
 
 M_DEFAULT_NOTE = "m defaulted to 1 for this scalar check; override with --m"
@@ -60,7 +59,7 @@ def sigma_suite(family, config: RunConfig):
     checks.append(make_check(
         "sigma/itself-moves-r",
         "fixed pointwise" if fixed else "not fixed pointwise",
-        Claim("fixed pointwise", claim("fixed-line-r").quote),
+        claim("fixed-line-r"),
         notes=("the order-4 rotation itself does not fix the line; only its square does",),
     ))
     perm = ", ".join(f"C{i}->C{j}" for i, j in enumerate(family.sigma_index_map))
@@ -94,14 +93,13 @@ def cubics_suite(family, config: RunConfig):
     checks.append(make_check(
         "cubics/reference-point-vanishing",
         "all four cubics vanish at all four reference points" if all_vanish else "vanishing fails",
-        Claim("all four cubics vanish at all four reference points",
-              claim("reference-base-points").quote),
+        claim("reference-base-points", "all four cubics vanish at all four reference points"),
     ))
     q2_restricted = family.quadrics[2].substitute({"T": 0, "X": 0})
     checks.append(make_check(
         "cubics/Q2-restriction-T0-X0",
         str(q2_restricted),
-        Claim("(-2 + 3*r)*Y*Z", claim("stratum-double-monomial").quote),
+        claim("stratum-double-monomial", "(-2 + 3*r)*Y*Z"),
         notes=("the restriction is a unit multiple of Y*Z",),
     ))
     counts = ", ".join(str(len(c.terms)) for c in family.cubics)
@@ -176,7 +174,7 @@ def base_locus_suite(family, config: RunConfig):
         ))
 
     # the single-hyperplane system and its determinant, h = T first
-    printed = _printed_matrix()
+    printed = RingMatrix([[parse_poly(t) for t in row] for row in PRINTED_SYSTEM_MATRIX])
     for h in ("T", "X", "Y", "Z"):
         mat, basis, row_quadrics, _ = single_hyperplane_system(family, h)
         if h == "T":
@@ -210,9 +208,8 @@ def base_locus_suite(family, config: RunConfig):
                        "the printed nonzero value arises from arithmetic slips in the printed expansion",
                        "the stratum conclusion is recovered by the kernel lift instead",),
             ))
-            from .upoly import UPoly, upoly_gcd
-            g = upoly_gcd(UPoly((Fraction(10), Fraction(4), Fraction(-20))),
-                          UPoly((Fraction(-1), Fraction(0), Fraction(1), Fraction(1))))
+            printed_value = parse_scalar(claim("det-m-free-part").value)
+            g = upoly_gcd(UPoly(printed_value.coords()), UPoly((-1, 0, 1, 1)))
             checks.append(make_check(
                 "base-locus/det/T/printed-value-coprime",
                 g.to_str(),
@@ -277,15 +274,6 @@ def _m_symbolic_note(config: RunConfig):
     if config.m_value is None:
         return ("single-hyperplane and torus strata need --m; they are inconclusive here",)
     return ()
-
-
-def _printed_matrix() -> RingMatrix:
-    rows = [
-        ["1", "r+1", "m"],
-        ["r^2*(3*r-2)", "3*r-2", "-6*r^2+2*r+2"],
-        ["(-2*r^2-5*r+5)", "r^2*(3*r-2)", "(3*r-2)*m"],
-    ]
-    return RingMatrix([[parse_poly(t) for t in row] for row in rows])
 
 
 def quadric_independence_suite(family, config: RunConfig):
@@ -394,7 +382,7 @@ def divisors_suite(family, config: RunConfig):
     for n in (1, 2, 3, 5):
         checks.append(make_check(
             f"divisors/exceptional-multiplicity/n={n}",
-            str(divisors.exceptional_multiplicity(n)),
+            str(lat.exceptional_multiplicity(n)),
             claim(f"exceptional-multiplicity-{n}"),
         ))
     k = lat.canonical()
@@ -407,7 +395,7 @@ def divisors_suite(family, config: RunConfig):
     squares = []
     for n in (1, 2, 3, 5):
         nk = n * k
-        rebuilt = n * lat.hyperplane() + divisors.exceptional_multiplicity(n) * lat.sum_exceptional()
+        rebuilt = n * lat.hyperplane() + lat.exceptional_multiplicity(n) * lat.sum_exceptional()
         if nk != rebuilt:
             checks.append(make_check(
                 f"divisors/nK-decomposition/n={n}",
@@ -432,7 +420,7 @@ def divisors_suite(family, config: RunConfig):
     ))
     checks.append(make_check(
         "divisors/sign-convention",
-        str(divisors.exceptional_multiplicity(1)),
+        str(lat.exceptional_multiplicity(1)),
         claim("divisor-sign-convention"),
         ambiguous=True,
         notes=('the printed intermediate line "-1-n_i=0 ... n_i=1" contradicts the displayed '
@@ -508,10 +496,10 @@ def pencil_suite(family, config: RunConfig):
         ", ".join(point_name(p) for p in genus.XY_FACTOR_POINTS),
         claim("pencil-xy-points"),
     ))
-    analysis = genus.witness_pencil_analysis(family, 1, 0, m_value)
+    count = genus.witness_pencil_analysis(family, 1, 0, m_value)
     checks.append(make_check(
         "pencil/count/lambda=1,mu=0",
-        str(analysis.count),
+        str(count),
         notes=("distinct points of the restriction of XZ C0 to the fixed line",) + _m_note(config),
     ))
     witness = genus.z4_witness_search(family, config.bound, m_value)

@@ -17,43 +17,9 @@ from .mpoly import MPoly
 from .parsing import parse_poly
 from .linalg import nf_rank
 from .geometry import eval_at_point
+from .claims import CLAIMED_TANGENT_ROWS
 
 CHART_VARS = ("X", "Y", "Z")
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point of the chart T = 1; coordinates are exact scalars, or None to
-    stay symbolic in that coordinate."""
-
-    x: NFElem | None = None
-    y: NFElem | None = None
-    z: NFElem | None = None
-
-    @classmethod
-    def symbolic(cls):
-        return cls()
-
-    @classmethod
-    def of(cls, x, y, z):
-        return cls(NFElem.coerce(x), NFElem.coerce(y), NFElem.coerce(z))
-
-    def substitution(self):
-        out = {}
-        for v, c in zip(CHART_VARS, (self.x, self.y, self.z)):
-            if c is not None:
-                out[v] = MPoly.constant(c)
-        return out
-
-
-def tangent_form(family, i: int, point: ChartPoint | None = None, m_value=None):
-    """Gradient row of C_i at the chart point; symbolic entries are
-    polynomials in the remaining chart coordinates (and m)."""
-    row = chart_gradient(family, i, m_value)
-    if point is None:
-        return row
-    sub = point.substitution()
-    return tuple(g.substitute(sub) for g in row)
 
 
 def chart_gradient(family, i: int, m_value=None):
@@ -68,33 +34,12 @@ def chart_gradient(family, i: int, m_value=None):
     return tuple(row)
 
 
-def gradient_at(family, i: int, point, m_value=None):
-    """Exact gradient row at a chart point (x, y, z)."""
-    row = chart_gradient(family, i, m_value)
-    sub = {v: MPoly.coerce(c) for v, c in zip(CHART_VARS, point)}
-    return tuple(g.substitute(sub) for g in row)
-
-
 def projective_gradient(family, i: int, pt):
     """The 4-component gradient of C_i at a point of P^3 (m stays symbolic)."""
     out = []
     for v in ("X", "Y", "Z", "T"):
         out.append(eval_at_point(family.cubics[i].partial(v), pt))
     return tuple(out)
-
-
-# The printed tangent displays, written in chart coordinates.
-CLAIMED_TANGENT_ROWS = {
-    0: ("(3*r-2)+(r+1)*(3*r-2)*Y+(-6*r^2+2*r+2)*Z",
-        "(3*r-2)*m+(3*r-2)*(r+1)*X+(-2*r^2-5*r+5)*Z",
-        "(3*r-2)*r^2+(-6*r^2+2*r+2)*X+(-2*r^2-5*r+5)*Y"),
-    1: ("(3*r-2)*(Y+m*Z+r^2)*(1+X)+(r+1)*(3*r-2)*Y*Z+(-6*r^2+2*r+2)*Y+(-2*r^2-5*r+5)*Z",
-        "(3*r-2)*X^2+(3*r-2)*(r+1)*X*Z+(-6*r^2+2*r+2)*X",
-        "(3*r-2)*m*X^2+(r+1)*(3*r-2)*X*Y+(-2*r^2-5*r+5)*X"),
-    2: ("(3*r-2)*r^2*Y^2+(-6*r^2+2*r+2)*Y*Z+(-2*r^2-5*r+5)*Y",
-        "(3*r-2)*(Z+m+r^2*X)*(1+Y)+(3*r-2)*(r+1)*Z+(-6*r^2+2*r+2)*Z*X+(-2*r^2-5*r+5)*X",
-        "(3*r-2)*Y^2+(3*r-2)*(r+1)*Y+(-6*r^2+2*r+2)*X*Y"),
-}
 
 
 def display_agreement(family, i: int):

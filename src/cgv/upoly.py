@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .nf import NFElem, binary_power
+from .nf import NFElem, binary_power, join_terms, term_str
 
 
 def _is_scalar(v):
@@ -24,10 +24,6 @@ class UPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("UPoly is immutable")
-
-    @classmethod
-    def x(cls, field_one=1):
-        return cls((field_one * 0, field_one))
 
     def is_zero(self):
         return not self.coeffs
@@ -98,15 +94,14 @@ class UPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent")
-        one = UPoly((self.lead() / self.lead(),)) if self.coeffs else UPoly((1,))
-        return binary_power(self, n, one)
+        return binary_power(self, n, UPoly((1,)))
 
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dg = other.degree()
-        lead_inv = 1 / other.lead() if not isinstance(other.lead(), NFElem) else other.lead().inverse()
+        lead_inv = Fraction(1) / other.lead()
         q = [self.coeffs[0] * 0 if self.coeffs else 0] * max(len(rem) - dg, 0)
         for k in range(len(rem) - 1, dg - 1, -1):
             if rem[k]:
@@ -125,8 +120,7 @@ class UPoly:
     def monic(self):
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        inv = 1 / self.lead() if not isinstance(self.lead(), NFElem) else self.lead().inverse()
-        return self * inv
+        return self * (Fraction(1) / self.lead())
 
     def derivative(self):
         return UPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1))
@@ -137,39 +131,9 @@ class UPoly:
             out = c if out is None else out * v + c
         return out if out is not None else v * 0
 
-    def shift_mul_x(self, k: int):
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        zero = self.coeffs[0] * 0
-        return UPoly((zero,) * k + self.coeffs)
-
     def to_str(self, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
-        pieces = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
-            cs = str(c)
-            if mono and cs == "1":
-                body = mono
-            elif mono and cs == "-1":
-                body = "-" + mono
-            elif mono:
-                body = f"({cs})*{mono}" if (" " in cs) else f"{cs}*{mono}"
-            else:
-                body = f"({cs})" if " " in cs else cs
-            pieces.append(body)
-        out = pieces[0]
-        for p in pieces[1:]:
-            if p.startswith("-"):
-                out += " - " + p[1:]
-            else:
-                out += " + " + p
-        return out
+        return join_terms(term_str(str(c), ((var, k),))
+                          for k, c in reversed(tuple(enumerate(self.coeffs))) if c)
 
     def __str__(self):
         return self.to_str()

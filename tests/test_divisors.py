@@ -3,8 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from cgv.divisors import (DEFAULT_LATTICE, DivisorClass, IntersectionLattice,
-                          adjunction_genus, exceptional_multiplicity, pair)
+from cgv.divisors import DEFAULT_LATTICE, DivisorClass, IntersectionLattice
+
+exceptional_multiplicity = DEFAULT_LATTICE.exceptional_multiplicity
+adjunction_genus = DEFAULT_LATTICE.adjunction_genus
 
 
 def test_exceptional_self_intersection():
@@ -91,4 +93,4 @@ def test_divisor_arithmetic():
     d = DivisorClass(2, (1, 0, -1, 3))
     assert -d == DivisorClass(-2, (-1, 0, 1, -3))
     assert d - d == DivisorClass(0, (0, 0, 0, 0))
-    assert pair(d, d) == 5 * 4 - (1 + 0 + 1 + 9)
+    assert DEFAULT_LATTICE.pair(d, d) == 5 * 4 - (1 + 0 + 1 + 9)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgv.mpoly import MPoly, VARS, mp_partial, mp_substitute
+from cgv.mpoly import MPoly, VARS
 from cgv.nf import NFElem
 from cgv.parsing import parse_poly
 
@@ -22,17 +22,17 @@ X, Y, Z, T, m = (MPoly.var(v) for v in VARS)
 
 
 def test_substitute_kill_variable():
-    assert mp_substitute(X * Y, {"X": 0}).is_zero()
+    assert (X * Y).substitute({"X": 0}).is_zero()
 
 
 def test_substitute_merge():
-    assert mp_substitute(X + Y, {"X": Y}) == 2 * Y
+    assert (X + Y).substitute({"X": Y}) == 2 * Y
 
 
 def test_substitute_q3_stratum(family):
     # Q3 with T = X = Y = 0 vanishes identically in Z
     q3 = family.quadrics[3]
-    assert mp_substitute(q3, {"T": 0, "X": 0, "Y": 0}).is_zero()
+    assert q3.substitute({"T": 0, "X": 0, "Y": 0}).is_zero()
 
 
 def test_substitute_is_ring_homomorphism():
@@ -41,15 +41,15 @@ def test_substitute_is_ring_homomorphism():
     for _ in range(60):
         f = random_mpoly(rng)
         g = random_mpoly(rng)
-        sf = mp_substitute(f, assignment)
-        sg = mp_substitute(g, assignment)
-        assert mp_substitute(f + g, assignment) == sf + sg
-        assert mp_substitute(f * g, assignment) == sf * sg
+        sf = f.substitute(assignment)
+        sg = g.substitute(assignment)
+        assert (f + g).substitute(assignment) == sf + sg
+        assert (f * g).substitute(assignment) == sf * sg
 
 
 def test_partial_basics():
-    assert mp_partial(X * X * Y, "X") == 2 * X * Y
-    assert mp_partial(MPoly.constant(7), "X").is_zero()
+    assert (X * X * Y).partial("X") == 2 * X * Y
+    assert MPoly.constant(7).partial("X").is_zero()
 
 
 def test_partial_leibniz():
@@ -58,14 +58,14 @@ def test_partial_leibniz():
         f = random_mpoly(rng)
         g = random_mpoly(rng)
         for v in ("X", "m"):
-            lhs = mp_partial(f * g, v)
-            rhs = f * mp_partial(g, v) + g * mp_partial(f, v)
+            lhs = (f * g).partial(v)
+            rhs = f * g.partial(v) + g * f.partial(v)
             assert lhs == rhs
 
 
 def test_partial_of_cubic_matches_printed_bracket(family):
     # d(C0)/dX on the chart T = 1 equals the first printed tangent bracket
-    g = mp_partial(family.cubics[0], "X").substitute({"T": 1})
+    g = family.cubics[0].partial("X").substitute({"T": 1})
     printed = parse_poly("(3*r-2)+(r+1)*(3*r-2)*Y+(-6*r^2+2*r+2)*Z")
     assert g == printed
 
@@ -143,3 +143,18 @@ def test_constants_hash_like_their_coefficient():
     assert MPoly.constant(Fraction(1, 2)) in {Fraction(1, 2)}
     assert MPoly.constant(NFElem(0, 1)) in {NFElem(0, 1)}
     assert hash(X * Y) == hash(Y * X)
+
+
+@pytest.mark.parametrize("text,printed", [
+    ("(-2+3*r)*Y*Z", "(-2 + 3*r)*Y*Z"),           # multi-term coefficient
+    ("-X+Y", "-X + Y"),                            # leading -X
+    ("1+r", "(1 + r)"),                            # non-trivial constant
+    ("X+1+r", "X + (1 + r)"),
+    ("-(1+r)", "(-1 - r)"),
+    ("2/3*X - 1/5*Y*m", "-1/5*Y*m + 2/3*X"),       # rational coefficients
+    ("-X^2*m + (1-r)*Y - 7/2", "-X^2*m + (1 - r)*Y - 7/2"),
+    ("r^2*X*T - r*Y^2 + 3", "r^2*X*T - r*Y^2 + 3"),
+    ("X - X", "0"),
+])
+def test_canonical_print_pins(text, printed):
+    assert str(parse_poly(text)) == printed

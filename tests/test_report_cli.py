@@ -4,7 +4,7 @@ import pytest
 
 from cgv.cli import main
 from cgv.reportlib import (CONFIRMED, INDETERMINATE, REFUTED, RunConfig,
-                           make_check, parse_json_report, render_json,
+                           make_check, render_json,
                            render_text, summarize)
 from cgv.claims import Claim
 from cgv.suites import SUITE_NAMES, run_suite
@@ -49,7 +49,7 @@ def test_json_roundtrip_and_schema():
     cfg = RunConfig()
     checks = run_suite("divisors", cfg)
     text = render_json("divisors", cfg, checks)
-    doc = parse_json_report(text)
+    doc = json.loads(text)
     assert doc["suite"] == "divisors"
     assert set(doc["config"]) == {"m", "seed", "survey", "bound"}
     assert doc["config"]["seed"] == "1"
@@ -96,7 +96,7 @@ def test_every_claimed_check_carries_a_citation():
 def test_full_json_roundtrip():
     cfg = RunConfig(m_expr="1", survey=5)
     checks = run_suite("all", cfg)
-    doc = parse_json_report(render_json("all", cfg, checks))
+    doc = json.loads(render_json("all", cfg, checks))
     assert len(doc["checks"]) == len(checks)
     assert doc["config"]["m"] == "1"
     assert json.loads(json.dumps(doc)) == doc
@@ -173,3 +173,34 @@ def test_cli_unwritable_out_is_a_configuration_error(tmp_path, capsys):
     assert err.startswith("configuration error:") and str(out) in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+DEEP = "(" * 300 + "1" + ")" * 300
+
+
+def test_cli_eval_deep_nesting_is_a_parse_error(capsys):
+    assert main(["eval", DEEP]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: at offset ") and "nesting too deep" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_check_deep_nesting_is_a_configuration_error(capsys):
+    assert main(["check", "sigma", "--m", DEEP]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: at offset ") and "nesting too deep" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_check_all_computes_quadric_independence_once(monkeypatch):
+    import cgv.baselocus as baselocus
+    calls = []
+    real = baselocus.matrix_rank
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(baselocus, "matrix_rank", counting)
+    run_suite("all", RunConfig(m_expr="1", survey=5))
+    assert len(calls) == 1

@@ -6,13 +6,19 @@ from cgv.geometry import REFERENCE_POINTS, eval_at_point
 from cgv.linalg import nf_rank
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem, nf_invert
-from cgv.tangent import (SampleStream, chart_gradient, display_agreement,
-                         gradient_at, lambda_replay, pairwise_independence,
-                         projective_gradient, rank_survey, reference_point_rows)
+from cgv.tangent import (CHART_VARS, SampleStream, chart_gradient, display_agreement,
+                         lambda_replay, pairwise_independence, projective_gradient,
+                         rank_survey, reference_point_rows)
 
 from conftest import random_nfelem
 
 M1 = NFElem(1)
+
+
+def gradient_at(family, i, point, m_value=None):
+    """Exact gradient row of C_i at a chart point (x, y, z)."""
+    sub = {v: MPoly.coerce(c) for v, c in zip(CHART_VARS, point)}
+    return tuple(g.substitute(sub) for g in chart_gradient(family, i, m_value))
 
 
 def test_display_agreement_flags(family):

@@ -138,3 +138,23 @@ def test_printing():
     assert poly(-1, 0, 1, 1).to_str() == "x^3 + x^2 - 1"
     assert UPoly().to_str() == "0"
     assert poly(0, -1).to_str() == "-x"
+    assert UPoly((F(-1, 2), F(0), F(3, 4), F(-1))).to_str("a") == "-a^3 + 3/4*a^2 - 1/2"
+    assert UPoly((F(-1, 2),)).to_str("a") == "-1/2"
+    field = UPoly((NFElem(1, 1), NFElem(0, -1), NFElem(-2), NFElem(0, 0, 1), NFElem(1)))
+    assert field.to_str("a") == "a^4 + r^2*a^3 - 2*a^2 - r*a + (1 + r)"
+    assert UPoly((NFElem(-1, -1), NFElem(-1, 1))).to_str() == "(-1 + r)*x + (-1 - r)"
+    assert UPoly((NFElem(2), NFElem(0, 0, -3))).to_str() == "-3*r^2*x + 2"
+
+
+@pytest.mark.parametrize("coeffs", [(3, 2), (F(3, 5), F(2)), (NFElem(3, 1), NFElem(0, 2))],
+                         ids=["int", "Fraction", "NFElem"])
+def test_zeroth_power_is_the_integer_one(coeffs):
+    (c,) = (UPoly(coeffs) ** 0).coeffs
+    assert type(c) is int and c == 1
+
+
+def test_integer_polynomials_divide_exactly():
+    assert UPoly((1, 3)).monic().coeffs == (F(1, 3), 1)
+    q, rem = divmod(UPoly((1, 0, 1)), UPoly((1, 2)))
+    assert q * UPoly((1, 2)) + rem == UPoly((1, 0, 1))
+    assert all(isinstance(c, (int, F)) for c in q.coeffs + rem.coeffs)
