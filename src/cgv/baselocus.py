@@ -99,18 +99,17 @@ def _coefficient_row(q: MPoly, basis, name: str):
     return [q.coeff_of_geom(e) for e in basis]
 
 
-def _verify_membership(family, stratum, pt, m_value=None):
+def _m_symbolic(family) -> bool:
+    """Is m still a symbol in the family, i.e. not fixed by `CubicFamily.at_m`?"""
+    return any(q.involves("m") for q in family.quadrics)
+
+
+def _verify_membership(family, stratum, pt):
     """Exact substitution: the point must kill every defining form of the stratum."""
     for i in stratum.taken:
         if pt[_coord_position(COFACTOR_COORDS[i])] != NFElem(0):
             return False
-    for j in stratum.quadrics:
-        q = family.quadrics[j]
-        if m_value is not None:
-            q = q.specialize_m(m_value)
-        if not eval_at_point(q, pt).is_zero():
-            return False
-    return True
+    return all(eval_at_point(family.quadrics[j], pt).is_zero() for j in stratum.quadrics)
 
 
 def stratum_quadruple(family, stratum) -> StratumResult:
@@ -145,7 +144,7 @@ def stratum_triple_hyperplane(family, stratum) -> StratumResult:
     )
 
 
-def stratum_double_hyperplane(family, stratum, m_value=None) -> StratumResult:
+def stratum_double_hyperplane(family, stratum) -> StratumResult:
     """Two coordinates vanish; both restricted quadrics must be nonzero
     multiples of the product of the two free coordinates."""
     if len(stratum.taken) != 2:
@@ -160,8 +159,6 @@ def stratum_double_hyperplane(family, stratum, m_value=None) -> StratumResult:
     coeffs = []
     for j in stratum.quadrics:
         restricted = family.quadrics[j].substitute(sub)
-        if m_value is not None:
-            restricted = restricted.specialize_m(m_value)
         if restricted.is_zero():
             return StratumResult(
                 stratum, INCONCLUSIVE, (),
@@ -293,7 +290,7 @@ def _all_nonzero_kernel_vector(basis):
     return None
 
 
-def monomial_kernel_lift(family, h: str, m_value) -> StratumResult:
+def monomial_kernel_lift(family, h: str) -> StratumResult:
     """Classify the stratum {h = 0} meet the three non-cofactor quadrics.
 
     A point of the plane h = 0 has monomial vector (pq, qs, sp) in the kernel
@@ -304,11 +301,11 @@ def monomial_kernel_lift(family, h: str, m_value) -> StratumResult:
     column vanishes (then a whole coordinate line lies in the stratum); a
     vector with exactly two nonzero entries never arises from a point.
     """
-    if m_value is None:
+    if _m_symbolic(family):
         raise ValueError("kernel lift needs m specialized")
     stratum = Stratum((COFACTOR_COORDS.index(h),))
     mat, basis, row_quadrics, cycle = single_hyperplane_system(family, h)
-    a = mat.specialize_m(m_value).nf_entries()
+    a = mat.nf_entries()
     ref_points = []
     for v in cycle:
         pt = _reference_point_for(v)
@@ -354,7 +351,7 @@ def monomial_kernel_lift(family, h: str, m_value) -> StratumResult:
         pt[_coord_position(cycle[1])] = u * v
         pt[_coord_position(cycle[2])] = v * w
         pt = tuple(pt)
-        if not _verify_membership(family, stratum, pt, m_value):
+        if not _verify_membership(family, stratum, pt):
             raise InternalCheckError("lifted point fails exact substitution")
         return StratumResult(
             stratum, NON_REFERENCE, (pt,),
@@ -386,14 +383,10 @@ MIXED_MONOMIALS = (
 )
 
 
-def mixed_monomial_matrix(family, m_value=None) -> RingMatrix:
+def mixed_monomial_matrix(family) -> RingMatrix:
     """4x6 coefficients of Q_0..Q_3 over the mixed quadric monomials."""
-    rows = []
-    for j, q in enumerate(family.quadrics):
-        if m_value is not None:
-            q = q.specialize_m(m_value)
-        rows.append(_coefficient_row(q, MIXED_MONOMIALS, f"Q{j}"))
-    return RingMatrix(rows)
+    return RingMatrix([_coefficient_row(q, MIXED_MONOMIALS, f"Q{j}")
+                       for j, q in enumerate(family.quadrics)])
 
 
 def _binary_quadratic(vals):
@@ -402,7 +395,7 @@ def _binary_quadratic(vals):
     return UPoly((c_bb, c_ab, c_aa))
 
 
-def no_hyperplane_torus_check(family, m_value) -> StratumResult:
+def no_hyperplane_torus_check(family) -> StratumResult:
     """Points with all four coordinates nonzero on every quadric.
 
     The mixed-monomial vector of such a point is an all-nonzero kernel vector
@@ -411,10 +404,10 @@ def no_hyperplane_torus_check(family, m_value) -> StratumResult:
     [pq : p*mu_YZ : q*mu_YZ : s*mu_YZ] with (p, q, s) = (mu_XY, mu_XZ, mu_XT).
     Points with a vanishing coordinate already lie in other strata.
     """
-    if m_value is None:
+    if _m_symbolic(family):
         raise ValueError("the torus check needs m specialized")
     stratum = Stratum(())
-    mat = mixed_monomial_matrix(family, m_value)
+    mat = mixed_monomial_matrix(family)
     kernel = nf_kernel_basis(mat.nf_entries())
     all_ref = tuple(REFERENCE_POINTS)
     base_identities = (
@@ -442,7 +435,7 @@ def no_hyperplane_torus_check(family, m_value) -> StratumResult:
                                      "the consistent kernel line has a zero entry, so it is not a torus monomial vector",),
                                  notes=tuple(notes))
         pt = _lift_mixed(v)
-        _assert_torus_point(family, m_value, pt)
+        _assert_torus_point(family, pt)
         return StratumResult(stratum, NON_REFERENCE, (pt,),
                              identities=base_identities,
                              notes=tuple(notes) + ("a consistent all-nonzero kernel vector lifts",))
@@ -464,7 +457,7 @@ def no_hyperplane_torus_check(family, m_value) -> StratumResult:
                                          "every kernel vector has a fixed zero entry",),
                                      notes=tuple(notes))
             pt = _lift_mixed(vec)
-            _assert_torus_point(family, m_value, pt)
+            _assert_torus_point(family, pt)
             return StratumResult(stratum, NON_REFERENCE, (pt,),
                                  identities=base_identities, notes=tuple(notes))
         if p1.is_zero() or p2.is_zero():
@@ -490,7 +483,7 @@ def no_hyperplane_torus_check(family, m_value) -> StratumResult:
             vec = tuple(alpha * x + beta * y for x, y in zip(b0, b1))
             if all(not c.is_zero() for c in vec):
                 pt = _lift_mixed(vec)
-                _assert_torus_point(family, m_value, pt)
+                _assert_torus_point(family, pt)
                 found.append(pt)
         if found:
             return StratumResult(stratum, NON_REFERENCE, tuple(found),
@@ -515,11 +508,11 @@ def _lift_mixed(v):
     return (p * q, p * yz, q * yz, s * yz)
 
 
-def _assert_torus_point(family, m_value, pt):
+def _assert_torus_point(family, pt):
     if any(c.is_zero() for c in pt):
         raise InternalCheckError("lifted torus point has a zero coordinate")
     for j, q in enumerate(family.quadrics):
-        if not eval_at_point(q.specialize_m(m_value), pt).is_zero():
+        if not eval_at_point(q, pt).is_zero():
             raise InternalCheckError(f"lifted torus point does not satisfy Q{j}")
 
 
@@ -554,14 +547,6 @@ def circulant_entries(family):
 @functools.lru_cache(maxsize=1)  # `check all` asks twice for the one family it builds
 def quadric_independence(family) -> IndependenceResult:
     a, b, c, d = circulant_entries(family)
-    expected = (
-        NFElem(1, 1) * NFElem(-2, 3),          # (r+1)(3r-2)
-        NFElem(-2, 3),                         # 3r-2
-        NFElem(0, 0, 1) * NFElem(-2, 3),       # r^2(3r-2)
-        NFElem(5, -5, -2),                     # -2r^2-5r+5
-    )
-    if (a, b, c, d) != expected:
-        raise InternalCheckError("circulant entries do not match the displayed values")
     mat = circulant_matrix(a, b, c, d)
     det_cof = matrix_det(mat).as_nfelem()
     det_formula = circulant_det_formula(a, b, c, d)
@@ -581,30 +566,31 @@ def quadric_independence(family) -> IndependenceResult:
 
 # -- stratum dispatch and aggregation ------------------------------------------
 
-def classify_stratum(family, stratum, m_value=None) -> StratumResult:
+def classify_stratum(family, stratum) -> StratumResult:
+    """Classify one stratum of `family`; pass `family.at_m(value)` to fix m."""
     k = len(stratum.taken)
     if k == 4:
         return stratum_quadruple(family, stratum)
     if k == 3:
         return stratum_triple_hyperplane(family, stratum)
     if k == 2:
-        return stratum_double_hyperplane(family, stratum, m_value)
+        return stratum_double_hyperplane(family, stratum)
     if k == 1:
         h = COFACTOR_COORDS[stratum.taken[0]]
-        if m_value is None:
+        if _m_symbolic(family):
             return StratumResult(
                 stratum, INCONCLUSIVE, (),
                 identities=("the 3x3 system is singular for every m, so the kernel lift is required",),
                 notes=("m left symbolic; supply --m to run the kernel lift",),
             )
-        return monomial_kernel_lift(family, h, m_value)
-    if m_value is None:
+        return monomial_kernel_lift(family, h)
+    if _m_symbolic(family):
         return StratumResult(
             stratum, INCONCLUSIVE, (),
             identities=("the torus analysis solves a specialized linear system",),
             notes=("m left symbolic; supply --m to run the torus check",),
         )
-    return no_hyperplane_torus_check(family, m_value)
+    return no_hyperplane_torus_check(family)
 
 
 def aggregate(results):

@@ -121,6 +121,9 @@ PRINTED_SYSTEM_MATRIX = (
     ("(-2*r^2-5*r+5)", "r^2*(3*r-2)", "(3*r-2)*m"),
 )
 
+# The displayed circulant entries a, b, c, d: the XY coefficients of Q0..Q3.
+PRINTED_CIRCULANT_ENTRIES = ("(r+1)*(3*r-2)", "3*r-2", "r^2*(3*r-2)", "-2*r^2-5*r+5")
+
 # The printed tangent displays of C0, C1, C2, written in chart coordinates (T = 1).
 CLAIMED_TANGENT_ROWS = {
     0: ("(3*r-2)+(r+1)*(3*r-2)*Y+(-6*r^2+2*r+2)*Z",

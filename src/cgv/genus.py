@@ -17,7 +17,7 @@ from fractions import Fraction
 from .nf import NFElem
 from .upoly import UPoly, upoly_gcd, squarefree_part
 from .mpoly import MPoly
-from .geometry import LineSub, LINE_R
+from .geometry import LINE_R
 
 
 class RamificationError(ValueError):
@@ -113,64 +113,47 @@ def quotient_feasibility(scenario: AccountingScenario) -> FeasibilityBranch:
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Homogeneous form in (X, Y); coefficients may still involve m."""
+    """Homogeneous form in (X, Y) over Q(r); m is fixed before a form is built."""
 
     degree: int
-    coeffs: tuple   # a_0..a_d as MPoly in m only, a_i the coefficient of X^(d-i) Y^i
+    coeffs: tuple   # a_0..a_d in Q(r), a_i the coefficient of X^(d-i) Y^i
 
     @classmethod
     def from_mpoly(cls, f: MPoly, degree: int | None = None) -> "BinaryForm":
-        if f.involves("Z") or f.involves("T"):
-            raise ValueError("not a binary form in (X, Y)")
+        if f.involves("Z") or f.involves("T") or f.involves("m"):
+            raise ValueError("not a binary form in (X, Y) over Q(r)")
         d = f.geom_degree() if degree is None else degree
         if f.is_zero():
             if degree is None:
                 raise ValueError("a zero form needs an explicit degree")
-            return cls(degree, (MPoly.zero(),) * (degree + 1))
+            return cls(degree, (NFElem(0),) * (degree + 1))
         if not f.is_homogeneous(d):
             raise ValueError(f"not homogeneous of degree {d}")
-        coeffs = tuple(f.coeff_of_geom((d - i, i, 0, 0)) for i in range(d + 1))
+        coeffs = tuple(f.coeff_of_geom((d - i, i, 0, 0)).as_nfelem() for i in range(d + 1))
         return cls(d, coeffs)
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
 
-    def specialize_m(self, value) -> "BinaryForm":
-        return BinaryForm(self.degree, tuple(c.specialize_m(value) for c in self.coeffs))
-
-    def nf_coeffs(self):
-        return tuple(c.as_nfelem() for c in self.coeffs)
-
-    def swap_xy(self) -> "BinaryForm":
-        return BinaryForm(self.degree, tuple(reversed(self.coeffs)))
-
-    def scale(self, c) -> "BinaryForm":
-        return BinaryForm(self.degree, tuple(MPoly.coerce(c) * a for a in self.coeffs))
-
     def dehomog(self) -> UPoly:
         """f(x, 1) with ascending coefficients over NFElem."""
-        a = self.nf_coeffs()
-        return UPoly(tuple(reversed(a)))
-
-    def __str__(self):
-        names = [f"a{i}" for i in range(self.degree + 1)]
-        return ", ".join(f"{n}={c}" for n, c in zip(names, self.coeffs))
+        return UPoly(tuple(reversed(self.coeffs)))
 
 
-def restrict_to_line(f: MPoly, line: LineSub = LINE_R, degree: int = 5) -> BinaryForm:
-    if not f.is_homogeneous(degree):
-        raise ValueError(f"input is not homogeneous of degree {degree}")
-    return BinaryForm.from_mpoly(line.restrict(f), degree)
+def restrict_to_line(f: MPoly) -> BinaryForm:
+    """A quintic restricted to the fixed line r = {X + Z = Y + T = 0}."""
+    if not f.is_homogeneous(5):
+        raise ValueError("input is not homogeneous of degree 5")
+    return BinaryForm.from_mpoly(LINE_R.restrict(f), 5)
 
 
 def distinct_points(bf: BinaryForm) -> int:
     """Number of distinct projective roots over the algebraic closure."""
     if bf.is_zero():
         raise ValueError("the zero form has no root divisor")
-    a = bf.nf_coeffs()
     deh = bf.dehomog()
     finite = 0 if deh.degree() <= 0 else squarefree_part(deh).degree()
-    at_infinity = 1 if a[0].is_zero() else 0
+    at_infinity = 1 if bf.coeffs[0].is_zero() else 0
     return finite + at_infinity
 
 
@@ -178,7 +161,6 @@ def multiplicity_pattern(bf: BinaryForm):
     """Descending multiplicities of the projective roots."""
     if bf.is_zero():
         raise ValueError("the zero form has no root divisor")
-    a = bf.nf_coeffs()
     deh = bf.dehomog()
     mults = []
     inf_mult = bf.degree - (deh.degree() if deh.degree() >= 0 else 0)
@@ -206,16 +188,16 @@ def _pencil_generators(family):
     return a, b
 
 
-def pencil_factorization(family, line: LineSub = LINE_R):
-    """The exact identity (lambda XZ C0 + mu YT C1)|line
+def pencil_factorization(family):
+    """The exact identity (lambda XZ C0 + mu YT C1)|r
     = XY (lambda X Qbar0 - mu Y Qbar1), checked on the two generators;
     both sides are linear in (lambda, mu), so this is the symbolic identity."""
     a, b = _pencil_generators(family)
     x, y = MPoly.var("X"), MPoly.var("Y")
-    qbar0 = line.restrict(family.quadrics[0])
-    qbar1 = line.restrict(family.quadrics[1])
-    first = line.restrict(a) == x * x * y * qbar0
-    second = line.restrict(b) == -(x * y * y * qbar1)
+    qbar0 = LINE_R.restrict(family.quadrics[0])
+    qbar1 = LINE_R.restrict(family.quadrics[1])
+    first = LINE_R.restrict(a) == x * x * y * qbar0
+    second = LINE_R.restrict(b) == -(x * y * y * qbar1)
     return first, second, qbar0, qbar1
 
 
@@ -225,32 +207,29 @@ XY_FACTOR_POINTS = (
 )
 
 
-def witness_pencil_analysis(family, lam, mu, m_value, line: LineSub = LINE_R) -> int | None:
+def witness_pencil_analysis(family, lam, mu) -> int | None:
     """Distinct points of the pencil member lambda XZ C0 + mu YT C1 on the
-    line; None when the member vanishes on it."""
+    line r, for a family with m fixed; None when the member vanishes on it."""
     lam = NFElem.coerce(lam)
     mu = NFElem.coerce(mu)
     if lam.is_zero() and mu.is_zero():
         raise ValueError("(lambda, mu) must not both vanish")
     a, b = _pencil_generators(family)
     member = MPoly.constant(lam) * a + MPoly.constant(mu) * b
-    bf = restrict_to_line(member.specialize_m(m_value), line)
+    bf = restrict_to_line(member)
     return None if bf.is_zero() else distinct_points(bf)
 
 
-def z4_witness_search(family, bound: int, m_value, line: LineSub = LINE_R):
-    """First (lambda, mu) in the deterministic scan whose restriction has at
-    least 4 distinct points; None when the bound is too small."""
+def z4_witness_search(family, bound: int):
+    """First (lambda, mu) in the deterministic scan whose restriction to r has
+    at least 4 distinct points, for a family with m fixed; None when the
+    bound is too small."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    a, b = _pencil_generators(family)
-    ar = restrict_to_line(a.specialize_m(m_value), line)
-    br = restrict_to_line(b.specialize_m(m_value), line)
+    ar, br = (restrict_to_line(g) for g in _pencil_generators(family))
     for lam in range(1, bound + 1):
         for mu in range(-bound, bound + 1):
-            coeffs = tuple(MPoly.coerce(lam) * ca + MPoly.coerce(mu) * cb
-                           for ca, cb in zip(ar.coeffs, br.coeffs))
-            bf = BinaryForm(5, coeffs)
+            bf = BinaryForm(5, tuple(lam * ca + mu * cb for ca, cb in zip(ar.coeffs, br.coeffs)))
             if bf.is_zero():
                 continue
             count = distinct_points(bf)
@@ -337,16 +316,17 @@ class CubicProbe:
     classifications_agree: bool | None
 
 
-def cubic_one_root_probe(family, lam, mu, m_value, line: LineSub = LINE_R) -> CubicProbe:
+def cubic_one_root_probe(family, lam, mu) -> CubicProbe:
     """Evaluate the printed one-root criterion 9da - bc = 0 on the cubic factor
-    of the witness pencil, against the true multiplicity pattern."""
+    of the witness pencil on r, for a family with m fixed, against the true
+    multiplicity pattern."""
     lam = NFElem.coerce(lam)
     mu = NFElem.coerce(mu)
-    qbar0 = line.restrict(family.quadrics[0]).specialize_m(m_value)
-    qbar1 = line.restrict(family.quadrics[1]).specialize_m(m_value)
+    qbar0 = LINE_R.restrict(family.quadrics[0])
+    qbar1 = LINE_R.restrict(family.quadrics[1])
     cubic = MPoly.constant(lam) * MPoly.var("X") * qbar0 - MPoly.constant(mu) * MPoly.var("Y") * qbar1
     bf = BinaryForm.from_mpoly(cubic, 3)
-    a, b, c, d = bf.nf_coeffs()
+    a, b, c, d = bf.coeffs
     cond = NFElem(9) * d * a - b * c
     degenerate = a.is_zero()
     if bf.is_zero():

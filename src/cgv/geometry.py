@@ -184,6 +184,16 @@ class CubicFamily:
     def __setattr__(self, name, value):
         raise AttributeError("CubicFamily is immutable")
 
+    def at_m(self, value) -> "CubicFamily":
+        """The family with m fixed to `value`; the family itself for None."""
+        if value is None:
+            return self
+        return CubicFamily(
+            (c.specialize_m(value) for c in self.cubics),
+            (q.specialize_m(value) for q in self.quadrics),
+            self.sigma_index_map,
+        )
+
 
 def build_cubics() -> CubicFamily:
     quadrics = [parse_poly(t) for t in QUADRIC_TEXTS]

@@ -30,9 +30,6 @@ class RingMatrix:
     def shape(self):
         return (len(self.rows), len(self.rows[0]) if self.rows else 0)
 
-    def specialize_m(self, value) -> "RingMatrix":
-        return RingMatrix([[e.specialize_m(value) for e in row] for row in self.rows])
-
     def nf_entries(self):
         return [[e.as_nfelem() for e in row] for row in self.rows]
 
@@ -128,21 +125,20 @@ def nf_kernel_basis(rows):
     return basis
 
 
-def matrix_rank(mat: RingMatrix, m_value=None):
-    """Rank over Q(r) (m specialized) or over Q(r)(m) (m symbolic).
+def matrix_rank(mat: RingMatrix):
+    """Rank over Q(r) (scalar entries) or over Q(r)(m) (entries involving m).
 
     Returns (rank, witness): pivot columns in the scalar case, the certifying
     nonzero minor (rows, cols) in the symbolic case.
     """
-    work = mat.specialize_m(m_value) if m_value is not None else mat
-    if work.is_scalar():
-        rank, pivots = nf_rank(work.nf_entries())
+    if mat.is_scalar():
+        rank, pivots = nf_rank(mat.nf_entries())
         return rank, {"pivot_columns": pivots}
-    nr, nc = work.shape
+    nr, nc = mat.shape
     for size in range(min(nr, nc), 0, -1):
         for rset in itertools.combinations(range(nr), size):
             for cset in itertools.combinations(range(nc), size):
-                sub = RingMatrix([[work.rows[i][j] for j in cset] for i in rset])
+                sub = RingMatrix([[mat.rows[i][j] for j in cset] for i in rset])
                 if not matrix_det(sub).is_zero():
                     return size, {"minor_rows": rset, "minor_cols": cset}
     return 0, {"minor_rows": (), "minor_cols": ()}

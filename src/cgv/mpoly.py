@@ -183,7 +183,13 @@ class MPoly:
         return out
 
     def specialize_m(self, value) -> "MPoly":
-        return self.substitute({"m": MPoly.coerce(value)})
+        """Fix m to a scalar: m^k moves into the coefficient as value^k."""
+        v = NFElem.coerce(value)
+        out = {}
+        for e, c in self.terms.items():
+            geom = e[:-1] + (0,)   # m is the last variable
+            out[geom] = out.get(geom, NFElem(0)) + c * v ** e[-1]
+        return MPoly(out)
 
     def partial(self, name: str) -> "MPoly":
         """Formal partial derivative."""

@@ -7,6 +7,7 @@ Grammar (whitespace insensitive, no implicit multiplication):
     factor := base ("^" nonneg-int)?
     base   := ident | integer | integer "/" integer | "(" expr ")" | "-" base
     ident  := "X" | "Y" | "Z" | "T" | "r" | "m"
+    integer := ("0" | "1" | ... | "9")+          ASCII digits only
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ class UnknownIdentifierError(ParseError):
 
 
 _PUNCT = ("+", "-", "*", "^", "/", "(", ")")
+_DIGITS = "0123456789"
 
 
 class _Tokenizer:
@@ -52,9 +54,9 @@ class _Tokenizer:
                 self.tokens.append((ch, ch, i))
                 i += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < n and text[j].isdigit():
+                while j < n and text[j] in _DIGITS:
                     j += 1
                 self.tokens.append(("int", text[i:j], i))
                 i = j

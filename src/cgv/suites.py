@@ -13,7 +13,7 @@ from .baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
                         all_strata, classify_stratum, points_str,
                         quadric_independence, single_hyperplane_det_analysis,
                         single_hyperplane_system)
-from .claims import PRINTED_SYSTEM_MATRIX, claim
+from .claims import PRINTED_CIRCULANT_ENTRIES, PRINTED_SYSTEM_MATRIX, claim
 from .geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME, REFERENCE_POINTS,
                        SIGMA, SIGMA2, build_cubics, eval_at_point,
                        fixed_line_check, point_name)
@@ -145,12 +145,12 @@ def _expected_points(stratum):
 
 def base_locus_suite(family, config: RunConfig):
     checks = []
-    m_value = config.m_value
+    family_m = family.at_m(config.m_value)
     results = []
     for stratum in all_strata():
         label = stratum.label()
         try:
-            res = classify_stratum(family, stratum, m_value)
+            res = classify_stratum(family_m, stratum)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             checks.append(error_check(f"base-locus/stratum/{label}", exc))
             results.append(baselocus.StratumResult(stratum, INCONCLUSIVE, (), (), ()))
@@ -279,11 +279,15 @@ def _m_symbolic_note(config: RunConfig):
 def quadric_independence_suite(family, config: RunConfig):
     checks = []
     ind = quadric_independence(family)
+    entries_claim = claim("circulant-entries")
+    same = ind.entries == tuple(parse_scalar(t) for t in PRINTED_CIRCULANT_ENTRIES)
     checks.append(make_check(
         "quadric-independence/entries",
-        "a=(r+1)(3r-2), b=3r-2, c=r^2(3r-2), d=-2r^2-5r+5",
-        claim("circulant-entries"),
-        notes=("the XY coefficients of Q0..Q3 are exactly the displayed entries",),
+        entries_claim.value if same
+        else ", ".join(f"{n}={nf_str(e)}" for n, e in zip("abcd", ind.entries)),
+        entries_claim,
+        notes=("the XY coefficients of Q0..Q3 "
+               f"{'are exactly' if same else 'differ from'} the displayed entries",),
     ))
     checks.append(make_check(
         "quadric-independence/circulant-determinant",
@@ -352,7 +356,7 @@ def tangent_suite(family, config: RunConfig):
                "are the whole space; the printed equations X = Y = Z = 0 match the tangent planes of "
                "the coordinate-factor components, whose common zero is the chart origin",),
     ))
-    survey = tangent.rank_survey(family, config.survey, config.seed, config.m_or_default())
+    survey = tangent.rank_survey(family.at_m(config.m_or_default()), config.survey, config.seed)
     effective = sum(c for _, c in survey.histogram)
     hist_s = ", ".join(f"rank {r}: {c}" for r, c in survey.histogram) or "(no usable samples)"
     all_rank3 = survey.histogram == ((3, effective),) and effective > 0
@@ -480,7 +484,7 @@ def genus_suite(family, config: RunConfig):
 
 def pencil_suite(family, config: RunConfig):
     checks = []
-    m_value = config.m_or_default()
+    family_m = family.at_m(config.m_or_default())
     first, second, qbar0, qbar1 = genus.pencil_factorization(family)
     checks.append(make_check(
         "pencil/factorization",
@@ -496,13 +500,13 @@ def pencil_suite(family, config: RunConfig):
         ", ".join(point_name(p) for p in genus.XY_FACTOR_POINTS),
         claim("pencil-xy-points"),
     ))
-    count = genus.witness_pencil_analysis(family, 1, 0, m_value)
+    count = genus.witness_pencil_analysis(family_m, 1, 0)
     checks.append(make_check(
         "pencil/count/lambda=1,mu=0",
         str(count),
         notes=("distinct points of the restriction of XZ C0 to the fixed line",) + _m_note(config),
     ))
-    witness = genus.z4_witness_search(family, config.bound, m_value)
+    witness = genus.z4_witness_search(family_m, config.bound)
     if witness is None:
         checks.append(make_check(
             "pencil/witness-search",
@@ -544,7 +548,7 @@ def pencil_suite(family, config: RunConfig):
                "family: (X - aY)^3 (aX - Y)^2, the (3,2) pattern {a, 1/a} cleared of denominators",),
     ))
     for lam, mu in ((1, 0), (1, 1)):
-        probe = genus.cubic_one_root_probe(family, lam, mu, m_value)
+        probe = genus.cubic_one_root_probe(family_m, lam, mu)
         checks.append(make_check(
             f"pencil/cubic-probe/lambda={lam},mu={mu}",
             f"condition {'zero' if probe.condition_says_one_root else 'nonzero'}; "

@@ -22,16 +22,10 @@ from .claims import CLAIMED_TANGENT_ROWS
 CHART_VARS = ("X", "Y", "Z")
 
 
-def chart_gradient(family, i: int, m_value=None):
+def chart_gradient(family, i: int):
     """Gradient row of C_i on the chart T = 1, symbolic in the coordinates."""
     c = family.cubics[i]
-    row = []
-    for v in CHART_VARS:
-        g = c.partial(v).substitute({"T": MPoly.constant(1)})
-        if m_value is not None:
-            g = g.specialize_m(m_value)
-        row.append(g)
-    return tuple(row)
+    return tuple(c.partial(v).substitute({"T": MPoly.constant(1)}) for v in CHART_VARS)
 
 
 def projective_gradient(family, i: int, pt):
@@ -149,15 +143,16 @@ class SurveyResult:
     skipped: int
 
 
-def rank_survey(family, n: int, seed: int, m_value) -> SurveyResult:
-    """Exact rank of the stacked C_0, C_1, C_2 tangent rows at n sampled points.
+def rank_survey(family, n: int, seed: int) -> SurveyResult:
+    """Exact rank of the stacked C_0, C_1, C_2 tangent rows at n sampled points
+    of a family with m fixed (`CubicFamily.at_m`).
 
     Points on a degeneracy locus (a zero gradient row) are skipped.  Sampled
     coordinates are never 0, so no sample is a reference point.
     """
     if n < 1:
         raise ValueError("survey size must be >= 1")
-    rows_sym = [chart_gradient(family, i, m_value) for i in range(3)]
+    rows_sym = [chart_gradient(family, i) for i in range(3)]
     stream = SampleStream(seed)
     hist = {}
     skipped = 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cgv.genus import BinaryForm
 from cgv.geometry import build_cubics
 from cgv.nf import NFElem
 
@@ -32,3 +33,13 @@ def random_nfelem_nonzero(rng: random.Random) -> NFElem:
         a = random_nfelem(rng)
         if not a.is_zero():
             return a
+
+
+def scale_form(bf, c):
+    """The binary form c * bf."""
+    return BinaryForm(bf.degree, tuple(c * a for a in bf.coeffs))
+
+
+def swap_xy(bf):
+    """The binary form bf(Y, X)."""
+    return BinaryForm(bf.degree, tuple(reversed(bf.coeffs)))

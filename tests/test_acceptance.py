@@ -29,7 +29,8 @@ from cgv.reportlib import CONFIRMED, REFUTED, RunConfig, render_text
 from cgv.suites import run_suite
 from cgv.upoly import UPoly, squarefree_part, upoly_gcd
 
-from conftest import nf_to_float, random_nfelem, random_nfelem_nonzero
+from conftest import (nf_to_float, random_nfelem, random_nfelem_nonzero, scale_form,
+                      swap_xy)
 
 M1 = NFElem(1)
 
@@ -89,7 +90,7 @@ def test_criterion_04_triple_and_double_strata(family):
             coeff = restricted.coeff_of_geom(mono)
             ok = ok and not coeff.is_zero()
             ok = ok and not coeff.specialize_m(M1).as_nfelem().is_zero()
-        res = stratum_double_hyperplane(family, stratum, M1)
+        res = stratum_double_hyperplane(family.at_m(M1), stratum)
         ok = ok and res.kind == REFERENCE and len(res.points) == 2
     verdict(4, ok, "triple strata yield exactly the four reference points; "
                    "double strata restrict to nonzero single-monomial multiples "
@@ -171,12 +172,12 @@ def test_criterion_09_feasibility_branches():
 
 def test_criterion_10_witness_pencil(family):
     first, second, _, _ = pencil_factorization(family)
-    found = z4_witness_search(family, 5, M1)
+    found = z4_witness_search(family.at_m(M1), 5)
     ok = first and second and found is not None
     if found:
         lam, mu, count = found
         ok = ok and count >= 4
-        ok = ok and witness_pencil_analysis(family, lam, mu, M1) == count
+        ok = ok and witness_pencil_analysis(family.at_m(M1), lam, mu) == count
     verdict(10, ok, "the XY(lambda X Qbar0 - mu Y Qbar1) identity holds symbolically; "
                     f"bound-5 scan finds {found} with >= 4 distinct points")
 
@@ -234,8 +235,8 @@ def test_criterion_12_property_suites(family):
         bf = BinaryForm.from_mpoly(parse_poly(text))
         n = distinct_points(bf)
         c = random_nfelem_nonzero(rng)
-        ok = ok and distinct_points(bf.scale(c)) == n
-        ok = ok and distinct_points(bf.swap_xy()) == n
+        ok = ok and distinct_points(scale_form(bf, c)) == n
+        ok = ok and distinct_points(swap_xy(bf)) == n
     verdict(12, ok, "field axioms (1000 cases), substitution/Leibniz, gcd/squarefree "
                     "contracts, parser round-trip, byte-identical reports, "
                     "distinct-point invariances")

@@ -86,9 +86,9 @@ def test_double_strata_m_dependent(family):
         res = stratum_double_hyperplane(family, Stratum(taken))
         assert res.kind == REFERENCE
         assert any("m = 0" in n for n in res.notes)
-        degenerate = stratum_double_hyperplane(family, Stratum(taken), NFElem(0))
+        degenerate = stratum_double_hyperplane(family.at_m(NFElem(0)), Stratum(taken))
         assert degenerate.kind == INCONCLUSIVE
-        fine = stratum_double_hyperplane(family, Stratum(taken), M1)
+        fine = stratum_double_hyperplane(family.at_m(M1), Stratum(taken))
         assert fine.kind == REFERENCE
 
 
@@ -146,20 +146,20 @@ def test_det_numeric_crosscheck(family):
 
 
 def test_kernel_lift_at_m1(family):
-    res = monomial_kernel_lift(family, "T", M1)
+    res = monomial_kernel_lift(family.at_m(M1), "T")
     assert res.kind == REFERENCE
     names = [point_name(p) for p in res.points]
     assert names == ["[1:0:0:0]", "[0:1:0:0]", "[0:0:1:0]"]
     # the kernel is one-dimensional with vanishing ZX component; frozen direction
-    mat, _, _, _ = single_hyperplane_system(family, "T")
-    kernel = nf_kernel_basis(mat.specialize_m(M1).nf_entries())
+    mat, _, _, _ = single_hyperplane_system(family.at_m(M1), "T")
+    kernel = nf_kernel_basis(mat.nf_entries())
     assert len(kernel) == 1
     vec = kernel[0]
     assert vec[2].is_zero()
     cand = (NFElem(-5, 1, 8), NFElem(7, -8, -2), NFElem(0))  # (3r-2)(r+1-r^2) reduced, etc.
     # proportional to the frozen candidate
     assert vec[0] * cand[1] == vec[1] * cand[0]
-    for row in mat.specialize_m(M1).nf_entries():
+    for row in mat.nf_entries():
         acc = NFElem(0)
         for a, x in zip(row, cand):
             acc = acc + a * x
@@ -169,14 +169,14 @@ def test_kernel_lift_at_m1(family):
 def test_kernel_lift_all_h_and_various_m(family):
     for h in ("T", "X", "Y", "Z"):
         for mv in (M1, NFElem(0), NFElem(0, 1)):
-            res = monomial_kernel_lift(family, h, mv)
+            res = monomial_kernel_lift(family.at_m(mv), h)
             assert res.kind == REFERENCE
             assert len(res.points) == 3
 
 
 def test_kernel_lift_requires_m(family):
     with pytest.raises(ValueError):
-        monomial_kernel_lift(family, "T", None)
+        monomial_kernel_lift(family, "T")
 
 
 def test_lift_identity_algebra():
@@ -190,10 +190,10 @@ def test_lift_identity_algebra():
 
 
 def test_torus_stratum_empty(family):
-    res = no_hyperplane_torus_check(family, M1)
+    res = no_hyperplane_torus_check(family.at_m(M1))
     assert res.kind == REFERENCE
     assert len(res.points) == 4
-    mat = mixed_monomial_matrix(family, M1)
+    mat = mixed_monomial_matrix(family.at_m(M1))
     rank, _ = matrix_rank(mat)
     assert rank == 4
     assert len(nf_kernel_basis(mat.nf_entries())) == 2
@@ -221,29 +221,29 @@ def test_quadrics_supported_on_mixed_monomials(family):
 def test_sigma_equivariance_of_strata(family):
     # transporting the stratum data by the rotation permutes the points by it
     for stratum in all_strata():
-        res = classify_stratum(family, stratum, M1)
+        res = classify_stratum(family.at_m(M1), stratum)
         image = Stratum(tuple(sorted((i + 1) % 4 for i in stratum.taken)))
-        res_img = classify_stratum(family, image, M1)
+        res_img = classify_stratum(family.at_m(M1), image)
         mapped = {SIGMA.point_image(p) for p in res.points}
         assert mapped == set(res_img.points)
         assert res.kind == res_img.kind
 
 
 def test_aggregate_confirmed_at_m1(family):
-    results = [classify_stratum(family, s, M1) for s in all_strata()]
+    results = [classify_stratum(family.at_m(M1), s) for s in all_strata()]
     kind, points = aggregate(results)
     assert kind == REFERENCE
     assert points == REFERENCE_POINTS
 
 
 def test_aggregate_indeterminate_when_m_symbolic(family):
-    results = [classify_stratum(family, s, None) for s in all_strata()]
+    results = [classify_stratum(family.at_m(None), s) for s in all_strata()]
     kind, _ = aggregate(results)
     assert kind == INCONCLUSIVE
 
 
 def test_aggregate_never_silently_confirmed(family):
-    results = [classify_stratum(family, s, M1) for s in all_strata()]
+    results = [classify_stratum(family.at_m(M1), s) for s in all_strata()]
     # degrade one stratum to inconclusive: the aggregate must follow
     from cgv.baselocus import StratumResult
     results[7] = StratumResult(results[7].stratum, INCONCLUSIVE, (), ())
@@ -265,7 +265,7 @@ def test_kernel_lift_reports_non_reference_points():
     # a singular system whose kernel contains an all-nonzero vector must
     # surface the lifted non-reference point instead of staying silent
     fake = _synthetic_family(parse_poly("X*Y + Y*Z + Z*X"))
-    res = monomial_kernel_lift(fake, "T", M1)
+    res = monomial_kernel_lift(fake, "T")
     assert res.kind == NON_REFERENCE
     assert res.points
     pt = res.points[0]
@@ -274,6 +274,6 @@ def test_kernel_lift_reports_non_reference_points():
 
 def test_kernel_lift_reports_zero_column_line():
     fake = _synthetic_family(parse_poly("Y*Z"))
-    res = monomial_kernel_lift(fake, "T", M1)
+    res = monomial_kernel_lift(fake, "T")
     assert res.kind == NON_REFERENCE
     assert any("line" in s for s in res.identities)

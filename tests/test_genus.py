@@ -17,7 +17,7 @@ from cgv.nf import NFElem
 from cgv.parsing import parse_poly
 from cgv.upoly import UPoly
 
-from conftest import random_nfelem_nonzero
+from conftest import random_nfelem_nonzero, scale_form, swap_xy
 
 M1 = NFElem(1)
 
@@ -105,12 +105,12 @@ def test_scenario_validation():
 
 def test_restrict_x5():
     bf = restrict_to_line(parse_poly("X^5"))
-    assert bf.nf_coeffs() == (NFElem(1),) + (NFElem(0),) * 5
+    assert bf.coeffs == (NFElem(1),) + (NFElem(0),) * 5
 
 
 def test_restrict_z5_sign():
     bf = restrict_to_line(parse_poly("Z^5"))
-    assert bf.nf_coeffs() == (NFElem(-1),) + (NFElem(0),) * 5
+    assert bf.coeffs == (NFElem(-1),) + (NFElem(0),) * 5
 
 
 def test_restrict_rejects_inhomogeneous():
@@ -147,8 +147,8 @@ def test_distinct_points_scaling_and_swap_invariance():
     for bf in forms:
         n = distinct_points(bf)
         c = random_nfelem_nonzero(rng)
-        assert distinct_points(bf.scale(c)) == n
-        assert distinct_points(bf.swap_xy()) == n
+        assert distinct_points(scale_form(bf, c)) == n
+        assert distinct_points(swap_xy(bf)) == n
 
 
 def test_distinct_points_brute_force_agreement():
@@ -176,7 +176,7 @@ def test_distinct_points_brute_force_agreement():
 
 def test_distinct_points_rejects_zero():
     with pytest.raises(ValueError):
-        distinct_points(BinaryForm(5, (MPoly.zero(),) * 6))
+        distinct_points(BinaryForm(5, (NFElem(0),) * 6))
 
 
 def test_multiplicity_patterns():
@@ -190,28 +190,28 @@ def test_multiplicity_patterns():
 
 
 def test_witness_analysis(family):
-    assert witness_pencil_analysis(family, 1, 0, M1) == 4
+    assert witness_pencil_analysis(family.at_m(M1), 1, 0) == 4
     assert [point_name(p) for p in genus_mod.XY_FACTOR_POINTS] == ["[1:0:-1:0]", "[0:1:0:-1]"]
     with pytest.raises(ValueError):
-        witness_pencil_analysis(family, 0, 0, M1)
+        witness_pencil_analysis(family.at_m(M1), 0, 0)
 
 
 def test_z4_witness_search_frozen(family):
-    found = z4_witness_search(family, 5, M1)
+    found = z4_witness_search(family.at_m(M1), 5)
     assert found == (1, -5, 5)
     lam, mu, count = found
-    assert witness_pencil_analysis(family, lam, mu, M1) == count >= 4
+    assert witness_pencil_analysis(family.at_m(M1), lam, mu) == count >= 4
 
 
 def test_z4_witness_search_not_found_contract(family, monkeypatch):
     # when nothing qualifies the scan returns None, never raises
     monkeypatch.setattr(genus_mod, "distinct_points", lambda bf: 2)
-    assert z4_witness_search(family, 2, M1) is None
+    assert z4_witness_search(family.at_m(M1), 2) is None
 
 
 def test_z4_search_guards(family):
     with pytest.raises(ValueError):
-        z4_witness_search(family, 0, M1)
+        z4_witness_search(family.at_m(M1), 0)
 
 
 # -- root-pattern conditions ------------------------------------------------------------
@@ -223,19 +223,19 @@ def test_quintuple_condition_on_family():
 
 
 def test_quintuple_condition_examples():
-    x5 = binary("X^5").nf_coeffs()
+    x5 = binary("X^5").coeffs
     assert quintuple_root_condition(x5)
-    x4y = binary("X^4*Y").nf_coeffs()
+    x4y = binary("X^4*Y").coeffs
     # known insensitivity: the (4,1) pattern also zeroes both sides
     assert quintuple_root_condition(x4y)
-    not_quintuple = binary("X^5 + X^3*Y^2 + X^2*Y^3").nf_coeffs()
+    not_quintuple = binary("X^5 + X^3*Y^2 + X^2*Y^3").coeffs
     assert not quintuple_root_condition(not_quintuple)
 
 
 def test_quintuple_condition_scaling_invariant():
     rng = random.Random(89)
     for bf_text in ("X^5", "X^4*Y", "X^5 + X^3*Y^2 + X^2*Y^3", "(X-2*Y)^5"):
-        coeffs = binary(bf_text).nf_coeffs()
+        coeffs = binary(bf_text).coeffs
         c = random_nfelem_nonzero(rng)
         scaled = tuple(c * a for a in coeffs)
         assert quintuple_root_condition(coeffs) == quintuple_root_condition(scaled)
@@ -243,7 +243,7 @@ def test_quintuple_condition_scaling_invariant():
 
 def test_quintuple_family_is_actually_quintuple():
     # (X - 2Y)^5 satisfies the relation with nonzero sides
-    coeffs = binary("(X-2*Y)^5").nf_coeffs()
+    coeffs = binary("(X-2*Y)^5").coeffs
     assert quintuple_root_condition(coeffs)
     assert not coeffs[2].is_zero()
 
@@ -263,14 +263,14 @@ def test_three_two_trivial_cases():
     zero_ends = (NFElem(0), NFElem(0), NFElem(1), NFElem(1), NFElem(0), NFElem(0))
     assert three_two_root_condition(zero_ends)
     # X^5 does not satisfy the printed relation: 2*a0^2 = 2 != 0
-    x5 = binary("X^5").nf_coeffs()
+    x5 = binary("X^5").coeffs
     assert not three_two_root_condition(x5)
 
 
 def test_cubic_probe_insufficiency_example():
     # X^3 - X Y^2: the printed condition 9da - bc vanishes, the pattern is (1,1,1)
     bf = binary("X^3 - X*Y^2")
-    a, b, c, d = bf.nf_coeffs()
+    a, b, c, d = bf.coeffs
     cond = NFElem(9) * d * a - b * c
     assert cond.is_zero()
     assert multiplicity_pattern(bf) == (1, 1, 1)
@@ -278,18 +278,18 @@ def test_cubic_probe_insufficiency_example():
 
 def test_cubic_probe_triple_root():
     bf = binary("(X-Y)^3")
-    a, b, c, d = bf.nf_coeffs()
+    a, b, c, d = bf.coeffs
     assert (NFElem(9) * d * a - b * c).is_zero()
     assert multiplicity_pattern(bf) == (3,)
 
 
 def test_cubic_probe_on_pencil(family):
-    probe = cubic_one_root_probe(family, 1, 0, M1)
+    probe = cubic_one_root_probe(family.at_m(M1), 1, 0)
     # frozen: 9da - bc = (3r-2)^2 at (1, 0)
     assert probe.condition_value == NFElem(-2, 3) * NFElem(-2, 3)
     assert probe.pattern == (1, 1, 1)
     assert probe.classifications_agree
-    probe11 = cubic_one_root_probe(family, 1, 1, M1)
+    probe11 = cubic_one_root_probe(family.at_m(M1), 1, 1)
     assert probe11.pattern == (1, 1, 1)
     assert not probe11.condition_says_one_root
     assert probe11.classifications_agree

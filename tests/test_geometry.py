@@ -1,9 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgv.geometry import (COFACTOR_COORDS, CoordMap, LINE_R, LINE_R_PRIME,
-                          REFERENCE_POINTS, SIGMA, SIGMA2, apply_map,
+                          QUADRIC_TEXTS, REFERENCE_POINTS, SIGMA, SIGMA2, apply_map,
                           eval_at_point, fixed_line_check, point_name)
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem
@@ -103,3 +104,23 @@ def test_negating_map_fixes_everything_projectively():
     ok, _ = fixed_line_check(neg, LINE_R)
     assert ok
     assert neg.order() == 2
+
+
+fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+nf_elems = st.builds(NFElem, fractions, fractions, fractions)
+
+
+def test_at_m_none_is_the_family(family):
+    assert family.at_m(None) is family
+
+
+@settings(max_examples=60, deadline=None)
+@given(nf_elems)
+def test_at_m_specializes_quadrics_and_cubics(family, value):
+    fixed = family.at_m(value)
+    assert fixed.quadrics == tuple(q.specialize_m(value) for q in family.quadrics)
+    assert fixed.cubics == tuple(c.specialize_m(value) for c in family.cubics)
+    assert fixed.sigma_index_map == family.sigma_index_map
+    # second route: write the value into the printed quadric texts and parse
+    printed = tuple(parse_poly(t.replace("m", f"({value})")) for t in QUADRIC_TEXTS)
+    assert fixed.quadrics == printed

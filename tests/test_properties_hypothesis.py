@@ -63,3 +63,15 @@ def test_squarefree_has_no_repeated_roots(f):
     s = squarefree_part(f)
     if s.degree() >= 1:
         assert upoly_gcd(s, s.derivative()).degree() == 0
+
+
+# few geometric monomials, so that terms differing only in m are common
+m_stacked = st.dictionaries(
+    st.tuples(st.integers(0, 1), st.integers(0, 1), st.just(0), st.just(0), st.integers(0, 3)),
+    nf_elems, max_size=8).map(MPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(mpolys, m_stacked), nf_elems)
+def test_specialize_m_is_the_substitution_of_m(f, v):
+    assert f.specialize_m(v) == f.substitute({"m": MPoly.constant(v)})

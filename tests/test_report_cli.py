@@ -192,6 +192,23 @@ def test_cli_check_deep_nesting_is_a_configuration_error(capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("expr", ["\u00b2", "X^\u00b2", "\u0663"])
+def test_cli_eval_non_ascii_digit_is_a_parse_error(expr, capsys):
+    assert main(["eval", expr]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error: at offset ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_check_non_ascii_digit_m_is_a_configuration_error(capsys):
+    # ARABIC-INDIC DIGIT THREE must not be read as m = 3
+    assert main(["check", "sigma", "--m", "\u0663"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: at offset 0")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_check_all_computes_quadric_independence_once(monkeypatch):
     import cgv.baselocus as baselocus
     calls = []
@@ -204,3 +221,20 @@ def test_check_all_computes_quadric_independence_once(monkeypatch):
     monkeypatch.setattr(baselocus, "matrix_rank", counting)
     run_suite("all", RunConfig(m_expr="1", survey=5))
     assert len(calls) == 1
+
+
+def test_quadric_independence_entries_compared_with_the_display(monkeypatch):
+    import cgv.suites as suites
+
+    def entries_check():
+        checks = run_suite("quadric-independence", RunConfig())
+        return next(c for c in checks if c.check_id == "quadric-independence/entries")
+
+    assert entries_check().agreement == CONFIRMED
+    # alter one displayed entry: the computed XY coefficients must refute it
+    altered = ("(r+1)*(3*r-2)", "3*r-2", "r^2*(3*r-2)", "-2*r^2-5*r+4")
+    monkeypatch.setattr(suites, "PRINTED_CIRCULANT_ENTRIES", altered)
+    check = entries_check()
+    assert check.agreement == REFUTED
+    assert check.computed == "a=-2 + r + 3*r^2, b=-2 + 3*r, c=3 - 5*r^2, d=5 - 5*r - 2*r^2"
+    assert check.notes == ("the XY coefficients of Q0..Q3 differ from the displayed entries",)

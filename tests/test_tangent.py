@@ -6,6 +6,7 @@ from cgv.geometry import REFERENCE_POINTS, eval_at_point
 from cgv.linalg import nf_rank
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem, nf_invert
+from cgv.parsing import parse_scalar
 from cgv.tangent import (CHART_VARS, SampleStream, chart_gradient, display_agreement,
                          lambda_replay, pairwise_independence, projective_gradient,
                          rank_survey, reference_point_rows)
@@ -15,10 +16,10 @@ from conftest import random_nfelem
 M1 = NFElem(1)
 
 
-def gradient_at(family, i, point, m_value=None):
+def gradient_at(family, i, point):
     """Exact gradient row of C_i at a chart point (x, y, z)."""
     sub = {v: MPoly.coerce(c) for v, c in zip(CHART_VARS, point)}
-    return tuple(g.substitute(sub) for g in chart_gradient(family, i, m_value))
+    return tuple(g.substitute(sub) for g in chart_gradient(family, i))
 
 
 def test_display_agreement_flags(family):
@@ -91,7 +92,7 @@ def test_pairwise_self_dependent(family):
 
 
 def test_rank_at_handpicked_point(family):
-    rows = [gradient_at(family, i, (1, 2, 3), M1) for i in range(3)]
+    rows = [gradient_at(family.at_m(M1), i, (1, 2, 3)) for i in range(3)]
     nf_rows = [[e.as_nfelem() for e in row] for row in rows]
     rank, _ = nf_rank(nf_rows)
     assert rank == 3
@@ -102,7 +103,7 @@ def test_rank_monotonicity(family):
     stream = SampleStream(99)
     for _ in range(5):
         pt = stream.next_point()
-        rows = [[e.as_nfelem() for e in gradient_at(family, i, pt, M1)] for i in range(3)]
+        rows = [[e.as_nfelem() for e in gradient_at(family.at_m(M1), i, pt)] for i in range(3)]
         r3, _ = nf_rank(rows)
         assert r3 <= 3
         for a in range(3):
@@ -120,18 +121,18 @@ def test_sample_stream_frozen_draws():
 
 
 def test_survey_deterministic_and_generic(family):
-    s1 = rank_survey(family, 5, 1, M1)
-    s2 = rank_survey(family, 5, 1, M1)
+    s1 = rank_survey(family.at_m(M1), 5, 1)
+    s2 = rank_survey(family.at_m(M1), 5, 1)
     assert s1 == s2
     assert s1.histogram == ((3, 5),)
     assert s1.skipped == 0
-    s3 = rank_survey(family, 5, 2, M1)
+    s3 = rank_survey(family.at_m(M1), 5, 2)
     assert s3.histogram == ((3, 5),)
 
 
 def test_survey_rejects_empty(family):
     with pytest.raises(ValueError):
-        rank_survey(family, 0, 1, M1)
+        rank_survey(family.at_m(M1), 0, 1)
 
 
 def test_sampled_points_cannot_be_reference_points():
@@ -145,7 +146,13 @@ def test_sampled_points_cannot_be_reference_points():
 
 
 def test_chart_gradient_specializes_m(family):
-    sym = chart_gradient(family, 0)
-    fixed = chart_gradient(family, 0, M1)
-    assert any(g.involves("m") for g in sym)
-    assert not any(g.involves("m") for g in fixed)
+    # dual route: fix m in the family, then differentiate, against
+    # differentiating the symbolic family, then fixing m in each entry
+    for m_text in ("0", "1", "r", "-r", "2/3*r^2-5"):
+        value = parse_scalar(m_text)
+        for i in range(4):
+            sym = chart_gradient(family, i)
+            fixed = chart_gradient(family.at_m(value), i)
+            assert any(g.involves("m") for g in sym)
+            assert not any(g.involves("m") for g in fixed)
+            assert fixed == tuple(g.specialize_m(value) for g in sym)
