@@ -257,8 +257,8 @@ class DetAnalysis:
     degree_in_m: int
 
 
-def single_hyperplane_det_analysis(family, h: str) -> DetAnalysis:
-    mat, _, _, _ = single_hyperplane_system(family, h)
+def single_hyperplane_det_analysis(h: str, mat: RingMatrix) -> DetAnalysis:
+    """The determinant of the h = 0 system `mat` from `single_hyperplane_system`."""
     det = matrix_det(mat)
     up = det.m_upoly()
     coeffs = list(up.coeffs) + [NFElem(0)] * (2 - len(up.coeffs))

@@ -188,9 +188,10 @@ class CubicFamily:
         """The family with m fixed to `value`; the family itself for None."""
         if value is None:
             return self
+        sub = {"m": value}
         return CubicFamily(
-            (c.specialize_m(value) for c in self.cubics),
-            (q.specialize_m(value) for q in self.quadrics),
+            (c.substitute(sub) for c in self.cubics),
+            (q.substitute(sub) for q in self.quadrics),
             self.sigma_index_map,
         )
 

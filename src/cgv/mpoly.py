@@ -19,6 +19,18 @@ NVARS = len(VARS)
 ZERO_EXP = (0,) * NVARS
 
 
+def _mul_terms(a, b):
+    """Product of two term dicts, as a term dict (zero sums not yet dropped)."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = c1 * c2
+            s = out.get(e)
+            out[e] = c if s is None else s + c
+    return out
+
+
 class MPoly:
     __slots__ = ("terms",)
 
@@ -126,15 +138,7 @@ class MPoly:
         return MPoly.coerce(other) + (-self)
 
     def __mul__(self, other):
-        o = MPoly.coerce(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return MPoly(out)
+        return MPoly(_mul_terms(self.terms, MPoly.coerce(other).terms))
 
     __rmul__ = __mul__
 
@@ -162,33 +166,52 @@ class MPoly:
         """Ring homomorphism sending each variable to its image.
 
         `mapping` takes variable names to MPoly, NFElem, Fraction or int;
-        missing variables map to themselves.
+        missing variables map to themselves.  A scalar image (a constant
+        MPoly included) folds its power into the coefficient; the powers of
+        polynomial images multiply out term by term.  Each image power is
+        computed once per call.
         """
-        images = []
+        scalars, polys = [], []
         for i, v in enumerate(VARS):
             img = mapping.get(v)
-            images.append(None if img is None else MPoly.coerce(img))
-        out = MPoly.zero()
-        for e, c in self.terms.items():
-            term = MPoly.constant(c)
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                img = images[i]
-                if img is None:
-                    term = term * MPoly.var(VARS[i], k)
-                else:
-                    term = term * img ** k
-            out = out + term
-        return out
+            if img is None:
+                continue
+            if not isinstance(img, MPoly):
+                scalars.append((i, NFElem.coerce(img)))
+            elif img.is_constant():
+                scalars.append((i, img.as_nfelem()))
+            else:
+                polys.append((i, img))
+        powers = {}   # (variable index, k) -> image ** k
 
-    def specialize_m(self, value) -> "MPoly":
-        """Fix m to a scalar: m^k moves into the coefficient as value^k."""
-        v = NFElem.coerce(value)
+        def power(i, img, k):
+            p = powers.get((i, k))
+            if p is None:
+                p = powers[(i, k)] = img ** k
+            return p
+
         out = {}
         for e, c in self.terms.items():
-            geom = e[:-1] + (0,)   # m is the last variable
-            out[geom] = out.get(geom, NFElem(0)) + c * v ** e[-1]
+            kept = list(e)
+            for i, s in scalars:
+                k = e[i]
+                if k:
+                    c = c * power(i, s, k)
+                    kept[i] = 0
+            if c.is_zero():
+                continue
+            factors = []
+            for i, img in polys:
+                k = e[i]
+                if k:
+                    factors.append(power(i, img, k).terms)
+                    kept[i] = 0
+            acc = {tuple(kept): c}
+            for f in factors:
+                acc = _mul_terms(acc, f)
+            for en, cn in acc.items():
+                s = out.get(en)
+                out[en] = cn if s is None else s + cn
         return MPoly(out)
 
     def partial(self, name: str) -> "MPoly":

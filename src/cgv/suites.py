@@ -193,7 +193,7 @@ def base_locus_suite(family, config: RunConfig):
                 if same else "differs from the transported h=T matrix",
                 notes=(f"rows Q{row_quadrics[0]}, Q{row_quadrics[1]}, Q{row_quadrics[2]} restricted to {h} = 0",),
             ))
-        analysis = single_hyperplane_det_analysis(family, h)
+        analysis = single_hyperplane_det_analysis(h, mat)
         if h == "T":
             checks.append(make_check(
                 "base-locus/det/T/m-coefficient",
@@ -314,8 +314,9 @@ def quadric_independence_suite(family, config: RunConfig):
 def tangent_suite(family, config: RunConfig):
     checks = []
     keys = {0: "tangent-display-c0", 1: "tangent-display-c1", 2: "tangent-display-c2"}
+    grad_rows = tuple(tangent.chart_gradient(family, i) for i in range(3))
     for i in range(3):
-        flags, computed, claimed, diffs = tangent.display_agreement(family, i)
+        flags, computed, claimed, diffs = tangent.display_agreement(grad_rows, i)
         n_match = sum(flags)
         notes = []
         for k, (f, d) in enumerate(zip(flags, diffs)):
@@ -327,7 +328,7 @@ def tangent_suite(family, config: RunConfig):
             claim(keys[i]),
             notes=tuple(notes) or ("all gradient components equal the printed display",),
         ))
-    replay = tangent.lambda_replay(family)
+    replay = tangent.lambda_replay(grad_rows)
     checks.append(make_check(
         "tangent/lambda-obstruction",
         "nonzero" if not replay.obstruction.is_zero() else "zero",
@@ -336,7 +337,7 @@ def tangent_suite(family, config: RunConfig):
                f"{nf_str(replay.obstruction_inverse)}",) + replay.steps,
     ))
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        res = tangent.pairwise_independence(family, i, j)
+        res = tangent.pairwise_independence(grad_rows, i, j)
         checks.append(make_check(
             f"tangent/pairwise-independence/{i}-{j}",
             "independent" if res.generically_independent else "dependent",

@@ -5,7 +5,8 @@ symbolic tangent row is a triple of polynomials in (X, Y, Z, m) over Q(r).
 The printed tangent displays are replayed componentwise, the printed
 lambda-elimination is reproduced down to its obstruction element, and a
 deterministic integer-point survey measures the exact rank of the three
-stacked rows.
+stacked rows.  The display, lambda and pairwise checks take the rows
+`chart_gradient` built, indexed by cubic, so a caller builds each row once.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ def projective_gradient(family, i: int, pt):
     return tuple(out)
 
 
-def display_agreement(family, i: int):
-    """Componentwise comparison of the computed gradient with the printed row."""
-    computed = chart_gradient(family, i)
+def display_agreement(rows, i: int):
+    """Componentwise comparison of the computed gradient rows[i] with the printed row."""
+    computed = rows[i]
     claimed = tuple(parse_poly(t) for t in CLAIMED_TANGENT_ROWS[i])
     flags = tuple(c == p for c, p in zip(computed, claimed))
     diffs = tuple(c - p for c, p in zip(computed, claimed))
@@ -54,7 +55,7 @@ class LambdaReplay:
     steps: tuple
 
 
-def lambda_replay(family) -> LambdaReplay:
+def lambda_replay(rows) -> LambdaReplay:
     """Replay the printed elimination: no polynomial lambda = a*x + b*z + c
     can carry the Y-partial of C_0 onto the Y-partial of C_1.
 
@@ -62,9 +63,7 @@ def lambda_replay(family) -> LambdaReplay:
     then demands (r+1)^2 (3r-2) = -2r^2-5r+5, which fails by the unit
     3r^2+4r-4; its inverse is the certificate.
     """
-    row0 = chart_gradient(family, 0)
-    row1 = chart_gradient(family, 1)
-    e0, e1 = row0[1], row1[1]
+    e0, e1 = rows[0][1], rows[1][1]
     # e0 is linear in (x, z); e1 is quadratic
     cx = e0.coefficient((1, 0, 0, 0, 0))          # (3r-2)(r+1)
     cz = e0.coefficient((0, 0, 1, 0, 0))          # -2r^2-5r+5
@@ -96,11 +95,10 @@ class PairwiseResult:
     generically_independent: bool
 
 
-def pairwise_independence(family, i: int, j: int) -> PairwiseResult:
-    """All 2x2 minors of the stacked symbolic rows; independent generically
-    iff some minor is a nonzero polynomial in (x, y, z, m)."""
-    ri = chart_gradient(family, i)
-    rj = chart_gradient(family, j)
+def pairwise_independence(rows, i: int, j: int) -> PairwiseResult:
+    """All 2x2 minors of the stacked symbolic rows i and j; independent
+    generically iff some minor is a nonzero polynomial in (x, y, z, m)."""
+    ri, rj = rows[i], rows[j]
     minors = []
     for c1 in range(3):
         for c2 in range(c1 + 1, 3):
@@ -148,7 +146,9 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
     of a family with m fixed (`CubicFamily.at_m`).
 
     Points on a degeneracy locus (a zero gradient row) are skipped.  Sampled
-    coordinates are never 0, so no sample is a reference point.
+    coordinates are never 0, so no sample is a reference point.  Over a field
+    a nonzero 3x3 determinant proves rank 3; elimination runs only where the
+    determinant vanishes.
     """
     if n < 1:
         raise ValueError("survey size must be >= 1")
@@ -158,20 +158,23 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
     skipped = 0
     for _ in range(n):
         x, y, z = stream.next_point()
-        sub = {"X": MPoly.constant(x), "Y": MPoly.constant(y), "Z": MPoly.constant(z)}
-        rows = []
-        for row in rows_sym:
-            rows.append([g.substitute(sub).as_nfelem() for g in row])
+        sub = {"X": x, "Y": y, "Z": z}
+        rows = [[g.substitute(sub).as_nfelem() for g in row] for row in rows_sym]
         if any(all(c.is_zero() for c in row) for row in rows):
             skipped += 1
             continue
-        rank, _ = nf_rank(rows)
+        rank = nf_rank(rows)[0] if _det3(rows).is_zero() else 3
         hist[rank] = hist.get(rank, 0) + 1
     return SurveyResult(
         n=n, seed=seed,
         histogram=tuple(sorted(hist.items())),
         skipped=skipped,
     )
+
+
+def _det3(rows):
+    (a, b, c), (d, e, f), (g, h, k) = rows
+    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
 
 
 def reference_point_rows(family):

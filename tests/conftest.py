@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 
 from cgv.genus import BinaryForm
 from cgv.geometry import build_cubics
+from cgv.mpoly import VARS
 from cgv.nf import NFElem
 
 # the real root of x^3 + x^2 - 1, for float cross-checks in tests only
@@ -14,6 +16,27 @@ R_FLOAT = 0.7548776662466928
 @pytest.fixture(scope="session")
 def family():
     return build_cubics()
+
+
+# sympy oracle: r is the symbol rr, reduced modulo its minimal polynomial
+RR = sp.Symbol("rr")
+MIN = RR**3 + RR**2 - 1
+SYMS = {v: sp.Symbol(v) for v in VARS}
+
+
+def red(expr):
+    return sp.expand(sp.rem(sp.expand(expr), MIN, RR))
+
+
+def to_sympy(p):
+    out = 0
+    for exp, c in p.terms.items():
+        term = sp.Rational(c.c0) + sp.Rational(c.c1) * RR + sp.Rational(c.c2) * RR**2
+        for v, k in zip(VARS, exp):
+            if k:
+                term *= SYMS[v] ** k
+        out += term
+    return sp.expand(out)
 
 
 def nf_to_float(a: NFElem) -> float:

@@ -89,7 +89,7 @@ def test_criterion_04_triple_and_double_strata(family):
             ok = ok and restricted.geom_support() == [mono]
             coeff = restricted.coeff_of_geom(mono)
             ok = ok and not coeff.is_zero()
-            ok = ok and not coeff.specialize_m(M1).as_nfelem().is_zero()
+            ok = ok and not coeff.substitute({"m": M1}).as_nfelem().is_zero()
         res = stratum_double_hyperplane(family.at_m(M1), stratum)
         ok = ok and res.kind == REFERENCE and len(res.points) == 2
     verdict(4, ok, "triple strata yield exactly the four reference points; "
@@ -105,7 +105,7 @@ def test_criterion_05_printed_matrix_and_determinant(family):
         [parse_poly("-2*r^2-5*r+5"), parse_poly("r^2*(3*r-2)"), parse_poly("(3*r-2)*m")],
     ])
     ok = mat == printed
-    analysis = single_hyperplane_det_analysis(family, "T")
+    analysis = single_hyperplane_det_analysis("T", mat)
     # frozen oracle values: both the m-coefficient and the m-free part are 0
     ok = ok and analysis.m_coefficient.is_zero() and analysis.m_free_part.is_zero()
     # numeric cross-check at the real root, m in {1, 2}

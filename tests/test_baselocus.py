@@ -120,7 +120,9 @@ def test_single_systems_sigma_conjugate(family):
 
 def test_det_analysis_identically_zero(family):
     for h in ("T", "X", "Y", "Z"):
-        analysis = single_hyperplane_det_analysis(family, h)
+        mat, _, _, _ = single_hyperplane_system(family, h)
+        analysis = single_hyperplane_det_analysis(h, mat)
+        assert analysis.matrix is mat
         assert analysis.det.is_zero()
         assert analysis.m_coefficient.is_zero()
         assert analysis.m_free_part.is_zero()

@@ -118,8 +118,8 @@ def test_at_m_none_is_the_family(family):
 @given(nf_elems)
 def test_at_m_specializes_quadrics_and_cubics(family, value):
     fixed = family.at_m(value)
-    assert fixed.quadrics == tuple(q.specialize_m(value) for q in family.quadrics)
-    assert fixed.cubics == tuple(c.specialize_m(value) for c in family.cubics)
+    assert fixed.quadrics == tuple(q.substitute({"m": value}) for q in family.quadrics)
+    assert fixed.cubics == tuple(c.substitute({"m": value}) for c in family.cubics)
     assert fixed.sigma_index_map == family.sigma_index_map
     # second route: write the value into the printed quadric texts and parse
     printed = tuple(parse_poly(t.replace("m", f"({value})")) for t in QUADRIC_TEXTS)

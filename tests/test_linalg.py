@@ -57,7 +57,7 @@ def test_rank_symbolic_in_m():
     rank, witness = matrix_rank(mat2)
     assert rank == 2
     # specializing m at the degenerate value drops the rank
-    at_zero = RingMatrix([[e.specialize_m(NFElem(0)) for e in row] for row in mat2.rows])
+    at_zero = RingMatrix([[e.substitute({"m": NFElem(0)}) for e in row] for row in mat2.rows])
     assert matrix_rank(at_zero)[0] == 1
 
 

@@ -8,28 +8,11 @@ own arithmetic is trusted with elsewhere.
 import sympy as sp
 
 from cgv.baselocus import single_hyperplane_det_analysis, single_hyperplane_system
-from cgv.mpoly import VARS
 from cgv.tangent import chart_gradient
 
-RR = sp.Symbol("rr")
-MIN = RR**3 + RR**2 - 1
-SX, SY, SZ, ST, SM = sp.symbols("X Y Z T m")
-SYMS = {"X": SX, "Y": SY, "Z": SZ, "T": ST, "m": SM}
+from conftest import RR, SYMS, red, to_sympy
 
-
-def red(expr):
-    return sp.expand(sp.rem(sp.expand(expr), MIN, RR))
-
-
-def to_sympy(p):
-    out = 0
-    for exp, c in p.terms.items():
-        term = sp.Rational(c.c0) + sp.Rational(c.c1) * RR + sp.Rational(c.c2) * RR**2
-        for v, k in zip(VARS, exp):
-            if k:
-                term *= SYMS[v] ** k
-        out += term
-    return sp.expand(out)
+SX, SY, SZ, ST, SM = (SYMS[v] for v in ("X", "Y", "Z", "T", "m"))
 
 
 def independent_quadrics():
@@ -69,7 +52,7 @@ def test_printed_matrix_determinant_vanishes(family):
     mat, _, _, _ = single_hyperplane_system(family, "T")
     smat = sp.Matrix([[to_sympy(e) for e in row] for row in mat.rows])
     assert red(smat.det()) == 0
-    analysis = single_hyperplane_det_analysis(family, "T")
+    analysis = single_hyperplane_det_analysis("T", mat)
     assert analysis.det.is_zero()
 
 

@@ -2,10 +2,12 @@
 
 from hypothesis import given, settings, strategies as st
 
-from cgv.mpoly import MPoly
+from cgv.mpoly import GEOM_VARS, MPoly, VARS
 from cgv.nf import NFElem, nf_invert
 from cgv.parsing import parse_poly
 from cgv.upoly import UPoly, squarefree_part, upoly_gcd
+
+from conftest import SYMS, red, to_sympy
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 nf_elems = st.builds(NFElem, fractions, fractions, fractions)
@@ -71,7 +73,44 @@ m_stacked = st.dictionaries(
     nf_elems, max_size=8).map(MPoly)
 
 
+def fold_m(f, v):
+    """Reference for fixing m: each m^k moves into the coefficient as v^k."""
+    out = MPoly.zero()
+    for e, c in f.terms.items():
+        out = out + MPoly({e[:4] + (0,): c * v ** e[4]})
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(mpolys, m_stacked), nf_elems)
 def test_specialize_m_is_the_substitution_of_m(f, v):
-    assert f.specialize_m(v) == f.substitute({"m": MPoly.constant(v)})
+    assert f.substitute({"m": v}) == fold_m(f, v)
+    assert f.substitute({"m": MPoly.constant(v)}) == fold_m(f, v)
+
+
+# images for `substitute`: scalars of every kind, variables (to themselves or
+# to another, with a sign), and small polynomials
+scalar_images = st.one_of(
+    st.sampled_from([0, 1, -1, NFElem(0), MPoly.zero(), MPoly.constant(1)]),
+    fractions, nf_elems, nf_elems.map(MPoly.constant))
+variable_images = st.tuples(st.sampled_from(VARS), st.sampled_from([1, -1])).map(
+    lambda vs: vs[1] * MPoly.var(vs[0]))
+small_exponents = st.tuples(*(st.integers(min_value=0, max_value=1) for _ in range(5)))
+poly_images = st.dictionaries(small_exponents, nf_elems, min_size=1, max_size=2).map(MPoly)
+images = st.one_of(scalar_images, variable_images, poly_images)
+sources = st.dictionaries(
+    st.tuples(*(st.integers(min_value=0, max_value=2) for _ in range(5))),
+    nf_elems, max_size=4).map(MPoly)
+# signed permutations of the geometric variables, as the coordinate rotation gives
+signs = st.lists(st.sampled_from([1, -1]), min_size=4, max_size=4)
+permutations = st.tuples(st.permutations(GEOM_VARS), signs).map(
+    lambda ps: {v: s * MPoly.var(w) for v, w, s in zip(GEOM_VARS, *ps)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(sources, st.one_of(st.dictionaries(st.sampled_from(VARS), images, max_size=5), permutations))
+def test_substitute_matches_sympy(f, mapping):
+    # dual route: simultaneous replacement of the symbols in sympy, reduced mod r^3 + r^2 - 1
+    sym_images = {SYMS[v]: to_sympy(MPoly.coerce(img)) for v, img in mapping.items()}
+    expected = red(to_sympy(f).xreplace(sym_images))
+    assert red(to_sympy(f.substitute(mapping)) - expected) == 0

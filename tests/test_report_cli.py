@@ -209,18 +209,46 @@ def test_cli_check_non_ascii_digit_m_is_a_configuration_error(capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
-def test_check_all_computes_quadric_independence_once(monkeypatch):
-    import cgv.baselocus as baselocus
+def count_calls(monkeypatch, name, *modules):
+    """Record the arguments of each call to the function `name`, patched in each module given."""
     calls = []
-    real = baselocus.matrix_rank
+    real = getattr(modules[0], name)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
+    def counted(*args, **kwargs):
+        calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(baselocus, "matrix_rank", counting)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_check_all_computes_quadric_independence_once(monkeypatch):
+    import cgv.baselocus as baselocus
+    calls = count_calls(monkeypatch, "matrix_rank", baselocus)
     run_suite("all", RunConfig(m_expr="1", survey=5))
     assert len(calls) == 1
+
+
+def test_check_all_builds_each_chart_gradient_row_once(monkeypatch):
+    import cgv.tangent as tangent
+    calls = count_calls(monkeypatch, "chart_gradient", tangent)
+    run_suite("all", RunConfig(m_expr="1", survey=5))
+    # rows 0, 1, 2 of the symbolic family, then of the family at m = 1 for the survey
+    assert [i for _, i in calls] == [0, 1, 2, 0, 1, 2]
+    assert len({id(family) for family, _ in calls}) == 2
+
+
+@pytest.mark.parametrize("m_expr, builds", [(None, 4), ("1", 8)])
+def test_base_locus_builds_each_single_hyperplane_system_once(monkeypatch, m_expr, builds):
+    import cgv.baselocus as baselocus
+    import cgv.suites as suites
+    calls = count_calls(monkeypatch, "single_hyperplane_system", suites, baselocus)
+    run_suite("base-locus", RunConfig(m_expr=m_expr))
+    # one system per hyperplane for the matrix and determinant checks, and
+    # one per kernel lift once m is fixed
+    assert len(calls) == builds
+    assert sorted(h for _, h in calls[:4]) == ["T", "X", "Y", "Z"]
 
 
 def test_quadric_independence_entries_compared_with_the_display(monkeypatch):

@@ -2,12 +2,12 @@ import random
 
 import pytest
 
-from cgv.geometry import REFERENCE_POINTS, eval_at_point
-from cgv.linalg import nf_rank
+from cgv.geometry import REFERENCE_POINTS, CubicFamily, eval_at_point
+from cgv.linalg import RingMatrix, matrix_det, nf_rank
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem, nf_invert
 from cgv.parsing import parse_scalar
-from cgv.tangent import (CHART_VARS, SampleStream, chart_gradient, display_agreement,
+from cgv.tangent import (CHART_VARS, SampleStream, _det3, chart_gradient, display_agreement,
                          lambda_replay, pairwise_independence, projective_gradient,
                          rank_survey, reference_point_rows)
 
@@ -22,11 +22,15 @@ def gradient_at(family, i, point):
     return tuple(g.substitute(sub) for g in chart_gradient(family, i))
 
 
+def chart_rows(family):
+    return tuple(chart_gradient(family, i) for i in range(3))
+
+
 def test_display_agreement_flags(family):
     # frozen from the independent differentiation oracle
     expected = {0: (True, True, True), 1: (False, True, True), 2: (True, False, True)}
     for i, flags in expected.items():
-        got, computed, claimed, diffs = display_agreement(family, i)
+        got, computed, claimed, diffs = display_agreement(chart_rows(family), i)
         assert got == flags
         for f, d in zip(got, diffs):
             assert f == d.is_zero()
@@ -69,7 +73,7 @@ def test_gradients_vanish_at_reference_point(family):
 
 
 def test_lambda_replay(family):
-    replay = lambda_replay(family)
+    replay = lambda_replay(chart_rows(family))
     assert replay.obstruction == NFElem(-4, 4, 3)       # 3r^2 + 4r - 4
     assert replay.a == NFElem(0, 0, 1)                  # 1/(r+1) = r^2
     assert replay.b.is_zero()
@@ -79,14 +83,14 @@ def test_lambda_replay(family):
 
 def test_pairwise_independence(family):
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        res = pairwise_independence(family, i, j)
+        res = pairwise_independence(chart_rows(family), i, j)
         assert res.generically_independent
-        sym = pairwise_independence(family, j, i)
+        sym = pairwise_independence(chart_rows(family), j, i)
         assert sym.generically_independent == res.generically_independent
 
 
 def test_pairwise_self_dependent(family):
-    res = pairwise_independence(family, 1, 1)
+    res = pairwise_independence(chart_rows(family), 1, 1)
     assert not res.generically_independent
     assert all(m.is_zero() for m in res.minors)
 
@@ -130,6 +134,40 @@ def test_survey_deterministic_and_generic(family):
     assert s3.histogram == ((3, 5),)
 
 
+def test_survey_falls_back_to_elimination_on_a_rank_deficient_family(family):
+    # with C1 = C0 the stacked rows have rank <= 2 everywhere: every point
+    # takes the elimination branch, and the histogram must be nf_rank's
+    c0, _, c2, c3 = family.cubics
+    twin = CubicFamily((c0, c0, c2, c3), family.quadrics, family.sigma_index_map).at_m(M1)
+    n, seed = 30, 5
+    survey = rank_survey(twin, n, seed)
+    stream = SampleStream(seed)
+    hist, skipped = {}, 0
+    for _ in range(n):
+        pt = stream.next_point()
+        rows = [[e.as_nfelem() for e in gradient_at(twin, i, pt)] for i in range(3)]
+        if any(all(c.is_zero() for c in row) for row in rows):
+            skipped += 1
+            continue
+        rank, _ = nf_rank(rows)
+        hist[rank] = hist.get(rank, 0) + 1
+    assert survey.histogram == tuple(sorted(hist.items()))
+    assert survey.skipped == skipped
+    assert survey.histogram and all(rank <= 2 for rank, _ in survey.histogram)
+
+
+@pytest.mark.parametrize("m_text", ["0", "1", "r"])
+def test_nonzero_determinant_iff_rank_three(family, m_text):
+    fixed = family.at_m(parse_scalar(m_text))
+    stream = SampleStream(7)
+    for _ in range(200):
+        pt = stream.next_point()
+        rows = [[e.as_nfelem() for e in gradient_at(fixed, i, pt)] for i in range(3)]
+        det = _det3(rows)
+        assert det == matrix_det(RingMatrix(rows)).as_nfelem()
+        assert (not det.is_zero()) == (nf_rank(rows)[0] == 3)
+
+
 def test_survey_rejects_empty(family):
     with pytest.raises(ValueError):
         rank_survey(family.at_m(M1), 0, 1)
@@ -155,4 +193,4 @@ def test_chart_gradient_specializes_m(family):
             fixed = chart_gradient(family.at_m(value), i)
             assert any(g.involves("m") for g in sym)
             assert not any(g.involves("m") for g in fixed)
-            assert fixed == tuple(g.specialize_m(value) for g in sym)
+            assert fixed == tuple(g.substitute({"m": value}) for g in sym)
