@@ -6,6 +6,9 @@ r^3 + r^2 - 1 = 0, sparse polynomials over it, and integer lattice pairing.
 Floating point appears only in test oracles.
 """
 
+# These re-exports are load-bearing: perfbench/run.py times
+# `import cgv; cgv.build_cubics()` as its `setup_s`, so `import cgv` must load
+# every layer and expose `build_cubics`; trimming this list moves that metric.
 from .nf import NFElem, NF_ONE, NF_R, NF_ZERO, nf_invert, nf_reduce, nf_str
 from .upoly import UPoly, squarefree_part, upoly_gcd
 from .mpoly import MPoly

@@ -60,6 +60,11 @@ class Stratum:
         qs = ".".join(f"Q{j}" for j in self.quadrics) or "-"
         return f"{hs}|{qs}"
 
+    def reference_points(self):
+        """The points e_v of the free coordinates v, in REFERENCE_POINTS order."""
+        free = {COFACTOR_COORDS[j] for j in self.quadrics}
+        return tuple(pt for v, pt in zip(GEOM_VARS, REFERENCE_POINTS) if v in free)
+
 
 def all_strata():
     """The 16 strata in the displayed order: mask descending, T the top bit."""
@@ -87,11 +92,6 @@ def _coord_position(name: str) -> int:
     return GEOM_VARS.index(name)
 
 
-def _reference_point_for(coord_name: str):
-    """The reference point with the named coordinate equal to 1."""
-    return REFERENCE_POINTS[_coord_position(coord_name)]
-
-
 def _coefficient_row(q: MPoly, basis, name: str):
     """Coefficients of q over a basis of geometric monomials; q must lie in their span."""
     if not set(q.geom_support()) <= set(basis):
@@ -104,21 +104,14 @@ def _m_symbolic(family) -> bool:
     return any(q.involves("m") for q in family.quadrics)
 
 
-def _verify_membership(family, stratum, pt):
-    """Exact substitution: the point must kill every defining form of the stratum."""
-    for i in stratum.taken:
-        if pt[_coord_position(COFACTOR_COORDS[i])] != NFElem(0):
-            return False
-    return all(eval_at_point(family.quadrics[j], pt).is_zero() for j in stratum.quadrics)
-
-
-def stratum_quadruple(family, stratum) -> StratumResult:
-    if len(stratum.taken) != 4:
-        raise ValueError("not a four-hyperplane stratum")
-    return StratumResult(
-        stratum, EMPTY, (),
-        identities=("X = Y = Z = T = 0 has only the trivial common zero, which is not a projective point",),
-    )
+def _verified(family, stratum, points):
+    """`points`, each checked by exact substitution to kill every defining form
+    of the stratum; InternalCheckError names the first that does not."""
+    for pt in points:
+        if (any(not pt[_coord_position(COFACTOR_COORDS[i])].is_zero() for i in stratum.taken)
+                or not all(eval_at_point(family.quadrics[j], pt).is_zero() for j in stratum.quadrics)):
+            raise InternalCheckError(f"{point_name(pt)} fails exact substitution on {stratum.label()}")
+    return tuple(points)
 
 
 def stratum_triple_hyperplane(family, stratum) -> StratumResult:
@@ -129,11 +122,8 @@ def stratum_triple_hyperplane(family, stratum) -> StratumResult:
     free_name = COFACTOR_COORDS[qj]
     restricted = family.quadrics[qj].substitute(_substitution_for(stratum.taken))
     if restricted.is_zero():
-        pt = _reference_point_for(free_name)
-        if not _verify_membership(family, stratum, pt):
-            raise InternalCheckError("reference point fails exact substitution")
         return StratumResult(
-            stratum, REFERENCE, (pt,),
+            stratum, REFERENCE, _verified(family, stratum, stratum.reference_points()),
             identities=(f"Q{qj} with the three coordinates set to 0 is identically 0 in {free_name}",),
         )
     # a nonzero restriction c * free^2 has no zero with free != 0
@@ -179,17 +169,9 @@ def stratum_double_hyperplane(family, stratum) -> StratumResult:
             notes.append(
                 f"the coefficient of the Q{j} restriction is ({coeff}): a unit for every m except m = 0"
             )
-    points = []
-    for v in free:
-        # the zero of the product monomial with the other free coordinate nonzero
-        other = [w for w in free if w != v][0]
-        pt = _reference_point_for(other)
-        if not _verify_membership(family, stratum, pt):
-            raise InternalCheckError("reference point fails exact substitution")
-        points.append(pt)
-    points.sort(key=lambda p: REFERENCE_POINTS.index(p))
+    # the product monomial vanishes where either free coordinate does
     return StratumResult(
-        stratum, REFERENCE, tuple(points),
+        stratum, REFERENCE, _verified(family, stratum, stratum.reference_points()),
         identities=tuple(identities), notes=tuple(notes),
     )
 
@@ -306,13 +288,7 @@ def monomial_kernel_lift(family, h: str) -> StratumResult:
     stratum = Stratum((COFACTOR_COORDS.index(h),))
     mat, basis, row_quadrics, cycle = single_hyperplane_system(family, h)
     a = mat.nf_entries()
-    ref_points = []
-    for v in cycle:
-        pt = _reference_point_for(v)
-        if not _verify_membership(family, stratum, pt):
-            raise InternalCheckError("reference point fails exact substitution")
-        ref_points.append(pt)
-    ref_points.sort(key=lambda p: REFERENCE_POINTS.index(p))
+    ref_points = _verified(family, stratum, stratum.reference_points())
     identities = [
         "the zero monomial vector forces at least two free coordinates to vanish: reference points only",
         "a kernel vector with exactly two nonzero entries is never the monomial vector of a point",
@@ -321,7 +297,7 @@ def monomial_kernel_lift(family, h: str) -> StratumResult:
     kernel = nf_kernel_basis(a)
     if not kernel:
         return StratumResult(
-            stratum, REFERENCE, tuple(ref_points),
+            stratum, REFERENCE, ref_points,
             identities=tuple(identities) + ("the specialized system is nonsingular: kernel = 0",),
         )
 
@@ -350,11 +326,8 @@ def monomial_kernel_lift(family, h: str) -> StratumResult:
         pt[_coord_position(cycle[0])] = u * w
         pt[_coord_position(cycle[1])] = u * v
         pt[_coord_position(cycle[2])] = v * w
-        pt = tuple(pt)
-        if not _verify_membership(family, stratum, pt):
-            raise InternalCheckError("lifted point fails exact substitution")
         return StratumResult(
-            stratum, NON_REFERENCE, (pt,),
+            stratum, NON_REFERENCE, _verified(family, stratum, (tuple(pt),)),
             identities=tuple(identities) + (
                 "an all-nonzero kernel vector (u, v, w) lifts to the point (uw, uv, vw) on the free coordinates",),
             notes=tuple(notes) + ("the lifted point is not a reference point",),
@@ -363,7 +336,7 @@ def monomial_kernel_lift(family, h: str) -> StratumResult:
     confined = [col for col in range(3) if all(v[col].is_zero() for v in kernel)]
     mono_names = ["*".join(GEOM_VARS[k] for k in range(4) if basis[c][k]) for c in confined]
     return StratumResult(
-        stratum, REFERENCE, tuple(ref_points),
+        stratum, REFERENCE, ref_points,
         identities=tuple(identities) + (
             f"every kernel vector has {', '.join(mono_names)} entry 0, and no matrix column vanishes: "
             "no monomial vector of a non-reference point lies in the kernel",),
@@ -409,7 +382,7 @@ def no_hyperplane_torus_check(family) -> StratumResult:
     stratum = Stratum(())
     mat = mixed_monomial_matrix(family)
     kernel = nf_kernel_basis(mat.nf_entries())
-    all_ref = tuple(REFERENCE_POINTS)
+    all_ref = stratum.reference_points()
     base_identities = (
         "a common zero with some coordinate 0 lies in a stratum with more hyperplanes",
         "torus points correspond to all-nonzero kernel vectors of the 4x6 mixed-monomial system "
@@ -434,9 +407,7 @@ def no_hyperplane_torus_check(family) -> StratumResult:
                                  identities=base_identities + (
                                      "the consistent kernel line has a zero entry, so it is not a torus monomial vector",),
                                  notes=tuple(notes))
-        pt = _lift_mixed(v)
-        _assert_torus_point(family, pt)
-        return StratumResult(stratum, NON_REFERENCE, (pt,),
+        return StratumResult(stratum, NON_REFERENCE, (_torus_point(family, v),),
                              identities=base_identities,
                              notes=tuple(notes) + ("a consistent all-nonzero kernel vector lifts",))
     if len(kernel) == 2:
@@ -456,9 +427,7 @@ def no_hyperplane_torus_check(family) -> StratumResult:
                                      identities=base_identities + (
                                          "every kernel vector has a fixed zero entry",),
                                      notes=tuple(notes))
-            pt = _lift_mixed(vec)
-            _assert_torus_point(family, pt)
-            return StratumResult(stratum, NON_REFERENCE, (pt,),
+            return StratumResult(stratum, NON_REFERENCE, (_torus_point(family, vec),),
                                  identities=base_identities, notes=tuple(notes))
         if p1.is_zero() or p2.is_zero():
             return StratumResult(stratum, INCONCLUSIVE, (),
@@ -482,9 +451,7 @@ def no_hyperplane_torus_check(family) -> StratumResult:
         for alpha, beta in candidates:
             vec = tuple(alpha * x + beta * y for x, y in zip(b0, b1))
             if all(not c.is_zero() for c in vec):
-                pt = _lift_mixed(vec)
-                _assert_torus_point(family, pt)
-                found.append(pt)
+                found.append(_torus_point(family, vec))
         if found:
             return StratumResult(stratum, NON_REFERENCE, tuple(found),
                                  identities=base_identities, notes=tuple(notes))
@@ -502,18 +469,14 @@ def no_hyperplane_torus_check(family) -> StratumResult:
                          notes=tuple(notes) + ("kernel dimension above 2 not analyzed",))
 
 
-def _lift_mixed(v):
-    p, q, s = v[0], v[1], v[2]  # XY, XZ, XT
-    yz = v[3]
-    return (p * q, p * yz, q * yz, s * yz)
-
-
-def _assert_torus_point(family, pt):
+def _torus_point(family, v):
+    """The point [pq : p*yz : q*yz : s*yz] of an all-nonzero mixed-monomial
+    vector v = (XY, XZ, XT, YZ, ...) = (p, q, s, yz, ...), verified."""
+    p, q, s, yz = v[0], v[1], v[2], v[3]
+    pt = (p * q, p * yz, q * yz, s * yz)
     if any(c.is_zero() for c in pt):
         raise InternalCheckError("lifted torus point has a zero coordinate")
-    for j, q in enumerate(family.quadrics):
-        if not eval_at_point(q, pt).is_zero():
-            raise InternalCheckError(f"lifted torus point does not satisfy Q{j}")
+    return _verified(family, Stratum(()), (pt,))[0]
 
 
 # -- quadric independence -----------------------------------------------------
@@ -570,7 +533,10 @@ def classify_stratum(family, stratum) -> StratumResult:
     """Classify one stratum of `family`; pass `family.at_m(value)` to fix m."""
     k = len(stratum.taken)
     if k == 4:
-        return stratum_quadruple(family, stratum)
+        return StratumResult(
+            stratum, EMPTY, (),
+            identities=("X = Y = Z = T = 0 has only the trivial common zero, which is not a projective point",),
+        )
     if k == 3:
         return stratum_triple_hyperplane(family, stratum)
     if k == 2:

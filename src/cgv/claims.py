@@ -20,7 +20,6 @@ class Claim:
 
 
 CLAIMS = {
-    "sigma-definition": Claim("(T,X,Y,Z)", r"\sigma(X,Y,Z,T)=(T,X,Y,Z)"),
     "sigma-order": Claim("4", "it is of order $4$"),
     "sigma2-involution": Claim("2", r"therefore $\sigma^2$ is an involution"),
     "fixed-line-r": Claim("fixed pointwise", r"r:=\{X+Z=Y+T=0\}"),
@@ -41,8 +40,6 @@ CLAIMS = {
     "stratum-triple-others": Claim(
         None,  # usually filled per use
         r"we get $[1:0:0:0],[0:1:0:0],[0:0:0:1]$ as the point of intersection"),
-    "stratum-triple-identically-zero": Claim(
-        "0", r"it satisfies the equation of $Q_3$ for all $Z$"),
     "stratum-double-TX": Claim("[0:1:0:0], [0:0:1:0]",
                                r"the intersection contains the points $[0:1:0:0]$ and $[0:0:1:0]$"),
     "stratum-double-monomial": Claim("YZ", r"we get that $$YZ=0$$"),
@@ -91,7 +88,6 @@ CLAIMS = {
     "divisor-sign-convention": Claim("-1", r"which leads us to the fact that $$n_i=1\;.$$"),
     "arithmetic-genus-76": Claim("76", r"5.5(5+5-4)/2+1=76"),
     "rh-formula": Claim(None, r"2p_g(\wt{C})-2=2(2p_g(\wt{C/\tau})-2)+\deg (R)"),
-    "ramification-even": Claim("even", r"by the Riemann-Hurwitz formula $\deg(R)$ is even"),
     "delta-relation": Claim("2", r"This gives us that $\delta_P=2\delta_Q$"),
     "feasibility-R4": Claim("infeasible", r"Since $4$ does not divide $75$"),
     "feasibility-R2-open": Claim(None, r"We have to prove that this case does not occur."),
@@ -108,9 +104,6 @@ CLAIMS = {
     "quintuple-condition": Claim("holds identically", r"a_2^2a_3^2=400a_0a_1a_4a_5"),
     "quintuple-quartic": Claim("4", r"This defines a quartic hypersurface in $\PR^7$"),
     "three-two-condition": Claim("holds identically", r"3a_5^2+2a_0^2=-a_1a_5"),
-    "three-two-quadric": Claim("2", r"So it defines a quadric in $\PR^7$"),
-    "two-closed-points": Claim("2", r"has only two closed points"),
-    "eight-base-points": Claim("8", r"It has eight base points"),
 }
 
 

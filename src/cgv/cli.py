@@ -72,22 +72,20 @@ def main(argv=None) -> int:
 
     if args.command == "check":
         try:
-            config = RunConfig(
-                m_expr=args.m_expr, seed=args.seed, survey=args.survey,
-                bound=args.bound, fmt=args.fmt, out=args.out,
-            )
+            config = RunConfig(m_expr=args.m_expr, seed=args.seed,
+                               survey=args.survey, bound=args.bound)
         except (ParseError, ValueError) as exc:
             print(f"configuration error: {exc}", file=sys.stderr)
             return USAGE_EXIT
         checks = run_suite(args.suite, config)
-        render = render_json if config.fmt == "json" else render_text
+        render = render_json if args.fmt == "json" else render_text
         text = render(args.suite, config, checks)
-        if config.out:
+        if args.out:
             try:
-                with open(config.out, "w", encoding="utf-8") as fh:
+                with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)
             except OSError as exc:
-                print(f"configuration error: cannot write {config.out}: {exc.strerror}",
+                print(f"configuration error: cannot write {args.out}: {exc.strerror}",
                       file=sys.stderr)
                 return USAGE_EXIT
         else:

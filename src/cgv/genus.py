@@ -201,10 +201,12 @@ def pencil_factorization(family):
     return first, second, qbar0, qbar1
 
 
-XY_FACTOR_POINTS = (
-    (NFElem(1), NFElem(0), NFElem(-1), NFElem(0)),
-    (NFElem(0), NFElem(1), NFElem(0), NFElem(-1)),
-)
+def xy_factor_points():
+    """The two points of the line r where the factor XY vanishes: its
+    parametrization at (X:Y) = (1:0) and (0:1)."""
+    param = LINE_R.parametrization()
+    return tuple(tuple(f.substitute({"X": x, "Y": y}).as_nfelem() for f in param)
+                 for x, y in ((1, 0), (0, 1)))
 
 
 def witness_pencil_analysis(family, lam, mu) -> int | None:

@@ -70,8 +70,6 @@ class RunConfig:
     seed: int = 1
     survey: int = 100
     bound: int = 5
-    fmt: str = "text"
-    out: str | None = None
     m_value: NFElem | None = field(init=False, default=None)
 
     def __post_init__(self):

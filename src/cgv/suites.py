@@ -114,33 +114,24 @@ def cubics_suite(family, config: RunConfig):
 # -- base locus ----------------------------------------------------------------------
 
 
-def _stratum_claim(stratum, kind_points):
+def _stratum_claim(stratum):
     label = stratum.label()
+    points = points_str(stratum.reference_points())
     if len(stratum.taken) == 4:
         return claim("stratum-quadruple-empty")
     if len(stratum.taken) == 3:
         if label == "T.X.Y|Q3":
             return claim("stratum-triple-TXY")
-        return claim("stratum-triple-others", kind_points)
+        return claim("stratum-triple-others", points)
     if len(stratum.taken) == 2:
         if label == "T.X|Q2.Q3":
             return claim("stratum-double-TX")
-        return claim("stratum-double-others", kind_points)
+        return claim("stratum-double-others", points)
     if len(stratum.taken) == 1:
         if label == "T|Q1.Q2.Q3":
             return claim("single-stratum-T-points")
-        return claim("single-stratum-other-points", kind_points)
+        return claim("single-stratum-other-points", points)
     return claim("reference-base-points")
-
-
-def _expected_points(stratum):
-    """The reference points contained in the stratum, in canonical order."""
-    if len(stratum.taken) == 4:
-        return ()
-    free_names = [COFACTOR_COORDS[j] for j in stratum.quadrics]
-    pts = [baselocus._reference_point_for(v) for v in free_names]
-    pts.sort(key=lambda p: REFERENCE_POINTS.index(p))
-    return tuple(pts)
 
 
 def base_locus_suite(family, config: RunConfig):
@@ -164,11 +155,10 @@ def base_locus_suite(family, config: RunConfig):
             computed = "non-reference points: " + points_str(res.points)
         else:
             computed = "inconclusive"
-        expected = points_str(_expected_points(stratum)) if len(stratum.taken) < 4 else "empty"
         checks.append(make_check(
             f"base-locus/stratum/{label}",
             computed,
-            _stratum_claim(stratum, expected),
+            _stratum_claim(stratum),
             notes=res.identities + res.notes,
             ambiguous=res.kind == INCONCLUSIVE,
         ))
@@ -460,7 +450,8 @@ def genus_suite(family, config: RunConfig):
                 claim("feasibility-R4"),
                 notes=(f"delta budget {branch.delta_total} is not divisible by 4 "
                        f"(violated: {', '.join(branch.violated)})",
-                       f"doubled budget {2 * branch.delta_total} echoes the printed 150",
+                       f"doubled budget {2 * branch.delta_total} echoes the printed "
+                       + claim("feasibility-anchor-150").value,
                        "orbit model: " + claim("orbit-structure").quote),
             ))
         else:
@@ -498,7 +489,7 @@ def pencil_suite(family, config: RunConfig):
     ))
     checks.append(make_check(
         "pencil/xy-factor-points",
-        ", ".join(point_name(p) for p in genus.XY_FACTOR_POINTS),
+        ", ".join(point_name(p) for p in genus.xy_factor_points()),
         claim("pencil-xy-points"),
     ))
     count = genus.witness_pencil_analysis(family_m, 1, 0)

@@ -10,9 +10,9 @@ from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
                            single_hyperplane_det_analysis,
                            single_hyperplane_system, stratum_double_hyperplane,
                            stratum_triple_hyperplane, quadric_independence)
-from cgv.geometry import REFERENCE_POINTS, SIGMA, point_name
+from cgv.geometry import COFACTOR_COORDS, REFERENCE_POINTS, SIGMA, point_name
 from cgv.linalg import RingMatrix, matrix_rank, nf_kernel_basis
-from cgv.mpoly import MPoly
+from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem
 from cgv.parsing import parse_poly
 
@@ -32,6 +32,35 @@ def test_sixteen_strata_in_display_order():
     # the displayed decomposition starts T.X.Y.Z, then T.X.Y|Q3, T.X.Z|Q2, T.X|Q2.Q3
     labels = [s.label() for s in strata[:4]]
     assert labels == ["T.X.Y.Z|-", "T.X.Y|Q3", "T.X.Z|Q2", "T.X|Q2.Q3"]
+
+
+def _unit_points(stratum):
+    """The points with 1 at one free coordinate of the stratum, ordered X, Y, Z, T."""
+    positions = sorted(GEOM_VARS.index(COFACTOR_COORDS[j]) for j in stratum.quadrics)
+    return tuple(tuple(NFElem(int(k == p)) for k in range(4)) for p in positions)
+
+
+def test_stratum_reference_points(family):
+    for stratum in all_strata():
+        points = stratum.reference_points()
+        assert points == _unit_points(stratum)
+        assert len(points) == 4 - len(stratum.taken)
+        # each lies on the stratum, identically in m
+        for pt in points:
+            assert all(pt[GEOM_VARS.index(COFACTOR_COORDS[i])].is_zero() for i in stratum.taken)
+            sub = dict(zip(GEOM_VARS, pt))
+            assert all(family.quadrics[j].substitute(sub).is_zero() for j in stratum.quadrics)
+    assert Stratum(()).reference_points() == REFERENCE_POINTS
+
+
+@pytest.mark.parametrize("m", [NFElem(0), NFElem(1), NFElem(0, 1)], ids=["0", "1", "r"])
+def test_reference_results_report_the_stratum_reference_points(family, m):
+    results = [classify_stratum(family.at_m(m), s) for s in all_strata()]
+    reference = [res for res in results if res.kind == REFERENCE]
+    # every stratum but the empty one, less the two strata left inconclusive at m = 0
+    assert len(reference) >= 13
+    for res in reference:
+        assert res.points == _unit_points(res.stratum)
 
 
 def test_quadruple_stratum_empty(family):

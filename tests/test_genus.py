@@ -11,7 +11,9 @@ from cgv.genus import (AccountingScenario, BinaryForm, RamificationError,
                        quotient_feasibility, restrict_to_line, rh_relation,
                        three_two_family_report, three_two_root_condition,
                        witness_pencil_analysis, z4_witness_search)
-from cgv.geometry import LINE_R, point_name
+from cgv.geometry import LINE_R, LINE_R_PRIME, point_name
+from cgv.reportlib import REFUTED, RunConfig
+from cgv.suites import run_suite
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem
 from cgv.parsing import parse_poly
@@ -191,9 +193,22 @@ def test_multiplicity_patterns():
 
 def test_witness_analysis(family):
     assert witness_pencil_analysis(family.at_m(M1), 1, 0) == 4
-    assert [point_name(p) for p in genus_mod.XY_FACTOR_POINTS] == ["[1:0:-1:0]", "[0:1:0:-1]"]
+    assert [point_name(p) for p in genus_mod.xy_factor_points()] == ["[1:0:-1:0]", "[0:1:0:-1]"]
     with pytest.raises(ValueError):
         witness_pencil_analysis(family.at_m(M1), 0, 0)
+
+
+def test_xy_factor_points_are_computed_from_the_line(monkeypatch):
+    def xy_check():
+        checks = run_suite("pencil", RunConfig())
+        return next(c for c in checks if c.check_id == "pencil/xy-factor-points")
+
+    assert xy_check().computed == "[1:0:-1:0], [0:1:0:-1]"
+    # on the line r' = {X - Z = Y - T = 0} the same parameters give other points
+    monkeypatch.setattr(genus_mod, "LINE_R", LINE_R_PRIME)
+    check = xy_check()
+    assert check.computed == "[1:0:1:0], [0:1:0:1]"
+    assert check.agreement == REFUTED
 
 
 def test_z4_witness_search_frozen(family):

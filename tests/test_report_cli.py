@@ -266,3 +266,12 @@ def test_quadric_independence_entries_compared_with_the_display(monkeypatch):
     assert check.agreement == REFUTED
     assert check.computed == "a=-2 + r + 3*r^2, b=-2 + 3*r, c=3 - 5*r^2, d=5 - 5*r - 2*r^2"
     assert check.notes == ("the XY coefficients of Q0..Q3 differ from the displayed entries",)
+
+
+def test_check_all_reads_every_claim(monkeypatch):
+    import cgv.suites as suites
+    from cgv.claims import CLAIMS
+    calls = count_calls(monkeypatch, "claim", suites)
+    run_suite("all", RunConfig(survey=5))
+    # a registered claim that no check reads is unverified data
+    assert set(CLAIMS) - {key for key, *_ in calls} == set()
