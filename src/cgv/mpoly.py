@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .nf import NFElem, NF_ONE, binary_power, join_terms, nf_str, term_str
+from .nf import NFElem, NF_ONE, NF_ZERO, binary_power, join_terms, nf_str, term_str
 from .upoly import UPoly
 
 VARS = ("X", "Y", "Z", "T", "m")
@@ -83,7 +83,7 @@ class MPoly:
 
     def as_nfelem(self) -> NFElem:
         if not self.terms:
-            return NFElem(0)
+            return NF_ZERO
         if not self.is_constant():
             raise ValueError(f"not a scalar: {self}")
         return self.terms[ZERO_EXP]
@@ -110,7 +110,7 @@ class MPoly:
         return any(e[i] for e in self.terms)
 
     def coefficient(self, exp) -> NFElem:
-        return self.terms.get(tuple(exp), NFElem(0))
+        return self.terms.get(tuple(exp), NF_ZERO)
 
     def sorted_terms(self):
         """Graded-lex descending, X > Y > Z > T > m."""

@@ -31,6 +31,8 @@ class NFElem:
     __slots__ = ("_v",)
 
     def __new__(cls, c0=0, c1=0, c2=0):
+        if type(c0) is int and type(c1) is int and type(c2) is int:
+            return _elem(c0, c1, c2, 1)
         qs = [_as_fraction(c) for c in (c0, c1, c2)]
         d = lcm(*(q.denominator for q in qs))
         return _elem(*(q.numerator * (d // q.denominator) for q in qs), d)

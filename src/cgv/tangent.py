@@ -5,13 +5,17 @@ symbolic tangent row is a triple of polynomials in (X, Y, Z, m) over Q(r).
 The printed tangent displays are replayed componentwise, the printed
 lambda-elimination is reproduced down to its obstruction element, and a
 deterministic integer-point survey measures the exact rank of the three
-stacked rows.  The display, lambda and pairwise checks take the rows
-`chart_gradient` built, indexed by cubic, so a caller builds each row once.
+stacked rows.  The survey builds D, the determinant of the three symbolic
+rows, once per call and evaluates it over the integers at each point; only
+where D vanishes does it substitute the rows and eliminate.  The display,
+lambda and pairwise checks take the rows `chart_gradient` built, indexed
+by cubic, so a caller builds each row once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .nf import NFElem, nf_invert
 from .mpoly import MPoly
@@ -145,31 +149,68 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
     """Exact rank of the stacked C_0, C_1, C_2 tangent rows at n sampled points
     of a family with m fixed (`CubicFamily.at_m`).
 
-    Points on a degeneracy locus (a zero gradient row) are skipped.  Sampled
-    coordinates are never 0, so no sample is a reference point.  Over a field
-    a nonzero 3x3 determinant proves rank 3; elimination runs only where the
-    determinant vanishes.
+    D, the determinant of the three symbolic rows, is built once and brought
+    to integer terms (`_integer_terms`).  Over a field a nonzero D(p) proves
+    rank 3 at p, and then no row is zero.  Only where D(p) vanishes
+    (`_integer_value`) are the rows substituted, points on a degeneracy locus
+    (a zero gradient row) skipped and the rest eliminated.  Sampled
+    coordinates are never 0, so no sample is a reference point.  A family
+    whose m is not fixed raises ValueError.
     """
     if n < 1:
         raise ValueError("survey size must be >= 1")
     rows_sym = [chart_gradient(family, i) for i in range(3)]
+    det_terms = _integer_terms(_det3(rows_sym))
     stream = SampleStream(seed)
     hist = {}
     skipped = 0
     for _ in range(n):
         x, y, z = stream.next_point()
-        sub = {"X": x, "Y": y, "Z": z}
-        rows = [[g.substitute(sub).as_nfelem() for g in row] for row in rows_sym]
-        if any(all(c.is_zero() for c in row) for row in rows):
-            skipped += 1
-            continue
-        rank = nf_rank(rows)[0] if _det3(rows).is_zero() else 3
+        if any(_integer_value(det_terms, x, y, z)):
+            rank = 3
+        else:
+            sub = {"X": x, "Y": y, "Z": z}
+            rows = [[g.substitute(sub).as_nfelem() for g in row] for row in rows_sym]
+            if any(all(c.is_zero() for c in row) for row in rows):
+                skipped += 1
+                continue
+            rank = nf_rank(rows)[0]
         hist[rank] = hist.get(rank, 0) + 1
     return SurveyResult(
         n=n, seed=seed,
         histogram=tuple(sorted(hist.items())),
         skipped=skipped,
     )
+
+
+def _integer_terms(det):
+    """The terms of a polynomial in X, Y, Z over one common denominator L > 0,
+    as tuples (a, b, c, n0, n1, n2): the polynomial is
+    sum (n0 + n1*r + n2*r^2) * X^a * Y^b * Z^c / L.  A polynomial that
+    involves T or m raises ValueError.
+    """
+    if det.involves("T") or det.involves("m"):
+        raise ValueError(f"the survey needs a polynomial in X, Y, Z with m fixed: {det}")
+    coords = [(e, c.coords()) for e, c in det.terms.items()]
+    den = lcm(*(q.denominator for _, qs in coords for q in qs))
+    return tuple(
+        (*e[:3], *(q.numerator * (den // q.denominator) for q in qs))
+        for e, qs in coords
+    )
+
+
+def _integer_value(terms, x, y, z):
+    """(s0, s1, s2) with L * p(x, y, z) = s0 + s1*r + s2*r^2 for the integer
+    terms of p and integers x, y, z.  Since 1, r, r^2 are a basis of Q(r)
+    and L > 0, p(x, y, z) is zero exactly when all three sums are.
+    """
+    s0 = s1 = s2 = 0
+    for a, b, c, n0, n1, n2 in terms:
+        t = x ** a * y ** b * z ** c
+        s0 += n0 * t
+        s1 += n1 * t
+        s2 += n2 * t
+    return s0, s1, s2
 
 
 def _det3(rows):

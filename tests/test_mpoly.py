@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from cgv.mpoly import MPoly, VARS
-from cgv.nf import NFElem
+from cgv.nf import NF_ZERO, NFElem
 from cgv.parsing import parse_poly
 
 from conftest import random_nfelem
@@ -120,6 +120,11 @@ def test_as_nfelem_guard():
     with pytest.raises(ValueError):
         (X + Y).as_nfelem()
     assert MPoly.constant(NFElem(1, 2)).as_nfelem() == NFElem(1, 2)
+
+
+def test_zero_scalars_are_the_shared_zero():
+    assert MPoly.zero().as_nfelem() is NF_ZERO
+    assert (X + Y).coefficient((0, 0, 1, 0, 0)) is NF_ZERO
 
 
 def test_m_upoly_roundtrip():

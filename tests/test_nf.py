@@ -112,6 +112,19 @@ def test_equality_and_hash_coercion():
     assert NFElem(1, 1) != NFElem(1)
 
 
+def test_integer_constructor_skips_the_rational_path(monkeypatch):
+    # three plain ints already have denominator 1; a bool takes the general path
+    import cgv.nf as nf
+    calls = []
+    real = nf.lcm
+    monkeypatch.setattr(nf, "lcm", lambda *args: calls.append(args) or real(*args))
+    for c in ((0, 0, 0), (2, -4, 6), (-7, 0, 1), (10**30, 3, -5)):
+        assert NFElem(*c).coords() == tuple(Fraction(x) for x in c)
+    assert calls == []
+    assert NFElem(True, 0, 0) == NFElem(1)
+    assert len(calls) == 1
+
+
 def test_immutability():
     a = NFElem(1, 2, 3)
     with pytest.raises(AttributeError):

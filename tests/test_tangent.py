@@ -1,17 +1,22 @@
 import random
+from math import lcm
 
 import pytest
+import sympy as sp
+from hypothesis import example, given, settings, strategies as st
 
+import cgv.tangent as tangent
 from cgv.geometry import REFERENCE_POINTS, CubicFamily, eval_at_point
 from cgv.linalg import RingMatrix, matrix_det, nf_rank
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem, nf_invert
 from cgv.parsing import parse_scalar
-from cgv.tangent import (CHART_VARS, SampleStream, _det3, chart_gradient, display_agreement,
-                         lambda_replay, pairwise_independence, projective_gradient,
-                         rank_survey, reference_point_rows)
+from cgv.tangent import (CHART_VARS, SampleStream, _det3, _integer_terms, _integer_value,
+                         chart_gradient, display_agreement, lambda_replay,
+                         pairwise_independence, projective_gradient, rank_survey,
+                         reference_point_rows)
 
-from conftest import random_nfelem
+from conftest import random_nfelem, red, to_sympy
 
 M1 = NFElem(1)
 
@@ -166,6 +171,64 @@ def test_nonzero_determinant_iff_rank_three(family, m_text):
         det = _det3(rows)
         assert det == matrix_det(RingMatrix(rows)).as_nfelem()
         assert (not det.is_zero()) == (nf_rank(rows)[0] == 3)
+
+
+@pytest.mark.parametrize("m_text", ["0", "1", "r", "2/3*r^2-5", "7/3"])
+def test_chart_determinant_matches_sympy(family, m_text):
+    # dual route for D, the determinant the survey evaluates at each point
+    rows = chart_rows(family.at_m(parse_scalar(m_text)))
+    det = _det3(rows)
+    oracle = sp.Matrix([[to_sympy(g) for g in row] for row in rows]).det()
+    assert red(oracle - to_sympy(det)) == 0
+    assert not det.is_zero()
+
+
+@pytest.mark.parametrize("m_text", ["2/3*r^2-5", "7/3"])
+def test_integer_value_is_the_determinant_over_one_denominator(family, m_text):
+    # at these m the coefficients of D have denominators 1, 3 and 9, so a
+    # coefficient left off the common denominator changes the sums
+    det = _det3(chart_rows(family.at_m(parse_scalar(m_text))))
+    den = lcm(*(q.denominator for c in det.terms.values() for q in c.coords()))
+    assert den > 1
+    terms = _integer_terms(det)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.tuples(*[st.integers(min_value=-40, max_value=40)] * 3))
+    @example((0, 0, 0))
+    @example((0, 7, 0))
+    @example((-40, 1, 40))
+    def check(point):
+        x, y, z = point
+        value = det.substitute({"X": x, "Y": y, "Z": z}).as_nfelem()
+        sums = _integer_value(terms, x, y, z)
+        assert any(sums) == (not value.is_zero())
+        assert NFElem(*sums) == den * value
+
+    check()
+
+
+def test_survey_at_fixed_m_needs_no_elimination(family, monkeypatch):
+    # D(p) is nonzero at every sampled point: no point takes the row
+    # substitution or nf_rank, only chart_gradient's 9 substitutions of T = 1
+    fixed = family.at_m(M1)
+    ranks, substitutions = [], []
+    real_substitute = MPoly.substitute
+
+    def substitute(self, mapping):
+        substitutions.append(mapping)
+        return real_substitute(self, mapping)
+
+    monkeypatch.setattr(tangent, "nf_rank", lambda rows: ranks.append(rows))
+    monkeypatch.setattr(MPoly, "substitute", substitute)
+    survey = rank_survey(fixed, 100, 1)
+    assert survey.histogram == ((3, 100),)
+    assert ranks == []
+    assert len(substitutions) == 9
+
+
+def test_survey_rejects_symbolic_m(family):
+    with pytest.raises(ValueError):
+        rank_survey(family, 3, 1)
 
 
 def test_survey_rejects_empty(family):
