@@ -12,8 +12,8 @@ Floating point appears only in test oracles.
 from .nf import NFElem, NF_ONE, NF_R, NF_ZERO, nf_invert, nf_reduce, nf_str
 from .upoly import UPoly, squarefree_part, upoly_gcd
 from .mpoly import MPoly
-from .linalg import (RingMatrix, circulant_det_formula, circulant_matrix,
-                     matrix_det, matrix_rank, nf_kernel_basis, nf_rank)
+from .linalg import (circulant_det_formula, circulant_matrix, matrix_det, matrix_rank,
+                     nf_kernel_basis)
 from .parsing import ParseError, UnknownIdentifierError, parse_poly, parse_scalar
 from .geometry import (CoordMap, CubicFamily, LINE_R, LINE_R_PRIME, LineSub,
                        REFERENCE_POINTS, SIGMA, SIGMA2, apply_map, build_cubics,

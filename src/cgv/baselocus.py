@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from .nf import NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
 from .mpoly import MPoly, GEOM_VARS
-from .linalg import (RingMatrix, matrix_det, matrix_rank, nf_kernel_basis,
-                     circulant_det_formula, circulant_matrix)
+from .linalg import (matrix_det, matrix_rank, nf_kernel_basis, circulant_det_formula,
+                     circulant_matrix)
 from .geometry import COFACTOR_COORDS, REFERENCE_POINTS, eval_at_point, point_name
 
 
@@ -85,7 +85,7 @@ class StratumResult:
 
 
 def _substitution_for(taken):
-    return {COFACTOR_COORDS[i]: MPoly.zero() for i in taken}
+    return {COFACTOR_COORDS[i]: 0 for i in taken}
 
 
 def _coord_position(name: str) -> int:
@@ -96,7 +96,7 @@ def _coefficient_row(q: MPoly, basis, name: str):
     """Coefficients of q over a basis of geometric monomials; q must lie in their span."""
     if not set(q.geom_support()) <= set(basis):
         raise InternalCheckError(f"{name} is not supported on the monomial basis")
-    return [q.coeff_of_geom(e) for e in basis]
+    return tuple(q.coeff_of_geom(e) for e in basis)
 
 
 def _m_symbolic(family) -> bool:
@@ -221,25 +221,25 @@ def single_hyperplane_system(family, h: str):
     unit_inv = unit.inverse()
     rows = []
     for pos, j in enumerate(row_quadrics):
-        restricted = family.quadrics[j].substitute({h: MPoly.zero()})
+        restricted = family.quadrics[j].substitute({h: 0})
         entries = _coefficient_row(restricted, basis, f"Q{j} restricted to {h}=0")
         if pos == 0:
-            entries = [c * unit_inv for c in entries]
+            entries = tuple(c * unit_inv for c in entries)
         rows.append(entries)
-    return RingMatrix(rows), basis, tuple(row_quadrics), cycle
+    return tuple(rows), basis, tuple(row_quadrics), cycle
 
 
 @dataclass(frozen=True)
 class DetAnalysis:
     h: str
-    matrix: RingMatrix
+    matrix: tuple  # rows of MPoly entries in m
     det: MPoly
     m_coefficient: NFElem
     m_free_part: NFElem
     degree_in_m: int
 
 
-def single_hyperplane_det_analysis(h: str, mat: RingMatrix) -> DetAnalysis:
+def single_hyperplane_det_analysis(h: str, mat) -> DetAnalysis:
     """The determinant of the h = 0 system `mat` from `single_hyperplane_system`."""
     det = matrix_det(mat)
     up = det.m_upoly()
@@ -287,7 +287,7 @@ def monomial_kernel_lift(family, h: str) -> StratumResult:
         raise ValueError("kernel lift needs m specialized")
     stratum = Stratum((COFACTOR_COORDS.index(h),))
     mat, basis, row_quadrics, cycle = single_hyperplane_system(family, h)
-    a = mat.nf_entries()
+    a = [[e.as_nfelem() for e in row] for row in mat]
     ref_points = _verified(family, stratum, stratum.reference_points())
     identities = [
         "the zero monomial vector forces at least two free coordinates to vanish: reference points only",
@@ -356,10 +356,10 @@ MIXED_MONOMIALS = (
 )
 
 
-def mixed_monomial_matrix(family) -> RingMatrix:
-    """4x6 coefficients of Q_0..Q_3 over the mixed quadric monomials."""
-    return RingMatrix([_coefficient_row(q, MIXED_MONOMIALS, f"Q{j}")
-                       for j, q in enumerate(family.quadrics)])
+def mixed_monomial_matrix(family):
+    """4x6 coefficients of Q_0..Q_3 over the mixed quadric monomials, as rows."""
+    return tuple(_coefficient_row(q, MIXED_MONOMIALS, f"Q{j}")
+                 for j, q in enumerate(family.quadrics))
 
 
 def _binary_quadratic(vals):
@@ -381,7 +381,7 @@ def no_hyperplane_torus_check(family) -> StratumResult:
         raise ValueError("the torus check needs m specialized")
     stratum = Stratum(())
     mat = mixed_monomial_matrix(family)
-    kernel = nf_kernel_basis(mat.nf_entries())
+    kernel = nf_kernel_basis([[e.as_nfelem() for e in row] for row in mat])
     all_ref = stratum.reference_points()
     base_identities = (
         "a common zero with some coordinate 0 lies in a stratum with more hyperplanes",
@@ -494,7 +494,7 @@ class IndependenceResult:
     det_formula: NFElem
     nonzero: bool
     rank: int
-    rank_witness: dict
+    rank_witness: tuple       # pivot columns: the certifying maximal minor
 
 
 def circulant_entries(family):
@@ -511,19 +511,19 @@ def circulant_entries(family):
 def quadric_independence(family) -> IndependenceResult:
     a, b, c, d = circulant_entries(family)
     mat = circulant_matrix(a, b, c, d)
-    det_cof = matrix_det(mat).as_nfelem()
+    det_cof = matrix_det(mat)
     det_formula = circulant_det_formula(a, b, c, d)
     if det_cof != det_formula:
         raise InternalCheckError("cofactor determinant disagrees with the eigenvalue-product formula")
     coeff_rows = [_coefficient_row(q, QUADRIC_BASIS, f"Q{j}") for j, q in enumerate(family.quadrics)]
-    rank, witness = matrix_rank(RingMatrix(coeff_rows))
+    rank, pivots = matrix_rank(coeff_rows)
     return IndependenceResult(
         entries=(a, b, c, d),
         det_cofactor=det_cof,
         det_formula=det_formula,
         nonzero=not det_cof.is_zero(),
         rank=rank,
-        rank_witness=witness,
+        rank_witness=pivots,
     )
 
 

@@ -167,8 +167,7 @@ def point_name(pt) -> str:
 
 def eval_at_point(f: MPoly, pt):
     """Evaluate in the geometric variables; m (if present) stays symbolic."""
-    sub = {v: MPoly.constant(c) for v, c in zip(GEOM_VARS, pt)}
-    return f.substitute(sub)
+    return f.substitute(dict(zip(GEOM_VARS, pt)))
 
 
 class CubicFamily:

@@ -1,113 +1,106 @@
-"""Exact matrices over Q(r)[X,Y,Z,T,m] and linear algebra over Q(r).
+"""Exact linear algebra over Q(r) and over Q(r)[X,Y,Z,T,m].
 
-Determinants use cofactor expansion (adequate at size <= 6).  Ranks are
-computed by Gaussian elimination when the entries are scalars; with m kept
-symbolic a minor counts as nonzero iff its determinant is a nonzero
-polynomial in m, so no fraction field is ever materialized.
+A matrix is a sequence of equal-length rows whose entries are all NFElem or
+all MPoly.  Determinants use cofactor expansion (adequate at size <= 6).
+Ranks come from one fraction-free elimination: each step scales a row by a
+nonzero pivot, a unit of the fraction field, so polynomial entries never
+need a quotient and the rank over Q(r)(X,Y,Z,T,m) is exact.  Kernels are
+read off the reduced row echelon form over Q(r).
 """
 
 from __future__ import annotations
 
-import itertools
-
 from .nf import NFElem
-from .mpoly import MPoly
 
 
-class RingMatrix:
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        rs = tuple(tuple(MPoly.coerce(e) for e in row) for row in rows)
-        if rs and any(len(r) != len(rs[0]) for r in rs):
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", rs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RingMatrix is immutable")
-
-    @property
-    def shape(self):
-        return (len(self.rows), len(self.rows[0]) if self.rows else 0)
-
-    def nf_entries(self):
-        return [[e.as_nfelem() for e in row] for row in self.rows]
-
-    def is_scalar(self):
-        return all(e.is_constant() for row in self.rows for e in row)
-
-    def __eq__(self, other):
-        if not isinstance(other, RingMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __str__(self):
-        return "[" + "; ".join(", ".join(str(e) for e in row) for row in self.rows) + "]"
+def _width(rows):
+    """Common row length of `rows`; ValueError on ragged rows."""
+    n = len(rows[0]) if rows else 0
+    if any(len(r) != n for r in rows):
+        raise ValueError("ragged rows")
+    return n
 
 
-def matrix_det(mat: RingMatrix) -> MPoly:
-    """Exact determinant by cofactor expansion; square input of size <= 6."""
-    n, c = mat.shape
-    if n != c:
-        raise ValueError(f"determinant of a non-square {n}x{c} matrix")
-    if n > 6:
-        raise ValueError("cofactor expansion limited to size 6")
-    return _det(mat.rows)
+def matrix_det(rows):
+    """Exact determinant by cofactor expansion; square input of size 1 to 6.
+
+    Returns an NFElem or an MPoly, the type of the entries.
+    """
+    n = len(rows)
+    if not 1 <= n <= 6:
+        raise ValueError(f"cofactor expansion needs size 1 to 6, not {n}")
+    if _width(rows) != n:
+        raise ValueError(f"determinant of a non-square {n}x{len(rows[0])} matrix")
+    return _det([tuple(r) for r in rows])
 
 
 def _det(rows):
-    n = len(rows)
-    if n == 0:
-        return MPoly.constant(1)
-    if n == 1:
+    if len(rows) == 1:
         return rows[0][0]
-    if n == 2:
+    if len(rows) == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    out = MPoly.zero()
+    out = None
     rest = rows[1:]
-    for j in range(n):
-        a = rows[0][j]
+    for j, a in enumerate(rows[0]):
         if a.is_zero():
             continue
-        minor = [r[:j] + r[j + 1:] for r in rest]
-        term = a * _det(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
+        term = a * _det([r[:j] + r[j + 1:] for r in rest])
+        term = term if j % 2 == 0 else -term
+        out = term if out is None else out + term
+    return rows[0][0] if out is None else out   # a zero first row: the determinant is that zero
+
+
+def matrix_rank(rows):
+    """Rank over the fraction field of the entries, with the pivot columns.
+
+    Fraction-free elimination: the pivot row p clears column c in every row
+    below it by row <- p[c] * row - row[c] * p; entries up to column c are
+    never read again, so only those after it are computed.  Returns
+    (rank, pivot columns); the pivot columns are the greedy column basis, so
+    at full row rank they index the lexicographically first nonzero maximal
+    minor.
+    """
+    nc = _width(rows)
+    a = [tuple(r) for r in rows]
+    pivots = []
+    for col in range(nc):
+        top = len(pivots)
+        if top == len(a):
+            break
+        piv = next((i for i in range(top, len(a)) if not a[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        p = a[top]
+        for i in range(top + 1, len(a)):
+            f = a[i][col]
+            if not f.is_zero():
+                a[i] = a[i][:col + 1] + tuple(
+                    p[col] * x - f * y for x, y in zip(a[i][col + 1:], p[col + 1:]))
+        pivots.append(col)
+    return len(pivots), tuple(pivots)
 
 
 def nf_rref(rows):
     """Reduced row echelon form over Q(r); returns (rref rows, pivot columns)."""
     a = [list(r) for r in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
     pivots = []
-    rank = 0
-    for col in range(nc):
-        piv = None
-        for i in range(rank, nr):
-            if not a[i][col].is_zero():
-                piv = i
-                break
+    for col in range(_width(a)):
+        top = len(pivots)
+        if top == len(a):
+            break
+        piv = next((i for i in range(top, len(a)) if not a[i][col].is_zero()), None)
         if piv is None:
             continue
-        a[rank], a[piv] = a[piv], a[rank]
-        inv = a[rank][col].inverse()
-        a[rank] = [e * inv for e in a[rank]]
-        for i in range(nr):
-            if i != rank and not a[i][col].is_zero():
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[rank])]
+        a[top], a[piv] = a[piv], a[top]
+        inv = a[top][col].inverse()
+        a[top] = [e * inv for e in a[top]]
+        for i, row in enumerate(a):
+            f = row[col]
+            if i != top and not f.is_zero():
+                a[i] = [x - f * y for x, y in zip(row, a[top])]
         pivots.append(col)
-        rank += 1
-        if rank == nr:
-            break
     return a, pivots
-
-
-def nf_rank(rows):
-    """Rank over Q(r) plus the pivot-column witness."""
-    _, pivots = nf_rref(rows)
-    return len(pivots), tuple(pivots)
 
 
 def nf_kernel_basis(rows):
@@ -125,25 +118,6 @@ def nf_kernel_basis(rows):
     return basis
 
 
-def matrix_rank(mat: RingMatrix):
-    """Rank over Q(r) (scalar entries) or over Q(r)(m) (entries involving m).
-
-    Returns (rank, witness): pivot columns in the scalar case, the certifying
-    nonzero minor (rows, cols) in the symbolic case.
-    """
-    if mat.is_scalar():
-        rank, pivots = nf_rank(mat.nf_entries())
-        return rank, {"pivot_columns": pivots}
-    nr, nc = mat.shape
-    for size in range(min(nr, nc), 0, -1):
-        for rset in itertools.combinations(range(nr), size):
-            for cset in itertools.combinations(range(nc), size):
-                sub = RingMatrix([[mat.rows[i][j] for j in cset] for i in rset])
-                if not matrix_det(sub).is_zero():
-                    return size, {"minor_rows": rset, "minor_cols": cset}
-    return 0, {"minor_rows": (), "minor_cols": ()}
-
-
 def circulant_det_formula(a, b, c, d) -> NFElem:
     """Determinant of the 4x4 circulant with first row (a, b, c, d).
 
@@ -154,7 +128,7 @@ def circulant_det_formula(a, b, c, d) -> NFElem:
     return (a + b + c + d) * (a - b + c - d) * ((a - c) ** 2 + (b - d) ** 2)
 
 
-def circulant_matrix(a, b, c, d) -> RingMatrix:
-    first = [a, b, c, d]
-    rows = [first[-k:] + first[:-k] for k in range(4)]
-    return RingMatrix(rows)
+def circulant_matrix(a, b, c, d):
+    """The 4x4 circulant with first row (a, b, c, d), as NFElem rows."""
+    first = tuple(NFElem.coerce(v) for v in (a, b, c, d))
+    return tuple(first[-k:] + first[:-k] for k in range(4))

@@ -17,7 +17,6 @@ from .claims import PRINTED_CIRCULANT_ENTRIES, PRINTED_SYSTEM_MATRIX, claim
 from .geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME, REFERENCE_POINTS,
                        SIGMA, SIGMA2, build_cubics, eval_at_point,
                        fixed_line_check, point_name)
-from .linalg import RingMatrix
 from .nf import NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
 from .parsing import parse_poly, parse_scalar
@@ -164,13 +163,13 @@ def base_locus_suite(family, config: RunConfig):
         ))
 
     # the single-hyperplane system and its determinant, h = T first
-    printed = RingMatrix([[parse_poly(t) for t in row] for row in PRINTED_SYSTEM_MATRIX])
+    printed = tuple(tuple(parse_poly(t) for t in row) for row in PRINTED_SYSTEM_MATRIX)
     for h in ("T", "X", "Y", "Z"):
         mat, basis, row_quadrics, _ = single_hyperplane_system(family, h)
         if h == "T":
             checks.append(make_check(
                 "base-locus/system/T/matrix",
-                str(mat),
+                "[" + "; ".join(", ".join(str(e) for e in row) for row in mat) + "]",
                 claim("single-system-matrix"),
                 notes=("rows are the restrictions of Q1, Q2, Q3 to T = 0 over the basis (XY, YZ, ZX); "
                        "the first row is normalized by the display unit 3r-2",),
@@ -231,7 +230,7 @@ def base_locus_suite(family, config: RunConfig):
             str(ind.rank),
             claim("quadrics-independent"),
             notes=(f"4x10 coefficient matrix over the quadric monomial basis; "
-                   f"certifying minor at columns {ind.rank_witness.get('minor_cols')}",),
+                   f"certifying minor at columns {ind.rank_witness}",),
         ))
     except Exception as exc:  # noqa: BLE001
         checks.append(error_check("base-locus/quadric-independence", exc))
@@ -327,13 +326,13 @@ def tangent_suite(family, config: RunConfig):
                f"{nf_str(replay.obstruction_inverse)}",) + replay.steps,
     ))
     for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        res = tangent.pairwise_independence(grad_rows, i, j)
+        independent = tangent.pairwise_independence(grad_rows, i, j)
         checks.append(make_check(
             f"tangent/pairwise-independence/{i}-{j}",
-            "independent" if res.generically_independent else "dependent",
+            "independent" if independent else "dependent",
             claim("tangent-pairwise"),
             notes=("some 2x2 minor of the stacked symbolic rows is a nonzero polynomial in (x, y, z, m)",)
-            if res.generically_independent else ("all 2x2 minors vanish identically",),
+            if independent else ("all 2x2 minors vanish identically",),
         ))
     rows = tangent.reference_point_rows(family)
     all_zero = all(all(c.is_zero() for c in row) for row in rows)

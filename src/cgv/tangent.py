@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .nf import NFElem, nf_invert
-from .mpoly import MPoly
 from .parsing import parse_poly
-from .linalg import nf_rank
+from .linalg import matrix_det, matrix_rank
 from .geometry import eval_at_point
 from .claims import CLAIMED_TANGENT_ROWS
 
@@ -30,7 +29,7 @@ CHART_VARS = ("X", "Y", "Z")
 def chart_gradient(family, i: int):
     """Gradient row of C_i on the chart T = 1, symbolic in the coordinates."""
     c = family.cubics[i]
-    return tuple(c.partial(v).substitute({"T": MPoly.constant(1)}) for v in CHART_VARS)
+    return tuple(c.partial(v).substitute({"T": 1}) for v in CHART_VARS)
 
 
 def projective_gradient(family, i: int, pt):
@@ -91,26 +90,10 @@ def lambda_replay(rows) -> LambdaReplay:
     return LambdaReplay(a=a, b=b, obstruction=obstruction, obstruction_inverse=inv, steps=steps)
 
 
-@dataclass(frozen=True)
-class PairwiseResult:
-    i: int
-    j: int
-    minors: tuple
-    generically_independent: bool
-
-
-def pairwise_independence(rows, i: int, j: int) -> PairwiseResult:
-    """All 2x2 minors of the stacked symbolic rows i and j; independent
-    generically iff some minor is a nonzero polynomial in (x, y, z, m)."""
-    ri, rj = rows[i], rows[j]
-    minors = []
-    for c1 in range(3):
-        for c2 in range(c1 + 1, 3):
-            minors.append(ri[c1] * rj[c2] - ri[c2] * rj[c1])
-    return PairwiseResult(
-        i=i, j=j, minors=tuple(minors),
-        generically_independent=any(not m.is_zero() for m in minors),
-    )
+def pairwise_independence(rows, i: int, j: int) -> bool:
+    """Are the symbolic rows i and j independent over Q(r)(x, y, z, m), i.e.
+    is some 2x2 minor of the stacked pair a nonzero polynomial?"""
+    return matrix_rank((rows[i], rows[j]))[0] == 2
 
 
 # -- deterministic sampling ---------------------------------------------------
@@ -160,7 +143,7 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
     if n < 1:
         raise ValueError("survey size must be >= 1")
     rows_sym = [chart_gradient(family, i) for i in range(3)]
-    det_terms = _integer_terms(_det3(rows_sym))
+    det_terms = _integer_terms(matrix_det(rows_sym))
     stream = SampleStream(seed)
     hist = {}
     skipped = 0
@@ -174,7 +157,7 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
             if any(all(c.is_zero() for c in row) for row in rows):
                 skipped += 1
                 continue
-            rank = nf_rank(rows)[0]
+            rank = matrix_rank(rows)[0]
         hist[rank] = hist.get(rank, 0) + 1
     return SurveyResult(
         n=n, seed=seed,
@@ -211,11 +194,6 @@ def _integer_value(terms, x, y, z):
         s1 += n1 * t
         s2 += n2 * t
     return s0, s1, s2
-
-
-def _det3(rows):
-    (a, b, c), (d, e, f), (g, h, k) = rows
-    return a * (e * k - f * h) - b * (d * k - f * g) + c * (d * h - e * g)
 
 
 def reference_point_rows(family):

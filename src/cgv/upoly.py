@@ -48,7 +48,8 @@ class UPoly:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("UPoly", self.coeffs))
+        # degree <= 0 hashes like the scalar it equals: its coefficient, or 0
+        return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs or 0)
 
     def __add__(self, other):
         if _is_scalar(other):

@@ -1,64 +1,141 @@
 import random
+from itertools import combinations
 
 import pytest
 
-from cgv.linalg import (RingMatrix, circulant_det_formula, circulant_matrix,
-                        matrix_det, matrix_rank, nf_kernel_basis, nf_rank)
+import cgv.linalg as linalg
+from cgv.baselocus import QUADRIC_BASIS, _coefficient_row
+from cgv.linalg import (circulant_det_formula, circulant_matrix, matrix_det, matrix_rank,
+                        nf_kernel_basis)
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem
 
 from conftest import random_nfelem
 
 
+def nf_matrix(rows):
+    return [[NFElem(v) for v in row] for row in rows]
+
+
 def test_det_identity():
-    ident = RingMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert matrix_det(ident).as_nfelem() == NFElem(1)
+    ident = nf_matrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert matrix_det(ident) == NFElem(1)
 
 
 def test_det_2x2_symbolic():
     a, b, c, d = (MPoly.var(v) for v in ("X", "Y", "Z", "T"))
-    mat = RingMatrix([[a, b], [c, d]])
-    assert matrix_det(mat) == a * d - b * c
+    assert matrix_det([[a, b], [c, d]]) == a * d - b * c
 
 
 def test_det_alternating():
     rng = random.Random(41)
     for _ in range(30):
         rows = [[random_nfelem(rng, span=6, den=3) for _ in range(3)] for _ in range(3)]
-        d = matrix_det(RingMatrix(rows)).as_nfelem()
+        d = matrix_det(rows)
         swapped = [rows[1], rows[0], rows[2]]
-        assert matrix_det(RingMatrix(swapped)).as_nfelem() == -d
+        assert matrix_det(swapped) == -d
         repeated = [rows[0], rows[0], rows[2]]
-        assert matrix_det(RingMatrix(repeated)).as_nfelem().is_zero()
+        assert matrix_det(repeated).is_zero()
 
 
 def test_det_guards():
     with pytest.raises(ValueError):
-        matrix_det(RingMatrix([[1, 2, 3], [4, 5, 6]]))
-    seven = RingMatrix([[1] * 7 for _ in range(7)])
+        matrix_det(nf_matrix([[1, 2, 3], [4, 5, 6]]))
     with pytest.raises(ValueError):
-        matrix_det(seven)
+        matrix_det(nf_matrix([[1] * 7 for _ in range(7)]))
+    with pytest.raises(ValueError):
+        matrix_det(nf_matrix([[1, 2], [3]]))
+    with pytest.raises(ValueError):
+        matrix_det([])
 
 
 def test_rank_trivial():
-    zero = RingMatrix([[0, 0], [0, 0]])
-    assert matrix_rank(zero)[0] == 0
-    ident = RingMatrix([[int(i == j) for j in range(4)] for i in range(4)])
-    rank, witness = matrix_rank(ident)
-    assert rank == 4
-    assert witness["pivot_columns"] == (0, 1, 2, 3)
+    assert matrix_rank(nf_matrix([[0, 0], [0, 0]])) == (0, ())
+    ident = nf_matrix([[int(i == j) for j in range(4)] for i in range(4)])
+    assert matrix_rank(ident) == (4, (0, 1, 2, 3))
 
 
 def test_rank_symbolic_in_m():
     m = MPoly.var("m")
-    mat = RingMatrix([[m, MPoly.constant(1)], [m, MPoly.constant(1)]])
-    assert matrix_rank(mat)[0] == 1
-    mat2 = RingMatrix([[m, MPoly.constant(0)], [MPoly.constant(0), MPoly.constant(1)]])
-    rank, witness = matrix_rank(mat2)
-    assert rank == 2
+    one, zero = MPoly.constant(1), MPoly.zero()
+    assert matrix_rank([[m, one], [m, one]]) == (1, (0,))
+    mat2 = [[m, zero], [zero, one]]
+    assert matrix_rank(mat2) == (2, (0, 1))
     # specializing m at the degenerate value drops the rank
-    at_zero = RingMatrix([[e.substitute({"m": NFElem(0)}) for e in row] for row in mat2.rows])
+    at_zero = [[e.substitute({"m": 0}) for e in row] for row in mat2]
     assert matrix_rank(at_zero)[0] == 1
+
+
+def minor_rank(rows):
+    """(rank, columns) by trying every minor, largest first, in lexicographic
+    order: at full row rank the columns are the first nonzero maximal minor."""
+    nr, nc = len(rows), len(rows[0])
+    for size in range(min(nr, nc), 0, -1):
+        for rset in combinations(range(nr), size):
+            for cset in combinations(range(nc), size):
+                if not matrix_det([[rows[i][j] for j in cset] for i in rset]).is_zero():
+                    return size, cset
+    return 0, ()
+
+
+def random_matrix(rng, entry, scalar):
+    """A random matrix of at most 4x6 whose rows past the first k are
+    combinations of the first k, shuffled, sometimes with zero columns."""
+    nr, nc = rng.randint(1, 4), rng.randint(1, 6)
+    k = rng.randint(1, nr)
+    base = [[entry() for _ in range(nc)] for _ in range(k)]
+    rows = list(base)
+    for _ in range(nr - k):
+        row = [scalar(0) for _ in range(nc)]
+        for b in base:
+            c = scalar(rng.randint(-2, 2))
+            row = [x + c * y for x, y in zip(row, b)]
+        rows.append(row)
+    rng.shuffle(rows)
+    for col in range(nc):
+        if rng.random() < 0.15:
+            for row in rows:
+                row[col] = scalar(0)
+    return rows
+
+
+def nf_entry(rng):
+    return NFElem(0) if rng.random() < 0.25 else random_nfelem(rng, span=4, den=2)
+
+
+def m_linear_entry(rng):
+    m = MPoly.var("m")
+    return MPoly.constant(nf_entry(rng)) + MPoly.constant(nf_entry(rng)) * m
+
+
+@pytest.mark.parametrize("entry, scalar", [(nf_entry, NFElem), (m_linear_entry, MPoly.constant)],
+                         ids=["nf", "m-linear"])
+def test_rank_matches_minor_enumeration(entry, scalar):
+    # dual route: the elimination against the largest nonzero minor
+    rng = random.Random(53)
+    deficient = 0
+    for _ in range(100):
+        rows = random_matrix(rng, lambda: entry(rng), scalar)
+        rank, pivots = matrix_rank(rows)
+        want, cols = minor_rank(rows)
+        assert rank == want == len(pivots)
+        assert list(pivots) == sorted(set(pivots))
+        if rank == len(rows):
+            assert pivots == cols
+        else:
+            deficient += 1
+    assert 20 <= deficient <= 80
+
+
+def test_quadric_rank_takes_no_determinant(family, monkeypatch):
+    rows = [_coefficient_row(q, QUADRIC_BASIS, f"Q{j}") for j, q in enumerate(family.quadrics)]
+    assert any(e.involves("m") for row in rows for e in row)
+    dets = []
+    real = linalg.matrix_det
+    monkeypatch.setattr(linalg, "matrix_det", lambda rows: dets.append(rows) or real(rows))
+    # the X^2 column (0) is zero; the pivots are the columns the report prints
+    assert matrix_rank(rows) == (4, (1, 2, 3, 5))
+    assert len(dets) == 0
 
 
 def test_kernel_basis_contract():
@@ -67,7 +144,7 @@ def test_kernel_basis_contract():
         nrows = rng.randint(1, 4)
         ncols = rng.randint(1, 5)
         rows = [[random_nfelem(rng, span=4, den=2) for _ in range(ncols)] for _ in range(nrows)]
-        rank, _ = nf_rank(rows)
+        rank, _ = matrix_rank(rows)
         kernel = nf_kernel_basis(rows)
         assert rank + len(kernel) == ncols
         for vec in kernel:
@@ -79,23 +156,24 @@ def test_kernel_basis_contract():
 
 
 def test_circulant_trivial_cases():
-    assert matrix_det(circulant_matrix(1, 0, 0, 0)).as_nfelem() == NFElem(1)
+    assert matrix_det(circulant_matrix(1, 0, 0, 0)) == NFElem(1)
     # the 4-cycle permutation is odd
-    assert matrix_det(circulant_matrix(0, 1, 0, 0)).as_nfelem() == NFElem(-1)
+    assert matrix_det(circulant_matrix(0, 1, 0, 0)) == NFElem(-1)
 
 
 def test_circulant_formula_matches_cofactor_200_cases():
     rng = random.Random(47)
     for _ in range(200):
         a, b, c, d = (random_nfelem(rng, span=5, den=3) for _ in range(4))
-        cof = matrix_det(circulant_matrix(a, b, c, d)).as_nfelem()
+        cof = matrix_det(circulant_matrix(a, b, c, d))
         assert cof == circulant_det_formula(a, b, c, d)
 
 
 def test_matrix_equality_and_shape():
-    m1 = RingMatrix([[1, 2], [3, 4]])
-    m2 = RingMatrix([[1, 2], [3, 4]])
-    assert m1 == m2
-    assert m1.shape == (2, 2)
+    # a matrix is a tuple of equal-length rows; ragged rows are refused
+    m1 = circulant_matrix(1, 2, 3, 4)
+    assert m1 == circulant_matrix(1, 2, 3, 4)
+    assert [len(row) for row in m1] == [4, 4, 4, 4]
+    assert m1[1] == tuple(NFElem(v) for v in (4, 1, 2, 3))
     with pytest.raises(ValueError):
-        RingMatrix([[1, 2], [3]])
+        matrix_rank(nf_matrix([[1, 2], [3]]))

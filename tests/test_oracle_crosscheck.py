@@ -50,7 +50,7 @@ def test_tangent_rows_match_independent_differentiation(family):
 
 def test_printed_matrix_determinant_vanishes(family):
     mat, _, _, _ = single_hyperplane_system(family, "T")
-    smat = sp.Matrix([[to_sympy(e) for e in row] for row in mat.rows])
+    smat = sp.Matrix([[to_sympy(e) for e in row] for row in mat])
     assert red(smat.det()) == 0
     analysis = single_hyperplane_det_analysis("T", mat)
     assert analysis.det.is_zero()

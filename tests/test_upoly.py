@@ -158,3 +158,15 @@ def test_integer_polynomials_divide_exactly():
     q, rem = divmod(UPoly((1, 0, 1)), UPoly((1, 2)))
     assert q * UPoly((1, 2)) + rem == UPoly((1, 0, 1))
     assert all(isinstance(c, (int, F)) for c in q.coeffs + rem.coeffs)
+
+
+def test_constants_hash_like_their_coefficient():
+    # equal values must hash alike: UPoly((3,)) == 3 and UPoly(()) == 0
+    for const, scalar in ((UPoly((3,)), 3), (UPoly(()), 0), (poly(F(1, 2)), F(1, 2)),
+                          (UPoly((NFElem(0, 1),)), NFElem(0, 1)), (UPoly((NFElem(5),)), 5)):
+        assert const == scalar
+        assert hash(const) == hash(scalar)
+        assert len({const, scalar}) == 1
+    assert poly(1, 2) in {poly(1, 2)}
+    assert UPoly((NFElem(1), NFElem(2))) == poly(1, 2)
+    assert hash(UPoly((NFElem(1), NFElem(2)))) == hash(poly(1, 2))
