@@ -1,8 +1,16 @@
 """Sparse polynomials over Q(r) in the variables X, Y, Z, T and the parameter m.
 
-Terms map exponent vectors to NFElem coefficients; zero coefficients are
+Terms map exponent 5-tuples to NFElem coefficients; zero coefficients are
 never stored, so structural equality is ring equality.  The canonical
 term order is graded lexicographic with X > Y > Z > T > m.
+
+The public constructor `MPoly(terms)` validates: every exponent must be a
+sequence of 5 non-negative ints (else ValueError), and every coefficient is
+coerced to NFElem.  Arithmetic results are built by the private `_mpoly`,
+the counterpart of `nf._elem`, which takes a dict that is already of
+exponent tuples and NFElem coefficients and only drops the zeros.  A
+product adds the unpacked exponent tuples and multiplies the coefficients
+with `NFElem.__mul__`, the one Q(r) product.
 """
 
 from __future__ import annotations
@@ -22,13 +30,26 @@ ZERO_EXP = (0,) * NVARS
 def _mul_terms(a, b):
     """Product of two term dicts, as a term dict (zero sums not yet dropped)."""
     out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = tuple(x + y for x, y in zip(e1, e2))
+    get = out.get
+    b_items = list(b.items())
+    for (x1, y1, z1, t1, m1), c1 in a.items():
+        for (x2, y2, z2, t2, m2), c2 in b_items:
+            e = (x1 + x2, y1 + y2, z1 + z2, t1 + t2, m1 + m2)
             c = c1 * c2
-            s = out.get(e)
+            s = get(e)
             out[e] = c if s is None else s + c
     return out
+
+
+def _exponent(exp) -> tuple:
+    """`exp` as an exponent tuple; ValueError unless it is 5 non-negative ints."""
+    try:
+        e = tuple(exp)
+    except TypeError:
+        e = ()
+    if len(e) != NVARS or not all(type(k) is int and k >= 0 for k in e):
+        raise ValueError(f"an exponent must be {NVARS} non-negative ints, not {exp!r}")
+    return e
 
 
 class MPoly:
@@ -38,10 +59,11 @@ class MPoly:
         clean = {}
         if terms:
             for exp, c in terms.items():
+                exp = _exponent(exp)
                 c = NFElem.coerce(c)
                 if not c.is_zero():
-                    clean[tuple(exp)] = c
-        object.__setattr__(self, "terms", clean)
+                    clean[exp] = c
+        _set_terms(self, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("MPoly is immutable")
@@ -50,7 +72,7 @@ class MPoly:
 
     @classmethod
     def constant(cls, c) -> "MPoly":
-        return cls({ZERO_EXP: NFElem.coerce(c)})
+        return _mpoly({ZERO_EXP: NFElem.coerce(c)})
 
     @classmethod
     def var(cls, name: str, power: int = 1) -> "MPoly":
@@ -58,7 +80,7 @@ class MPoly:
             raise KeyError(f"unknown variable {name!r}")
         exp = [0] * NVARS
         exp[VAR_INDEX[name]] = power
-        return cls({tuple(exp): NF_ONE})
+        return _mpoly({_exponent(exp): NF_ONE})
 
     @classmethod
     def zero(cls) -> "MPoly":
@@ -124,12 +146,12 @@ class MPoly:
         for e, c in o.terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
-        return MPoly(out)
+        return _mpoly(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MPoly({e: -c for e, c in self.terms.items()})
+        return _mpoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-MPoly.coerce(other))
@@ -138,11 +160,13 @@ class MPoly:
         return MPoly.coerce(other) + (-self)
 
     def __mul__(self, other):
-        return MPoly(_mul_terms(self.terms, MPoly.coerce(other).terms))
+        return _mpoly(_mul_terms(self.terms, MPoly.coerce(other).terms))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise TypeError("exponent must be an integer")
         if n < 0:
             raise ValueError("negative exponent")
         return binary_power(self, n, MPoly.constant(1))
@@ -212,7 +236,7 @@ class MPoly:
             for en, cn in acc.items():
                 s = out.get(en)
                 out[en] = cn if s is None else s + cn
-        return MPoly(out)
+        return _mpoly(out)
 
     def partial(self, name: str) -> "MPoly":
         """Formal partial derivative."""
@@ -225,7 +249,7 @@ class MPoly:
             ne = list(e)
             ne[i] = k - 1
             out[tuple(ne)] = c * k
-        return MPoly(out)
+        return _mpoly(out)
 
     def coeff_of_geom(self, geom_exp) -> "MPoly":
         """Coefficient of the X,Y,Z,T-monomial, as a polynomial in m."""
@@ -234,7 +258,7 @@ class MPoly:
         for e, c in self.terms.items():
             if e[:4] == geom_exp:
                 out[(0, 0, 0, 0, e[4])] = c
-        return MPoly(out)
+        return _mpoly(out)
 
     def geom_support(self):
         """Sorted list of distinct X,Y,Z,T exponent vectors."""
@@ -260,7 +284,7 @@ class MPoly:
             ne = list(e)
             ne[i] -= 1
             out[tuple(ne)] = c
-        return MPoly(out), True
+        return _mpoly(out), True
 
     # -- printing ------------------------------------------------------------
 
@@ -270,3 +294,13 @@ class MPoly:
     def __repr__(self):
         return f"MPoly<{self}>"
 
+
+_set_terms = MPoly.terms.__set__
+
+
+def _mpoly(terms) -> MPoly:
+    """An MPoly on a dict of exponent tuples to NFElem, zero coefficients dropped;
+    nothing is coerced or re-tupled."""
+    p = object.__new__(MPoly)
+    _set_terms(p, {e: c for e, c in terms.items() if not c.is_zero()})
+    return p

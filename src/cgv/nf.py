@@ -6,8 +6,9 @@ with d > 0 and gcd(n0, n1, n2, d) = 1.  That form is unique, so structural
 equality coincides with equality in the field.  A product reduces with
 r^3 = 1 - r^2 and r^4 = -1 + r + r^2 and runs one gcd; an inverse is the
 first column of the adjugate of the multiplication-by-a matrix over its
-determinant, the norm.  The single real root of x^3 + x^2 - 1 is
-r ~ 0.7548776662.
+determinant, the norm.  Printing reads the integers directly: each
+nonzero numerator is reduced over d with one gcd, and no Fraction is
+built.  The single real root of x^3 + x^2 - 1 is r ~ 0.7548776662.
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ def nf_invert(a: NFElem) -> NFElem:
 def term_str(coeff: str, powers) -> str:
     """One printed term: the printed coefficient times the monomial of the
     (name, exponent) pairs in `powers`; a coefficient that is a sum is parenthesized."""
-    mono = "*".join(v if k == 1 else f"{v}^{k}" for v, k in powers if k)
+    mono = "*".join([v if k == 1 else f"{v}^{k}" for v, k in powers if k])
     if not mono:
         return f"({coeff})" if " " in coeff else coeff
     if coeff == "1":
@@ -270,5 +271,14 @@ def join_terms(terms) -> str:
 
 
 def nf_str(a: NFElem) -> str:
-    """Canonical print: ascending powers of r, reduced fractions, explicit signs."""
-    return join_terms(term_str(str(c), (("r", k),)) for k, c in enumerate(a.coords()) if c)
+    """Canonical print: ascending powers of r, explicit signs, and each nonzero
+    numerator over d in lowest terms, as str(Fraction(n, d)) prints it."""
+    v = a._v
+    d = v[3]
+    terms = []
+    for k in 0, 1, 2:
+        n = v[k]
+        if n:
+            g = gcd(n, d)
+            terms.append(term_str(str(n // g) if g == d else f"{n // g}/{d // g}", (("r", k),)))
+    return join_terms(terms)

@@ -142,6 +142,52 @@ def test_pow_matches_repeated_multiplication():
     assert f ** 3 == f * f * f
 
 
+@pytest.mark.parametrize("exp", [
+    (1, 0, 0, 0, 0, 7),    # a sixth entry, which a product used to drop
+    (1, 0),                # too short; used to print as X
+    (-1, 0, 0, 0, 0),      # used to print as X^-1, and times X gave 1
+    (1.0, 0, 0, 0, 0),
+    (True, 0, 0, 0, 0),
+    "XYZTm",
+    5,
+])
+def test_constructor_rejects_malformed_exponents(exp):
+    with pytest.raises(ValueError):
+        MPoly({exp: 1})
+
+
+def test_constructor_accepts_any_sequence_of_five_exponents():
+    f = MPoly({(2, 0, 0, 0, 1): Fraction(1, 2), range(5): 3})
+    assert f == Fraction(1, 2) * X * X * m + 3 * Y * Z ** 2 * T ** 3 * m ** 4
+    assert all(type(e) is tuple for e in f.terms)
+
+
+def test_var_rejects_a_negative_power():
+    assert MPoly.var("Z", 2) == Z * Z
+    with pytest.raises(ValueError):
+        MPoly.var("Z", -1)
+
+
+@pytest.mark.parametrize("n", [2.0, Fraction(2), "2", None])
+def test_pow_rejects_non_integer_exponents(n):
+    with pytest.raises(TypeError, match="exponent must be an integer"):
+        X ** n
+
+
+def test_one_product_multiplies_each_term_pair_once(monkeypatch):
+    # NFElem.__mul__ is the only product in Q(r): an MPoly product calls it
+    # once per term pair, so a tracer wrapped around it sees every pair
+    f = parse_poly("1/2*X - 2/3*r*Y + 3/4*m")
+    g = parse_poly("X - 1/6*r^2*T + (1 + r)*Y + 5/7*m")
+    calls = []
+    real = NFElem.__mul__
+    monkeypatch.setattr(NFElem, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+    h = f * g
+    assert len(calls) == len(f.terms) * len(g.terms) == 12
+    monkeypatch.undo()
+    assert h == parse_poly("(1/2*X - 2/3*r*Y + 3/4*m)*(X - 1/6*r^2*T + (1 + r)*Y + 5/7*m)")
+
+
 def test_constants_hash_like_their_coefficient():
     assert NFElem(1) in {MPoly.constant(1)}
     assert 0 in {MPoly.zero()}

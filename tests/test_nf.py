@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from cgv.nf import NFElem, NF_ONE, NF_R, nf_invert, nf_reduce, nf_str
+from cgv.nf import NFElem, NF_ONE, NF_R, join_terms, nf_invert, nf_reduce, nf_str, term_str
 
 from conftest import R_FLOAT, nf_to_float, random_nfelem, random_nfelem_nonzero
 
@@ -103,6 +104,28 @@ def test_canonical_printing():
     assert nf_str(NFElem(-2, 1, 3)) == "-2 + r + 3*r^2"
     assert nf_str(NFElem(Fraction(1, 2), 0, Fraction(-3, 4))) == "1/2 - 3/4*r^2"
     assert nf_str(NFElem(0, -1)) == "-r"
+
+
+def fraction_route_str(a: NFElem) -> str:
+    """Reference printer over the Fraction coordinates."""
+    return join_terms(term_str(str(c), (("r", k),)) for k, c in enumerate(a.coords()) if c)
+
+
+# zero, integers (d = 1), small and large rationals of both signs
+coordinates = st.one_of(
+    st.just(0), st.integers(-50, 50), st.fractions(max_denominator=60),
+    st.fractions(min_value=-10**12, max_value=10**12, max_denominator=10**9))
+
+
+@settings(max_examples=300, deadline=None)
+@given(coordinates, coordinates, coordinates)
+@example(0, 0, 0)
+@example(Fraction(-3, 4), 0, Fraction(5, 6))
+@example(0, Fraction(-1, 2), 0)
+def test_printer_matches_the_fraction_route(c0, c1, c2):
+    # the element, its negative, its rational part and its pure-r part
+    for a in (NFElem(c0, c1, c2), -NFElem(c0, c1, c2), NFElem(c0), NFElem(0, c1)):
+        assert nf_str(a) == fraction_route_str(a)
 
 
 def test_equality_and_hash_coercion():

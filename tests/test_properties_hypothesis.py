@@ -1,6 +1,8 @@
 """Structure-driven property tests over randomized inputs."""
 
-from hypothesis import given, settings, strategies as st
+from math import gcd
+
+from hypothesis import example, given, settings, strategies as st
 
 from cgv.mpoly import GEOM_VARS, MPoly, VARS
 from cgv.nf import NFElem, nf_invert
@@ -114,3 +116,33 @@ def test_substitute_matches_sympy(f, mapping):
     sym_images = {SYMS[v]: to_sympy(MPoly.coerce(img)) for v, img in mapping.items()}
     expected = red(to_sympy(f).xreplace(sym_images))
     assert red(to_sympy(f.substitute(mapping)) - expected) == 0
+
+
+def assert_canonical(p):
+    """Every stored coefficient is nonzero, with d > 0 and no common factor."""
+    for c in p.terms.values():
+        n0, n1, n2, d = c._v
+        assert (n0, n1, n2) != (0, 0, 0)
+        assert d > 0 and gcd(n0, n1, n2, d) == 1
+
+
+# three monomials with coefficients over mixed denominators, so that products
+# collide and collisions cancel exactly
+colliding = st.dictionaries(
+    st.sampled_from([(1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 0, 0, 1)]),
+    nf_elems, max_size=3).map(MPoly)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(colliding, mpolys), st.one_of(colliding, mpolys))
+@example(MPoly.var("X"), MPoly.var("Y"))
+@example(MPoly({(1, 0, 0, 0, 0): NFElem(0, 1, 0), (0, 1, 0, 0, 0): NFElem(1, 0, 0)}),
+         MPoly({(1, 0, 0, 0, 0): NFElem(0, 1, 0), (0, 1, 0, 0, 0): NFElem(-1, 0, 0)}))
+def test_product_matches_sympy(f, g):
+    # dual route: the product of the sympy images, reduced mod r^3 + r^2 - 1
+    products = (f * g, (f + g) * (f - g), f * f - g * g, f * (g - g))
+    for p in products:
+        assert_canonical(p)
+    assert red(to_sympy(products[0]) - to_sympy(f) * to_sympy(g)) == 0
+    assert products[1] == products[2]
+    assert not products[3].terms
