@@ -5,12 +5,16 @@ with a verbatim quote fragment from the source text, used verbatim as the
 citation string on check reports.  Values here are what the source asserts,
 not what this package computes; disagreements surface as `refuted`.  The
 printed displays that checks compare against are kept here too, as
-expression text that is parsed where it is used.
+expression text that `parse_display` parses once per process.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
+from .mpoly import MPoly
+from .parsing import parse_poly
 
 
 @dataclass(frozen=True)
@@ -129,6 +133,16 @@ CLAIMED_TANGENT_ROWS = {
         "(3*r-2)*(Z+m+r^2*X)*(1+Y)+(3*r-2)*(r+1)*Z+(-6*r^2+2*r+2)*Z*X+(-2*r^2-5*r+5)*X",
         "(3*r-2)*Y^2+(3*r-2)*(r+1)*Y+(-6*r^2+2*r+2)*X*Y"),
 }
+
+
+@functools.cache
+def parse_display(text: str) -> MPoly:
+    """A printed display or claim value, parsed once per process.
+
+    Keyed by the text, so an altered display is parsed anew.  The result is
+    shared by every caller, so no caller may mutate its terms.
+    """
+    return parse_poly(text)
 
 
 def claim(key: str, value: str | None = None) -> Claim:

@@ -7,6 +7,7 @@ successful run); 1 = internal error; 2 = usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .parsing import ParseError
@@ -17,7 +18,9 @@ USAGE_EXIT = 2
 ERROR_EXIT = 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="cgv",
         description="Exact-arithmetic verification of the tricanonical-system "
@@ -55,6 +58,11 @@ def _glue_m_value(argv):
 
 
 def main(argv=None) -> int:
+    # an exact verifier reads and prints integers of any length; Python caps
+    # int <-> str conversion at 4,300 digits from 3.10.7 on
+    lift_limit = getattr(sys, "set_int_max_str_digits", None)
+    if lift_limit is not None:
+        lift_limit(0)
     parser = _build_parser()
     try:
         args = parser.parse_args(_glue_m_value(sys.argv[1:] if argv is None else argv))

@@ -10,6 +10,8 @@ the reference points, closure under the rotation) does not hold.
 
 from __future__ import annotations
 
+import functools
+
 from .nf import NFElem
 from .mpoly import MPoly, GEOM_VARS
 from .parsing import parse_poly
@@ -195,9 +197,15 @@ class CubicFamily:
         )
 
 
-def build_cubics() -> CubicFamily:
-    quadrics = [parse_poly(t) for t in QUADRIC_TEXTS]
-    cubics = [MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics)]
+@functools.cache
+def _verified_family():
+    """Parse the printed quadrics and check the construction, once per process.
+
+    Returns (cubics, quadrics, index_map).  The polynomials are shared by
+    every family `build_cubics` returns, so no caller may mutate their terms.
+    """
+    quadrics = tuple(parse_poly(t) for t in QUADRIC_TEXTS)
+    cubics = tuple(MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics))
 
     for i, (c, q) in enumerate(zip(cubics, quadrics)):
         if not c.is_homogeneous(3):
@@ -222,4 +230,13 @@ def build_cubics() -> CubicFamily:
     if sorted(index_map) != [0, 1, 2, 3]:
         raise ConstructionError("the rotation does not permute the family")
 
-    return CubicFamily(cubics, quadrics, index_map)
+    return cubics, quadrics, tuple(index_map)
+
+
+def build_cubics() -> CubicFamily:
+    """The verified family, as a fresh `CubicFamily` on every call.
+
+    The family is a new object each time because results cached on the
+    family (`baselocus.quadric_independence`) are meant to last one run.
+    """
+    return CubicFamily(*_verified_family())

@@ -13,13 +13,14 @@ from .baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
                         all_strata, classify_stratum, points_str,
                         quadric_independence, single_hyperplane_det_analysis,
                         single_hyperplane_system)
-from .claims import PRINTED_CIRCULANT_ENTRIES, PRINTED_SYSTEM_MATRIX, claim
+from .claims import (PRINTED_CIRCULANT_ENTRIES, PRINTED_SYSTEM_MATRIX, claim,
+                     parse_display)
 from .geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME, REFERENCE_POINTS,
                        SIGMA, SIGMA2, build_cubics, eval_at_point,
                        fixed_line_check, point_name)
 from .nf import NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
-from .parsing import parse_poly, parse_scalar
+from .parsing import parse_poly
 from .reportlib import RunConfig, error_check, make_check
 
 M_DEFAULT_NOTE = "m defaulted to 1 for this scalar check; override with --m"
@@ -163,7 +164,7 @@ def base_locus_suite(family, config: RunConfig):
         ))
 
     # the single-hyperplane system and its determinant, h = T first
-    printed = tuple(tuple(parse_poly(t) for t in row) for row in PRINTED_SYSTEM_MATRIX)
+    printed = tuple(tuple(parse_display(t) for t in row) for row in PRINTED_SYSTEM_MATRIX)
     for h in ("T", "X", "Y", "Z"):
         mat, basis, row_quadrics, _ = single_hyperplane_system(family, h)
         if h == "T":
@@ -197,7 +198,7 @@ def base_locus_suite(family, config: RunConfig):
                        "the printed nonzero value arises from arithmetic slips in the printed expansion",
                        "the stratum conclusion is recovered by the kernel lift instead",),
             ))
-            printed_value = parse_scalar(claim("det-m-free-part").value)
+            printed_value = parse_display(claim("det-m-free-part").value).as_nfelem()
             g = upoly_gcd(UPoly(printed_value.coords()), UPoly((-1, 0, 1, 1)))
             checks.append(make_check(
                 "base-locus/det/T/printed-value-coprime",
@@ -269,7 +270,7 @@ def quadric_independence_suite(family, config: RunConfig):
     checks = []
     ind = quadric_independence(family)
     entries_claim = claim("circulant-entries")
-    same = ind.entries == tuple(parse_scalar(t) for t in PRINTED_CIRCULANT_ENTRIES)
+    same = ind.entries == tuple(parse_display(t).as_nfelem() for t in PRINTED_CIRCULANT_ENTRIES)
     checks.append(make_check(
         "quadric-independence/entries",
         entries_claim.value if same

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 from math import lcm
 
 from .nf import NFElem, nf_invert
-from .parsing import parse_poly
 from .linalg import matrix_det, matrix_rank
 from .geometry import eval_at_point
-from .claims import CLAIMED_TANGENT_ROWS
+from .claims import CLAIMED_TANGENT_ROWS, parse_display
 
 CHART_VARS = ("X", "Y", "Z")
 
@@ -43,7 +42,7 @@ def projective_gradient(family, i: int, pt):
 def display_agreement(rows, i: int):
     """Componentwise comparison of the computed gradient rows[i] with the printed row."""
     computed = rows[i]
-    claimed = tuple(parse_poly(t) for t in CLAIMED_TANGENT_ROWS[i])
+    claimed = tuple(parse_display(t) for t in CLAIMED_TANGENT_ROWS[i])
     flags = tuple(c == p for c, p in zip(computed, claimed))
     diffs = tuple(c - p for c, p in zip(computed, claimed))
     return flags, computed, claimed, diffs

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cgv.geometry import (COFACTOR_COORDS, CoordMap, LINE_R, LINE_R_PRIME,
+import cgv.geometry as geometry
+from cgv.geometry import (COFACTOR_COORDS, ConstructionError, CoordMap, LINE_R, LINE_R_PRIME,
                           QUADRIC_TEXTS, REFERENCE_POINTS, SIGMA, SIGMA2, apply_map,
                           eval_at_point, fixed_line_check, point_name)
 from cgv.mpoly import MPoly
@@ -124,3 +125,16 @@ def test_at_m_specializes_quadrics_and_cubics(family, value):
     # second route: write the value into the printed quadric texts and parse
     printed = tuple(parse_poly(t.replace("m", f"({value})")) for t in QUADRIC_TEXTS)
     assert fixed.quadrics == printed
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("+X", "C0 is not homogeneous"),
+    ("+T^2", "C0 does not vanish at"),
+    ("+X*Y", "composed with the rotation is not in the family"),
+])
+def test_construction_checks_reject_an_altered_quadric(monkeypatch, extra, message):
+    altered = (QUADRIC_TEXTS[0] + extra,) + QUADRIC_TEXTS[1:]
+    monkeypatch.setattr(geometry, "QUADRIC_TEXTS", altered)
+    # the uncached construction, which the cached family is built by
+    with pytest.raises(ConstructionError, match=message):
+        geometry._verified_family.__wrapped__()

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from cgv import cli
 from cgv.cli import main
 from cgv.reportlib import (CONFIRMED, INDETERMINATE, REFUTED, RunConfig,
                            make_check, render_json,
@@ -209,6 +211,50 @@ def test_cli_check_non_ascii_digit_m_is_a_configuration_error(capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_cli_reused_parser_behaves_as_a_fresh_one(capsys):
+    assert main(["eval", "r^3 + r^2"]) == 0
+    capsys.readouterr()
+    assert cli._build_parser() is cli._build_parser()
+    # a usage error after a successful call goes to this test's stderr
+    assert main(["check", "no-such-suite"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice" in captured.err
+    assert "Traceback" not in captured.err
+    for _ in range(2):
+        assert main(["check", "sigma", "--m", "-r", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["m"] == "-r"
+    # no value from the previous call carries over
+    assert main(["check", "sigma", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["m"] != "-r"
+    assert main(["eval", "(3*r-2)*(r+1)"]) == 0
+    assert capsys.readouterr().out == "-2 + r + 3*r^2\n"
+
+
+@pytest.fixture
+def int_digit_limit():
+    """Restore the int <-> str digit limit of the process, which `main` lifts."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    saved = get_limit() if get_limit is not None else None
+    yield
+    if saved is not None:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_cli_eval_prints_integers_past_the_digit_limit(int_digit_limit, capsys):
+    assert main(["eval", "2^20000"]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 6021 + 1 and int(out) == 1 << 20000
+    assert main(["eval", out.strip()]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_cli_check_accepts_m_past_the_digit_limit(int_digit_limit, capsys):
+    m = "9" * 4400
+    assert main(["check", "sigma", "--format", "json", "--m", m]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["m"] == m and doc["summary"]["errors"] == "0"
+
+
 def count_calls(monkeypatch, name, *modules):
     """Record the arguments of each call to the function `name`, patched in each module given."""
     calls = []
@@ -228,6 +274,41 @@ def test_check_all_computes_quadric_independence_once(monkeypatch):
     calls = count_calls(monkeypatch, "matrix_rank", baselocus)
     run_suite("all", RunConfig(m_expr="1", survey=5))
     assert len(calls) == 1
+
+
+def test_family_verified_once_and_fresh_per_run(monkeypatch):
+    import cgv.baselocus as baselocus
+    import cgv.geometry as geometry
+    import cgv.suites as suites
+    geometry._verified_family.cache_clear()
+    parses = count_calls(monkeypatch, "parse_poly", geometry)
+    ranks = count_calls(monkeypatch, "matrix_rank", baselocus)
+    families = []
+    real_build = suites.build_cubics
+
+    def recorded_build():
+        families.append(real_build())
+        return families[-1]
+
+    monkeypatch.setattr(suites, "build_cubics", recorded_build)
+    for runs in (1, 2):
+        run_suite("all", RunConfig(m_expr="1", survey=5))
+        # results cached on the family last one run: the rank is computed again
+        assert len(ranks) == runs
+    assert sorted(text for text, in parses) == sorted(geometry.QUADRIC_TEXTS)
+    first, second = families
+    assert first is not second
+    assert all(a is b for a, b in zip(first.cubics + first.quadrics, second.cubics + second.quadrics))
+
+
+def test_check_all_leaves_the_shared_polynomials_unchanged():
+    from cgv.geometry import _verified_family
+    cubics, quadrics, _ = _verified_family()
+    before = [dict(p.terms) for p in cubics + quadrics]
+    for m_expr in (None, "0", "1", "r"):
+        run_suite("all", RunConfig(m_expr=m_expr))
+    assert _verified_family()[:2] == (cubics, quadrics)
+    assert [p.terms for p in cubics + quadrics] == before
 
 
 def test_check_all_builds_each_chart_gradient_row_once(monkeypatch):
