@@ -88,8 +88,14 @@ def _substitution_for(taken):
     return {COFACTOR_COORDS[i]: 0 for i in taken}
 
 
-def _coord_position(name: str) -> int:
-    return GEOM_VARS.index(name)
+def _monomial(names):
+    """The exponent vector of the product of the named coordinates."""
+    return tuple(names.count(v) for v in GEOM_VARS)
+
+
+def _monomial_name(exp) -> str:
+    """"X*Y" for the squarefree exponent vector of XY."""
+    return "*".join(v for v, k in zip(GEOM_VARS, exp) if k)
 
 
 def _coefficient_row(q: MPoly, basis, name: str):
@@ -108,7 +114,7 @@ def _verified(family, stratum, points):
     """`points`, each checked by exact substitution to kill every defining form
     of the stratum; InternalCheckError names the first that does not."""
     for pt in points:
-        if (any(not pt[_coord_position(COFACTOR_COORDS[i])].is_zero() for i in stratum.taken)
+        if (any(not pt[GEOM_VARS.index(COFACTOR_COORDS[i])].is_zero() for i in stratum.taken)
                 or not all(eval_at_point(family.quadrics[j], pt).is_zero() for j in stratum.quadrics)):
             raise InternalCheckError(f"{point_name(pt)} fails exact substitution on {stratum.label()}")
     return tuple(points)
@@ -140,10 +146,7 @@ def stratum_double_hyperplane(family, stratum) -> StratumResult:
     if len(stratum.taken) != 2:
         raise ValueError("not a two-hyperplane stratum")
     sub = _substitution_for(stratum.taken)
-    free = [COFACTOR_COORDS[j] for j in stratum.quadrics]
-    expected_mono = tuple(
-        1 if GEOM_VARS[k] in free else 0 for k in range(4)
-    )
+    expected_mono = _monomial([COFACTOR_COORDS[j] for j in stratum.quadrics])
     identities = []
     notes = []
     coeffs = []
@@ -163,8 +166,7 @@ def stratum_double_hyperplane(family, stratum) -> StratumResult:
             )
         coeff = restricted.coeff_of_geom(expected_mono)
         coeffs.append(coeff)
-        mono_name = "*".join(v for v in GEOM_VARS if v in free)
-        identities.append(f"Q{j} restricts to ({coeff}) * {mono_name}")
+        identities.append(f"Q{j} restricts to ({coeff}) * {_monomial_name(expected_mono)}")
         if coeff.involves("m"):
             notes.append(
                 f"the coefficient of the Q{j} restriction is ({coeff}): a unit for every m except m = 0"
@@ -178,25 +180,6 @@ def stratum_double_hyperplane(family, stratum) -> StratumResult:
 
 # -- single-hyperplane strata -------------------------------------------------
 
-def _free_cycle(h: str):
-    """Ordered triple (p, q, s) of free coordinates with basis (pq, qs, sp).
-
-    The h = T instance uses (X, Y, Z); the others are its transports under
-    the coordinate rotation, which preserves the cyclic structure.
-    """
-    cycle = ("X", "Y", "Z")
-    sub_names = {"X": "T", "Y": "X", "Z": "Y", "T": "Z"}
-    hname = "T"
-    while hname != h:
-        cycle = tuple(sub_names[v] for v in cycle)
-        hname = sub_names[hname]
-    return cycle
-
-
-def _pair_monomial(a: str, b: str):
-    return tuple(1 if GEOM_VARS[k] in (a, b) else 0 for k in range(4))
-
-
 def single_hyperplane_system(family, h: str):
     """The 3x3 coefficient matrix of the three non-cofactor quadrics on h = 0.
 
@@ -205,17 +188,18 @@ def single_hyperplane_system(family, h: str):
     the display unit (3r-2) on every coefficient and is normalized by it, so
     the h = T matrix reproduces the printed one entry for entry.
 
+    The free cycle (p, q, s), with basis (pq, qs, sp), is the three
+    coordinates after h in (X, Y, Z, T) taken cyclically: (X, Y, Z) for
+    h = T, and the rotation transports it to every other h.
+
     Returns (matrix, basis exponent vectors, row quadric indices, free cycle).
     """
     if h not in COFACTOR_COORDS:
         raise ValueError(f"unknown hyperplane {h!r}")
     i = COFACTOR_COORDS.index(h)
-    cycle = _free_cycle(h)
-    basis = [
-        _pair_monomial(cycle[0], cycle[1]),
-        _pair_monomial(cycle[1], cycle[2]),
-        _pair_monomial(cycle[2], cycle[0]),
-    ]
+    start = GEOM_VARS.index(h)
+    cycle = tuple(GEOM_VARS[(start + n) % 4] for n in (1, 2, 3))
+    basis = [_monomial((cycle[n], cycle[(n + 1) % 3])) for n in range(3)]
     row_quadrics = [(i + k) % 4 for k in (1, 2, 3)]
     unit = NFElem(-2, 3)  # 3r - 2
     unit_inv = unit.inverse()
@@ -231,25 +215,16 @@ def single_hyperplane_system(family, h: str):
 
 @dataclass(frozen=True)
 class DetAnalysis:
-    h: str
-    matrix: tuple  # rows of MPoly entries in m
     det: MPoly
     m_coefficient: NFElem
     m_free_part: NFElem
-    degree_in_m: int
 
 
-def single_hyperplane_det_analysis(h: str, mat) -> DetAnalysis:
-    """The determinant of the h = 0 system `mat` from `single_hyperplane_system`."""
+def single_hyperplane_det_analysis(mat) -> DetAnalysis:
+    """The determinant of a single-hyperplane system `mat` from `single_hyperplane_system`."""
     det = matrix_det(mat)
-    up = det.m_upoly()
-    coeffs = list(up.coeffs) + [NFElem(0)] * (2 - len(up.coeffs))
-    return DetAnalysis(
-        h=h, matrix=mat, det=det,
-        m_coefficient=coeffs[1],
-        m_free_part=coeffs[0],
-        degree_in_m=up.degree(),
-    )
+    coeffs = list(det.m_upoly().coeffs) + [NFElem(0)] * 2
+    return DetAnalysis(det=det, m_coefficient=coeffs[1], m_free_part=coeffs[0])
 
 
 def _all_nonzero_kernel_vector(basis):
@@ -289,71 +264,53 @@ def monomial_kernel_lift(family, h: str) -> StratumResult:
     mat, basis, row_quadrics, cycle = single_hyperplane_system(family, h)
     a = [[e.as_nfelem() for e in row] for row in mat]
     ref_points = _verified(family, stratum, stratum.reference_points())
-    identities = [
-        "the zero monomial vector forces at least two free coordinates to vanish: reference points only",
-        "a kernel vector with exactly two nonzero entries is never the monomial vector of a point",
-    ]
+
+    def result(kind, points, identity, notes=()):
+        return StratumResult(stratum, kind, points, identities=(
+            "the zero monomial vector forces at least two free coordinates to vanish: reference points only",
+            "a kernel vector with exactly two nonzero entries is never the monomial vector of a point",
+            identity), notes=notes)
 
     kernel = nf_kernel_basis(a)
     if not kernel:
-        return StratumResult(
-            stratum, REFERENCE, ref_points,
-            identities=tuple(identities) + ("the specialized system is nonsingular: kernel = 0",),
-        )
+        return result(REFERENCE, ref_points, "the specialized system is nonsingular: kernel = 0")
 
     kernel_strs = ["(" + ", ".join(nf_str(c) for c in v) + ")" for v in kernel]
-    notes = [f"kernel dimension {len(kernel)}; basis " + "; ".join(kernel_strs)]
+    notes = (f"kernel dimension {len(kernel)}; basis " + "; ".join(kernel_strs),)
 
     # one-nonzero-entry vectors come from zero columns
     for col in range(3):
         if all(row[col].is_zero() for row in a):
-            line_vars = [GEOM_VARS[k] for k in range(4) if basis[col][k]]
-            sample = [NFElem(0)] * 4
-            for vname in line_vars:
-                sample[_coord_position(vname)] = NFElem(1)
-            sample = tuple(sample)
-            return StratumResult(
-                stratum, NON_REFERENCE, (sample,),
-                identities=tuple(identities) + (
-                    f"matrix column for {'*'.join(line_vars)} vanishes: the whole line with the other coordinates 0 lies in the stratum",),
-                notes=tuple(notes),
-            )
+            # the point with 1 at both coordinates of the column's monomial
+            sample = tuple(NFElem(e) for e in basis[col])
+            return result(
+                NON_REFERENCE, (sample,),
+                f"matrix column for {_monomial_name(basis[col])} vanishes: the whole line with the other coordinates 0 lies in the stratum",
+                notes)
 
     vec = _all_nonzero_kernel_vector(kernel)
     if vec is not None:
         u, v, w = vec
-        pt = [NFElem(0)] * 4
-        pt[_coord_position(cycle[0])] = u * w
-        pt[_coord_position(cycle[1])] = u * v
-        pt[_coord_position(cycle[2])] = v * w
-        return StratumResult(
-            stratum, NON_REFERENCE, _verified(family, stratum, (tuple(pt),)),
-            identities=tuple(identities) + (
-                "an all-nonzero kernel vector (u, v, w) lifts to the point (uw, uv, vw) on the free coordinates",),
-            notes=tuple(notes) + ("the lifted point is not a reference point",),
-        )
+        lifted = dict(zip(cycle, (u * w, u * v, v * w)))
+        pt = tuple(lifted.get(name, NFElem(0)) for name in GEOM_VARS)
+        return result(
+            NON_REFERENCE, _verified(family, stratum, (pt,)),
+            "an all-nonzero kernel vector (u, v, w) lifts to the point (uw, uv, vw) on the free coordinates",
+            notes + ("the lifted point is not a reference point",))
 
     confined = [col for col in range(3) if all(v[col].is_zero() for v in kernel)]
-    mono_names = ["*".join(GEOM_VARS[k] for k in range(4) if basis[c][k]) for c in confined]
-    return StratumResult(
-        stratum, REFERENCE, ref_points,
-        identities=tuple(identities) + (
-            f"every kernel vector has {', '.join(mono_names)} entry 0, and no matrix column vanishes: "
-            "no monomial vector of a non-reference point lies in the kernel",),
-        notes=tuple(notes),
-    )
+    mono_names = [_monomial_name(basis[c]) for c in confined]
+    return result(
+        REFERENCE, ref_points,
+        f"every kernel vector has {', '.join(mono_names)} entry 0, and no matrix column vanishes: "
+        "no monomial vector of a non-reference point lies in the kernel",
+        notes)
 
 
 # -- the no-hyperplane stratum -------------------------------------------------
 
-MIXED_MONOMIALS = (
-    (1, 1, 0, 0),  # XY
-    (1, 0, 1, 0),  # XZ
-    (1, 0, 0, 1),  # XT
-    (0, 1, 1, 0),  # YZ
-    (0, 1, 0, 1),  # YT
-    (0, 0, 1, 1),  # ZT
-)
+# XY, XZ, XT, YZ, YT, ZT: entries k and 5 - k are complementary pairs
+MIXED_MONOMIALS = tuple(_monomial(pair) for pair in itertools.combinations(GEOM_VARS, 2))
 
 
 def mixed_monomial_matrix(family):
@@ -362,10 +319,10 @@ def mixed_monomial_matrix(family):
                  for j, q in enumerate(family.quadrics))
 
 
-def _binary_quadratic(vals):
-    """(c_aa, c_ab, c_bb) -> UPoly in the dehomogenized parameter."""
-    c_aa, c_ab, c_bb = vals
-    return UPoly((c_bb, c_ab, c_aa))
+def _consistency(u, w):
+    """The torus relations (XY)(ZT) = (XZ)(YT) and (XY)(ZT) = (XT)(YZ) as two
+    differences, bilinear in the mixed-monomial vectors u and w."""
+    return tuple(u[0] * w[5] - u[k] * w[5 - k] for k in (1, 2))
 
 
 def no_hyperplane_torus_check(family) -> StratumResult:
@@ -388,59 +345,43 @@ def no_hyperplane_torus_check(family) -> StratumResult:
         "torus points correspond to all-nonzero kernel vectors of the 4x6 mixed-monomial system "
         "satisfying (XY)(ZT) = (XZ)(YT) = (XT)(YZ)",
     )
-    notes = [f"mixed-monomial kernel dimension {len(kernel)}"]
+    notes = (f"mixed-monomial kernel dimension {len(kernel)}",)
+
+    def result(kind, points=(), identities=(), extra_notes=()):
+        return StratumResult(stratum, kind, points, identities=base_identities + identities,
+                             notes=notes + extra_notes)
+
     if not kernel:
-        return StratumResult(stratum, REFERENCE, all_ref,
-                             identities=base_identities + ("the kernel is 0: no torus point",),
-                             notes=tuple(notes))
+        return result(REFERENCE, all_ref, ("the kernel is 0: no torus point",))
     if len(kernel) == 1:
         v = kernel[0]
-        p1 = v[0] * v[5] - v[1] * v[4]
-        p2 = v[0] * v[5] - v[2] * v[3]
-        if not p1.is_zero() or not p2.is_zero():
-            return StratumResult(stratum, REFERENCE, all_ref,
-                                 identities=base_identities + (
-                                     "the kernel line violates the consistency relations",),
-                                 notes=tuple(notes))
+        if any(not p.is_zero() for p in _consistency(v, v)):
+            return result(REFERENCE, all_ref, ("the kernel line violates the consistency relations",))
         if any(c.is_zero() for c in v):
-            return StratumResult(stratum, REFERENCE, all_ref,
-                                 identities=base_identities + (
-                                     "the consistent kernel line has a zero entry, so it is not a torus monomial vector",),
-                                 notes=tuple(notes))
-        return StratumResult(stratum, NON_REFERENCE, (_torus_point(family, v),),
-                             identities=base_identities,
-                             notes=tuple(notes) + ("a consistent all-nonzero kernel vector lifts",))
+            return result(REFERENCE, all_ref, (
+                "the consistent kernel line has a zero entry, so it is not a torus monomial vector",))
+        return result(NON_REFERENCE, (_torus_point(family, v),),
+                      extra_notes=("a consistent all-nonzero kernel vector lifts",))
     if len(kernel) == 2:
         b0, b1 = kernel
-        quads = []
-        for (i1, i2, j1, j2) in ((0, 5, 1, 4), (0, 5, 2, 3)):
-            c_aa = b0[i1] * b0[i2] - b0[j1] * b0[j2]
-            c_ab = (b0[i1] * b1[i2] + b1[i1] * b0[i2]) - (b0[j1] * b1[j2] + b1[j1] * b0[j2])
-            c_bb = b1[i1] * b1[i2] - b1[j1] * b1[j2]
-            quads.append((c_aa, c_ab, c_bb))
-        p1, p2 = (_binary_quadratic(q) for q in quads)
-        inf_common = quads[0][0].is_zero() and quads[1][0].is_zero()
+        # on alpha*b0 + beta*b1 each relation is a binary quadratic in (alpha, beta)
+        c_aa, c_bb = _consistency(b0, b0), _consistency(b1, b1)
+        c_ab = [x + y for x, y in zip(_consistency(b0, b1), _consistency(b1, b0))]
+        p1, p2 = (UPoly((c_bb[k], c_ab[k], c_aa[k])) for k in range(2))
+        inf_common = c_aa[0].is_zero() and c_aa[1].is_zero()
         if p1.is_zero() and p2.is_zero():
             vec = _all_nonzero_kernel_vector(kernel)
             if vec is None:
-                return StratumResult(stratum, REFERENCE, all_ref,
-                                     identities=base_identities + (
-                                         "every kernel vector has a fixed zero entry",),
-                                     notes=tuple(notes))
-            return StratumResult(stratum, NON_REFERENCE, (_torus_point(family, vec),),
-                                 identities=base_identities, notes=tuple(notes))
+                return result(REFERENCE, all_ref, ("every kernel vector has a fixed zero entry",))
+            return result(NON_REFERENCE, (_torus_point(family, vec),))
         if p1.is_zero() or p2.is_zero():
-            return StratumResult(stratum, INCONCLUSIVE, (),
-                                 identities=base_identities,
-                                 notes=tuple(notes) + ("one consistency quadratic vanishes identically; "
-                                                       "root extraction over Q(r) not attempted",))
+            return result(INCONCLUSIVE, extra_notes=(
+                "one consistency quadratic vanishes identically; root extraction over Q(r) not attempted",))
         g = upoly_gcd(p1, p2)
         if g.degree() <= 0 and not inf_common:
-            return StratumResult(stratum, REFERENCE, all_ref,
-                                 identities=base_identities + (
-                                     "the two consistency quadratics have no common projective root "
-                                     "(gcd 1, leading coefficients not both 0)",),
-                                 notes=tuple(notes))
+            return result(REFERENCE, all_ref, (
+                "the two consistency quadratics have no common projective root "
+                "(gcd 1, leading coefficients not both 0)",))
         candidates = []
         if g.degree() == 1:
             root = -g.coeffs[0] / g.coeffs[1]
@@ -453,20 +394,12 @@ def no_hyperplane_torus_check(family) -> StratumResult:
             if all(not c.is_zero() for c in vec):
                 found.append(_torus_point(family, vec))
         if found:
-            return StratumResult(stratum, NON_REFERENCE, tuple(found),
-                                 identities=base_identities, notes=tuple(notes))
+            return result(NON_REFERENCE, tuple(found))
         if g.degree() == 2:
-            return StratumResult(stratum, INCONCLUSIVE, (),
-                                 identities=base_identities,
-                                 notes=tuple(notes) + ("the consistency gcd is quadratic; its roots were "
-                                                       "not extracted over Q(r)",))
-        return StratumResult(stratum, REFERENCE, all_ref,
-                             identities=base_identities + (
-                                 "every common root of the consistency relations has a zero entry",),
-                             notes=tuple(notes))
-    return StratumResult(stratum, INCONCLUSIVE, (),
-                         identities=base_identities,
-                         notes=tuple(notes) + ("kernel dimension above 2 not analyzed",))
+            return result(INCONCLUSIVE, extra_notes=(
+                "the consistency gcd is quadratic; its roots were not extracted over Q(r)",))
+        return result(REFERENCE, all_ref, ("every common root of the consistency relations has a zero entry",))
+    return result(INCONCLUSIVE, extra_notes=("kernel dimension above 2 not analyzed",))
 
 
 def _torus_point(family, v):
@@ -491,7 +424,6 @@ QUADRIC_BASIS = tuple(sorted(
 class IndependenceResult:
     entries: tuple            # (a, b, c, d)
     det_cofactor: NFElem
-    det_formula: NFElem
     nonzero: bool
     rank: int
     rank_witness: tuple       # pivot columns: the certifying maximal minor
@@ -499,7 +431,7 @@ class IndependenceResult:
 
 def circulant_entries(family):
     """(a, b, c, d): the coefficients of XY in Q_0..Q_3."""
-    xy = (1, 1, 0, 0)
+    xy = _monomial("XY")
     out = []
     for q in family.quadrics:
         c = q.coeff_of_geom(xy)
@@ -512,15 +444,13 @@ def quadric_independence(family) -> IndependenceResult:
     a, b, c, d = circulant_entries(family)
     mat = circulant_matrix(a, b, c, d)
     det_cof = matrix_det(mat)
-    det_formula = circulant_det_formula(a, b, c, d)
-    if det_cof != det_formula:
+    if det_cof != circulant_det_formula(a, b, c, d):
         raise InternalCheckError("cofactor determinant disagrees with the eigenvalue-product formula")
     coeff_rows = [_coefficient_row(q, QUADRIC_BASIS, f"Q{j}") for j, q in enumerate(family.quadrics)]
     rank, pivots = matrix_rank(coeff_rows)
     return IndependenceResult(
         entries=(a, b, c, d),
         det_cofactor=det_cof,
-        det_formula=det_formula,
         nonzero=not det_cof.is_zero(),
         rank=rank,
         rank_witness=pivots,

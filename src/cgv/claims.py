@@ -46,7 +46,7 @@ CLAIMS = {
         r"we get $[1:0:0:0],[0:1:0:0],[0:0:0:1]$ as the point of intersection"),
     "stratum-double-TX": Claim("[0:1:0:0], [0:0:1:0]",
                                r"the intersection contains the points $[0:1:0:0]$ and $[0:0:1:0]$"),
-    "stratum-double-monomial": Claim("YZ", r"we get that $$YZ=0$$"),
+    "stratum-double-monomial": Claim("(-2 + 3*r)*Y*Z", r"we get that $$YZ=0$$"),
     "stratum-double-others": Claim(
         None,  # usually filled per use
         r"we get the points $[1:0:0:0],[0:1:0:0],[0:0:1:0],[0:0:0:1]$ as points of intersection"),

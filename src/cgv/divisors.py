@@ -33,13 +33,6 @@ class DivisorClass:
 
     __mul__ = __rmul__
 
-    def __str__(self):
-        parts = [f"{self.h}*H"] if self.h else []
-        for i, c in enumerate(self.e):
-            if c:
-                parts.append(f"{c:+d}*E{i + 1}".replace("+", "+ ").replace("-", "- "))
-        return " ".join(parts) if parts else "0"
-
 
 class IntersectionLattice:
     """The pairing is determined by the hypersurface degree (5 for a quintic)."""

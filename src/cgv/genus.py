@@ -66,10 +66,8 @@ class AccountingScenario:
 @dataclass(frozen=True)
 class FeasibilityBranch:
     ram_deg: int
-    p_g_cover: Fraction        # forced by a rational quotient
     delta_total: Fraction      # sum of all upstairs delta invariants
     s_q: Fraction | None       # per-model downstairs total, when integral
-    feasible: bool
     violated: tuple            # names of failing constraints
     status: str                # "infeasible" or "arithmetically-feasible-unresolved"
 
@@ -96,15 +94,12 @@ def quotient_feasibility(scenario: AccountingScenario) -> FeasibilityBranch:
     elif s_q < scenario.fibers:
         # every upstairs base point is singular, so each delta_Q is >= 1
         violated.append("one unit of delta per fiber")
-    feasible = not violated
     return FeasibilityBranch(
         ram_deg=r,
-        p_g_cover=p_g,
         delta_total=delta_total,
         s_q=s_q if s_q.denominator == 1 else None,
-        feasible=feasible,
         violated=tuple(violated),
-        status="arithmetically-feasible-unresolved" if feasible else "infeasible",
+        status="infeasible" if violated else "arithmetically-feasible-unresolved",
     )
 
 
@@ -138,13 +133,6 @@ class BinaryForm:
     def dehomog(self) -> UPoly:
         """f(x, 1) with ascending coefficients over NFElem."""
         return UPoly(tuple(reversed(self.coeffs)))
-
-
-def restrict_to_line(f: MPoly) -> BinaryForm:
-    """A quintic restricted to the fixed line r = {X + Z = Y + T = 0}."""
-    if not f.is_homogeneous(5):
-        raise ValueError("input is not homogeneous of degree 5")
-    return BinaryForm.from_mpoly(LINE_R.restrict(f), 5)
 
 
 def distinct_points(bf: BinaryForm) -> int:
@@ -209,29 +197,37 @@ def xy_factor_points():
                  for x, y in ((1, 0), (0, 1)))
 
 
-def witness_pencil_analysis(family, lam, mu) -> int | None:
-    """Distinct points of the pencil member lambda XZ C0 + mu YT C1 on the
-    line r, for a family with m fixed; None when the member vanishes on it."""
-    lam = NFElem.coerce(lam)
-    mu = NFElem.coerce(mu)
-    if lam.is_zero() and mu.is_zero():
+def pencil_on_line(family):
+    """The pair (A, B) = ((XZ C0)|r, (YT C1)|r) for a family with m fixed, each
+    the coefficient 6-tuple of a binary quintic in (X, Y).  The pencil member
+    (lambda:mu) restricts to lambda*A + mu*B (`pencil_member`)."""
+    return tuple(BinaryForm.from_mpoly(LINE_R.restrict(g), 5).coeffs
+                 for g in _pencil_generators(family))
+
+
+def pencil_member(pencil, lam, mu) -> BinaryForm:
+    """The member lambda XZ C0 + mu YT C1 of the pencil on r."""
+    a, b = pencil
+    return BinaryForm(5, tuple(lam * ca + mu * cb for ca, cb in zip(a, b)))
+
+
+def witness_pencil_analysis(pencil, lam, mu) -> int | None:
+    """Distinct points of the pencil member (lambda:mu) on the line r; None
+    when the member vanishes on it."""
+    if not lam and not mu:
         raise ValueError("(lambda, mu) must not both vanish")
-    a, b = _pencil_generators(family)
-    member = MPoly.constant(lam) * a + MPoly.constant(mu) * b
-    bf = restrict_to_line(member)
+    bf = pencil_member(pencil, lam, mu)
     return None if bf.is_zero() else distinct_points(bf)
 
 
-def z4_witness_search(family, bound: int):
+def z4_witness_search(pencil, bound: int):
     """First (lambda, mu) in the deterministic scan whose restriction to r has
-    at least 4 distinct points, for a family with m fixed; None when the
-    bound is too small."""
+    at least 4 distinct points; None when the bound is too small."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    ar, br = (restrict_to_line(g) for g in _pencil_generators(family))
     for lam in range(1, bound + 1):
         for mu in range(-bound, bound + 1):
-            bf = BinaryForm(5, tuple(lam * ca + mu * cb for ca, cb in zip(ar.coeffs, br.coeffs)))
+            bf = pencil_member(pencil, lam, mu)
             if bf.is_zero():
                 continue
             count = distinct_points(bf)
@@ -280,26 +276,13 @@ def three_two_family_coeffs():
 class ThreeTwoReport:
     printed_residual: UPoly     # 3 a5^2 + 2 a0^2 + a1 a5: zero iff printed relation holds
     corrected_residual: UPoly   # 3 a5^2 + 2 a0^2 - a1 a5
-    printed_holds: bool
-    corrected_holds: bool
 
 
 def three_two_family_report() -> ThreeTwoReport:
     a = three_two_family_coeffs()
     printed = 3 * a[5] * a[5] + 2 * a[0] * a[0] + a[1] * a[5]
     corrected = 3 * a[5] * a[5] + 2 * a[0] * a[0] - a[1] * a[5]
-    return ThreeTwoReport(
-        printed_residual=printed,
-        corrected_residual=corrected,
-        printed_holds=printed.is_zero(),
-        corrected_holds=corrected.is_zero(),
-    )
-
-
-def three_two_root_condition(coeffs) -> bool:
-    """The printed quadric relation 3 a5^2 + 2 a0^2 = -a1 a5."""
-    a0, a1, _, _, _, a5 = coeffs
-    return 3 * a5 * a5 + 2 * a0 * a0 == -(a1 * a5)
+    return ThreeTwoReport(printed_residual=printed, corrected_residual=corrected)
 
 
 # -- the cubic factor probe ----------------------------------------------------------
@@ -307,41 +290,30 @@ def three_two_root_condition(coeffs) -> bool:
 
 @dataclass(frozen=True)
 class CubicProbe:
-    lam: NFElem
-    mu: NFElem
-    coefficients: tuple        # (a, b, c, d)
     condition_value: NFElem    # 9*d*a - b*c
-    degenerate: bool           # leading coefficient vanished
     pattern: tuple | None
     condition_says_one_root: bool
-    pattern_is_one_root: bool | None
     classifications_agree: bool | None
 
 
-def cubic_one_root_probe(family, lam, mu) -> CubicProbe:
+def cubic_one_root_probe(pencil, lam, mu) -> CubicProbe:
     """Evaluate the printed one-root criterion 9da - bc = 0 on the cubic factor
-    of the witness pencil on r, for a family with m fixed, against the true
-    multiplicity pattern."""
-    lam = NFElem.coerce(lam)
-    mu = NFElem.coerce(mu)
-    qbar0 = LINE_R.restrict(family.quadrics[0])
-    qbar1 = LINE_R.restrict(family.quadrics[1])
-    cubic = MPoly.constant(lam) * MPoly.var("X") * qbar0 - MPoly.constant(mu) * MPoly.var("Y") * qbar1
-    bf = BinaryForm.from_mpoly(cubic, 3)
+    lambda X Qbar0 - mu Y Qbar1 of the pencil member on r, against the true
+    multiplicity pattern.  The member is XY times that cubic, so the cubic's
+    coefficients are the member's middle four."""
+    member = pencil_member(pencil, lam, mu).coeffs
+    if not (member[0].is_zero() and member[5].is_zero()):
+        raise ArithmeticError("the pencil member on r is not divisible by XY")
+    bf = BinaryForm(3, member[1:5])
     a, b, c, d = bf.coeffs
     cond = NFElem(9) * d * a - b * c
-    degenerate = a.is_zero()
     if bf.is_zero():
-        return CubicProbe(lam, mu, (a, b, c, d), cond, True, None, cond.is_zero(), None, None)
+        return CubicProbe(cond, None, cond.is_zero(), None)
     pattern = multiplicity_pattern(bf)
     one_root = len(pattern) == 1
     return CubicProbe(
-        lam=lam, mu=mu,
-        coefficients=(a, b, c, d),
         condition_value=cond,
-        degenerate=degenerate,
         pattern=pattern,
         condition_says_one_root=cond.is_zero(),
-        pattern_is_one_root=one_root,
         classifications_agree=(cond.is_zero() == one_root),
     )

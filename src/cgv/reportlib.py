@@ -73,6 +73,8 @@ class RunConfig:
     m_value: NFElem | None = field(init=False, default=None)
 
     def __post_init__(self):
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
         if self.survey < 1:
             raise ValueError("survey size must be >= 1")
         if self.bound < 1:

@@ -40,18 +40,16 @@ def projective_gradient(family, i: int, pt):
 
 
 def display_agreement(rows, i: int):
-    """Componentwise comparison of the computed gradient rows[i] with the printed row."""
-    computed = rows[i]
+    """Componentwise comparison of the computed gradient rows[i] with the
+    printed row: (equality flags, computed minus printed)."""
     claimed = tuple(parse_display(t) for t in CLAIMED_TANGENT_ROWS[i])
-    flags = tuple(c == p for c, p in zip(computed, claimed))
-    diffs = tuple(c - p for c, p in zip(computed, claimed))
-    return flags, computed, claimed, diffs
+    flags = tuple(c == p for c, p in zip(rows[i], claimed))
+    diffs = tuple(c - p for c, p in zip(rows[i], claimed))
+    return flags, diffs
 
 
 @dataclass(frozen=True)
 class LambdaReplay:
-    a: NFElem
-    b: NFElem
     obstruction: NFElem
     obstruction_inverse: NFElem
     steps: tuple
@@ -86,7 +84,7 @@ def lambda_replay(rows) -> LambdaReplay:
         f"x*z coefficients then demand a * ({cz}) = {d_xz}, off by the unit {obstruction}",
         f"certificate: ({obstruction}) * ({inv}) = 1",
     )
-    return LambdaReplay(a=a, b=b, obstruction=obstruction, obstruction_inverse=inv, steps=steps)
+    return LambdaReplay(obstruction=obstruction, obstruction_inverse=inv, steps=steps)
 
 
 def pairwise_independence(rows, i: int, j: int) -> bool:
@@ -121,7 +119,6 @@ class SampleStream:
 
 @dataclass(frozen=True)
 class SurveyResult:
-    n: int
     seed: int
     histogram: tuple   # ((rank, count), ...) sorted by rank
     skipped: int
@@ -158,11 +155,7 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
                 continue
             rank = matrix_rank(rows)[0]
         hist[rank] = hist.get(rank, 0) + 1
-    return SurveyResult(
-        n=n, seed=seed,
-        histogram=tuple(sorted(hist.items())),
-        skipped=skipped,
-    )
+    return SurveyResult(seed=seed, histogram=tuple(sorted(hist.items())), skipped=skipped)
 
 
 def _integer_terms(det):

@@ -126,12 +126,6 @@ class UPoly:
     def derivative(self):
         return UPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1))
 
-    def __call__(self, v):
-        out = None
-        for c in reversed(self.coeffs):
-            out = c if out is None else out * v + c
-        return out if out is not None else v * 0
-
     def to_str(self, var: str = "x") -> str:
         return join_terms(term_str(str(c), ((var, k),))
                           for k, c in reversed(tuple(enumerate(self.coeffs))) if c)

@@ -18,7 +18,7 @@ from cgv.geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME,
                           fixed_line_check)
 from cgv.linalg import circulant_det_formula, circulant_matrix, matrix_det
 from cgv.divisors import DEFAULT_LATTICE
-from cgv.genus import (AccountingScenario, ci_genus, pencil_factorization,
+from cgv.genus import (AccountingScenario, ci_genus, pencil_factorization, pencil_on_line,
                        quintuple_family_coeffs, quintuple_root_condition,
                        quotient_feasibility, rh_relation, witness_pencil_analysis,
                        z4_witness_search)
@@ -63,7 +63,7 @@ def test_criterion_03_circulant_and_rank(family):
         cof = matrix_det(circulant_matrix(a, b, c, d))
         ok = ok and cof == circulant_det_formula(a, b, c, d)
     ind = quadric_independence(family)
-    ok = ok and ind.nonzero and ind.det_cofactor == ind.det_formula
+    ok = ok and ind.nonzero and ind.det_cofactor == circulant_det_formula(*ind.entries)
     ok = ok and ind.rank == 4
     verdict(3, ok, "circulant formula matches cofactor on 200 random quadruples; "
                    f"nonzero at the displayed entries ({ind.det_cofactor}); 4x10 rank 4")
@@ -105,7 +105,7 @@ def test_criterion_05_printed_matrix_and_determinant(family):
         (parse_poly("-2*r^2-5*r+5"), parse_poly("r^2*(3*r-2)"), parse_poly("(3*r-2)*m")),
     )
     ok = mat == printed
-    analysis = single_hyperplane_det_analysis("T", mat)
+    analysis = single_hyperplane_det_analysis(mat)
     # frozen oracle values: both the m-coefficient and the m-free part are 0
     ok = ok and analysis.m_coefficient.is_zero() and analysis.m_free_part.is_zero()
     # numeric cross-check at the real root, m in {1, 2}
@@ -160,7 +160,7 @@ def test_criterion_08_genus_formulas():
 
 def test_criterion_09_feasibility_branches():
     b4 = quotient_feasibility(AccountingScenario(p_a=76, fibers=4, ram_deg=4))
-    ok = not b4.feasible and "divisibility by 4" in b4.violated and b4.delta_total == 75
+    ok = b4.status == "infeasible" and "divisibility by 4" in b4.violated and b4.delta_total == 75
     b2 = quotient_feasibility(AccountingScenario(p_a=76, fibers=4, ram_deg=2))
     ok = ok and b2.status == "arithmetically-feasible-unresolved" and b2.s_q == 19
     checks = {c.check_id: c for c in run_suite("genus", RunConfig())}
@@ -172,12 +172,13 @@ def test_criterion_09_feasibility_branches():
 
 def test_criterion_10_witness_pencil(family):
     first, second, _, _ = pencil_factorization(family)
-    found = z4_witness_search(family.at_m(M1), 5)
+    pencil = pencil_on_line(family.at_m(M1))
+    found = z4_witness_search(pencil, 5)
     ok = first and second and found is not None
     if found:
         lam, mu, count = found
         ok = ok and count >= 4
-        ok = ok and witness_pencil_analysis(family.at_m(M1), lam, mu) == count
+        ok = ok and witness_pencil_analysis(pencil, lam, mu) == count
     verdict(10, ok, "the XY(lambda X Qbar0 - mu Y Qbar1) identity holds symbolically; "
                     f"bound-5 scan finds {found} with >= 4 distinct points")
 

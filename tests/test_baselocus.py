@@ -10,8 +10,8 @@ from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
                            single_hyperplane_det_analysis,
                            single_hyperplane_system, stratum_double_hyperplane,
                            stratum_triple_hyperplane, quadric_independence)
-from cgv.geometry import COFACTOR_COORDS, REFERENCE_POINTS, SIGMA, point_name
-from cgv.linalg import matrix_rank, nf_kernel_basis
+from cgv.geometry import COFACTOR_COORDS, REFERENCE_POINTS, SIGMA, apply_map, point_name
+from cgv.linalg import circulant_det_formula, matrix_rank, nf_kernel_basis
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem
 from cgv.parsing import parse_poly
@@ -146,21 +146,36 @@ def test_single_system_matches_printed_matrix(family):
 
 
 def test_single_systems_sigma_conjugate(family):
-    base, _, _, _ = single_hyperplane_system(family, "T")
-    for h in ("X", "Y", "Z"):
-        mat, _, _, _ = single_hyperplane_system(family, h)
+    base, basis_t, _, cycle_t = single_hyperplane_system(family, "T")
+
+    def name(f):
+        return GEOM_VARS[f.geom_support()[0].index(1)]
+
+    # transport h = T, its free cycle and its basis monomials by the rotation
+    h_var = MPoly.var("T")
+    cycle = [MPoly.var(v) for v in cycle_t]
+    basis = [parse_poly("*".join(v for v, k in zip(GEOM_VARS, e) if k)) for e in basis_t]
+    seen = []
+    for _ in range(3):
+        h_var = apply_map(h_var, SIGMA)
+        cycle = [apply_map(f, SIGMA) for f in cycle]
+        basis = [apply_map(f, SIGMA) for f in basis]
+        h = name(h_var)
+        mat, basis_h, _, cycle_h = single_hyperplane_system(family, h)
         assert mat == base
+        assert cycle_h == tuple(name(f) for f in cycle)
+        assert basis_h == [f.geom_support()[0] for f in basis]
+        seen.append(h)
+    assert seen == ["Z", "Y", "X"]
 
 
 def test_det_analysis_identically_zero(family):
     for h in ("T", "X", "Y", "Z"):
         mat, _, _, _ = single_hyperplane_system(family, h)
-        analysis = single_hyperplane_det_analysis(h, mat)
-        assert analysis.matrix is mat
+        analysis = single_hyperplane_det_analysis(mat)
         assert analysis.det.is_zero()
         assert analysis.m_coefficient.is_zero()
         assert analysis.m_free_part.is_zero()
-        assert analysis.degree_in_m == -1
 
 
 def test_det_numeric_crosscheck(family):
@@ -239,7 +254,7 @@ def test_quadric_independence(family):
     ind = quadric_independence(family)
     # frozen oracle value of the circulant determinant
     assert ind.det_cofactor == NFElem(-1929, 1445, 1471)
-    assert ind.det_cofactor == ind.det_formula
+    assert ind.det_cofactor == circulant_det_formula(*ind.entries)
     assert ind.nonzero
     assert ind.rank == 4
     a, b, c, d = ind.entries

@@ -2,14 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cgv.genus as genus_mod
 from cgv.genus import (AccountingScenario, BinaryForm, RamificationError,
                        ci_genus, cubic_one_root_probe, distinct_points,
-                       multiplicity_pattern, pencil_factorization,
+                       multiplicity_pattern, pencil_factorization, pencil_member,
+                       pencil_on_line,
                        quintuple_family_coeffs, quintuple_root_condition,
-                       quotient_feasibility, restrict_to_line, rh_relation,
-                       three_two_family_report, three_two_root_condition,
+                       quotient_feasibility, rh_relation,
+                       three_two_family_report,
                        witness_pencil_analysis, z4_witness_search)
 from cgv.geometry import LINE_R, LINE_R_PRIME, point_name
 from cgv.reportlib import REFUTED, RunConfig
@@ -26,6 +28,15 @@ M1 = NFElem(1)
 
 def binary(text, degree=None):
     return BinaryForm.from_mpoly(parse_poly(text), degree)
+
+
+def on_line_r(text):
+    """A quintic restricted to the fixed line r = {X + Z = Y + T = 0}."""
+    return BinaryForm.from_mpoly(LINE_R.restrict(parse_poly(text)), 5)
+
+
+def pencil_at(family, m):
+    return pencil_on_line(family.at_m(m))
 
 
 # -- numeric accounting -----------------------------------------------------------
@@ -63,16 +74,14 @@ def test_rh_relation_errors_name_the_constraint():
 
 def test_feasibility_r4_infeasible_by_divisibility():
     branch = quotient_feasibility(AccountingScenario(p_a=76, fibers=4, ram_deg=4))
-    assert not branch.feasible
     assert branch.status == "infeasible"
     assert "divisibility by 4" in branch.violated
-    assert branch.delta_total == 75
-    assert branch.p_g_cover == 1
+    assert branch.delta_total == 75   # p_a - p_g with cover genus 1
 
 
 def test_feasibility_r2_unresolved():
     branch = quotient_feasibility(AccountingScenario(p_a=76, fibers=4, ram_deg=2))
-    assert branch.feasible
+    assert branch.violated == ()
     assert branch.status == "arithmetically-feasible-unresolved"
     assert branch.s_q == 19
     assert branch.delta_total == 76
@@ -80,7 +89,8 @@ def test_feasibility_r2_unresolved():
 
 def test_feasibility_trivial_cover():
     branch = quotient_feasibility(AccountingScenario(p_a=0, fibers=0, ram_deg=2))
-    assert branch.feasible
+    assert branch.violated == ()
+    assert branch.status == "arithmetically-feasible-unresolved"
     assert branch.s_q == 0
 
 
@@ -88,10 +98,10 @@ def test_feasibility_roundtrip():
     # substituting the solved budget back reproduces the cover data
     for ram in (2, 6, 10):
         branch = quotient_feasibility(AccountingScenario(p_a=76, fibers=4, ram_deg=ram))
-        if not branch.feasible:
+        if branch.violated:
             continue
         p_g = 76 - 4 * branch.s_q
-        assert p_g == branch.p_g_cover
+        assert p_g == 76 - branch.delta_total
         assert rh_relation(int(p_g), 0) == ram
 
 
@@ -106,18 +116,18 @@ def test_scenario_validation():
 
 
 def test_restrict_x5():
-    bf = restrict_to_line(parse_poly("X^5"))
+    bf = on_line_r("X^5")
     assert bf.coeffs == (NFElem(1),) + (NFElem(0),) * 5
 
 
 def test_restrict_z5_sign():
-    bf = restrict_to_line(parse_poly("Z^5"))
+    bf = on_line_r("Z^5")
     assert bf.coeffs == (NFElem(-1),) + (NFElem(0),) * 5
 
 
 def test_restrict_rejects_inhomogeneous():
     with pytest.raises(ValueError):
-        restrict_to_line(parse_poly("X^5 + Y"))
+        on_line_r("X^5 + Y")
 
 
 def test_restrict_generator_identity(family):
@@ -192,10 +202,10 @@ def test_multiplicity_patterns():
 
 
 def test_witness_analysis(family):
-    assert witness_pencil_analysis(family.at_m(M1), 1, 0) == 4
+    assert witness_pencil_analysis(pencil_at(family, M1), 1, 0) == 4
     assert [point_name(p) for p in genus_mod.xy_factor_points()] == ["[1:0:-1:0]", "[0:1:0:-1]"]
     with pytest.raises(ValueError):
-        witness_pencil_analysis(family.at_m(M1), 0, 0)
+        witness_pencil_analysis(pencil_at(family, M1), 0, 0)
 
 
 def test_xy_factor_points_are_computed_from_the_line(monkeypatch):
@@ -212,21 +222,21 @@ def test_xy_factor_points_are_computed_from_the_line(monkeypatch):
 
 
 def test_z4_witness_search_frozen(family):
-    found = z4_witness_search(family.at_m(M1), 5)
+    found = z4_witness_search(pencil_at(family, M1), 5)
     assert found == (1, -5, 5)
     lam, mu, count = found
-    assert witness_pencil_analysis(family.at_m(M1), lam, mu) == count >= 4
+    assert witness_pencil_analysis(pencil_at(family, M1), lam, mu) == count >= 4
 
 
 def test_z4_witness_search_not_found_contract(family, monkeypatch):
     # when nothing qualifies the scan returns None, never raises
     monkeypatch.setattr(genus_mod, "distinct_points", lambda bf: 2)
-    assert z4_witness_search(family.at_m(M1), 2) is None
+    assert z4_witness_search(pencil_at(family, M1), 2) is None
 
 
 def test_z4_search_guards(family):
     with pytest.raises(ValueError):
-        z4_witness_search(family.at_m(M1), 0)
+        z4_witness_search(pencil_at(family, M1), 0)
 
 
 # -- root-pattern conditions ------------------------------------------------------------
@@ -265,21 +275,13 @@ def test_quintuple_family_is_actually_quintuple():
 
 def test_three_two_printed_relation_fails_identically():
     report = three_two_family_report()
-    assert not report.printed_holds
-    assert report.corrected_holds
+    assert not report.printed_residual.is_zero()
+    assert report.corrected_residual.is_zero()
     # frozen residual 4a^4 + 6a^6
     assert report.printed_residual == UPoly((0, 0, 0, 0, Fraction(4), 0, Fraction(6)))
     # as the pencil suite prints them
     assert report.printed_residual.to_str("a") == "6*a^6 + 4*a^4"
     assert report.corrected_residual.to_str("a") == "0"
-
-
-def test_three_two_trivial_cases():
-    zero_ends = (NFElem(0), NFElem(0), NFElem(1), NFElem(1), NFElem(0), NFElem(0))
-    assert three_two_root_condition(zero_ends)
-    # X^5 does not satisfy the printed relation: 2*a0^2 = 2 != 0
-    x5 = binary("X^5").coeffs
-    assert not three_two_root_condition(x5)
 
 
 def test_cubic_probe_insufficiency_example():
@@ -299,12 +301,43 @@ def test_cubic_probe_triple_root():
 
 
 def test_cubic_probe_on_pencil(family):
-    probe = cubic_one_root_probe(family.at_m(M1), 1, 0)
+    probe = cubic_one_root_probe(pencil_at(family, M1), 1, 0)
     # frozen: 9da - bc = (3r-2)^2 at (1, 0)
     assert probe.condition_value == NFElem(-2, 3) * NFElem(-2, 3)
     assert probe.pattern == (1, 1, 1)
     assert probe.classifications_agree
-    probe11 = cubic_one_root_probe(family.at_m(M1), 1, 1)
+    probe11 = cubic_one_root_probe(pencil_at(family, M1), 1, 1)
     assert probe11.pattern == (1, 1, 1)
     assert not probe11.condition_says_one_root
     assert probe11.classifications_agree
+
+
+# -- the pencil on r, against a direct restriction ------------------------------------
+
+PENCIL_M = (NFElem(0), NFElem(1), NFElem(0, 1), NFElem(Fraction(7, 3)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-6, 6), st.integers(-6, 6), st.sampled_from(PENCIL_M))
+def test_pencil_member_matches_direct_restriction(family, lam, mu, m):
+    fam = family.at_m(m)
+    member = pencil_member(pencil_on_line(fam), lam, mu)
+    x, y = MPoly.var("X"), MPoly.var("Y")
+    direct = (MPoly.constant(NFElem(lam)) * x * MPoly.var("Z") * fam.cubics[0]
+              + MPoly.constant(NFElem(mu)) * y * MPoly.var("T") * fam.cubics[1])
+    assert member == BinaryForm.from_mpoly(LINE_R.restrict(direct), 5)
+    # the probe's cubic, the member's middle four coefficients, is lambda X Qbar0 - mu Y Qbar1
+    qbar0, qbar1 = (LINE_R.restrict(q) for q in fam.quadrics[:2])
+    cubic = BinaryForm.from_mpoly(MPoly.constant(NFElem(lam)) * x * qbar0
+                                  - MPoly.constant(NFElem(mu)) * y * qbar1, 3)
+    assert member.coeffs == (NFElem(0),) + cubic.coeffs + (NFElem(0),)
+    a, b, c, d = cubic.coeffs
+    probe = cubic_one_root_probe(pencil_on_line(fam), lam, mu)
+    assert probe.condition_value == 9 * d * a - b * c
+    assert probe.pattern == (None if cubic.is_zero() else multiplicity_pattern(cubic))
+
+
+def test_cubic_probe_rejects_a_member_without_the_xy_factor():
+    ends = (NFElem(1),) + (NFElem(0),) * 5
+    with pytest.raises(ArithmeticError):
+        cubic_one_root_probe((ends, ends), 1, 0)

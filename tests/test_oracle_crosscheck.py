@@ -52,7 +52,7 @@ def test_printed_matrix_determinant_vanishes(family):
     mat, _, _, _ = single_hyperplane_system(family, "T")
     smat = sp.Matrix([[to_sympy(e) for e in row] for row in mat])
     assert red(smat.det()) == 0
-    analysis = single_hyperplane_det_analysis("T", mat)
+    analysis = single_hyperplane_det_analysis(mat)
     assert analysis.det.is_zero()
 
 

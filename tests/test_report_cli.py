@@ -356,3 +356,19 @@ def test_check_all_reads_every_claim(monkeypatch):
     run_suite("all", RunConfig(survey=5))
     # a registered claim that no check reads is unverified data
     assert set(CLAIMS) - {key for key, *_ in calls} == set()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64 + 1)])
+def test_cli_seed_outside_64_bits_is_a_configuration_error(seed, capsys):
+    # the survey's generator keeps 64 bits, so these seeds would alias 2^64 - 1 and 1
+    assert main(["check", "sigma", "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: seed must be in [0, 2^64)")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_cli_largest_64_bit_seed_is_accepted(capsys):
+    seed = str(2 ** 64 - 1)
+    assert main(["check", "sigma", "--seed", seed]) == 0
+    assert f"seed={seed} " in capsys.readouterr().out

@@ -128,12 +128,6 @@ def test_monic_and_lead():
         UPoly().monic()
 
 
-def test_evaluation():
-    f = poly(1, 2, 3)  # 1 + 2x + 3x^2
-    assert f(F(2)) == F(17)
-    assert f(NFElem(0, 1)) == NFElem(1, 2, 3)
-
-
 def test_printing():
     assert poly(-1, 0, 1, 1).to_str() == "x^3 + x^2 - 1"
     assert UPoly().to_str() == "0"
