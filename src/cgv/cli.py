@@ -43,17 +43,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _glue_m_value(argv):
-    """Rewrite `--m VALUE` as `--m=VALUE`.
+def _shield_dash_values(argv):
+    """Rewrite `--m VALUE` as `--m=VALUE`, and `eval EXPR` as `eval -- EXPR`.
 
     argparse reads a value such as `-r` or `-2/3*r^2+5` as an option and
-    rejects `--m -r`; glued to its flag, the value is taken as given.
+    rejects `--m -r` and `eval -r*X`; glued to its flag, or after `--`, the
+    value is taken as given.  `eval -h` still asks for help.
     """
     out = []
     args = iter(argv)
     for arg in args:
         value = next(args, None) if arg == "--m" else None
         out.append(arg if value is None else f"--m={value}")
+    expr = out[1] if out[:1] == ["eval"] and len(out) > 1 else ""
+    if expr.startswith("-") and expr not in ("-h", "--help", "--"):
+        out.insert(1, "--")
     return out
 
 
@@ -65,7 +69,7 @@ def main(argv=None) -> int:
         lift_limit(0)
     parser = _build_parser()
     try:
-        args = parser.parse_args(_glue_m_value(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_shield_dash_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize
         return USAGE_EXIT if exc.code not in (0, None) else 0

@@ -41,9 +41,6 @@ class IntersectionLattice:
         self.degree = degree
         self.n_exceptional = exceptional
 
-    def zero(self):
-        return DivisorClass(0, (0,) * self.n_exceptional)
-
     def hyperplane(self):
         return DivisorClass(1, (0,) * self.n_exceptional)
 

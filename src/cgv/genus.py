@@ -51,38 +51,29 @@ def rh_relation(p_cover: int, p_quotient: int) -> int:
 
 
 @dataclass(frozen=True)
-class AccountingScenario:
-    p_a: int = 76
-    fibers: int = 4
-    ram_deg: int = 2
-
-    def __post_init__(self):
-        if self.fibers < 0:
-            raise ValueError("fiber count must be >= 0")
-        if self.ram_deg < 0 or self.ram_deg % 2:
-            raise ValueError("deg(R) must be a nonnegative even integer")
-
-
-@dataclass(frozen=True)
 class FeasibilityBranch:
-    ram_deg: int
     delta_total: Fraction      # sum of all upstairs delta invariants
     s_q: Fraction | None       # per-model downstairs total, when integral
     violated: tuple            # names of failing constraints
     status: str                # "infeasible" or "arithmetically-feasible-unresolved"
 
 
-def quotient_feasibility(scenario: AccountingScenario) -> FeasibilityBranch:
-    """Can the normalized quotient be rational (genus 0) in this scenario?
+def quotient_feasibility(p_a: int, fibers: int, ram_deg: int) -> FeasibilityBranch:
+    """Can the normalized quotient be rational (genus 0), for a curve of
+    arithmetic genus p_a with `fibers` singular fibers and a ramification
+    divisor of degree ram_deg?
 
     With q = 0 the cover's geometric genus is (deg R - 2)/2; the delta budget
     is delta_total = p_a - p_g; the orbit model forces delta_total = 4 * s_Q
     with s_Q a nonnegative integer (each fiber of the two swapped orbits
     carries two points of delta 2*delta_Q each).
     """
-    r = scenario.ram_deg
-    p_g = Fraction(r - 2, 2)
-    delta_total = scenario.p_a - p_g
+    if fibers < 0:
+        raise ValueError("fiber count must be >= 0")
+    if ram_deg < 0 or ram_deg % 2:
+        raise ValueError("deg(R) must be a nonnegative even integer")
+    p_g = Fraction(ram_deg - 2, 2)
+    delta_total = p_a - p_g
     violated = []
     if p_g < 0:
         violated.append("cover genus nonnegative")
@@ -91,11 +82,10 @@ def quotient_feasibility(scenario: AccountingScenario) -> FeasibilityBranch:
     s_q = Fraction(delta_total, 4)
     if s_q.denominator != 1:
         violated.append("divisibility by 4")
-    elif s_q < scenario.fibers:
+    elif s_q < fibers:
         # every upstairs base point is singular, so each delta_Q is >= 1
         violated.append("one unit of delta per fiber")
     return FeasibilityBranch(
-        ram_deg=r,
         delta_total=delta_total,
         s_q=s_q if s_q.denominator == 1 else None,
         violated=tuple(violated),
@@ -104,6 +94,11 @@ def quotient_feasibility(scenario: AccountingScenario) -> FeasibilityBranch:
 
 
 # -- binary forms on the fixed line ---------------------------------------------
+
+
+def _xy_coefficients(f: MPoly, degree: int):
+    """The coefficients of X^(degree-i) Y^i in f, i = 0..degree, as polynomials in m."""
+    return tuple(f.coeff_of_geom((degree - i, i, 0, 0)) for i in range(degree + 1))
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,7 @@ class BinaryForm:
             return cls(degree, (NFElem(0),) * (degree + 1))
         if not f.is_homogeneous(d):
             raise ValueError(f"not homogeneous of degree {d}")
-        coeffs = tuple(f.coeff_of_geom((d - i, i, 0, 0)).as_nfelem() for i in range(d + 1))
-        return cls(d, coeffs)
+        return cls(d, tuple(c.as_nfelem() for c in _xy_coefficients(f, d)))
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
@@ -249,27 +243,22 @@ def quintuple_root_condition(coeffs) -> bool:
 
 
 def quintuple_family_coeffs():
-    """Coefficients of (X - alpha Y)^5 as polynomials in alpha."""
-    alpha = UPoly((Fraction(0), Fraction(1)))
-    binom = (1, 5, 10, 10, 5, 1)
-    return tuple(binom[i] * ((-alpha) ** i) for i in range(6))
+    """Coefficients of (X - alpha Y)^5 as polynomials in alpha (the variable m)."""
+    x, y, alpha = MPoly.var("X"), MPoly.var("Y"), MPoly.var("m")
+    return tuple(c.m_upoly() for c in _xy_coefficients((x - alpha * y) ** 5, 5))
 
 
 def three_two_family_coeffs():
-    """Coefficients of (X - alpha Y)^3 (alpha X - Y)^2 as polynomials in alpha.
+    """Coefficients of (X - alpha Y)^3 (alpha X - Y)^2 as polynomials in alpha
+    (the variable m).
 
     The family is the (3,2) root pattern {alpha, 1/alpha} scaled by alpha^2 to
     clear denominators; both printed relations are quadratic in the
     coefficients, hence scaling-invariant.
     """
-    alpha = UPoly((Fraction(0), Fraction(1)))
-    cubic = [UPoly((Fraction(1),)), -3 * alpha, 3 * alpha ** 2, -(alpha ** 3)]
-    square = [alpha ** 2, -2 * alpha, UPoly((Fraction(1),))]
-    out = [UPoly(()) for _ in range(6)]
-    for i, ci in enumerate(cubic):
-        for j, cj in enumerate(square):
-            out[i + j] = out[i + j] + ci * cj
-    return tuple(out)
+    x, y, alpha = MPoly.var("X"), MPoly.var("Y"), MPoly.var("m")
+    family = (x - alpha * y) ** 3 * (alpha * x - y) ** 2
+    return tuple(c.m_upoly() for c in _xy_coefficients(family, 5))
 
 
 @dataclass(frozen=True)

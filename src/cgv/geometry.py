@@ -11,6 +11,7 @@ the reference points, closure under the rotation) does not hold.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass
 
 from .nf import NFElem
 from .mpoly import MPoly, GEOM_VARS
@@ -21,78 +22,41 @@ class ConstructionError(RuntimeError):
     pass
 
 
+@dataclass(frozen=True)
 class CoordMap:
-    """A signed permutation of the coordinates (X, Y, Z, T).
+    """A permutation of the coordinates (X, Y, Z, T).
 
-    `images[k]` is the image of coordinate k as (sign, index); the same data
-    serves as a substitution on polynomials and as a point map.
+    Coordinate k maps to coordinate `images[k]`; the same data serves as a
+    substitution on polynomials and as a point map.
     """
 
-    __slots__ = ("images",)
+    images: tuple
 
-    def __init__(self, images):
-        images = tuple((s, i) for s, i in images)
-        if sorted(i for _, i in images) != [0, 1, 2, 3]:
+    def __post_init__(self):
+        if sorted(self.images) != [0, 1, 2, 3]:
             raise ValueError("images must permute the four coordinates")
-        if any(s not in (1, -1) for s, _ in images):
-            raise ValueError("signs must be +1 or -1")
-        object.__setattr__(self, "images", images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordMap is immutable")
-
-    @classmethod
-    def identity(cls):
-        return cls(((1, 0), (1, 1), (1, 2), (1, 3)))
 
     def substitution(self):
-        out = {}
-        for k, (s, i) in enumerate(self.images):
-            img = MPoly.var(GEOM_VARS[i])
-            out[GEOM_VARS[k]] = img if s == 1 else -img
-        return out
+        return {GEOM_VARS[k]: MPoly.var(GEOM_VARS[i]) for k, i in enumerate(self.images)}
 
     def point_image(self, point):
         """Apply the map to a 4-tuple of coordinates (scalars or polynomials)."""
-        return tuple(
-            point[i] if s == 1 else -point[i]
-            for s, i in self.images
-        )
+        return tuple(point[i] for i in self.images)
 
     def compose(self, other: "CoordMap") -> "CoordMap":
         """self after other."""
-        out = []
-        for s, i in self.images:
-            s2, i2 = other.images[i]
-            out.append((s * s2, i2))
-        return CoordMap(out)
+        return CoordMap(tuple(other.images[i] for i in self.images))
 
     def order(self) -> int:
-        ident = CoordMap.identity()
-        g = self
-        for k in range(1, 9):
-            if g == ident:
-                return k
-            g = g.compose(self)
-        raise ArithmeticError("order exceeds 8, not a signed coordinate permutation?")
-
-    def __eq__(self, other):
-        if not isinstance(other, CoordMap):
-            return NotImplemented
-        return self.images == other.images
-
-    def __hash__(self):
-        return hash(self.images)
-
-    def __repr__(self):
-        names = []
-        for s, i in self.images:
-            names.append(("-" if s == -1 else "") + GEOM_VARS[i])
-        return "CoordMap(X,Y,Z,T -> " + ",".join(names) + ")"
+        """The least k >= 1 with self^k the identity; at most 4."""
+        g, k = self, 1
+        while g.images != (0, 1, 2, 3):
+            g, k = g.compose(self), k + 1
+        return k
 
 
 # (X, Y, Z, T) -> (T, X, Y, Z)
-SIGMA = CoordMap(((1, 3), (1, 0), (1, 1), (1, 2)))
+SIGMA = CoordMap((3, 0, 1, 2))
 SIGMA2 = SIGMA.compose(SIGMA)
 
 
@@ -100,17 +64,11 @@ def apply_map(f: MPoly, g: CoordMap) -> MPoly:
     return f.substitute(g.substitution())
 
 
+@dataclass(frozen=True, eq=False)
 class LineSub:
     """A line given by eliminating two coordinates, e.g. Z -> -X, T -> -Y."""
 
-    __slots__ = ("name", "sub")
-
-    def __init__(self, name: str, sub):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "sub", dict(sub))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LineSub is immutable")
+    sub: dict
 
     def restrict(self, f: MPoly) -> MPoly:
         return f.substitute(self.sub)
@@ -123,8 +81,8 @@ class LineSub:
         return tuple(out)
 
 
-LINE_R = LineSub("r", {"Z": -MPoly.var("X"), "T": -MPoly.var("Y")})
-LINE_R_PRIME = LineSub("r'", {"Z": MPoly.var("X"), "T": MPoly.var("Y")})
+LINE_R = LineSub({"Z": -MPoly.var("X"), "T": -MPoly.var("Y")})
+LINE_R_PRIME = LineSub({"Z": MPoly.var("X"), "T": MPoly.var("Y")})
 
 
 def fixed_line_check(g: CoordMap, line: LineSub):
@@ -172,18 +130,16 @@ def eval_at_point(f: MPoly, pt):
     return f.substitute(dict(zip(GEOM_VARS, pt)))
 
 
+@dataclass(frozen=True, eq=False)
 class CubicFamily:
-    """The four cubics C_0..C_3 and their quadric cofactors Q_0..Q_3."""
+    """The four cubics C_0..C_3 and their quadric cofactors Q_0..Q_3.
 
-    __slots__ = ("cubics", "quadrics", "sigma_index_map")
+    Compared by identity, so a result cached on a family lasts one run.
+    """
 
-    def __init__(self, cubics, quadrics, sigma_index_map):
-        object.__setattr__(self, "cubics", tuple(cubics))
-        object.__setattr__(self, "quadrics", tuple(quadrics))
-        object.__setattr__(self, "sigma_index_map", tuple(sigma_index_map))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CubicFamily is immutable")
+    cubics: tuple
+    quadrics: tuple
+    sigma_index_map: tuple
 
     def at_m(self, value) -> "CubicFamily":
         """The family with m fixed to `value`; the family itself for None."""
@@ -191,8 +147,8 @@ class CubicFamily:
             return self
         sub = {"m": value}
         return CubicFamily(
-            (c.substitute(sub) for c in self.cubics),
-            (q.substitute(sub) for q in self.quadrics),
+            tuple(c.substitute(sub) for c in self.cubics),
+            tuple(q.substitute(sub) for q in self.quadrics),
             self.sigma_index_map,
         )
 

@@ -82,10 +82,6 @@ class MPoly:
         exp[VAR_INDEX[name]] = power
         return _mpoly({_exponent(exp): NF_ONE})
 
-    @classmethod
-    def zero(cls) -> "MPoly":
-        return cls()
-
     @staticmethod
     def coerce(v) -> "MPoly":
         if isinstance(v, MPoly):
@@ -110,10 +106,6 @@ class MPoly:
             raise ValueError(f"not a scalar: {self}")
         return self.terms[ZERO_EXP]
 
-    def total_degree(self):
-        """Total degree over all five variables; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
     def geom_degree(self):
         """Degree in X, Y, Z, T only (m is a parameter)."""
         return max((sum(e[:4]) for e in self.terms), default=-1)
@@ -130,9 +122,6 @@ class MPoly:
     def involves(self, name: str) -> bool:
         i = VAR_INDEX[name]
         return any(e[i] for e in self.terms)
-
-    def coefficient(self, exp) -> NFElem:
-        return self.terms.get(tuple(exp), NF_ZERO)
 
     def sorted_terms(self):
         """Graded-lex descending, X > Y > Z > T > m."""
@@ -272,7 +261,7 @@ class MPoly:
                 raise ValueError("polynomial involves geometric variables")
             cs[e[4]] = c
         n = max(cs, default=-1) + 1
-        return UPoly(tuple(cs.get(k, NFElem(0)) for k in range(n)))
+        return UPoly(tuple(cs.get(k, NF_ZERO) for k in range(n)))
 
     def div_by_var(self, name: str):
         """Exact division by a variable: (quotient, True) or (self, False)."""

@@ -136,9 +136,6 @@ class NFElem:
     def __truediv__(self, other):
         return self * NFElem.coerce(other).inverse()
 
-    def __rtruediv__(self, other):
-        return NFElem.coerce(other) * self.inverse()
-
     def __pow__(self, n: int) -> "NFElem":
         if not isinstance(n, int):
             raise TypeError("exponent must be an integer")

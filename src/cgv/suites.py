@@ -392,10 +392,8 @@ def divisors_suite(family, config: RunConfig):
         nk = n * k
         rebuilt = n * lat.hyperplane() + lat.exceptional_multiplicity(n) * lat.sum_exceptional()
         if nk != rebuilt:
-            checks.append(make_check(
-                f"divisors/nK-decomposition/n={n}",
-                "mismatch between n*K and the pullback-plus-exceptional decomposition",
-            ))
+            checks.append(error_check(f"divisors/nK-decomposition/n={n}", ArithmeticError(
+                "mismatch between n*K and the pullback-plus-exceptional decomposition")))
         squares.append(str(lat.pair(nk, nk)))
     checks.append(make_check(
         "divisors/nK-squared",
@@ -443,7 +441,7 @@ def genus_suite(family, config: RunConfig):
                'the covering pencil comes from: "' + claim("rh-formula").quote + '"'),
     ))
     for ram in (4, 2):
-        branch = genus.quotient_feasibility(genus.AccountingScenario(p_a=p_a, fibers=4, ram_deg=ram))
+        branch = genus.quotient_feasibility(p_a, fibers=4, ram_deg=ram)
         if ram == 4:
             checks.append(make_check(
                 "genus/feasibility/ram-deg-4",

@@ -65,11 +65,11 @@ def lambda_replay(rows) -> LambdaReplay:
     """
     e0, e1 = rows[0][1], rows[1][1]
     # e0 is linear in (x, z); e1 is quadratic
-    cx = e0.coefficient((1, 0, 0, 0, 0))          # (3r-2)(r+1)
-    cz = e0.coefficient((0, 0, 1, 0, 0))          # -2r^2-5r+5
-    d_xx = e1.coefficient((2, 0, 0, 0, 0))        # 3r-2
-    d_zz = e1.coefficient((0, 0, 2, 0, 0))        # 0
-    d_xz = e1.coefficient((1, 0, 1, 0, 0))        # (3r-2)(r+1)
+    cx = e0.coeff_of_geom((1, 0, 0, 0)).as_nfelem()       # (3r-2)(r+1)
+    cz = e0.coeff_of_geom((0, 0, 1, 0)).as_nfelem()       # -2r^2-5r+5
+    d_xx = e1.coeff_of_geom((2, 0, 0, 0)).as_nfelem()     # 3r-2
+    d_zz = e1.coeff_of_geom((0, 0, 2, 0)).as_nfelem()     # 0
+    d_xz = e1.coeff_of_geom((1, 0, 1, 0)).as_nfelem()     # (3r-2)(r+1)
     a = d_xx / cx
     if not d_zz.is_zero() or cz.is_zero():
         raise ArithmeticError("z^2 matching does not force b = 0")

@@ -1,23 +1,23 @@
-"""Dense univariate polynomials over an exact field (Fraction or NFElem)."""
+"""Dense univariate polynomials over Q(r)."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .nf import NFElem, binary_power, join_terms, term_str
+from .nf import NF_ONE, NF_ZERO, NFElem, binary_power, join_terms, term_str
 
 
-def _is_scalar(v):
-    return isinstance(v, (int, Fraction, NFElem))
+def _as_upoly(v) -> "UPoly":
+    """v itself, or the constant polynomial v for an int, Fraction or NFElem."""
+    return v if isinstance(v, UPoly) else UPoly((v,))
 
 
 class UPoly:
-    """Coefficients stored ascending; the zero polynomial is the empty tuple."""
+    """Coefficients in Q(r), stored ascending as NFElem (int and Fraction
+    coefficients are coerced); the zero polynomial is the empty tuple."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = list(coeffs)
+        cs = [NFElem.coerce(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -41,24 +41,22 @@ class UPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, UPoly):
-            return self.coeffs == other.coeffs
-        if _is_scalar(other):
-            return self == UPoly((other,))
-        return NotImplemented
+        try:
+            return self.coeffs == _as_upoly(other).coeffs
+        except TypeError:
+            return NotImplemented
 
     def __hash__(self):
         # degree <= 0 hashes like the scalar it equals: its coefficient, or 0
         return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs or 0)
 
     def __add__(self, other):
-        if _is_scalar(other):
-            other = UPoly((other,))
+        other = _as_upoly(other)
         n = max(len(self.coeffs), len(other.coeffs))
         out = []
         for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
+            a = self.coeffs[i] if i < len(self.coeffs) else NF_ZERO
+            b = other.coeffs[i] if i < len(other.coeffs) else NF_ZERO
             out.append(a + b)
         return UPoly(out)
 
@@ -68,21 +66,16 @@ class UPoly:
         return UPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        if _is_scalar(other):
-            other = UPoly((other,))
-        return self + (-other)
+        return self + (-_as_upoly(other))
 
     def __rsub__(self, other):
-        return UPoly((other,)) - self
+        return _as_upoly(other) - self
 
     def __mul__(self, other):
-        if _is_scalar(other):
-            if not other:
-                return UPoly()
-            return UPoly(tuple(c * other for c in self.coeffs))
+        other = _as_upoly(other)
         if not self.coeffs or not other.coeffs:
             return UPoly()
-        out = [self.coeffs[0] * other.coeffs[0] * 0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [NF_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -95,15 +88,15 @@ class UPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative exponent")
-        return binary_power(self, n, UPoly((1,)))
+        return binary_power(self, n, UPoly((NF_ONE,)))
 
     def __divmod__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
         dg = other.degree()
-        lead_inv = Fraction(1) / other.lead()
-        q = [self.coeffs[0] * 0 if self.coeffs else 0] * max(len(rem) - dg, 0)
+        lead_inv = other.lead().inverse()
+        q = [NF_ZERO] * max(len(rem) - dg, 0)
         for k in range(len(rem) - 1, dg - 1, -1):
             if rem[k]:
                 c = rem[k] * lead_inv
@@ -121,7 +114,7 @@ class UPoly:
     def monic(self):
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        return self * (Fraction(1) / self.lead())
+        return self * self.lead().inverse()
 
     def derivative(self):
         return UPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1))

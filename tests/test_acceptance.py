@@ -18,7 +18,7 @@ from cgv.geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME,
                           fixed_line_check)
 from cgv.linalg import circulant_det_formula, circulant_matrix, matrix_det
 from cgv.divisors import DEFAULT_LATTICE
-from cgv.genus import (AccountingScenario, ci_genus, pencil_factorization, pencil_on_line,
+from cgv.genus import (ci_genus, pencil_factorization, pencil_on_line,
                        quintuple_family_coeffs, quintuple_root_condition,
                        quotient_feasibility, rh_relation, witness_pencil_analysis,
                        z4_witness_search)
@@ -159,9 +159,9 @@ def test_criterion_08_genus_formulas():
 
 
 def test_criterion_09_feasibility_branches():
-    b4 = quotient_feasibility(AccountingScenario(p_a=76, fibers=4, ram_deg=4))
+    b4 = quotient_feasibility(76, fibers=4, ram_deg=4)
     ok = b4.status == "infeasible" and "divisibility by 4" in b4.violated and b4.delta_total == 75
-    b2 = quotient_feasibility(AccountingScenario(p_a=76, fibers=4, ram_deg=2))
+    b2 = quotient_feasibility(76, fibers=4, ram_deg=2)
     ok = ok and b2.status == "arithmetically-feasible-unresolved" and b2.s_q == 19
     checks = {c.check_id: c for c in run_suite("genus", RunConfig())}
     ok = ok and checks["genus/feasibility/ram-deg-4"].agreement == CONFIRMED

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cgv.genus as genus_mod
-from cgv.genus import (AccountingScenario, BinaryForm, RamificationError,
+from cgv.genus import (BinaryForm, RamificationError,
                        ci_genus, cubic_one_root_probe, distinct_points,
                        multiplicity_pattern, pencil_factorization, pencil_member,
                        pencil_on_line,
@@ -73,14 +73,14 @@ def test_rh_relation_errors_name_the_constraint():
 
 
 def test_feasibility_r4_infeasible_by_divisibility():
-    branch = quotient_feasibility(AccountingScenario(p_a=76, fibers=4, ram_deg=4))
+    branch = quotient_feasibility(76, fibers=4, ram_deg=4)
     assert branch.status == "infeasible"
     assert "divisibility by 4" in branch.violated
     assert branch.delta_total == 75   # p_a - p_g with cover genus 1
 
 
 def test_feasibility_r2_unresolved():
-    branch = quotient_feasibility(AccountingScenario(p_a=76, fibers=4, ram_deg=2))
+    branch = quotient_feasibility(76, fibers=4, ram_deg=2)
     assert branch.violated == ()
     assert branch.status == "arithmetically-feasible-unresolved"
     assert branch.s_q == 19
@@ -88,7 +88,7 @@ def test_feasibility_r2_unresolved():
 
 
 def test_feasibility_trivial_cover():
-    branch = quotient_feasibility(AccountingScenario(p_a=0, fibers=0, ram_deg=2))
+    branch = quotient_feasibility(0, fibers=0, ram_deg=2)
     assert branch.violated == ()
     assert branch.status == "arithmetically-feasible-unresolved"
     assert branch.s_q == 0
@@ -97,7 +97,7 @@ def test_feasibility_trivial_cover():
 def test_feasibility_roundtrip():
     # substituting the solved budget back reproduces the cover data
     for ram in (2, 6, 10):
-        branch = quotient_feasibility(AccountingScenario(p_a=76, fibers=4, ram_deg=ram))
+        branch = quotient_feasibility(76, fibers=4, ram_deg=ram)
         if branch.violated:
             continue
         p_g = 76 - 4 * branch.s_q
@@ -107,9 +107,9 @@ def test_feasibility_roundtrip():
 
 def test_scenario_validation():
     with pytest.raises(ValueError):
-        AccountingScenario(ram_deg=3)
+        quotient_feasibility(76, fibers=4, ram_deg=3)
     with pytest.raises(ValueError):
-        AccountingScenario(fibers=-1)
+        quotient_feasibility(76, fibers=-1, ram_deg=2)
 
 
 # -- restriction to the fixed line ---------------------------------------------------

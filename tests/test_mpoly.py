@@ -78,7 +78,7 @@ def test_degree_multiplicativity():
         g = random_mpoly(rng)
         if f.is_zero() or g.is_zero():
             continue
-        assert (f * g).total_degree() == f.total_degree() + g.total_degree()
+        assert (f * g).geom_degree() == f.geom_degree() + g.geom_degree()
         checked += 1
 
 
@@ -123,8 +123,8 @@ def test_as_nfelem_guard():
 
 
 def test_zero_scalars_are_the_shared_zero():
-    assert MPoly.zero().as_nfelem() is NF_ZERO
-    assert (X + Y).coefficient((0, 0, 1, 0, 0)) is NF_ZERO
+    assert MPoly().as_nfelem() is NF_ZERO
+    assert (X + Y).coeff_of_geom((0, 0, 1, 0)).as_nfelem() is NF_ZERO
 
 
 def test_m_upoly_roundtrip():
@@ -190,7 +190,7 @@ def test_one_product_multiplies_each_term_pair_once(monkeypatch):
 
 def test_constants_hash_like_their_coefficient():
     assert NFElem(1) in {MPoly.constant(1)}
-    assert 0 in {MPoly.zero()}
+    assert 0 in {MPoly()}
     assert MPoly.constant(Fraction(1, 2)) in {Fraction(1, 2)}
     assert MPoly.constant(NFElem(0, 1)) in {NFElem(0, 1)}
     assert hash(X * Y) == hash(Y * X)

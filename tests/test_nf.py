@@ -96,8 +96,6 @@ def test_pow_and_division():
         assert a ** -1 == nf_invert(a)
         assert (a / a) == NF_ONE
         assert NF_ONE / a == nf_invert(a)
-        # UPoly division reaches the inverse through Fraction(1) / lead
-        assert Fraction(1) / a == nf_invert(a)
 
 
 def test_canonical_printing():

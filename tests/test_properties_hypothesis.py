@@ -77,7 +77,7 @@ m_stacked = st.dictionaries(
 
 def fold_m(f, v):
     """Reference for fixing m: each m^k moves into the coefficient as v^k."""
-    out = MPoly.zero()
+    out = MPoly()
     for e, c in f.terms.items():
         out = out + MPoly({e[:4] + (0,): c * v ** e[4]})
     return out
@@ -93,7 +93,7 @@ def test_specialize_m_is_the_substitution_of_m(f, v):
 # images for `substitute`: scalars of every kind, variables (to themselves or
 # to another, with a sign), and small polynomials
 scalar_images = st.one_of(
-    st.sampled_from([0, 1, -1, NFElem(0), MPoly.zero(), MPoly.constant(1)]),
+    st.sampled_from([0, 1, -1, NFElem(0), MPoly(), MPoly.constant(1)]),
     fractions, nf_elems, nf_elems.map(MPoly.constant))
 variable_images = st.tuples(st.sampled_from(VARS), st.sampled_from([1, -1])).map(
     lambda vs: vs[1] * MPoly.var(vs[0]))

@@ -83,6 +83,19 @@ def test_divisor_suite_confirms_the_four_multiplicities():
     assert all(c.agreement == CONFIRMED for c in mult_checks)
 
 
+def test_a_failed_divisor_identity_is_an_error(monkeypatch, capsys):
+    from cgv.divisors import IntersectionLattice
+    real = IntersectionLattice.exceptional_multiplicity
+    monkeypatch.setattr(IntersectionLattice, "exceptional_multiplicity",
+                        lambda self, n: -2 if n == 3 else real(self, n))
+    checks = run_suite("divisors", RunConfig())
+    failed = [c for c in checks if c.check_id == "divisors/nK-decomposition/n=3"]
+    assert len(failed) == 1 and failed[0].error
+    assert summarize(checks)["errors"] == 1
+    assert main(["check", "divisors"]) == 1
+    capsys.readouterr()
+
+
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suite("nonsense", RunConfig())
@@ -113,6 +126,21 @@ def test_cli_evalves(capsys):
     assert capsys.readouterr().out.strip() == "-2 + r + 3*r^2"
     assert main(["eval", "X + 2*Y"]) == 0
     assert capsys.readouterr().out.strip() == "X + 2*Y"
+
+
+@pytest.mark.parametrize("expr, printed", [
+    ("-r*X", "-r*X"), ("-X+1", "-X + 1"), ("-1/2*r", "-1/2*r"), ("0-r*X", "-r*X")])
+def test_cli_eval_reads_an_expression_starting_with_minus(expr, printed, capsys):
+    # printing followed by parsing is the identity, also for a print that starts with "-"
+    assert main(["eval", expr]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+    assert main(["eval", printed]) == 0
+    assert capsys.readouterr().out == printed + "\n"
+
+
+def test_cli_eval_help(capsys):
+    assert main(["eval", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: cgv eval")
 
 
 def test_cli_eval_error(capsys):

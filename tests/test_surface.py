@@ -1,5 +1,6 @@
-"""The package surface: every module-level function and class in src/cgv has
-a caller in src/cgv, and `import cgv` loads the layers without the CLI."""
+"""The package surface: every module-level function and class in src/cgv, and
+every public method and property of those classes, has a caller in src/cgv,
+and `import cgv` loads the layers without the CLI."""
 
 import ast
 import importlib.util
@@ -12,13 +13,27 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cgv"
 
 
-def _tracer_targets():
-    """(module, name) of every function and class the benchmark tracer patches."""
+def _tracer():
     spec = importlib.util.spec_from_file_location("_cgv_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def _tracer_targets():
+    """(module, name) of every function and class the benchmark tracer patches."""
+    tracer = _tracer()
     return ({(mod.rsplit(".", 1)[1], fn) for _, mod, fn in tracer.FUNCTIONS}
             | {(mod.rsplit(".", 1)[1], cls) for _, mod, cls, _ in tracer.METHODS})
+
+
+def _tracer_methods():
+    """(class, method) of every method the benchmark tracer patches."""
+    return {(cls, name) for _, _, cls, names in _tracer().METHODS for name in names}
+
+
+def _trees():
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
 # entry points and the test oracle, called only from outside the package
@@ -28,7 +43,7 @@ ENTRY_POINTS = {("cli", "main"), ("geometry", "build_cubics"), ("nf", "nf_reduce
 def _unreferenced():
     """Module-level definitions in src/cgv that no code in src/cgv outside
     their own body names, as a Name or an attribute."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    trees = _trees()
     references = {}
     for tree in trees.values():
         for node in ast.walk(tree):
@@ -50,6 +65,36 @@ def _unreferenced():
 
 def test_every_module_level_definition_has_a_caller():
     assert _unreferenced() == []
+
+
+def _unreferenced_methods():
+    """Public methods and properties of classes in src/cgv that no code in
+    src/cgv outside their own body reads as an attribute.  Dunders, which
+    the language calls, and methods the benchmark tracer patches are exempt."""
+    trees = _trees()
+    attributes = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, set()).add(id(node))
+    exempt = _tracer_methods()
+    out = []
+    for mod, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for d in cls.body:
+                if (not isinstance(d, ast.FunctionDef) or d.name.startswith("_")
+                        or (cls.name, d.name) in exempt):
+                    continue
+                own = {id(n) for n in ast.walk(d)}
+                if not attributes.get(d.name, set()) - own:
+                    out.append(f"{mod}.{cls.name}.{d.name}")
+    return out
+
+
+def test_every_public_method_has_a_caller():
+    assert _unreferenced_methods() == []
 
 
 LAYERS = ["cgv", "cgv.baselocus", "cgv.claims", "cgv.divisors", "cgv.genus", "cgv.geometry",

@@ -44,7 +44,7 @@ def test_display_agreement_flags(family):
 def test_euler_relation(family):
     # homogeneous degree 3: X dC/dX + Y dC/dY + Z dC/dZ + T dC/dT = 3 C
     for c in family.cubics:
-        acc = MPoly.zero()
+        acc = MPoly()
         for v in ("X", "Y", "Z", "T"):
             acc = acc + MPoly.var(v) * c.partial(v)
         assert acc == 3 * c
@@ -56,7 +56,7 @@ def test_euler_relation_at_random_points(family):
         pt = tuple(random_nfelem(rng, span=6, den=3) for _ in range(4))
         for i in (0, 1):
             grad = projective_gradient(family, i, pt)
-            acc = MPoly.zero()
+            acc = MPoly()
             for g, coord in zip(grad, pt):
                 acc = acc + g * MPoly.constant(coord)
             value = eval_at_point(family.cubics[i], pt)

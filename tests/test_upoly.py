@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cgv.nf import NFElem
+from cgv.nf import NF_ONE, NFElem
 from cgv.upoly import UPoly, squarefree_part, upoly_gcd
 
 from conftest import random_nfelem
@@ -143,15 +143,16 @@ def test_printing():
 @pytest.mark.parametrize("coeffs", [(3, 2), (F(3, 5), F(2)), (NFElem(3, 1), NFElem(0, 2))],
                          ids=["int", "Fraction", "NFElem"])
 def test_zeroth_power_is_the_integer_one(coeffs):
+    assert all(type(c) is NFElem for c in UPoly(coeffs).coeffs)
     (c,) = (UPoly(coeffs) ** 0).coeffs
-    assert type(c) is int and c == 1
+    assert c is NF_ONE
 
 
 def test_integer_polynomials_divide_exactly():
     assert UPoly((1, 3)).monic().coeffs == (F(1, 3), 1)
     q, rem = divmod(UPoly((1, 0, 1)), UPoly((1, 2)))
     assert q * UPoly((1, 2)) + rem == UPoly((1, 0, 1))
-    assert all(isinstance(c, (int, F)) for c in q.coeffs + rem.coeffs)
+    assert all(type(c) is NFElem for c in q.coeffs + rem.coeffs)
 
 
 def test_constants_hash_like_their_coefficient():
