@@ -2,21 +2,23 @@
 
 Each cubic splits as C_i = coord_i * Q_i with coords (T, X, Y, Z), so the
 common zero set decomposes over subsets S of {0..3}: the coordinates with
-index in S vanish and the remaining quadrics vanish.  Strata are classified
-exactly:
+index in S vanish and the remaining quadrics vanish.  No Q_j has a square
+term, so Q_j restricted to a stratum is row j of the 4x6 mixed-monomial
+matrix M (`CubicFamily.mixed_matrix`) on the stratum's columns, the
+products of two free coordinates.  Strata are classified exactly:
 
   * 4 hyperplanes: no projective point.
-  * 3 hyperplanes: the restricted quadric must vanish identically, leaving
+  * 3 hyperplanes: no columns, so the quadric vanishes identically, leaving
     the single remaining reference point.
-  * 2 hyperplanes: both restrictions must be nonzero multiples of the
-    product of the two free coordinates.
-  * 1 hyperplane: the three restricted quadrics are linear in the three
-    pairwise products of the free coordinates; the 3x3 system's kernel is
-    lifted (or shown unliftable) through the monomial consistency relations.
+  * 2 hyperplanes: one column, which must be nonzero in both rows: each
+    restriction is a multiple of the product of the two free coordinates.
+  * 1 hyperplane: a 3x3 slice, linear in the three pairwise products of the
+    free coordinates; its kernel is lifted (or shown unliftable) through
+    the monomial consistency relations.
   * 0 hyperplanes: points with a zero coordinate fall into other strata; a
-    point with all coordinates nonzero gives a kernel vector of the 4x6
-    mixed-monomial system subject to (XY)(ZT) = (XZ)(YT) = (XT)(YZ), which
-    reduces to a gcd of two binary quadratics.
+    point with all coordinates nonzero gives a kernel vector of all of M
+    subject to (XY)(ZT) = (XZ)(YT) = (XT)(YZ), which reduces to a gcd of
+    two binary quadratics.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from .upoly import UPoly, upoly_gcd
 from .mpoly import MPoly, GEOM_VARS
 from .linalg import (matrix_det, matrix_rank, nf_kernel_basis, circulant_det_formula,
                      circulant_matrix)
-from .geometry import COFACTOR_COORDS, REFERENCE_POINTS, eval_at_point, point_name
+from .geometry import (COFACTOR_COORDS, MIXED_MONOMIALS, REFERENCE_POINTS, eval_at_point,
+                       point_name)
 
 
 class InternalCheckError(RuntimeError):
@@ -65,6 +68,12 @@ class Stratum:
         free = {COFACTOR_COORDS[j] for j in self.quadrics}
         return tuple(pt for v, pt in zip(GEOM_VARS, REFERENCE_POINTS) if v in free)
 
+    def columns(self):
+        """The columns of `CubicFamily.mixed_matrix` whose monomial is a
+        product of two free coordinates."""
+        zero = [GEOM_VARS.index(h) for h in self.hyperplane_names]
+        return tuple(k for k, e in enumerate(MIXED_MONOMIALS) if not any(e[i] for i in zero))
+
 
 def all_strata():
     """The 16 strata in the displayed order: mask descending, T the top bit."""
@@ -84,10 +93,6 @@ class StratumResult:
     notes: tuple = ()
 
 
-def _substitution_for(taken):
-    return {COFACTOR_COORDS[i]: 0 for i in taken}
-
-
 def _monomial(names):
     """The exponent vector of the product of the named coordinates."""
     return tuple(names.count(v) for v in GEOM_VARS)
@@ -105,11 +110,6 @@ def _coefficient_row(q: MPoly, basis, name: str):
     return tuple(q.coeff_of_geom(e) for e in basis)
 
 
-def _m_symbolic(family) -> bool:
-    """Is m still a symbol in the family, i.e. not fixed by `CubicFamily.at_m`?"""
-    return any(q.involves("m") for q in family.quadrics)
-
-
 def _verified(family, stratum, points):
     """`points`, each checked by exact substitution to kill every defining form
     of the stratum; InternalCheckError names the first that does not."""
@@ -120,53 +120,24 @@ def _verified(family, stratum, points):
     return tuple(points)
 
 
-def stratum_triple_hyperplane(family, stratum) -> StratumResult:
-    """Three coordinates vanish; the surviving quadric must vanish identically."""
-    if len(stratum.taken) != 3:
-        raise ValueError("not a three-hyperplane stratum")
-    (qj,) = stratum.quadrics
-    free_name = COFACTOR_COORDS[qj]
-    restricted = family.quadrics[qj].substitute(_substitution_for(stratum.taken))
-    if restricted.is_zero():
-        return StratumResult(
-            stratum, REFERENCE, _verified(family, stratum, stratum.reference_points()),
-            identities=(f"Q{qj} with the three coordinates set to 0 is identically 0 in {free_name}",),
-        )
-    # a nonzero restriction c * free^2 has no zero with free != 0
-    return StratumResult(
-        stratum, EMPTY, (),
-        identities=(f"Q{qj} restricts to the nonzero form {restricted}",),
-        notes=("the restriction has no projective zero on the remaining line",),
-    )
-
-
 def stratum_double_hyperplane(family, stratum) -> StratumResult:
-    """Two coordinates vanish; both restricted quadrics must be nonzero
-    multiples of the product of the two free coordinates."""
+    """Two coordinates vanish; both restricted quadrics, the stratum's one
+    column of M, must be nonzero multiples of the product of the two free
+    coordinates."""
     if len(stratum.taken) != 2:
         raise ValueError("not a two-hyperplane stratum")
-    sub = _substitution_for(stratum.taken)
-    expected_mono = _monomial([COFACTOR_COORDS[j] for j in stratum.quadrics])
+    (k,) = stratum.columns()
     identities = []
     notes = []
-    coeffs = []
     for j in stratum.quadrics:
-        restricted = family.quadrics[j].substitute(sub)
-        if restricted.is_zero():
+        coeff = family.mixed_matrix[j][k]
+        if coeff.is_zero():
             return StratumResult(
                 stratum, INCONCLUSIVE, (),
                 identities=(f"Q{j} restricts to 0 on the stratum plane",),
                 notes=("an identically zero restriction leaves the whole coordinate line in the locus",),
             )
-        support = restricted.geom_support()
-        if support != [expected_mono]:
-            return StratumResult(
-                stratum, INCONCLUSIVE, (),
-                identities=(f"Q{j} restricts to {restricted}, not a single product monomial",),
-            )
-        coeff = restricted.coeff_of_geom(expected_mono)
-        coeffs.append(coeff)
-        identities.append(f"Q{j} restricts to ({coeff}) * {_monomial_name(expected_mono)}")
+        identities.append(f"Q{j} restricts to ({coeff}) * {_monomial_name(MIXED_MONOMIALS[k])}")
         if coeff.involves("m"):
             notes.append(
                 f"the coefficient of the Q{j} restriction is ({coeff}): a unit for every m except m = 0"
@@ -181,7 +152,8 @@ def stratum_double_hyperplane(family, stratum) -> StratumResult:
 # -- single-hyperplane strata -------------------------------------------------
 
 def single_hyperplane_system(family, h: str):
-    """The 3x3 coefficient matrix of the three non-cofactor quadrics on h = 0.
+    """The 3x3 coefficient matrix of the three non-cofactor quadrics on h = 0,
+    a slice of M.
 
     Rows are Q_{i+1}, Q_{i+2}, Q_{i+3} (cofactor order), columns the pairwise
     products of the free coordinates in cyclic order.  The first row carries
@@ -203,10 +175,10 @@ def single_hyperplane_system(family, h: str):
     row_quadrics = [(i + k) % 4 for k in (1, 2, 3)]
     unit = NFElem(-2, 3)  # 3r - 2
     unit_inv = unit.inverse()
+    cols = [MIXED_MONOMIALS.index(e) for e in basis]
     rows = []
     for pos, j in enumerate(row_quadrics):
-        restricted = family.quadrics[j].substitute({h: 0})
-        entries = _coefficient_row(restricted, basis, f"Q{j} restricted to {h}=0")
+        entries = tuple(family.mixed_matrix[j][k] for k in cols)
         if pos == 0:
             entries = tuple(c * unit_inv for c in entries)
         rows.append(entries)
@@ -258,8 +230,6 @@ def monomial_kernel_lift(family, h: str) -> StratumResult:
     column vanishes (then a whole coordinate line lies in the stratum); a
     vector with exactly two nonzero entries never arises from a point.
     """
-    if _m_symbolic(family):
-        raise ValueError("kernel lift needs m specialized")
     stratum = Stratum((COFACTOR_COORDS.index(h),))
     mat, basis, row_quadrics, cycle = single_hyperplane_system(family, h)
     a = [[e.as_nfelem() for e in row] for row in mat]
@@ -309,16 +279,6 @@ def monomial_kernel_lift(family, h: str) -> StratumResult:
 
 # -- the no-hyperplane stratum -------------------------------------------------
 
-# XY, XZ, XT, YZ, YT, ZT: entries k and 5 - k are complementary pairs
-MIXED_MONOMIALS = tuple(_monomial(pair) for pair in itertools.combinations(GEOM_VARS, 2))
-
-
-def mixed_monomial_matrix(family):
-    """4x6 coefficients of Q_0..Q_3 over the mixed quadric monomials, as rows."""
-    return tuple(_coefficient_row(q, MIXED_MONOMIALS, f"Q{j}")
-                 for j, q in enumerate(family.quadrics))
-
-
 def _consistency(u, w):
     """The torus relations (XY)(ZT) = (XZ)(YT) and (XY)(ZT) = (XT)(YZ) as two
     differences, bilinear in the mixed-monomial vectors u and w."""
@@ -334,11 +294,8 @@ def no_hyperplane_torus_check(family) -> StratumResult:
     [pq : p*mu_YZ : q*mu_YZ : s*mu_YZ] with (p, q, s) = (mu_XY, mu_XZ, mu_XT).
     Points with a vanishing coordinate already lie in other strata.
     """
-    if _m_symbolic(family):
-        raise ValueError("the torus check needs m specialized")
     stratum = Stratum(())
-    mat = mixed_monomial_matrix(family)
-    kernel = nf_kernel_basis([[e.as_nfelem() for e in row] for row in mat])
+    kernel = nf_kernel_basis([[e.as_nfelem() for e in row] for row in family.mixed_matrix])
     all_ref = stratum.reference_points()
     base_identities = (
         "a common zero with some coordinate 0 lies in a stratum with more hyperplanes",
@@ -429,19 +386,10 @@ class IndependenceResult:
     rank_witness: tuple       # pivot columns: the certifying maximal minor
 
 
-def circulant_entries(family):
-    """(a, b, c, d): the coefficients of XY in Q_0..Q_3."""
-    xy = _monomial("XY")
-    out = []
-    for q in family.quadrics:
-        c = q.coeff_of_geom(xy)
-        out.append(c.as_nfelem())
-    return tuple(out)
-
-
 @functools.lru_cache(maxsize=1)  # `check all` asks twice for the one family it builds
 def quadric_independence(family) -> IndependenceResult:
-    a, b, c, d = circulant_entries(family)
+    # (a, b, c, d): the XY column of M
+    a, b, c, d = (row[0].as_nfelem() for row in family.mixed_matrix)
     mat = circulant_matrix(a, b, c, d)
     det_cof = matrix_det(mat)
     if det_cof != circulant_det_formula(a, b, c, d):
@@ -460,7 +408,10 @@ def quadric_independence(family) -> IndependenceResult:
 # -- stratum dispatch and aggregation ------------------------------------------
 
 def classify_stratum(family, stratum) -> StratumResult:
-    """Classify one stratum of `family`; pass `family.at_m(value)` to fix m."""
+    """Classify one stratum of `family`; pass `family.at_m(value)` to fix m.
+    Raises when a quadric has a square term, since M then does not exist."""
+    # m stays a symbol unless `CubicFamily.at_m` fixed it
+    symbolic = any(e.involves("m") for row in family.mixed_matrix for e in row)
     k = len(stratum.taken)
     if k == 4:
         return StratumResult(
@@ -468,19 +419,24 @@ def classify_stratum(family, stratum) -> StratumResult:
             identities=("X = Y = Z = T = 0 has only the trivial common zero, which is not a projective point",),
         )
     if k == 3:
-        return stratum_triple_hyperplane(family, stratum)
+        # no column: the surviving quadric vanishes identically
+        (qj,) = stratum.quadrics
+        return StratumResult(
+            stratum, REFERENCE, _verified(family, stratum, stratum.reference_points()),
+            identities=(f"Q{qj} with the three coordinates set to 0 is identically 0 in {COFACTOR_COORDS[qj]}",),
+        )
     if k == 2:
         return stratum_double_hyperplane(family, stratum)
     if k == 1:
         h = COFACTOR_COORDS[stratum.taken[0]]
-        if _m_symbolic(family):
+        if symbolic:
             return StratumResult(
                 stratum, INCONCLUSIVE, (),
                 identities=("the 3x3 system is singular for every m, so the kernel lift is required",),
                 notes=("m left symbolic; supply --m to run the kernel lift",),
             )
         return monomial_kernel_lift(family, h)
-    if _m_symbolic(family):
+    if symbolic:
         return StratumResult(
             stratum, INCONCLUSIVE, (),
             identities=("the torus analysis solves a specialized linear system",),

@@ -33,10 +33,8 @@ def ci_genus(d1: int, d2: int) -> int:
     """Arithmetic genus of a complete intersection of degrees (d1, d2) in P^3."""
     if d1 < 1 or d2 < 1:
         raise ValueError("degrees must be >= 1")
-    num = d1 * d2 * (d1 + d2 - 4)
-    if num % 2:
-        raise ArithmeticError("genus formula did not produce an integer")
-    return num // 2 + 1
+    # the numerator is even: d1 or d2 is even, or both are odd and d1 + d2 - 4 is even
+    return d1 * d2 * (d1 + d2 - 4) // 2 + 1
 
 
 def rh_relation(p_cover: int, p_quotient: int) -> int:
@@ -45,8 +43,6 @@ def rh_relation(p_cover: int, p_quotient: int) -> int:
     deg_r = 2 * p_cover - 2 - 2 * (2 * p_quotient - 2)
     if deg_r < 0:
         raise RamificationError("nonnegative", deg_r)
-    if deg_r % 2:
-        raise RamificationError("even", deg_r)
     return deg_r
 
 

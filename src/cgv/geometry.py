@@ -11,6 +11,7 @@ the reference points, closure under the rotation) does not hold.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 
 from .nf import NFElem
@@ -121,6 +122,12 @@ REFERENCE_POINTS = (
 )
 
 
+# XY, XZ, XT, YZ, YT, ZT: the quadric monomials that vanish at all four
+# reference points; entries k and 5 - k are complementary pairs
+MIXED_MONOMIALS = tuple(tuple(int(v in pair) for v in GEOM_VARS)
+                        for pair in itertools.combinations(GEOM_VARS, 2))
+
+
 def point_name(pt) -> str:
     return "[" + ":".join(str(c) for c in pt) + "]"
 
@@ -151,6 +158,19 @@ class CubicFamily:
             tuple(q.substitute(sub) for q in self.quadrics),
             self.sigma_index_map,
         )
+
+    @functools.cached_property
+    def mixed_matrix(self):
+        """M: the 4x6 coefficients of Q_0..Q_3 over MIXED_MONOMIALS, in Q(r)[m].
+
+        Each Q_j vanishes at the reference points, so it has no square term;
+        the restriction of Q_j to a base-locus stratum is row j of M on the
+        stratum's columns.
+        """
+        for j, q in enumerate(self.quadrics):
+            if not set(q.geom_support()) <= set(MIXED_MONOMIALS):
+                raise ConstructionError(f"Q{j} has a term off the mixed monomials")
+        return tuple(tuple(q.coeff_of_geom(e) for e in MIXED_MONOMIALS) for q in self.quadrics)
 
 
 @functools.cache

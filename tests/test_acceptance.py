@@ -9,10 +9,9 @@ against the printed value is asserted to be exactly what the oracle forces.
 import random
 from fractions import Fraction
 
-from cgv.baselocus import (REFERENCE, Stratum, quadric_independence,
+from cgv.baselocus import (REFERENCE, Stratum, classify_stratum, quadric_independence,
                            single_hyperplane_det_analysis,
-                           single_hyperplane_system, stratum_double_hyperplane,
-                           stratum_triple_hyperplane)
+                           single_hyperplane_system, stratum_double_hyperplane)
 from cgv.geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME,
                           REFERENCE_POINTS, SIGMA, SIGMA2, apply_map,
                           fixed_line_check)
@@ -73,7 +72,7 @@ def test_criterion_04_triple_and_double_strata(family):
     points = set()
     ok = True
     for taken in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        res = stratum_triple_hyperplane(family, Stratum(taken))
+        res = classify_stratum(family, Stratum(taken))
         ok = ok and res.kind == REFERENCE and len(res.points) == 1
         points.update(res.points)
     ok = ok and points == set(REFERENCE_POINTS)

@@ -1,16 +1,20 @@
+import json
 import random
 
 import pytest
 
+import cgv.suites as suites
+
 from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
-                           MIXED_MONOMIALS, QUADRIC_BASIS, Stratum, aggregate,
-                           all_strata, classify_stratum,
-                           mixed_monomial_matrix, monomial_kernel_lift,
+                           QUADRIC_BASIS, Stratum, aggregate,
+                           all_strata, classify_stratum, monomial_kernel_lift,
                            no_hyperplane_torus_check,
                            single_hyperplane_det_analysis,
                            single_hyperplane_system, stratum_double_hyperplane,
-                           stratum_triple_hyperplane, quadric_independence)
-from cgv.geometry import COFACTOR_COORDS, REFERENCE_POINTS, SIGMA, apply_map, point_name
+                           quadric_independence)
+from cgv.cli import main
+from cgv.geometry import (COFACTOR_COORDS, MIXED_MONOMIALS, REFERENCE_POINTS, SIGMA,
+                          ConstructionError, CubicFamily, apply_map, point_name)
 from cgv.linalg import circulant_det_formula, matrix_rank, nf_kernel_basis
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem
@@ -81,7 +85,7 @@ def test_triple_strata_reference_points(family):
         (1, 2, 3): "[0:0:0:1]",
     }
     for taken, name in expected.items():
-        res = stratum_triple_hyperplane(family, Stratum(taken))
+        res = classify_stratum(family, Stratum(taken))
         assert res.kind == REFERENCE
         assert [point_name(p) for p in res.points] == [name]
 
@@ -244,7 +248,7 @@ def test_torus_stratum_empty(family):
     res = no_hyperplane_torus_check(family.at_m(M1))
     assert res.kind == REFERENCE
     assert len(res.points) == 4
-    mat = mixed_monomial_matrix(family.at_m(M1))
+    mat = family.at_m(M1).mixed_matrix
     rank, _ = matrix_rank(mat)
     assert rank == 4
     assert len(nf_kernel_basis(nf_rows(mat))) == 2
@@ -267,6 +271,51 @@ def test_quadrics_supported_on_mixed_monomials(family):
         for exp in q.geom_support():
             assert exp in MIXED_MONOMIALS
     assert len(QUADRIC_BASIS) == 10
+
+
+@pytest.mark.parametrize("m", [None, NFElem(0), NFElem(1), NFElem(0, 1)],
+                         ids=["symbolic", "0", "1", "r"])
+def test_stratum_restrictions_are_slices_of_the_mixed_matrix(family, m):
+    # dual route: substitute the stratum's zeros into each remaining quadric
+    fam = family.at_m(m)
+    assert len(fam.mixed_matrix) == 4 and all(len(row) == 6 for row in fam.mixed_matrix)
+    for stratum in all_strata():
+        columns = stratum.columns()
+        assert len(columns) == {4: 0, 3: 0, 2: 1, 1: 3, 0: 6}[len(stratum.taken)]
+        zero = {name: 0 for name in stratum.hyperplane_names}
+        for j in stratum.quadrics:
+            sliced = MPoly()
+            for k in columns:
+                sliced = sliced + fam.mixed_matrix[j][k] * MPoly({MIXED_MONOMIALS[k] + (0,): NFElem(1)})
+            assert fam.quadrics[j].substitute(zero) == sliced
+
+
+def _square_term_family(family):
+    """The family with X^2 added to Q0, so that Q0 is off the mixed monomials."""
+    quadrics = (family.quadrics[0] + MPoly.var("X", 2),) + family.quadrics[1:]
+    cubics = tuple(MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics))
+    return CubicFamily(cubics, quadrics, family.sigma_index_map)
+
+
+def test_a_square_term_makes_every_stratum_raise(family):
+    bad = _square_term_family(family)
+    for m in (None, M1):
+        for stratum in all_strata():
+            with pytest.raises(ConstructionError, match="Q0 has a term off the mixed monomials"):
+                classify_stratum(bad.at_m(m), stratum)
+
+
+@pytest.mark.parametrize("m_args", [[], ["--m=1"]], ids=["symbolic", "1"])
+def test_check_base_locus_reports_a_square_term_as_an_error(family, monkeypatch, capsys, m_args):
+    monkeypatch.setattr(suites, "build_cubics", lambda: _square_term_family(family))
+    rc = main(["check", "base-locus", "--format", "json", *m_args])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 1
+    assert int(doc["summary"]["errors"]) >= 1
+    assert any("Q0 has a term off the mixed monomials" in check["computed"] for check in doc["checks"])
+    for check in doc["checks"]:
+        if check["check-id"].startswith("base-locus/stratum/"):
+            assert check["computed"] != "empty" and check["agreement"] != "confirmed"
 
 
 def test_sigma_equivariance_of_strata(family):
@@ -304,7 +353,6 @@ def test_aggregate_never_silently_confirmed(family):
 
 def _synthetic_family(restriction):
     """A family whose quadrics 1..3 share the given T=0 restriction shape."""
-    from cgv.geometry import CubicFamily
     unit = MPoly.constant(NFElem(-2, 3))
     q = unit * restriction
     quadrics = (q, q, q, q)

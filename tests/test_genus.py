@@ -63,6 +63,17 @@ def test_rh_relation_values():
     assert rh_relation(1, 1) == 0  # unramified double cover of elliptic by elliptic
 
 
+def test_genus_and_ramification_degree_are_integral_and_even():
+    # why ci_genus and rh_relation carry no parity check
+    for d1 in range(1, 12):
+        for d2 in range(1, 12):
+            assert ci_genus(d1, d2) == Fraction(d1 * d2 * (d1 + d2 - 4), 2) + 1
+    for p in range(12):
+        for q in range(p):
+            if 2 * p - 2 >= 2 * (2 * q - 2):
+                assert rh_relation(p, q) % 2 == 0
+
+
 def test_rh_relation_errors_name_the_constraint():
     with pytest.raises(RamificationError) as exc:
         rh_relation(1, 2)

@@ -6,6 +6,9 @@ rational m, in text and JSON, so that a change in how m is specialised
 cannot drift the reports unnoticed.  The goldens run the tangent rank survey
 at 100 points and seed 1; the survey pins run it at 1000 points and two
 seeds, so that a change in how the survey decides rank cannot drift it.
+The base-locus pins run `check base-locus` at the exceptional m values a,
+b, c and -c of the torus stratum, where its `refuted` and `indeterminate`
+branches are taken.
 """
 
 import contextlib
@@ -56,3 +59,34 @@ def test_tangent_survey_report_pinned(seed, m):
                    "--seed", seed, f"--m={m}"])
     assert rc == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == SURVEY_PINS[(seed, m)]
+
+
+# a and b put a torus point off the reference points (`refuted`); at c and -c
+# one consistency quadratic vanishes identically (`indeterminate`)
+EXCEPTIONAL_M = {
+    "a": "5/7+18/7*r+8/7*r^2",
+    "b": "-9/7-10/7*r-20/7*r^2",
+    "c": "2/7-4/7*r+6/7*r^2",
+    "-c": "-2/7+4/7*r-6/7*r^2",
+}
+
+BASE_LOCUS_PINS = {
+    ("a", "text"): "29b8d6c248c4490df682a04fab401925b415956f189e1c9ba7bc5ce3f8b164e8",
+    ("a", "json"): "6dbeb614b4102bc57327042c98f1c17908974ac33a638248c23225cd05e8d822",
+    ("b", "text"): "650223b10ab50388dd504af58cd92b58f8e24009cfcc7b5ecc00311a69e311f0",
+    ("b", "json"): "f3aabdeabd88c0a8ff2884f66f2fa6fff9c9797779340fdbf4fa7a8de47ece3e",
+    ("c", "text"): "fdcb81d5978a89b84960059ff563366e8c7cb34291e43446a769ca049d4f8aff",
+    ("c", "json"): "33d9eb04835719100e9cf0c47f1f1bf5e6d27b7ca15001bc1a32638ce1f61630",
+    ("-c", "text"): "6f14944d8026cc8f15e14c578b4e51518a2169f13d4a96a57da79835d9c84aaf",
+    ("-c", "json"): "bdcc9f674b6f40e3f4f75e2fe1c6b1c90b831fb989e4fe71d6383b1135a3062d",
+}
+
+
+@pytest.mark.parametrize("name,fmt", sorted(BASE_LOCUS_PINS),
+                         ids=[f"m={name}/{fmt}" for name, fmt in sorted(BASE_LOCUS_PINS)])
+def test_base_locus_report_pinned_at_exceptional_m(name, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(["check", "base-locus", "--format", fmt, f"--m={EXCEPTIONAL_M[name]}"])
+    assert rc == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == BASE_LOCUS_PINS[(name, fmt)]

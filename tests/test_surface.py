@@ -1,6 +1,7 @@
 """The package surface: every module-level function and class in src/cgv, and
-every public method and property of those classes, has a caller in src/cgv,
-and `import cgv` loads the layers without the CLI."""
+every public method and property of those classes, has a caller in src/cgv;
+`import cgv` loads the layers without the CLI; src/cgv imports only itself
+and the standard library, and has no floating point."""
 
 import ast
 import importlib.util
@@ -113,3 +114,30 @@ def test_import_loads_the_layers_without_the_cli():
                          check=True, env=env).stdout.splitlines()
     assert ast.literal_eval(out[0]) == LAYERS
     assert out[1] == "False True"
+
+
+def test_imports_are_intra_package_or_stdlib():
+    foreign = []
+    for mod, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{mod}: {name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"cgv"}]
+    assert foreign == []
+
+
+def test_no_floating_point():
+    floats = []
+    for mod, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                floats.append(f"{mod}:{node.lineno}: literal {node.value!r}")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "float"):
+                floats.append(f"{mod}:{node.lineno}: float(...)")
+    assert floats == []
