@@ -17,7 +17,7 @@ from fractions import Fraction
 from .nf import NFElem
 from .upoly import UPoly, upoly_gcd, squarefree_part
 from .mpoly import MPoly
-from .geometry import LINE_R
+from .geometry import LINE_R, eval_at_point
 
 
 class RamificationError(ValueError):
@@ -105,17 +105,12 @@ class BinaryForm:
     coeffs: tuple   # a_0..a_d in Q(r), a_i the coefficient of X^(d-i) Y^i
 
     @classmethod
-    def from_mpoly(cls, f: MPoly, degree: int | None = None) -> "BinaryForm":
+    def from_mpoly(cls, f: MPoly, degree: int) -> "BinaryForm":
         if f.involves("Z") or f.involves("T") or f.involves("m"):
             raise ValueError("not a binary form in (X, Y) over Q(r)")
-        d = f.geom_degree() if degree is None else degree
-        if f.is_zero():
-            if degree is None:
-                raise ValueError("a zero form needs an explicit degree")
-            return cls(degree, (NFElem(0),) * (degree + 1))
-        if not f.is_homogeneous(d):
-            raise ValueError(f"not homogeneous of degree {d}")
-        return cls(d, tuple(c.as_nfelem() for c in _xy_coefficients(f, d)))
+        if not f.is_homogeneous(degree):
+            raise ValueError(f"not homogeneous of degree {degree}")
+        return cls(degree, tuple(c.as_nfelem() for c in _xy_coefficients(f, degree)))
 
     def is_zero(self):
         return all(c.is_zero() for c in self.coeffs)
@@ -172,18 +167,17 @@ def pencil_factorization(family):
     both sides are linear in (lambda, mu), so this is the symbolic identity."""
     a, b = _pencil_generators(family)
     x, y = MPoly.var("X"), MPoly.var("Y")
-    qbar0 = LINE_R.restrict(family.quadrics[0])
-    qbar1 = LINE_R.restrict(family.quadrics[1])
-    first = LINE_R.restrict(a) == x * x * y * qbar0
-    second = LINE_R.restrict(b) == -(x * y * y * qbar1)
+    qbar0 = eval_at_point(family.quadrics[0], LINE_R)
+    qbar1 = eval_at_point(family.quadrics[1], LINE_R)
+    first = eval_at_point(a, LINE_R) == x * x * y * qbar0
+    second = eval_at_point(b, LINE_R) == -(x * y * y * qbar1)
     return first, second, qbar0, qbar1
 
 
 def xy_factor_points():
     """The two points of the line r where the factor XY vanishes: its
-    parametrization at (X:Y) = (1:0) and (0:1)."""
-    param = LINE_R.parametrization()
-    return tuple(tuple(f.substitute({"X": x, "Y": y}).as_nfelem() for f in param)
+    generic point at (X:Y) = (1:0) and (0:1)."""
+    return tuple(tuple(f.substitute({"X": x, "Y": y}).as_nfelem() for f in LINE_R)
                  for x, y in ((1, 0), (0, 1)))
 
 
@@ -191,7 +185,7 @@ def pencil_on_line(family):
     """The pair (A, B) = ((XZ C0)|r, (YT C1)|r) for a family with m fixed, each
     the coefficient 6-tuple of a binary quintic in (X, Y).  The pencil member
     (lambda:mu) restricts to lambda*A + mu*B (`pencil_member`)."""
-    return tuple(BinaryForm.from_mpoly(LINE_R.restrict(g), 5).coeffs
+    return tuple(BinaryForm.from_mpoly(eval_at_point(g, LINE_R), 5).coeffs
                  for g in _pencil_generators(family))
 
 

@@ -23,12 +23,22 @@ class ConstructionError(RuntimeError):
     pass
 
 
+# (X, Y, Z, T) as a point: every polynomial takes itself as its value here
+GENERIC_POINT = X, Y, Z, T = tuple(MPoly.var(v) for v in GEOM_VARS)
+
+# the lines r = {X + Z = Y + T = 0} and r' = {X - Z = Y - T = 0}, by their
+# generic points; restricting f to r is eval_at_point(f, LINE_R)
+LINE_R = (X, Y, -X, -Y)
+LINE_R_PRIME = (X, Y, X, Y)
+
+
 @dataclass(frozen=True)
 class CoordMap:
     """A permutation of the coordinates (X, Y, Z, T).
 
-    Coordinate k maps to coordinate `images[k]`; the same data serves as a
-    substitution on polynomials and as a point map.
+    Coordinate k maps to coordinate `images[k]`.  It acts on points by
+    `point_image`; it pulls a polynomial back by evaluating it at the image of
+    the generic point.
     """
 
     images: tuple
@@ -36,9 +46,6 @@ class CoordMap:
     def __post_init__(self):
         if sorted(self.images) != [0, 1, 2, 3]:
             raise ValueError("images must permute the four coordinates")
-
-    def substitution(self):
-        return {GEOM_VARS[k]: MPoly.var(GEOM_VARS[i]) for k, i in enumerate(self.images)}
 
     def point_image(self, point):
         """Apply the map to a 4-tuple of coordinates (scalars or polynomials)."""
@@ -61,44 +68,18 @@ SIGMA = CoordMap((3, 0, 1, 2))
 SIGMA2 = SIGMA.compose(SIGMA)
 
 
-def apply_map(f: MPoly, g: CoordMap) -> MPoly:
-    return f.substitute(g.substitution())
-
-
-@dataclass(frozen=True, eq=False)
-class LineSub:
-    """A line given by eliminating two coordinates, e.g. Z -> -X, T -> -Y."""
-
-    sub: dict
-
-    def restrict(self, f: MPoly) -> MPoly:
-        return f.substitute(self.sub)
-
-    def parametrization(self):
-        """The line as a 4-tuple of binary forms in the two free coordinates."""
-        out = []
-        for v in GEOM_VARS:
-            out.append(self.sub[v] if v in self.sub else MPoly.var(v))
-        return tuple(out)
-
-
-LINE_R = LineSub({"Z": -MPoly.var("X"), "T": -MPoly.var("Y")})
-LINE_R_PRIME = LineSub({"Z": MPoly.var("X"), "T": MPoly.var("Y")})
-
-
-def fixed_line_check(g: CoordMap, line: LineSub):
-    """Does g fix the parametrized line pointwise (projectively)?
+def fixed_line_check(g: CoordMap, line):
+    """Does g fix the line, given by its generic point, pointwise (projectively)?
 
     Returns (fixed, failing_pairs): the image tuple must be proportional to
     the original for all parameter values, i.e. all 2x2 cross products of
     the two tuples vanish identically.
     """
-    pt = line.parametrization()
-    img = g.point_image(pt)
+    img = g.point_image(line)
     failing = []
     for i in range(4):
         for j in range(i + 1, 4):
-            cross = img[i] * pt[j] - img[j] * pt[i]
+            cross = img[i] * line[j] - img[j] * line[i]
             if not cross.is_zero():
                 failing.append((i, j))
     return (not failing), failing
@@ -133,8 +114,11 @@ def point_name(pt) -> str:
 
 
 def eval_at_point(f: MPoly, pt):
-    """Evaluate in the geometric variables; m (if present) stays symbolic."""
-    return f.substitute(dict(zip(GEOM_VARS, pt)))
+    """f at the 4-tuple `pt` of scalars or polynomials; m (if present) stays
+    symbolic.  This is evaluation, restriction to a line and pullback alike.
+    A coordinate whose entry is its own GENERIC_POINT object is left as it
+    is, so the identity entries of a line cost nothing."""
+    return f.substitute({v: c for v, c, g in zip(GEOM_VARS, pt, GENERIC_POINT) if c is not g})
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,8 +181,9 @@ def _verified_family():
 
     # closure under the rotation: each C_i maps to some C_j
     index_map = []
+    pullback = SIGMA.point_image(GENERIC_POINT)
     for i, c in enumerate(cubics):
-        img = apply_map(c, SIGMA)
+        img = eval_at_point(c, pullback)
         matches = [j for j, d in enumerate(cubics) if img == d]
         if len(matches) != 1:
             raise ConstructionError(f"C{i} composed with the rotation is not in the family")

@@ -75,12 +75,10 @@ class MPoly:
         return _mpoly({ZERO_EXP: NFElem.coerce(c)})
 
     @classmethod
-    def var(cls, name: str, power: int = 1) -> "MPoly":
+    def var(cls, name: str) -> "MPoly":
         if name not in VAR_INDEX:
             raise KeyError(f"unknown variable {name!r}")
-        exp = [0] * NVARS
-        exp[VAR_INDEX[name]] = power
-        return _mpoly({_exponent(exp): NF_ONE})
+        return _mpoly({tuple(int(v == name) for v in VARS): NF_ONE})
 
     @staticmethod
     def coerce(v) -> "MPoly":
@@ -106,18 +104,9 @@ class MPoly:
             raise ValueError(f"not a scalar: {self}")
         return self.terms[ZERO_EXP]
 
-    def geom_degree(self):
-        """Degree in X, Y, Z, T only (m is a parameter)."""
-        return max((sum(e[:4]) for e in self.terms), default=-1)
-
-    def is_homogeneous(self, degree=None):
-        """Homogeneity in the geometric variables X, Y, Z, T."""
-        degs = {sum(e[:4]) for e in self.terms}
-        if not degs:
-            return True
-        if len(degs) > 1:
-            return False
-        return True if degree is None else degs == {degree}
+    def is_homogeneous(self, degree: int) -> bool:
+        """Homogeneity of the given degree in the geometric variables X, Y, Z, T."""
+        return all(sum(e[:4]) == degree for e in self.terms)
 
     def involves(self, name: str) -> bool:
         i = VAR_INDEX[name]

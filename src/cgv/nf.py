@@ -31,7 +31,7 @@ class NFElem:
     # _v = (n0, n1, n2, d), normalised: d > 0 and gcd(n0, n1, n2, d) = 1
     __slots__ = ("_v",)
 
-    def __new__(cls, c0=0, c1=0, c2=0):
+    def __new__(cls, c0, c1=0, c2=0):
         if type(c0) is int and type(c1) is int and type(c2) is int:
             return _elem(c0, c1, c2, 1)
         qs = [_as_fraction(c) for c in (c0, c1, c2)]

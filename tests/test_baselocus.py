@@ -13,8 +13,8 @@ from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
                            single_hyperplane_system, stratum_double_hyperplane,
                            quadric_independence)
 from cgv.cli import main
-from cgv.geometry import (COFACTOR_COORDS, MIXED_MONOMIALS, REFERENCE_POINTS, SIGMA,
-                          ConstructionError, CubicFamily, apply_map, point_name)
+from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, MIXED_MONOMIALS, REFERENCE_POINTS,
+                          SIGMA, ConstructionError, CubicFamily, eval_at_point, point_name)
 from cgv.linalg import circulant_det_formula, matrix_rank, nf_kernel_basis
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem
@@ -159,11 +159,12 @@ def test_single_systems_sigma_conjugate(family):
     h_var = MPoly.var("T")
     cycle = [MPoly.var(v) for v in cycle_t]
     basis = [parse_poly("*".join(v for v, k in zip(GEOM_VARS, e) if k)) for e in basis_t]
+    pullback = SIGMA.point_image(GENERIC_POINT)
     seen = []
     for _ in range(3):
-        h_var = apply_map(h_var, SIGMA)
-        cycle = [apply_map(f, SIGMA) for f in cycle]
-        basis = [apply_map(f, SIGMA) for f in basis]
+        h_var = eval_at_point(h_var, pullback)
+        cycle = [eval_at_point(f, pullback) for f in cycle]
+        basis = [eval_at_point(f, pullback) for f in basis]
         h = name(h_var)
         mat, basis_h, _, cycle_h = single_hyperplane_system(family, h)
         assert mat == base
@@ -292,7 +293,7 @@ def test_stratum_restrictions_are_slices_of_the_mixed_matrix(family, m):
 
 def _square_term_family(family):
     """The family with X^2 added to Q0, so that Q0 is off the mixed monomials."""
-    quadrics = (family.quadrics[0] + MPoly.var("X", 2),) + family.quadrics[1:]
+    quadrics = (family.quadrics[0] + MPoly.var("X") ** 2,) + family.quadrics[1:]
     cubics = tuple(MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics))
     return CubicFamily(cubics, quadrics, family.sigma_index_map)
 
@@ -316,6 +317,23 @@ def test_check_base_locus_reports_a_square_term_as_an_error(family, monkeypatch,
     for check in doc["checks"]:
         if check["check-id"].startswith("base-locus/stratum/"):
             assert check["computed"] != "empty" and check["agreement"] != "confirmed"
+
+
+def test_a_raising_system_keeps_the_checks_already_made(family, monkeypatch, capsys):
+    # each single-hyperplane system raises on its own, and the checks
+    # before and after it are still reported
+    monkeypatch.setattr(suites, "build_cubics", lambda: _square_term_family(family))
+    rc = main(["check", "base-locus", "--format", "json", "--m=1"])
+    doc = json.loads(capsys.readouterr().out)
+    errors = [c["check-id"] for c in doc["checks"] if c["computed"].startswith("internal error: ")]
+    assert rc == 1
+    assert errors == ([f"base-locus/stratum/{s.label()}" for s in all_strata()]
+                      + [f"base-locus/system/{h}" for h in "TXYZ"]
+                      + ["base-locus/quadric-independence"])
+    assert doc["summary"]["errors"] == "21"
+    ids = [c["check-id"] for c in doc["checks"]]
+    assert ids[-2:] == ["base-locus/aggregate", "base-locus/codimension-2-step"]
+    assert "base-locus/suite" not in ids
 
 
 def test_sigma_equivariance_of_strata(family):

@@ -13,7 +13,7 @@ from cgv.genus import (BinaryForm, RamificationError,
                        quotient_feasibility, rh_relation,
                        three_two_family_report,
                        witness_pencil_analysis, z4_witness_search)
-from cgv.geometry import LINE_R, LINE_R_PRIME, point_name
+from cgv.geometry import LINE_R, LINE_R_PRIME, eval_at_point, point_name
 from cgv.reportlib import REFUTED, RunConfig
 from cgv.suites import run_suite
 from cgv.mpoly import MPoly
@@ -26,13 +26,15 @@ from conftest import random_nfelem_nonzero, scale_form, swap_xy
 M1 = NFElem(1)
 
 
-def binary(text, degree=None):
-    return BinaryForm.from_mpoly(parse_poly(text), degree)
+def binary(text):
+    """The binary form `text`, of the degree of its first term."""
+    f = parse_poly(text)
+    return BinaryForm.from_mpoly(f, sum(next(iter(f.terms))[:4]))
 
 
 def on_line_r(text):
     """A quintic restricted to the fixed line r = {X + Z = Y + T = 0}."""
-    return BinaryForm.from_mpoly(LINE_R.restrict(parse_poly(text)), 5)
+    return BinaryForm.from_mpoly(eval_at_point(parse_poly(text), LINE_R), 5)
 
 
 def pencil_at(family, m):
@@ -147,7 +149,7 @@ def test_restrict_generator_identity(family):
     assert first and second
     x, y = MPoly.var("X"), MPoly.var("Y")
     a = x * MPoly.var("Z") * family.cubics[0]
-    assert LINE_R.restrict(a) == x * x * y * qbar0
+    assert eval_at_point(a, LINE_R) == x * x * y * qbar0
     # frozen restricted cofactors
     assert qbar0 == parse_poly("(6*r^2-2*r-2)*X^2 + (3*r-2)*X*Y - (3*r-2)*m*Y^2")
     assert qbar1 == parse_poly("-(3*r-2)*m*X^2 - (3*r-2)*X*Y + (6*r^2-2*r-2)*Y^2")
@@ -160,7 +162,7 @@ def test_distinct_points_examples():
     assert distinct_points(binary("X^5")) == 1
     assert distinct_points(binary("X*Y*(X^3 + Y^3)")) == 5
     assert distinct_points(binary("(X-Y)^2*(X+Y)^3")) == 2
-    assert distinct_points(binary("Y^5", 5)) == 1
+    assert distinct_points(binary("Y^5")) == 1
 
 
 def test_distinct_points_scaling_and_swap_invariance():
@@ -336,9 +338,9 @@ def test_pencil_member_matches_direct_restriction(family, lam, mu, m):
     x, y = MPoly.var("X"), MPoly.var("Y")
     direct = (MPoly.constant(NFElem(lam)) * x * MPoly.var("Z") * fam.cubics[0]
               + MPoly.constant(NFElem(mu)) * y * MPoly.var("T") * fam.cubics[1])
-    assert member == BinaryForm.from_mpoly(LINE_R.restrict(direct), 5)
+    assert member == BinaryForm.from_mpoly(eval_at_point(direct, LINE_R), 5)
     # the probe's cubic, the member's middle four coefficients, is lambda X Qbar0 - mu Y Qbar1
-    qbar0, qbar1 = (LINE_R.restrict(q) for q in fam.quadrics[:2])
+    qbar0, qbar1 = (eval_at_point(q, LINE_R) for q in fam.quadrics[:2])
     cubic = BinaryForm.from_mpoly(MPoly.constant(NFElem(lam)) * x * qbar0
                                   - MPoly.constant(NFElem(mu)) * y * qbar1, 3)
     assert member.coeffs == (NFElem(0),) + cubic.coeffs + (NFElem(0),)

@@ -4,17 +4,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cgv.geometry as geometry
-from cgv.geometry import (COFACTOR_COORDS, ConstructionError, CoordMap, LINE_R, LINE_R_PRIME,
-                          QUADRIC_TEXTS, REFERENCE_POINTS, SIGMA, SIGMA2, apply_map,
+from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, ConstructionError, CoordMap, LINE_R,
+                          LINE_R_PRIME, QUADRIC_TEXTS, REFERENCE_POINTS, SIGMA, SIGMA2,
                           eval_at_point, fixed_line_check, point_name)
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem
 from cgv.parsing import parse_poly
 
 
+def pullback(f, g):
+    """f composed with the coordinate map g."""
+    return eval_at_point(f, g.point_image(GENERIC_POINT))
+
+
 def test_sigma_definition():
-    assert apply_map(MPoly.var("X"), SIGMA) == MPoly.var("T")
-    assert apply_map(MPoly.var("Y"), SIGMA) == MPoly.var("X")
+    assert pullback(MPoly.var("X"), SIGMA) == MPoly.var("T")
+    assert pullback(MPoly.var("Y"), SIGMA) == MPoly.var("X")
 
 
 def test_sigma_order_four():
@@ -31,7 +36,7 @@ def test_sigma_fourth_power_is_identity_on_polynomials():
         f = MPoly(terms)
         g = f
         for _ in range(4):
-            g = apply_map(g, SIGMA)
+            g = pullback(g, SIGMA)
         assert g == f
 
 
@@ -48,7 +53,7 @@ def test_sigma_permutes_cubics(family):
     # frozen from the expansion oracle: C_i composed with the rotation is C_{i-1}
     assert family.sigma_index_map == (3, 0, 1, 2)
     for i, j in enumerate(family.sigma_index_map):
-        assert apply_map(family.cubics[i], SIGMA) == family.cubics[j]
+        assert pullback(family.cubics[i], SIGMA) == family.cubics[j]
 
 
 def test_cubics_structure(family):
@@ -81,10 +86,30 @@ def test_q2_restriction_example(family):
 
 def test_line_restrictions():
     f = parse_poly("Z^5")
-    assert LINE_R.restrict(f) == parse_poly("-X^5")
-    assert LINE_R_PRIME.restrict(f) == parse_poly("X^5")
-    binary = LINE_R.restrict(parse_poly("X*Y + Z*T + m*X^2"))
+    assert eval_at_point(f, LINE_R) == parse_poly("-X^5")
+    assert eval_at_point(f, LINE_R_PRIME) == parse_poly("X^5")
+    binary = eval_at_point(parse_poly("X*Y + Z*T + m*X^2"), LINE_R)
     assert not binary.involves("Z") and not binary.involves("T")
+
+
+def test_restricting_to_r_multiplies_as_the_two_entry_substitution(monkeypatch, family):
+    # LINE_R's entries X and Y are GENERIC_POINT's own objects, so they are
+    # skipped and the restriction makes exactly the products of Z -> -X, T -> -Y
+    x, y = MPoly.var("X"), MPoly.var("Y")
+    f = x * MPoly.var("Z") * family.cubics[0]
+    real = NFElem.__mul__
+
+    def products(restrict):
+        calls = []
+        monkeypatch.setattr(NFElem, "__mul__", lambda a, b: calls.append(1) or real(a, b))
+        restricted = restrict()
+        monkeypatch.undo()
+        return restricted, len(calls)
+
+    restricted, n = products(lambda: eval_at_point(f, LINE_R))
+    assert (restricted, n) == products(lambda: f.substitute({"Z": -x, "T": -y}))
+    # substituting the identity entries as well multiplies them out
+    assert products(lambda: f.substitute(dict(zip("XYZT", LINE_R))))[1] > n
 
 
 def test_coordmap_composition_and_validation():

@@ -71,10 +71,10 @@ def test_circulant_value_against_sympy(family):
 
 
 def test_restricted_cofactors_against_sympy(family):
-    from cgv.geometry import LINE_R
+    from cgv.geometry import LINE_R, eval_at_point
     q0, q1, _, _ = independent_quadrics()
     sub = {SZ: -SX, ST: -SY}
     for q, sq in ((family.quadrics[0], q0), (family.quadrics[1], q1)):
-        ours = to_sympy(LINE_R.restrict(q))
+        ours = to_sympy(eval_at_point(q, LINE_R))
         theirs = sp.expand(sq.subs(sub, simultaneous=True))
         assert red(ours - theirs) == 0

@@ -4,6 +4,7 @@ from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
+from cgv.geometry import LINE_R, eval_at_point
 from cgv.mpoly import GEOM_VARS, MPoly, VARS
 from cgv.nf import NFElem, nf_invert
 from cgv.parsing import parse_poly
@@ -116,6 +117,15 @@ def test_substitute_matches_sympy(f, mapping):
     sym_images = {SYMS[v]: to_sympy(MPoly.coerce(img)) for v, img in mapping.items()}
     expected = red(to_sympy(f).xreplace(sym_images))
     assert red(to_sympy(f.substitute(mapping)) - expected) == 0
+
+
+@settings(max_examples=80, deadline=None)
+@given(sources)
+def test_restriction_to_r_matches_sympy(f):
+    # dual route: sympy's substitution Z -> -X, T -> -Y, reduced mod r^3 + r^2 - 1
+    X, Y, Z, T = (SYMS[v] for v in GEOM_VARS)
+    expected = red(to_sympy(f).subs({Z: -X, T: -Y}))
+    assert red(to_sympy(eval_at_point(f, LINE_R)) - expected) == 0
 
 
 def assert_canonical(p):

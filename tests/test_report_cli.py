@@ -84,10 +84,9 @@ def test_divisor_suite_confirms_the_four_multiplicities():
 
 
 def test_a_failed_divisor_identity_is_an_error(monkeypatch, capsys):
-    from cgv.divisors import IntersectionLattice
-    real = IntersectionLattice.exceptional_multiplicity
-    monkeypatch.setattr(IntersectionLattice, "exceptional_multiplicity",
-                        lambda self, n: -2 if n == 3 else real(self, n))
+    from cgv import divisors
+    real = divisors.exceptional_multiplicity
+    monkeypatch.setattr(divisors, "exceptional_multiplicity", lambda n: -2 if n == 3 else real(n))
     checks = run_suite("divisors", RunConfig())
     failed = [c for c in checks if c.check_id == "divisors/nK-decomposition/n=3"]
     assert len(failed) == 1 and failed[0].error

@@ -1,5 +1,6 @@
 """The package surface: every module-level function and class in src/cgv, and
 every public method and property of those classes, has a caller in src/cgv;
+every defaulted parameter is both passed and left at its default there;
 `import cgv` loads the layers without the CLI; src/cgv imports only itself
 and the standard library, and has no floating point."""
 
@@ -96,6 +97,73 @@ def _unreferenced_methods():
 
 def test_every_public_method_has_a_caller():
     assert _unreferenced_methods() == []
+
+
+def _defaulted(fn, bound):
+    """(name, position) of each defaulted parameter of `fn`; the position
+    counts the arguments a call writes, after `bound` implicit ones, and is
+    None for a keyword-only parameter."""
+    a = fn.args
+    positional = (a.posonlyargs + a.args)[bound:]
+    first = len(positional) - len(a.defaults)
+    out = [(p.arg, i) for i, p in enumerate(positional) if i >= first]
+    return out + [(p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _passes(call, name, position):
+    """Does `call` pass the parameter?  A starred argument may pass any."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(k.arg is None for k in call.keywords):
+        return True
+    return any(k.arg == name for k in call.keywords) or (position is not None and len(call.args) > position)
+
+
+def _callables(trees):
+    """(label, definition, implicit arguments, where its calls are, the name
+    they call it by) for each function and method in src/cgv.  A class call
+    calls `__init__` or `__new__`; a nested function is called in its parent."""
+    everywhere = list(trees.values())
+    for mod, tree in trees.items():
+        for d in tree.body:
+            if isinstance(d, ast.FunctionDef):
+                yield f"{mod}.{d.name}", d, 0, everywhere, d.name
+            elif isinstance(d, ast.ClassDef):
+                for m in d.body:
+                    if not isinstance(m, ast.FunctionDef):
+                        continue
+                    static = any(isinstance(x, ast.Name) and x.id == "staticmethod"
+                                 for x in m.decorator_list)
+                    if m.name in ("__init__", "__new__"):
+                        yield f"{mod}.{d.name}.{m.name}", m, 1, everywhere, d.name
+                    elif not m.name.startswith("__"):
+                        yield f"{mod}.{d.name}.{m.name}", m, int(not static), everywhere, m.name
+        for outer in ast.walk(tree):
+            if isinstance(outer, ast.FunctionDef):
+                for inner in outer.body:
+                    if isinstance(inner, ast.FunctionDef):
+                        yield f"{mod}.{outer.name}.{inner.name}", inner, 0, [outer], inner.name
+
+
+def _single_use_defaults():
+    """Defaulted parameters of functions called in src/cgv that every call
+    there passes, or that no call there passes."""
+    out = []
+    for label, fn, bound, scope, name in _callables(_trees()):
+        params = _defaulted(fn, bound)
+        if not params or label == "cli.main":
+            continue
+        calls = [n for s in scope for n in ast.walk(s) if isinstance(n, ast.Call)
+                 and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))]
+        for param, position in params:
+            passed = [_passes(c, param, position) for c in calls]
+            if calls and (all(passed) or not any(passed)):
+                out.append(f"{label}({param}): passed by {sum(passed)} of {len(calls)} calls")
+    return out
+
+
+def test_every_default_is_both_passed_and_left():
+    # a default that every call overrides, or that no call overrides, is a
+    # parameter with one value in use
+    assert _single_use_defaults() == []
 
 
 LAYERS = ["cgv", "cgv.baselocus", "cgv.claims", "cgv.divisors", "cgv.genus", "cgv.geometry",
