@@ -293,9 +293,15 @@ def no_hyperplane_torus_check(family) -> StratumResult:
     any such vector lifts to the rational point
     [pq : p*mu_YZ : q*mu_YZ : s*mu_YZ] with (p, q, s) = (mu_XY, mu_XZ, mu_XT).
     Points with a vanishing coordinate already lie in other strata.
+
+    The columns XY, YZ, ZT, XT of M are free of m, and their determinant is
+    the circulant determinant of `quadric_independence`, which is nonzero;
+    so M has rank 4 and its kernel is a plane for every m.
     """
     stratum = Stratum(())
     kernel = nf_kernel_basis([[e.as_nfelem() for e in row] for row in family.mixed_matrix])
+    if len(kernel) != 2:
+        raise InternalCheckError(f"the mixed-monomial kernel has dimension {len(kernel)}, not 2")
     all_ref = stratum.reference_points()
     base_identities = (
         "a common zero with some coordinate 0 lies in a stratum with more hyperplanes",
@@ -308,55 +314,42 @@ def no_hyperplane_torus_check(family) -> StratumResult:
         return StratumResult(stratum, kind, points, identities=base_identities + identities,
                              notes=notes + extra_notes)
 
-    if not kernel:
-        return result(REFERENCE, all_ref, ("the kernel is 0: no torus point",))
-    if len(kernel) == 1:
-        v = kernel[0]
-        if any(not p.is_zero() for p in _consistency(v, v)):
-            return result(REFERENCE, all_ref, ("the kernel line violates the consistency relations",))
-        if any(c.is_zero() for c in v):
-            return result(REFERENCE, all_ref, (
-                "the consistent kernel line has a zero entry, so it is not a torus monomial vector",))
-        return result(NON_REFERENCE, (_torus_point(family, v),),
-                      extra_notes=("a consistent all-nonzero kernel vector lifts",))
-    if len(kernel) == 2:
-        b0, b1 = kernel
-        # on alpha*b0 + beta*b1 each relation is a binary quadratic in (alpha, beta)
-        c_aa, c_bb = _consistency(b0, b0), _consistency(b1, b1)
-        c_ab = [x + y for x, y in zip(_consistency(b0, b1), _consistency(b1, b0))]
-        p1, p2 = (UPoly((c_bb[k], c_ab[k], c_aa[k])) for k in range(2))
-        inf_common = c_aa[0].is_zero() and c_aa[1].is_zero()
-        if p1.is_zero() and p2.is_zero():
-            vec = _all_nonzero_kernel_vector(kernel)
-            if vec is None:
-                return result(REFERENCE, all_ref, ("every kernel vector has a fixed zero entry",))
-            return result(NON_REFERENCE, (_torus_point(family, vec),))
-        if p1.is_zero() or p2.is_zero():
-            return result(INCONCLUSIVE, extra_notes=(
-                "one consistency quadratic vanishes identically; root extraction over Q(r) not attempted",))
-        g = upoly_gcd(p1, p2)
-        if g.degree() <= 0 and not inf_common:
-            return result(REFERENCE, all_ref, (
-                "the two consistency quadratics have no common projective root "
-                "(gcd 1, leading coefficients not both 0)",))
-        candidates = []
-        if g.degree() == 1:
-            root = -g.coeffs[0] / g.coeffs[1]
-            candidates.append((root, NFElem(1)))
-        if inf_common:
-            candidates.append((NFElem(1), NFElem(0)))
-        found = []
-        for alpha, beta in candidates:
-            vec = tuple(alpha * x + beta * y for x, y in zip(b0, b1))
-            if all(not c.is_zero() for c in vec):
-                found.append(_torus_point(family, vec))
-        if found:
-            return result(NON_REFERENCE, tuple(found))
-        if g.degree() == 2:
-            return result(INCONCLUSIVE, extra_notes=(
-                "the consistency gcd is quadratic; its roots were not extracted over Q(r)",))
-        return result(REFERENCE, all_ref, ("every common root of the consistency relations has a zero entry",))
-    return result(INCONCLUSIVE, extra_notes=("kernel dimension above 2 not analyzed",))
+    b0, b1 = kernel
+    # on alpha*b0 + beta*b1 each relation is a binary quadratic in (alpha, beta)
+    c_aa, c_bb = _consistency(b0, b0), _consistency(b1, b1)
+    c_ab = [x + y for x, y in zip(_consistency(b0, b1), _consistency(b1, b0))]
+    p1, p2 = (UPoly((c_bb[k], c_ab[k], c_aa[k])) for k in range(2))
+    inf_common = c_aa[0].is_zero() and c_aa[1].is_zero()
+    if p1.is_zero() and p2.is_zero():
+        vec = _all_nonzero_kernel_vector(kernel)
+        if vec is None:
+            return result(REFERENCE, all_ref, ("every kernel vector has a fixed zero entry",))
+        return result(NON_REFERENCE, (_torus_point(family, vec),))
+    if p1.is_zero() or p2.is_zero():
+        return result(INCONCLUSIVE, extra_notes=(
+            "one consistency quadratic vanishes identically; root extraction over Q(r) not attempted",))
+    g = upoly_gcd(p1, p2)
+    if g.degree() <= 0 and not inf_common:
+        return result(REFERENCE, all_ref, (
+            "the two consistency quadratics have no common projective root "
+            "(gcd 1, leading coefficients not both 0)",))
+    candidates = []
+    if g.degree() == 1:
+        root = -g.coeffs[0] / g.coeffs[1]
+        candidates.append((root, NFElem(1)))
+    if inf_common:
+        candidates.append((NFElem(1), NFElem(0)))
+    found = []
+    for alpha, beta in candidates:
+        vec = tuple(alpha * x + beta * y for x, y in zip(b0, b1))
+        if all(not c.is_zero() for c in vec):
+            found.append(_torus_point(family, vec))
+    if found:
+        return result(NON_REFERENCE, tuple(found))
+    if g.degree() == 2:
+        return result(INCONCLUSIVE, extra_notes=(
+            "the consistency gcd is quadratic; its roots were not extracted over Q(r)",))
+    return result(REFERENCE, all_ref, ("every common root of the consistency relations has a zero entry",))
 
 
 def _torus_point(family, v):
@@ -381,7 +374,6 @@ QUADRIC_BASIS = tuple(sorted(
 class IndependenceResult:
     entries: tuple            # (a, b, c, d)
     det_cofactor: NFElem
-    nonzero: bool
     rank: int
     rank_witness: tuple       # pivot columns: the certifying maximal minor
 
@@ -399,7 +391,6 @@ def quadric_independence(family) -> IndependenceResult:
     return IndependenceResult(
         entries=(a, b, c, d),
         det_cofactor=det_cof,
-        nonzero=not det_cof.is_zero(),
         rank=rank,
         rank_witness=pivots,
     )

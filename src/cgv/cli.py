@@ -92,7 +92,7 @@ def main(argv=None) -> int:
         checks = run_suite(args.suite, config)
         render = render_json if args.fmt == "json" else render_text
         text = render(args.suite, config, checks)
-        if args.out:
+        if args.out is not None:
             try:
                 with open(args.out, "w", encoding="utf-8") as fh:
                     fh.write(text)

@@ -195,15 +195,6 @@ def pencil_member(pencil, lam, mu) -> BinaryForm:
     return BinaryForm(5, tuple(lam * ca + mu * cb for ca, cb in zip(a, b)))
 
 
-def witness_pencil_analysis(pencil, lam, mu) -> int | None:
-    """Distinct points of the pencil member (lambda:mu) on the line r; None
-    when the member vanishes on it."""
-    if not lam and not mu:
-        raise ValueError("(lambda, mu) must not both vanish")
-    bf = pencil_member(pencil, lam, mu)
-    return None if bf.is_zero() else distinct_points(bf)
-
-
 def z4_witness_search(pencil, bound: int):
     """First (lambda, mu) in the deterministic scan whose restriction to r has
     at least 4 distinct points; None when the bound is too small."""
@@ -249,19 +240,6 @@ def three_two_family_coeffs():
     x, y, alpha = MPoly.var("X"), MPoly.var("Y"), MPoly.var("m")
     family = (x - alpha * y) ** 3 * (alpha * x - y) ** 2
     return tuple(c.m_upoly() for c in _xy_coefficients(family, 5))
-
-
-@dataclass(frozen=True)
-class ThreeTwoReport:
-    printed_residual: UPoly     # 3 a5^2 + 2 a0^2 + a1 a5: zero iff printed relation holds
-    corrected_residual: UPoly   # 3 a5^2 + 2 a0^2 - a1 a5
-
-
-def three_two_family_report() -> ThreeTwoReport:
-    a = three_two_family_coeffs()
-    printed = 3 * a[5] * a[5] + 2 * a[0] * a[0] + a[1] * a[5]
-    corrected = 3 * a[5] * a[5] + 2 * a[0] * a[0] - a[1] * a[5]
-    return ThreeTwoReport(printed_residual=printed, corrected_residual=corrected)
 
 
 # -- the cubic factor probe ----------------------------------------------------------

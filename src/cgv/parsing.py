@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .nf import NFElem, NF_R
+from .nf import NF_R
 from .mpoly import MPoly, VAR_INDEX
 
 
@@ -164,9 +164,3 @@ def parse_poly(text: str) -> MPoly:
         _, found, off = parser.peek()
         raise ParseError(off, (), found or "end of input",
                          f"at offset {off}: nesting too deep") from None
-
-
-def parse_scalar(text: str) -> NFElem:
-    """Parse an expression that must evaluate to an element of Q(r)."""
-    p = parse_poly(text)
-    return p.as_nfelem()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .claims import Claim
 from .nf import NFElem
-from .parsing import parse_scalar
+from .parsing import parse_poly
 
 CONFIRMED = "confirmed"
 REFUTED = "refuted"
@@ -80,14 +80,11 @@ class RunConfig:
         if self.bound < 1:
             raise ValueError("witness bound must be >= 1")
         if self.m_expr is not None:
-            self.m_value = parse_scalar(self.m_expr)
+            self.m_value = parse_poly(self.m_expr).as_nfelem()
 
     def m_or_default(self):
         """Scalar m for checks that need one: --m if given, else 1."""
         return self.m_value if self.m_value is not None else NFElem(1)
-
-    def m_defaulted(self) -> bool:
-        return self.m_value is None
 
 
 def summarize(checks):

@@ -1,9 +1,11 @@
 """Named check suites over the verification modules.
 
-Each suite maps (family, config) to an ordered list of CheckReport values;
-ordering is fixed so repeated runs are byte-identical.  A check that raises
-is converted into an error report and counted in the summary's error field;
-refuting a published claim is a successful run, not an error.
+This is the one layer that turns layer values into CheckReport values.
+Each suite takes (family, config, checks) and appends to the run's list in
+a fixed order, so repeated runs are byte-identical.  A suite that raises
+keeps the checks it already appended; `run_suite` adds one error report
+after them, counted in the summary's error field.  Refuting a published
+claim is a successful run, not an error.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from .claims import (PRINTED_CIRCULANT_ENTRIES, PRINTED_SYSTEM_MATRIX, claim,
 from .geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME, REFERENCE_POINTS,
                        SIGMA, SIGMA2, build_cubics, eval_at_point,
                        fixed_line_check, point_name)
+from .mpoly import GEOM_VARS
 from .nf import NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
 from .parsing import parse_poly
@@ -27,14 +30,13 @@ M_DEFAULT_NOTE = "m defaulted to 1 for this scalar check; override with --m"
 
 
 def _m_note(config: RunConfig):
-    return (M_DEFAULT_NOTE,) if config.m_defaulted() else ()
+    return (M_DEFAULT_NOTE,) if config.m_value is None else ()
 
 
 # -- sigma -----------------------------------------------------------------------
 
 
-def sigma_suite(family, config: RunConfig):
-    checks = []
+def sigma_suite(family, config: RunConfig, checks):
     checks.append(make_check(
         "sigma/order",
         str(SIGMA.order()),
@@ -68,14 +70,12 @@ def sigma_suite(family, config: RunConfig):
         perm,
         notes=("composition with the rotation is a 4-cycle on the family",),
     ))
-    return checks
 
 
 # -- cubics ------------------------------------------------------------------------
 
 
-def cubics_suite(family, config: RunConfig):
-    checks = []
+def cubics_suite(family, config: RunConfig, checks):
     for i in range(4):
         coord = COFACTOR_COORDS[i]
         quotient, exact = family.cubics[i].div_by_var(coord)
@@ -108,7 +108,6 @@ def cubics_suite(family, config: RunConfig):
         counts,
         notes=("term counts of the expanded cubics, for cross-checking against an independent expansion",),
     ))
-    return checks
 
 
 # -- base locus ----------------------------------------------------------------------
@@ -134,8 +133,7 @@ def _stratum_claim(stratum):
     return claim("reference-base-points")
 
 
-def base_locus_suite(family, config: RunConfig):
-    checks = []
+def base_locus_suite(family, config: RunConfig, checks):
     family_m = family.at_m(config.m_value)
     results = []
     for stratum in all_strata():
@@ -221,7 +219,7 @@ def base_locus_suite(family, config: RunConfig):
         ind = quadric_independence(family)
         checks.append(make_check(
             "base-locus/quadric-independence/circulant-nonzero",
-            "nonzero" if ind.nonzero else "zero",
+            "zero" if ind.det_cofactor.is_zero() else "nonzero",
             claim("circulant-nonsingular"),
             notes=(f"circulant determinant = {nf_str(ind.det_cofactor)}",
                    "cofactor expansion agrees with the eigenvalue-product formula "
@@ -260,7 +258,6 @@ def base_locus_suite(family, config: RunConfig):
         notes=('the passage from base points of the cubic system to base-point freeness of the '
                'tricanonical system uses: "' + claim("codim-2-step").quote + '"',),
     ))
-    return checks
 
 
 def _m_symbolic_note(config: RunConfig):
@@ -269,8 +266,7 @@ def _m_symbolic_note(config: RunConfig):
     return ()
 
 
-def quadric_independence_suite(family, config: RunConfig):
-    checks = []
+def quadric_independence_suite(family, config: RunConfig, checks):
     ind = quadric_independence(family)
     entries_claim = claim("circulant-entries")
     same = ind.entries == tuple(parse_display(t).as_nfelem() for t in PRINTED_CIRCULANT_ENTRIES)
@@ -289,7 +285,7 @@ def quadric_independence_suite(family, config: RunConfig):
     ))
     checks.append(make_check(
         "quadric-independence/circulant-nonzero",
-        "nonzero" if ind.nonzero else "zero",
+        "zero" if ind.det_cofactor.is_zero() else "nonzero",
         claim("circulant-nonsingular"),
     ))
     checks.append(make_check(
@@ -298,14 +294,12 @@ def quadric_independence_suite(family, config: RunConfig):
         claim("quadrics-independent"),
         notes=("rank over Q(r)(m): the certifying 4x4 minor is a nonzero polynomial in m",),
     ))
-    return checks
 
 
 # -- tangent ---------------------------------------------------------------------------
 
 
-def tangent_suite(family, config: RunConfig):
-    checks = []
+def tangent_suite(family, config: RunConfig, checks):
     keys = {0: "tangent-display-c0", 1: "tangent-display-c1", 2: "tangent-display-c2"}
     grad_rows = tuple(tangent.chart_gradient(family, i) for i in range(3))
     for i in range(3):
@@ -338,8 +332,8 @@ def tangent_suite(family, config: RunConfig):
             notes=("some 2x2 minor of the stacked symbolic rows is a nonzero polynomial in (x, y, z, m)",)
             if independent else ("all 2x2 minors vanish identically",),
         ))
-    rows = tangent.reference_point_rows(family)
-    all_zero = all(all(c.is_zero() for c in row) for row in rows)
+    all_zero = all(eval_at_point(family.cubics[i].partial(v), REFERENCE_POINTS[3]).is_zero()
+                   for i in (1, 2, 3) for v in GEOM_VARS)
     checks.append(make_check(
         "tangent/reference-point",
         "gradient rows of C1, C2, C3 at [0:0:0:1] are zero rows" if all_zero
@@ -362,14 +356,12 @@ def tangent_suite(family, config: RunConfig):
                f"seed {survey.seed}, coordinates in [-20, 20] without 0")
         + _m_note(config),
     ))
-    return checks
 
 
 # -- divisors ----------------------------------------------------------------------------
 
 
-def divisors_suite(family, config: RunConfig):
-    checks = []
+def divisors_suite(family, config: RunConfig, checks):
     e0 = divisors.exceptional(0)
     checks.append(make_check(
         "divisors/exceptional-selfintersection",
@@ -423,14 +415,12 @@ def divisors_suite(family, config: RunConfig):
                "K_V = pull-back minus the exceptional sum; the displayed formulas are self-consistent "
                "under adjunction and are adopted",),
     ))
-    return checks
 
 
 # -- genus --------------------------------------------------------------------------------
 
 
-def genus_suite(family, config: RunConfig):
-    checks = []
+def genus_suite(family, config: RunConfig, checks):
     p_a = genus.ci_genus(5, 5)
     checks.append(make_check(
         "genus/arithmetic-genus",
@@ -470,14 +460,12 @@ def genus_suite(family, config: RunConfig):
         "delta_P = 2 * delta_Q (input assumption)",
         notes=('taken as an input to the accounting, per: "' + claim("delta-relation").quote + '"',),
     ))
-    return checks
 
 
 # -- pencil ---------------------------------------------------------------------------------
 
 
-def pencil_suite(family, config: RunConfig):
-    checks = []
+def pencil_suite(family, config: RunConfig, checks):
     pencil = genus.pencil_on_line(family.at_m(config.m_or_default()))
     first, second, qbar0, qbar1 = genus.pencil_factorization(family)
     checks.append(make_check(
@@ -494,7 +482,7 @@ def pencil_suite(family, config: RunConfig):
         ", ".join(point_name(p) for p in genus.xy_factor_points()),
         claim("pencil-xy-points"),
     ))
-    count = genus.witness_pencil_analysis(pencil, 1, 0)
+    count = genus.distinct_points(genus.pencil_member(pencil, 1, 0))
     checks.append(make_check(
         "pencil/count/lambda=1,mu=0",
         str(count),
@@ -530,15 +518,18 @@ def pencil_suite(family, config: RunConfig):
                f"-> {genus.quintuple_root_condition(x4y)}",
                "the relation is homogeneous of degree 4 in the coefficients: " + claim("quintuple-quartic").quote),
     ))
-    tt = genus.three_two_family_report()
+    a = genus.three_two_family_coeffs()
+    # the printed relation 3a5^2 + 2a0^2 + a1a5 = 0, and the sign-corrected one
+    printed = 3 * a[5] * a[5] + 2 * a[0] * a[0] + a[1] * a[5]
+    corrected = 3 * a[5] * a[5] + 2 * a[0] * a[0] - a[1] * a[5]
     checks.append(make_check(
         "pencil/three-two-condition",
-        "holds identically" if tt.printed_residual.is_zero() else
-        f"fails identically on the (3,2) family (residual {tt.printed_residual.to_str('a')})",
+        "holds identically" if printed.is_zero() else
+        f"fails identically on the (3,2) family (residual {printed.to_str('a')})",
         claim("three-two-condition"),
         notes=("the product of roots carries a sign the printed derivation drops: "
                "with 3a5^2+2a0^2 = +a1a5 the residual is "
-               f"{tt.corrected_residual.to_str('a')}",
+               f"{corrected.to_str('a')}",
                "family: (X - aY)^3 (aX - Y)^2, the (3,2) pattern {a, 1/a} cleared of denominators",),
     ))
     for lam, mu in ((1, 0), (1, 1)):
@@ -551,7 +542,6 @@ def pencil_suite(family, config: RunConfig):
             claim("cubic-one-root-condition"),
             notes=(f"9da - bc = {nf_str(probe.condition_value)}",) + _m_note(config),
         ))
-    return checks
 
 
 # -- registry -----------------------------------------------------------------------------
@@ -587,7 +577,7 @@ def run_suite(name: str, config: RunConfig):
         if name not in ("all", suite_name):
             continue
         try:
-            checks.extend(fn(family, config))
-        except Exception as exc:  # noqa: BLE001 - a whole-suite crash is an error report
+            fn(family, config, checks)
+        except Exception as exc:  # noqa: BLE001 - reported after the checks the suite made
             checks.append(error_check(f"{suite_name}/suite", exc))
     return checks

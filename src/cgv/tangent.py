@@ -19,7 +19,6 @@ from math import lcm
 
 from .nf import NFElem, nf_invert
 from .linalg import matrix_det, matrix_rank
-from .geometry import eval_at_point
 from .claims import CLAIMED_TANGENT_ROWS, parse_display
 
 CHART_VARS = ("X", "Y", "Z")
@@ -29,14 +28,6 @@ def chart_gradient(family, i: int):
     """Gradient row of C_i on the chart T = 1, symbolic in the coordinates."""
     c = family.cubics[i]
     return tuple(c.partial(v).substitute({"T": 1}) for v in CHART_VARS)
-
-
-def projective_gradient(family, i: int, pt):
-    """The 4-component gradient of C_i at a point of P^3 (m stays symbolic)."""
-    out = []
-    for v in ("X", "Y", "Z", "T"):
-        out.append(eval_at_point(family.cubics[i].partial(v), pt))
-    return tuple(out)
 
 
 def display_agreement(rows, i: int):
@@ -186,9 +177,3 @@ def _integer_value(terms, x, y, z):
         s1 += n1 * t
         s2 += n2 * t
     return s0, s1, s2
-
-
-def reference_point_rows(family):
-    """Projective gradient rows of C_1, C_2, C_3 at [0:0:0:1]."""
-    pt = (NFElem(0), NFElem(0), NFElem(0), NFElem(1))
-    return tuple(projective_gradient(family, i, pt) for i in (1, 2, 3))

@@ -17,10 +17,10 @@ from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, LINE_R, LINE_R_PRIME,
                           fixed_line_check)
 from cgv.linalg import circulant_det_formula, circulant_matrix, matrix_det
 import cgv.divisors as lat
-from cgv.genus import (ci_genus, pencil_factorization, pencil_on_line,
-                       quintuple_family_coeffs, quintuple_root_condition,
-                       quotient_feasibility, rh_relation, witness_pencil_analysis,
-                       z4_witness_search)
+from cgv.genus import (ci_genus, distinct_points, pencil_factorization,
+                       pencil_member, pencil_on_line, quintuple_family_coeffs,
+                       quintuple_root_condition, quotient_feasibility,
+                       rh_relation, z4_witness_search)
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem, nf_invert, nf_reduce
 from cgv.parsing import parse_poly
@@ -62,7 +62,7 @@ def test_criterion_03_circulant_and_rank(family):
         cof = matrix_det(circulant_matrix(a, b, c, d))
         ok = ok and cof == circulant_det_formula(a, b, c, d)
     ind = quadric_independence(family)
-    ok = ok and ind.nonzero and ind.det_cofactor == circulant_det_formula(*ind.entries)
+    ok = ok and not ind.det_cofactor.is_zero() and ind.det_cofactor == circulant_det_formula(*ind.entries)
     ok = ok and ind.rank == 4
     verdict(3, ok, "circulant formula matches cofactor on 200 random quadruples; "
                    f"nonzero at the displayed entries ({ind.det_cofactor}); 4x10 rank 4")
@@ -177,7 +177,7 @@ def test_criterion_10_witness_pencil(family):
     if found:
         lam, mu, count = found
         ok = ok and count >= 4
-        ok = ok and witness_pencil_analysis(pencil, lam, mu) == count
+        ok = ok and distinct_points(pencil_member(pencil, lam, mu)) == count
     verdict(10, ok, "the XY(lambda X Qbar0 - mu Y Qbar1) identity holds symbolically; "
                     f"bound-5 scan finds {found} with >= 4 distinct points")
 

@@ -5,8 +5,9 @@ import pytest
 
 import cgv.suites as suites
 
+import cgv.baselocus as baselocus
 from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
-                           QUADRIC_BASIS, Stratum, aggregate,
+                           QUADRIC_BASIS, InternalCheckError, Stratum, aggregate,
                            all_strata, classify_stratum, monomial_kernel_lift,
                            no_hyperplane_torus_check,
                            single_hyperplane_det_analysis,
@@ -15,7 +16,7 @@ from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
 from cgv.cli import main
 from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, MIXED_MONOMIALS, REFERENCE_POINTS,
                           SIGMA, ConstructionError, CubicFamily, eval_at_point, point_name)
-from cgv.linalg import circulant_det_formula, matrix_rank, nf_kernel_basis
+from cgv.linalg import circulant_det_formula, matrix_det, matrix_rank, nf_kernel_basis
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem
 from cgv.parsing import parse_poly
@@ -255,12 +256,39 @@ def test_torus_stratum_empty(family):
     assert len(nf_kernel_basis(nf_rows(mat))) == 2
 
 
+# the ROADMAP's exceptional values of m: the torus stratum has base points there
+M_A = "5/7 + 18/7*r + 8/7*r^2"
+M_B = "-9/7 - 10/7*r - 20/7*r^2"
+M_C = "2/7 - 4/7*r + 6/7*r^2"
+
+
+@pytest.mark.parametrize("m_text", ["0", "1", "r", M_A, M_B, M_C, f"-({M_C})"])
+def test_the_mixed_monomial_kernel_is_a_plane_for_every_m(family, m_text):
+    # the columns XY, YZ, ZT, XT of M are free of m and their determinant is
+    # the nonzero circulant determinant, so rank M = 4 whatever m is
+    cols = [MIXED_MONOMIALS.index(tuple(int(v in pair) for v in GEOM_VARS))
+            for pair in ("XY", "YZ", "ZT", "XT")]
+    block = [[row[k] for k in cols] for row in family.mixed_matrix]
+    assert not any(e.involves("m") for row in block for e in row)
+    det = matrix_det(nf_rows(block))
+    assert det == quadric_independence(family).det_cofactor == NFElem(-1929, 1445, 1471)
+    fixed = family.at_m(parse_poly(m_text).as_nfelem())
+    assert len(nf_kernel_basis(nf_rows(fixed.mixed_matrix))) == 2
+
+
+def test_a_torus_kernel_that_is_not_a_plane_is_an_internal_error(family, monkeypatch):
+    real = baselocus.nf_kernel_basis
+    monkeypatch.setattr(baselocus, "nf_kernel_basis", lambda rows: real(rows)[:1])
+    with pytest.raises(InternalCheckError, match="dimension 1, not 2"):
+        no_hyperplane_torus_check(family.at_m(M1))
+
+
 def test_quadric_independence(family):
     ind = quadric_independence(family)
     # frozen oracle value of the circulant determinant
     assert ind.det_cofactor == NFElem(-1929, 1445, 1471)
     assert ind.det_cofactor == circulant_det_formula(*ind.entries)
-    assert ind.nonzero
+    assert not ind.det_cofactor.is_zero()
     assert ind.rank == 4
     a, b, c, d = ind.entries
     assert a == NFElem(1, 1) * NFElem(-2, 3)

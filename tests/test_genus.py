@@ -11,8 +11,7 @@ from cgv.genus import (BinaryForm, RamificationError,
                        pencil_on_line,
                        quintuple_family_coeffs, quintuple_root_condition,
                        quotient_feasibility, rh_relation,
-                       three_two_family_report,
-                       witness_pencil_analysis, z4_witness_search)
+                       three_two_family_coeffs, z4_witness_search)
 from cgv.geometry import LINE_R, LINE_R_PRIME, eval_at_point, point_name
 from cgv.reportlib import REFUTED, RunConfig
 from cgv.suites import run_suite
@@ -215,10 +214,11 @@ def test_multiplicity_patterns():
 
 
 def test_witness_analysis(family):
-    assert witness_pencil_analysis(pencil_at(family, M1), 1, 0) == 4
+    assert distinct_points(pencil_member(pencil_at(family, M1), 1, 0)) == 4
     assert [point_name(p) for p in genus_mod.xy_factor_points()] == ["[1:0:-1:0]", "[0:1:0:-1]"]
+    # the member (0:0) is the zero form, which has no root divisor
     with pytest.raises(ValueError):
-        witness_pencil_analysis(pencil_at(family, M1), 0, 0)
+        distinct_points(pencil_member(pencil_at(family, M1), 0, 0))
 
 
 def test_xy_factor_points_are_computed_from_the_line(monkeypatch):
@@ -238,7 +238,7 @@ def test_z4_witness_search_frozen(family):
     found = z4_witness_search(pencil_at(family, M1), 5)
     assert found == (1, -5, 5)
     lam, mu, count = found
-    assert witness_pencil_analysis(pencil_at(family, M1), lam, mu) == count >= 4
+    assert distinct_points(pencil_member(pencil_at(family, M1), lam, mu)) == count >= 4
 
 
 def test_z4_witness_search_not_found_contract(family, monkeypatch):
@@ -287,14 +287,17 @@ def test_quintuple_family_is_actually_quintuple():
 
 
 def test_three_two_printed_relation_fails_identically():
-    report = three_two_family_report()
-    assert not report.printed_residual.is_zero()
-    assert report.corrected_residual.is_zero()
+    a = three_two_family_coeffs()
+    printed = 3 * a[5] * a[5] + 2 * a[0] * a[0] + a[1] * a[5]
+    corrected = 3 * a[5] * a[5] + 2 * a[0] * a[0] - a[1] * a[5]
+    assert corrected.is_zero()
     # frozen residual 4a^4 + 6a^6
-    assert report.printed_residual == UPoly((0, 0, 0, 0, Fraction(4), 0, Fraction(6)))
+    assert printed == UPoly((0, 0, 0, 0, Fraction(4), 0, Fraction(6)))
     # as the pencil suite prints them
-    assert report.printed_residual.to_str("a") == "6*a^6 + 4*a^4"
-    assert report.corrected_residual.to_str("a") == "0"
+    check = next(c for c in run_suite("pencil", RunConfig())
+                 if c.check_id == "pencil/three-two-condition")
+    assert check.computed == "fails identically on the (3,2) family (residual 6*a^6 + 4*a^4)"
+    assert check.notes[0].endswith("the residual is 0")
 
 
 def test_cubic_probe_insufficiency_example():

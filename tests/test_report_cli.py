@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -9,6 +10,7 @@ from cgv.reportlib import (CONFIRMED, INDETERMINATE, REFUTED, RunConfig,
                            make_check, render_json,
                            render_text, summarize)
 from cgv.claims import Claim
+from cgv.nf import NFElem
 from cgv.suites import SUITE_NAMES, run_suite
 
 
@@ -33,7 +35,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(m_expr="X + 1")
     cfg = RunConfig(m_expr="r^2")
-    assert cfg.m_value is not None and not cfg.m_defaulted()
+    assert cfg.m_value == NFElem(0, 0, 1)
 
 
 def test_reports_byte_identical():
@@ -202,6 +204,42 @@ def test_cli_unwritable_out_is_a_configuration_error(tmp_path, capsys):
     assert err.startswith("configuration error:") and str(out) in err
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not out.exists()
+
+
+def test_cli_empty_out_is_a_configuration_error(capsys):
+    # an empty path is a path that cannot be written, not a request for stdout
+    assert main(["check", "sigma", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: cannot write")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def _printed_checks(capsys):
+    """The check blocks of the text report just printed, one string each."""
+    body = capsys.readouterr().out.split("\n\n")[1]
+    return re.split(r"\n(?=\[)", body)
+
+
+def _raise(*args, **kwargs):
+    raise ArithmeticError("injected")
+
+
+@pytest.mark.parametrize("suite, target, total, kept", [
+    ("tangent", "cgv.tangent.rank_survey", 9, 8),
+    ("pencil", "cgv.genus.cubic_one_root_probe", 8, 6),
+], ids=["tangent", "pencil"])
+def test_a_raising_suite_keeps_the_checks_it_made(monkeypatch, capsys, suite, target, total, kept):
+    assert main(["check", suite, "--m=1"]) == 0
+    whole = _printed_checks(capsys)
+    assert len(whole) == total
+    monkeypatch.setattr(target, _raise)
+    assert main(["check", suite, "--m=1"]) == 1
+    broken = _printed_checks(capsys)
+    assert broken[:kept] == whole[:kept]
+    assert len(broken) == kept + 1
+    assert broken[kept].startswith(f"[indeterminate] {suite}/suite\n"
+                                   "    computed : internal error: ArithmeticError: injected")
 
 
 DEEP = "(" * 300 + "1" + ")" * 300

@@ -2,7 +2,8 @@
 every public method and property of those classes, has a caller in src/cgv;
 every defaulted parameter is both passed and left at its default there;
 `import cgv` loads the layers without the CLI; src/cgv imports only itself
-and the standard library, and has no floating point."""
+and the standard library, has no floating point, and turns every exception
+it catches as `Exception` into an error check."""
 
 import ast
 import importlib.util
@@ -209,3 +210,21 @@ def test_no_floating_point():
                   and node.func.id == "float"):
                 floats.append(f"{mod}:{node.lineno}: float(...)")
     assert floats == []
+
+
+def _catches_exception(handler):
+    """Does the except clause name Exception, alone or in a tuple?"""
+    types = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(t, ast.Name) and t.id == "Exception" for t in types)
+
+
+def test_every_except_exception_reports_an_error_check():
+    # an exception caught broadly becomes an error report, never silence
+    silent = []
+    for mod, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and _catches_exception(node) and not any(
+                    isinstance(n, ast.Call) and getattr(n.func, "id", None) == "error_check"
+                    for s in node.body for n in ast.walk(s)):
+                silent.append(f"{mod}:{node.lineno}")
+    assert silent == []

@@ -8,13 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 import cgv.tangent as tangent
 from cgv.geometry import REFERENCE_POINTS, CubicFamily, eval_at_point
 from cgv.linalg import matrix_det, matrix_rank, nf_rref
-from cgv.mpoly import MPoly
+from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem, nf_invert
-from cgv.parsing import parse_scalar
+from cgv.parsing import parse_poly
 from cgv.tangent import (CHART_VARS, SampleStream, _integer_terms, _integer_value,
                          chart_gradient, display_agreement, lambda_replay,
-                         pairwise_independence, projective_gradient, rank_survey,
-                         reference_point_rows)
+                         pairwise_independence, rank_survey)
 
 from conftest import random_nfelem, red, to_sympy
 
@@ -29,6 +28,16 @@ def gradient_at(family, i, point):
 
 def chart_rows(family):
     return tuple(chart_gradient(family, i) for i in range(3))
+
+
+def projective_gradient(family, i, pt):
+    """The 4-component gradient of C_i at a point of P^3, as the tangent suite
+    evaluates it at [0:0:0:1]."""
+    return tuple(eval_at_point(family.cubics[i].partial(v), pt) for v in GEOM_VARS)
+
+
+def scalar(text):
+    return parse_poly(text).as_nfelem()
 
 
 def test_display_agreement_flags(family):
@@ -64,11 +73,11 @@ def test_euler_relation_at_random_points(family):
 
 
 def test_gradients_vanish_at_reference_point(family):
-    rows = reference_point_rows(family)
-    for row in rows:
-        assert all(c.is_zero() for c in row)
+    pt = REFERENCE_POINTS[3]
+    assert pt == (NFElem(0), NFElem(0), NFElem(0), NFElem(1))
+    for i in (1, 2, 3):
+        assert all(c.is_zero() for c in projective_gradient(family, i, pt))
     # C0 is smooth there: gradient (3r-2) * (1, m, r^2, 0)
-    pt = (NFElem(0), NFElem(0), NFElem(0), NFElem(1))
     g0 = projective_gradient(family, 0, pt)
     unit = MPoly.constant(NFElem(-2, 3))
     assert g0[0] == unit
@@ -159,7 +168,7 @@ def test_survey_falls_back_to_elimination_on_a_rank_deficient_family(family):
 
 @pytest.mark.parametrize("m_text", ["0", "1", "r"])
 def test_nonzero_determinant_iff_rank_three(family, m_text):
-    fixed = family.at_m(parse_scalar(m_text))
+    fixed = family.at_m(scalar(m_text))
     stream = SampleStream(7)
     for _ in range(200):
         pt = stream.next_point()
@@ -173,7 +182,7 @@ def test_nonzero_determinant_iff_rank_three(family, m_text):
 @pytest.mark.parametrize("m_text", ["0", "1", "r", "2/3*r^2-5", "7/3"])
 def test_chart_determinant_matches_sympy(family, m_text):
     # dual route for D, the determinant the survey evaluates at each point
-    rows = chart_rows(family.at_m(parse_scalar(m_text)))
+    rows = chart_rows(family.at_m(scalar(m_text)))
     det = matrix_det(rows)
     oracle = sp.Matrix([[to_sympy(g) for g in row] for row in rows]).det()
     assert red(oracle - to_sympy(det)) == 0
@@ -184,7 +193,7 @@ def test_chart_determinant_matches_sympy(family, m_text):
 def test_integer_value_is_the_determinant_over_one_denominator(family, m_text):
     # at these m the coefficients of D have denominators 1, 3 and 9, so a
     # coefficient left off the common denominator changes the sums
-    det = matrix_det(chart_rows(family.at_m(parse_scalar(m_text))))
+    det = matrix_det(chart_rows(family.at_m(scalar(m_text))))
     den = lcm(*(q.denominator for c in det.terms.values() for q in c.coords()))
     assert den > 1
     terms = _integer_terms(det)
@@ -247,7 +256,7 @@ def test_chart_gradient_specializes_m(family):
     # dual route: fix m in the family, then differentiate, against
     # differentiating the symbolic family, then fixing m in each entry
     for m_text in ("0", "1", "r", "-r", "2/3*r^2-5"):
-        value = parse_scalar(m_text)
+        value = scalar(m_text)
         for i in range(4):
             sym = chart_gradient(family, i)
             fixed = chart_gradient(family.at_m(value), i)
