@@ -117,7 +117,10 @@ def eval_at_point(f: MPoly, pt):
     """f at the 4-tuple `pt` of scalars or polynomials; m (if present) stays
     symbolic.  This is evaluation, restriction to a line and pullback alike.
     A coordinate whose entry is its own GENERIC_POINT object is left as it
-    is, so the identity entries of a line cost nothing."""
+    is, so the identity entries of a line cost nothing.  At a reference point
+    e_i the three zero entries drop every term but the pure powers of x_i
+    before any product, and the entry 1 is never multiplied, so the value
+    costs no Q(r) product or power."""
     return f.substitute({v: c for v, c, g in zip(GEOM_VARS, pt, GENERIC_POINT) if c is not g})
 
 

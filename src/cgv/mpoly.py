@@ -167,23 +167,34 @@ class MPoly:
     def substitute(self, mapping) -> "MPoly":
         """Ring homomorphism sending each variable to its image.
 
-        `mapping` takes variable names to MPoly, NFElem, Fraction or int;
-        missing variables map to themselves.  A scalar image (a constant
-        MPoly included) folds its power into the coefficient; the powers of
-        polynomial images multiply out term by term.  Each image power is
-        computed once per call.
+        `mapping` takes variable names (a name outside VARS is a KeyError) to
+        MPoly, NFElem, Fraction or int; missing variables map to themselves.
+        A term with a positive exponent on a zero scalar image is dropped
+        before any product, an image 1 is never multiplied, and any other
+        scalar image (a constant MPoly included) folds its power into the
+        coefficient.  Polynomial images multiply out term by term.  Each
+        image power is computed once per call.
         """
-        scalars, polys = [], []
+        for v in mapping:
+            if v not in VAR_INDEX:
+                raise KeyError(f"unknown variable {v!r}")
+        zeros, scalars, polys, cleared = [], [], [], []
         for i, v in enumerate(VARS):
             img = mapping.get(v)
             if img is None:
                 continue
+            cleared.append(i)
             if not isinstance(img, MPoly):
-                scalars.append((i, NFElem.coerce(img)))
+                img = NFElem.coerce(img)
             elif img.is_constant():
-                scalars.append((i, img.as_nfelem()))
+                img = img.as_nfelem()
             else:
                 polys.append((i, img))
+                continue
+            if img.is_zero():
+                zeros.append(i)
+            elif img != NF_ONE:
+                scalars.append((i, img))
         powers = {}   # (variable index, k) -> image ** k
 
         def power(i, img, k):
@@ -194,23 +205,20 @@ class MPoly:
 
         out = {}
         for e, c in self.terms.items():
-            kept = list(e)
+            if any(e[i] for i in zeros):
+                continue
             for i, s in scalars:
                 k = e[i]
                 if k:
                     c = c * power(i, s, k)
-                    kept[i] = 0
-            if c.is_zero():
-                continue
-            factors = []
+            kept = list(e)
+            for i in cleared:
+                kept[i] = 0
+            acc = {tuple(kept): c}
             for i, img in polys:
                 k = e[i]
                 if k:
-                    factors.append(power(i, img, k).terms)
-                    kept[i] = 0
-            acc = {tuple(kept): c}
-            for f in factors:
-                acc = _mul_terms(acc, f)
+                    acc = _mul_terms(acc, power(i, img, k).terms)
             for en, cn in acc.items():
                 s = out.get(en)
                 out[en] = cn if s is None else s + cn

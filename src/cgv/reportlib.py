@@ -3,13 +3,16 @@
 Reports are a pure function of (suite, config): identical inputs produce
 byte-identical output.  The elapsed field is emitted as the exact string "0"
 to keep that contract.  Every numeric value in JSON output is an exact
-string, never a float.
+string, never a float.  JSON reports have one fixed shape and are written
+directly as text, with strings quoted by the C function that `json.dumps`
+itself uses; the bytes equal those of `json.dumps` with `indent=2` on the
+same document, which the tests compare.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .claims import Claim
 from .nf import NFElem
@@ -124,31 +127,35 @@ def render_text(suite: str, config: RunConfig, checks) -> str:
     return "\n".join(lines) + "\n"
 
 
-def check_to_json(c: CheckReport) -> dict:
-    claim = None
+def _json_str(s: str | None) -> str:
+    return "null" if s is None else encode_basestring_ascii(s)
+
+
+def _check_json(c: CheckReport) -> str:
+    claim = "null"
     if c.claim_value is not None or c.citation is not None:
-        claim = {"value": c.claim_value, "citation": c.citation}
-    return {
-        "check-id": c.check_id,
-        "computed": c.computed,
-        "paper-claim": claim,
-        "agreement": c.agreement,
-        "notes": list(c.notes),
-        "elapsed": "0",
-    }
+        claim = (f'{{\n        "value": {_json_str(c.claim_value)},\n'
+                 f'        "citation": {_json_str(c.citation)}\n      }}')
+    notes = "[]"
+    if c.notes:
+        notes = "[\n" + ",\n".join("        " + _json_str(n) for n in c.notes) + "\n      ]"
+    return (f'    {{\n      "check-id": {_json_str(c.check_id)},\n'
+            f'      "computed": {_json_str(c.computed)},\n'
+            f'      "paper-claim": {claim},\n'
+            f'      "agreement": {_json_str(c.agreement)},\n'
+            f'      "notes": {notes},\n'
+            f'      "elapsed": "0"\n    }}')
 
 
 def render_json(suite: str, config: RunConfig, checks) -> str:
-    s = summarize(checks)
-    doc = {
-        "suite": suite,
-        "config": {
-            "m": config.m_expr,
-            "seed": str(config.seed),
-            "survey": str(config.survey),
-            "bound": str(config.bound),
-        },
-        "checks": [check_to_json(c) for c in checks],
-        "summary": {k: str(v) for k, v in s.items()},
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """The report as `json.dumps` with `indent=2` prints it, written directly."""
+    checks_json = "[]"
+    if checks:
+        checks_json = "[\n" + ",\n".join(_check_json(c) for c in checks) + "\n  ]"
+    summary = ",\n".join(f'    "{k}": "{v}"' for k, v in summarize(checks).items())
+    return (f'{{\n  "suite": {_json_str(suite)},\n'
+            f'  "config": {{\n    "m": {_json_str(config.m_expr)},\n'
+            f'    "seed": "{config.seed}",\n    "survey": "{config.survey}",\n'
+            f'    "bound": "{config.bound}"\n  }},\n'
+            f'  "checks": {checks_json},\n'
+            f'  "summary": {{\n{summary}\n  }}\n}}\n')

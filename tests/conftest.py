@@ -66,3 +66,16 @@ def scale_form(bf, c):
 def swap_xy(bf):
     """The binary form bf(Y, X)."""
     return BinaryForm(bf.degree, tuple(reversed(bf.coeffs)))
+
+
+def nf_products(monkeypatch, run):
+    """run() and the names of the NFElem products and powers it made, in order;
+    undoes the monkeypatches of the test when done."""
+    calls = []
+    real_mul, real_pow = NFElem.__mul__, NFElem.__pow__
+    monkeypatch.setattr(NFElem, "__mul__", lambda a, b: calls.append("mul") or real_mul(a, b))
+    monkeypatch.setattr(NFElem, "__pow__", lambda a, n: calls.append("pow") or real_pow(a, n))
+    try:
+        return run(), calls
+    finally:
+        monkeypatch.undo()

@@ -7,9 +7,11 @@ import cgv.geometry as geometry
 from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, ConstructionError, CoordMap, LINE_R,
                           LINE_R_PRIME, QUADRIC_TEXTS, REFERENCE_POINTS, SIGMA, SIGMA2,
                           eval_at_point, fixed_line_check, point_name)
-from cgv.mpoly import MPoly
-from cgv.nf import NFElem
+from cgv.mpoly import GEOM_VARS, MPoly
+from cgv.nf import NF_R, NFElem
 from cgv.parsing import parse_poly
+
+from conftest import nf_products
 
 
 def pullback(f, g):
@@ -110,6 +112,31 @@ def test_restricting_to_r_multiplies_as_the_two_entry_substitution(monkeypatch, 
     assert (restricted, n) == products(lambda: f.substitute({"Z": -x, "T": -y}))
     # substituting the identity entries as well multiplies them out
     assert products(lambda: f.substitute(dict(zip("XYZT", LINE_R))))[1] > n
+
+
+def at_reference_point(p, i):
+    """p at e_i by the pure-power rule: the sum of c*m^k over the terms c*x_i^a*m^k of p."""
+    return sum((MPoly({(0, 0, 0, 0, e[4]): c}) for e, c in p.terms.items()
+                if not any(k for j, k in enumerate(e[:4]) if j != i)), MPoly())
+
+
+def reference_point_polys(family):
+    polys = family.cubics + family.quadrics
+    return polys + tuple(p.partial(v) for p in polys for v in GEOM_VARS)
+
+
+@pytest.mark.parametrize("m_value", [None, NFElem(0), NFElem(1), NF_R], ids=["symbolic", "0", "1", "r"])
+def test_eval_at_reference_points_is_the_pure_power_sum(monkeypatch, family, m_value):
+    # checked against an independent rule, then pinned at no Q(r) product or
+    # power: zero images drop the other terms and the image 1 is not multiplied
+    fam = family.at_m(m_value)
+    polys = reference_point_polys(fam)
+    for p in polys:
+        for i, pt in enumerate(REFERENCE_POINTS):
+            assert eval_at_point(p, pt) == at_reference_point(p, i)
+    _, calls = nf_products(monkeypatch, lambda: [eval_at_point(p, pt) for p in polys
+                                                  for pt in REFERENCE_POINTS])
+    assert calls == []
 
 
 def test_coordmap_composition_and_validation():

@@ -7,7 +7,7 @@ from cgv.mpoly import MPoly, VARS
 from cgv.nf import NF_ZERO, NFElem
 from cgv.parsing import parse_poly
 
-from conftest import random_nfelem
+from conftest import nf_products, random_nfelem
 
 
 def random_mpoly(rng, nterms=4, max_exp=3):
@@ -23,6 +23,19 @@ X, Y, Z, T, m = (MPoly.var(v) for v in VARS)
 
 def test_substitute_kill_variable():
     assert (X * Y).substitute({"X": 0}).is_zero()
+
+
+def test_substitute_rejects_an_unknown_variable():
+    for mapping in ({"x": 0}, {"W": 5, "X": 2}, {"r": 1}):
+        with pytest.raises(KeyError, match="unknown variable"):
+            (X * Y).substitute(mapping)
+
+
+def test_substitute_zero_and_one_images_need_no_product(monkeypatch):
+    # a zero image drops its terms and an image 1 only clears its exponent
+    f = 3 * X ** 2 * Y + 5 * X * Z ** 2 * m + 7 * T ** 3
+    mapping = {"X": 1, "Y": MPoly.constant(1), "Z": 0, "T": NFElem(0)}
+    assert nf_products(monkeypatch, lambda: f.substitute(mapping)) == (MPoly.constant(3), [])
 
 
 def test_substitute_merge():

@@ -112,6 +112,13 @@ permutations = st.tuples(st.permutations(GEOM_VARS), signs).map(
 
 @settings(max_examples=80, deadline=None)
 @given(sources, st.one_of(st.dictionaries(st.sampled_from(VARS), images, max_size=5), permutations))
+# images that mix 0, 1, r and a polynomial, as at a reference point or on a line
+@example(parse_poly("X^2*Y + 2*X*Z*m + Z^2*T - 3*T*m^2 + r*Y^2"),
+         {"X": 1, "Y": 0, "Z": NFElem(0, 1), "T": parse_poly("X - r*m")})
+@example(parse_poly("X*Y*Z + Y^2*m^2 + T^2 + 1"),
+         {"X": MPoly.constant(0), "Y": MPoly.constant(1), "T": NFElem(0, 1), "m": parse_poly("Y + Z")})
+@example(parse_poly("X^2*m + Y^2 + Z*T*m + r"), {"X": NFElem(1), "Y": 0, "Z": 0, "T": 0, "m": 1})
+@example(parse_poly("X*m^2 + Y*Z - T^2*m"), {"m": 0, "X": parse_poly("r*Y + 1"), "T": 1})
 def test_substitute_matches_sympy(f, mapping):
     # dual route: simultaneous replacement of the symbols in sympy, reduced mod r^3 + r^2 - 1
     sym_images = {SYMS[v]: to_sympy(MPoly.coerce(img)) for v, img in mapping.items()}

@@ -3,10 +3,11 @@ import re
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cgv import cli
 from cgv.cli import main
-from cgv.reportlib import (CONFIRMED, INDETERMINATE, REFUTED, RunConfig,
+from cgv.reportlib import (CONFIRMED, INDETERMINATE, REFUTED, CheckReport, RunConfig,
                            make_check, render_json,
                            render_text, summarize)
 from cgv.claims import Claim
@@ -66,6 +67,47 @@ def test_json_roundtrip_and_schema():
         assert isinstance(v, str)
     # round trip: serialize the parsed document again
     assert json.loads(json.dumps(doc)) == doc
+
+
+def dumped_report(suite, config, checks):
+    """Dual route for render_json: the report document built as a dict and
+    printed by the json module's indent=2 encoder."""
+    def check_doc(c):
+        claim = None
+        if c.claim_value is not None or c.citation is not None:
+            claim = {"value": c.claim_value, "citation": c.citation}
+        return {"check-id": c.check_id, "computed": c.computed, "paper-claim": claim,
+                "agreement": c.agreement, "notes": list(c.notes), "elapsed": "0"}
+    doc = {
+        "suite": suite,
+        "config": {"m": config.m_expr, "seed": str(config.seed),
+                   "survey": str(config.survey), "bound": str(config.bound)},
+        "checks": [check_doc(c) for c in checks],
+        "summary": {k: str(v) for k, v in summarize(checks).items()},
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+# any text, with lone surrogates, quotes, backslashes and control characters drawn often
+texts = st.text(st.one_of(st.characters(), st.characters(categories=["Cs"]),
+                          st.sampled_from('"\\\x00\x1f\x7f\u2028')))
+claims = st.one_of(st.just((None, None)), st.tuples(texts, st.none()),
+                   st.tuples(st.none(), texts), st.tuples(texts, texts))
+reports = st.builds(
+    lambda check_id, computed, claim, agreement, notes, error: CheckReport(
+        check_id, computed, *claim, agreement, tuple(notes), error),
+    texts, texts, claims, st.sampled_from([CONFIRMED, REFUTED, INDETERMINATE]),
+    st.lists(texts, max_size=3), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts, st.one_of(st.none(), texts), st.integers(0, 2**64 - 1), st.integers(1, 10**6),
+       st.integers(1, 10**6), st.lists(reports, max_size=4))
+@example("all", None, 1, 100, 5, [])
+def test_render_json_bytes_match_the_json_module(suite, m_expr, seed, survey, bound, checks):
+    config = RunConfig(seed=seed, survey=survey, bound=bound)
+    config.m_expr = m_expr   # any text: the writer does not parse m
+    assert render_json(suite, config, checks) == dumped_report(suite, config, checks)
 
 
 def test_summary_counts():
