@@ -112,10 +112,6 @@ class MPoly:
         i = VAR_INDEX[name]
         return any(e[i] for e in self.terms)
 
-    def sorted_terms(self):
-        """Graded-lex descending, X > Y > Z > T > m."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
-
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
@@ -275,7 +271,17 @@ class MPoly:
     # -- printing ------------------------------------------------------------
 
     def __str__(self):
-        return join_terms(term_str(nf_str(c), zip(VARS, e)) for e, c in self.sorted_terms())
+        """Graded lex, highest first, with X > Y > Z > T > m."""
+        terms = self.terms
+        order = sorted(terms, reverse=True)
+        order.sort(key=sum, reverse=True)   # stable: lex order holds within a degree
+        # "*v^k" for each variable v and each k up to the top degree, built per call
+        top = sum(order[0]) if order else 0
+        px, py, pz, pt, pm = (["", "*" + v] + [f"*{v}^{k}" for k in range(2, top + 1)]
+                              for v in VARS)
+        return join_terms([
+            term_str(nf_str(terms[e]), (px[e[0]] + py[e[1]] + pz[e[2]] + pt[e[3]] + pm[e[4]])[1:])
+            for e in order])
 
     def __repr__(self):
         return f"MPoly<{self}>"

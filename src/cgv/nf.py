@@ -7,8 +7,12 @@ equality coincides with equality in the field.  A product reduces with
 r^3 = 1 - r^2 and r^4 = -1 + r + r^2 and runs one gcd; an inverse is the
 first column of the adjugate of the multiplication-by-a matrix over its
 determinant, the norm.  Printing reads the integers directly: each
-nonzero numerator is reduced over d with one gcd, and no Fraction is
-built.  The single real root of x^3 + x^2 - 1 is r ~ 0.7548776662.
+nonzero numerator is reduced over d with one gcd (none when d = 1), and no
+Fraction is built.  This module also holds the one term formatter,
+`term_str`, which takes a printed coefficient and a ready monomial string,
+and the one sign joiner, `join_terms`, which joins a list of terms with
+one join; `nf_str`, `MPoly.__str__` and `UPoly.to_str` all print
+through them.  The single real root of x^3 + x^2 - 1 is r ~ 0.7548776662.
 """
 
 from __future__ import annotations
@@ -241,10 +245,9 @@ def nf_invert(a: NFElem) -> NFElem:
     return _elem(d * x0, d * x1, d * x2, norm)
 
 
-def term_str(coeff: str, powers) -> str:
-    """One printed term: the printed coefficient times the monomial of the
-    (name, exponent) pairs in `powers`; a coefficient that is a sum is parenthesized."""
-    mono = "*".join([v if k == 1 else f"{v}^{k}" for v, k in powers if k])
+def term_str(coeff: str, mono: str) -> str:
+    """One printed term: the printed coefficient times the printed monomial
+    `mono` ("" for none); a coefficient that is a sum is parenthesized."""
     if not mono:
         return f"({coeff})" if " " in coeff else coeff
     if coeff == "1":
@@ -254,17 +257,16 @@ def term_str(coeff: str, powers) -> str:
     return f"({coeff})*{mono}" if " " in coeff else f"{coeff}*{mono}"
 
 
-def join_terms(terms) -> str:
-    """Join printed terms with explicit signs, "a + b - c"; "0" for no terms."""
-    out = ""
-    for t in terms:
-        if not out:
-            out = t
-        elif t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out or "0"
+def join_terms(terms: list) -> str:
+    """Join printed terms with explicit signs, "a + b - c"; "0" for no terms.
+
+    A term never holds " + -": every sum inside one was joined here first,
+    and a negative term starts with its sign.  So one join with " + " and one
+    replace of " + -" write every sign."""
+    return " + ".join(terms).replace(" + -", " - ") if terms else "0"
+
+
+_R_POWERS = ("", "r", "r^2")
 
 
 def nf_str(a: NFElem) -> str:
@@ -276,6 +278,8 @@ def nf_str(a: NFElem) -> str:
     for k in 0, 1, 2:
         n = v[k]
         if n:
-            g = gcd(n, d)
-            terms.append(term_str(str(n // g) if g == d else f"{n // g}/{d // g}", (("r", k),)))
+            if d != 1:
+                g = gcd(n, d)
+                n = n // g if g == d else f"{n // g}/{d // g}"
+            terms.append(term_str(f"{n}", _R_POWERS[k]))
     return join_terms(terms)

@@ -498,13 +498,14 @@ def pencil_suite(family, config: RunConfig, checks):
         ))
     else:
         lam, mu, count = witness
+        notes = (f"witness (lambda:mu) = ({lam}:{mu}) with {count} distinct points",)
+        if count not in (4, 2):
+            notes += (f"a count of {count} falls outside the printed dichotomy of 4 or 2",)
         checks.append(make_check(
             "pencil/witness-search",
             "non-empty",
             claim("z4-nonempty"),
-            notes=(f"witness (lambda:mu) = ({lam}:{mu}) with {count} distinct points",
-                   "a count of 5 falls outside the printed dichotomy of 4 or 2")
-            + _m_note(config),
+            notes=notes + _m_note(config),
         ))
     fam5 = genus.quintuple_family_coeffs()
     holds5 = genus.quintuple_root_condition(fam5)

@@ -120,8 +120,11 @@ class UPoly:
         return UPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1))
 
     def to_str(self, var: str = "x") -> str:
-        return join_terms(term_str(str(c), ((var, k),))
-                          for k, c in reversed(tuple(enumerate(self.coeffs))) if c)
+        """Descending powers of `var`."""
+        terms = [term_str(str(c), f"{var}^{k}" if k > 1 else var if k else "")
+                 for k, c in enumerate(self.coeffs) if c]
+        terms.reverse()
+        return join_terms(terms)
 
     def __str__(self):
         return self.to_str()

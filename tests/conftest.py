@@ -79,3 +79,50 @@ def nf_products(monkeypatch, run):
         return run(), calls
     finally:
         monkeypatch.undo()
+
+
+# reference printer: the term formatter and sign joiner as the package first
+# wrote them, over the Fraction coordinates, kept here so that the package's
+# printer is compared with code it does not share
+
+
+def ref_term_str(coeff, powers):
+    """The printed coefficient times the monomial of the (name, exponent) pairs."""
+    mono = "*".join([v if k == 1 else f"{v}^{k}" for v, k in powers if k])
+    if not mono:
+        return f"({coeff})" if " " in coeff else coeff
+    if coeff == "1":
+        return mono
+    if coeff == "-1":
+        return "-" + mono
+    return f"({coeff})*{mono}" if " " in coeff else f"{coeff}*{mono}"
+
+
+def ref_join_terms(terms):
+    """Printed terms joined with explicit signs; "0" for none."""
+    out = ""
+    for t in terms:
+        if not out:
+            out = t
+        elif t.startswith("-"):
+            out += " - " + t[1:]
+        else:
+            out += " + " + t
+    return out or "0"
+
+
+def ref_nf_str(a: NFElem) -> str:
+    """Ascending powers of r, each coordinate as str(Fraction) prints it."""
+    return ref_join_terms(ref_term_str(str(c), (("r", k),)) for k, c in enumerate(a.coords()) if c)
+
+
+def ref_mpoly_str(p) -> str:
+    """Graded lex, highest first, with X > Y > Z > T > m."""
+    order = sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]), reverse=True)
+    return ref_join_terms(ref_term_str(ref_nf_str(c), zip(VARS, e)) for e, c in order)
+
+
+def ref_upoly_str(f, var: str) -> str:
+    """Descending powers of var."""
+    return ref_join_terms(ref_term_str(ref_nf_str(c), ((var, k),))
+                          for k, c in reversed(list(enumerate(f.coeffs))) if c)

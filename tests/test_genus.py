@@ -241,6 +241,19 @@ def test_z4_witness_search_frozen(family):
     assert distinct_points(pencil_member(pencil_at(family, M1), lam, mu)) == count >= 4
 
 
+@pytest.mark.parametrize("count, outside", [
+    (5, ("a count of 5 falls outside the printed dichotomy of 4 or 2",)), (4, ())],
+    ids=["count-5", "count-4"])
+def test_witness_note_follows_the_count(monkeypatch, count, outside):
+    # the search returns the first member with at least 4 points, so 4 is possible:
+    # a count the printed dichotomy allows gets no note
+    monkeypatch.setattr(genus_mod, "z4_witness_search", lambda pencil, bound: (1, -5, count))
+    check = next(c for c in run_suite("pencil", RunConfig(m_expr="1"))
+                 if c.check_id == "pencil/witness-search")
+    assert check.computed == "non-empty"
+    assert check.notes == (f"witness (lambda:mu) = (1:-5) with {count} distinct points",) + outside
+
+
 def test_z4_witness_search_not_found_contract(family, monkeypatch):
     # when nothing qualifies the scan returns None, never raises
     monkeypatch.setattr(genus_mod, "distinct_points", lambda bf: 2)

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cgv.nf import NFElem, NF_ONE, NF_R, join_terms, nf_invert, nf_reduce, nf_str, term_str
 
-from conftest import R_FLOAT, nf_to_float, random_nfelem, random_nfelem_nonzero
+from conftest import R_FLOAT, nf_to_float, random_nfelem, random_nfelem_nonzero, ref_nf_str
 
 
 def test_reduce_cube():
@@ -106,9 +106,16 @@ def test_canonical_printing():
     assert nf_str(NFElem(0, -1)) == "-r"
 
 
-def fraction_route_str(a: NFElem) -> str:
-    """Reference printer over the Fraction coordinates."""
-    return join_terms(term_str(str(c), (("r", k),)) for k, c in enumerate(a.coords()) if c)
+def test_term_formatter_and_sign_joiner():
+    assert term_str("3/4", "") == "3/4"
+    assert term_str("1 + r", "") == "(1 + r)"
+    assert term_str("1", "X^2*m") == "X^2*m"
+    assert term_str("-1", "r") == "-r"
+    assert term_str("-1 - r", "Y") == "(-1 - r)*Y"
+    assert term_str("-5/7", "T^12") == "-5/7*T^12"
+    assert join_terms([]) == "0"
+    assert join_terms(["-X"]) == "-X"
+    assert join_terms(["-X", "-3/4*r", "(-1 - r)*Y", "2"]) == "-X - 3/4*r + (-1 - r)*Y + 2"
 
 
 # zero, integers (d = 1), small and large rationals of both signs
@@ -125,7 +132,7 @@ coordinates = st.one_of(
 def test_printer_matches_the_fraction_route(c0, c1, c2):
     # the element, its negative, its rational part and its pure-r part
     for a in (NFElem(c0, c1, c2), -NFElem(c0, c1, c2), NFElem(c0), NFElem(0, c1)):
-        assert nf_str(a) == fraction_route_str(a)
+        assert nf_str(a) == ref_nf_str(a)
 
 
 def test_equality_and_hash_coercion():

@@ -1,16 +1,17 @@
 """Structure-driven property tests over randomized inputs."""
 
+from fractions import Fraction
 from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
 from cgv.geometry import LINE_R, eval_at_point
-from cgv.mpoly import GEOM_VARS, MPoly, VARS
+from cgv.mpoly import GEOM_VARS, MPoly, VARS, ZERO_EXP
 from cgv.nf import NFElem, nf_invert
 from cgv.parsing import parse_poly
 from cgv.upoly import UPoly, squarefree_part, upoly_gcd
 
-from conftest import SYMS, red, to_sympy
+from conftest import SYMS, red, ref_mpoly_str, ref_upoly_str, to_sympy
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
 nf_elems = st.builds(NFElem, fractions, fractions, fractions)
@@ -163,3 +164,38 @@ def test_product_matches_sympy(f, g):
     assert red(to_sympy(products[0]) - to_sympy(f) * to_sympy(g)) == 0
     assert products[1] == products[2]
     assert not products[3].terms
+
+
+# -- the printer against the reference printer in conftest ----------------------------
+
+# d = 1 and d > 1, with +-1 and zero coordinates common
+print_coords = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-12, 12),
+                         st.fractions(min_value=-20, max_value=20, max_denominator=15))
+print_coeffs = st.one_of(st.sampled_from([1, -1]).map(NFElem), st.builds(NFElem, print_coords),
+                         st.builds(NFElem, print_coords, print_coords, print_coords))
+# one- and two-digit exponents
+print_exponents = st.tuples(*(st.one_of(st.integers(0, 3), st.integers(9, 12)) for _ in range(5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(print_exponents, print_coeffs, max_size=10).map(MPoly))
+@example(MPoly())
+@example(MPoly({ZERO_EXP: 1}))
+@example(MPoly({ZERO_EXP: -1}))
+@example(MPoly({ZERO_EXP: NFElem(-1, 1)}))
+@example(MPoly({(1, 0, 0, 0, 0): -1, ZERO_EXP: NFElem(-1, 0, -1)}))
+@example(MPoly({(0, 0, 0, 0, 1): 1, (0, 10, 0, 0, 11): NFElem(0, -1), (12, 0, 0, 0, 0): NFElem(2, -3)}))
+@example(MPoly({(1, 1, 1, 1, 1): NFElem(Fraction(-1, 2), Fraction(1, 3), 1), (0, 0, 2, 0, 3): 7}))
+def test_mpoly_printer_matches_the_reference(p):
+    assert str(p) == ref_mpoly_str(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(NFElem(0)), print_coeffs), max_size=14).map(UPoly),
+       st.sampled_from(["x", "a", "m"]))
+@example(UPoly(), "x")
+@example(UPoly((-1,)), "x")
+@example(UPoly((NFElem(1, 1),)), "a")
+@example(UPoly((NFElem(-1, -1), NFElem(-1, 1), 0, 0, 0, 0, 0, 0, 0, 0, -1)), "x")
+def test_upoly_printer_matches_the_reference(f, var):
+    assert f.to_str(var) == ref_upoly_str(f, var)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import sys
@@ -12,6 +13,7 @@ from cgv.reportlib import (CONFIRMED, INDETERMINATE, REFUTED, CheckReport, RunCo
                            render_text, summarize)
 from cgv.claims import Claim
 from cgv.nf import NFElem
+from cgv.parsing import parse_poly
 from cgv.suites import SUITE_NAMES, run_suite
 
 
@@ -179,6 +181,22 @@ def test_cli_eval_reads_an_expression_starting_with_minus(expr, printed, capsys)
     assert capsys.readouterr().out == printed + "\n"
     assert main(["eval", printed]) == 0
     assert capsys.readouterr().out == printed + "\n"
+
+
+LARGE = "(1/2*X - 2/3*r*Y + 3/4*m + (1-r)*Z - 5/7*T + r^2)^6*(X - 1/6*r^2*T + 2)^2"
+
+
+def test_cli_eval_large_output_is_pinned(capsys):
+    # 1,134 terms over Q(r) in all five variables, byte for byte, and
+    # printing followed by parsing is the identity
+    assert main(["eval", LARGE]) == 0
+    out = capsys.readouterr().out
+    assert len(out) == 50783
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f160490ab521ebc3551eb7c65332667a82dd6a0f2ae99f61e8ce5ec250763255")
+    assert len(parse_poly(out).terms) == 1134
+    assert main(["eval", out.strip()]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cli_eval_help(capsys):
