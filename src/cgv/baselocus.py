@@ -5,7 +5,8 @@ common zero set decomposes over subsets S of {0..3}: the coordinates with
 index in S vanish and the remaining quadrics vanish.  No Q_j has a square
 term, so Q_j restricted to a stratum is row j of the 4x6 mixed-monomial
 matrix M (`CubicFamily.mixed_matrix`) on the stratum's columns, the
-products of two free coordinates.  Strata are classified exactly:
+products of two free coordinates.  `classify_stratum`, the one entry
+point, classifies each stratum exactly:
 
   * 4 hyperplanes: no projective point.
   * 3 hyperplanes: no columns, so the quadric vanishes identically, leaving
@@ -19,6 +20,9 @@ products of two free coordinates.  Strata are classified exactly:
     point with all coordinates nonzero gives a kernel vector of all of M
     subject to (XY)(ZT) = (XZ)(YT) = (XT)(YZ), which reduces to a gcd of
     two binary quadratics.
+
+The 4x10 coefficient rows of `quadric_independence` are M, with zeros in
+the four square columns.
 """
 
 from __future__ import annotations
@@ -103,13 +107,6 @@ def _monomial_name(exp) -> str:
     return "*".join(v for v, k in zip(GEOM_VARS, exp) if k)
 
 
-def _coefficient_row(q: MPoly, basis, name: str):
-    """Coefficients of q over a basis of geometric monomials; q must lie in their span."""
-    if not set(q.geom_support()) <= set(basis):
-        raise InternalCheckError(f"{name} is not supported on the monomial basis")
-    return tuple(q.coeff_of_geom(e) for e in basis)
-
-
 def _verified(family, stratum, points):
     """`points`, each checked by exact substitution to kill every defining form
     of the stratum; InternalCheckError names the first that does not."""
@@ -120,12 +117,10 @@ def _verified(family, stratum, points):
     return tuple(points)
 
 
-def stratum_double_hyperplane(family, stratum) -> StratumResult:
+def _double_hyperplane(family, stratum) -> StratumResult:
     """Two coordinates vanish; both restricted quadrics, the stratum's one
     column of M, must be nonzero multiples of the product of the two free
     coordinates."""
-    if len(stratum.taken) != 2:
-        raise ValueError("not a two-hyperplane stratum")
     (k,) = stratum.columns()
     identities = []
     notes = []
@@ -219,7 +214,7 @@ def _all_nonzero_kernel_vector(basis):
     return None
 
 
-def monomial_kernel_lift(family, h: str) -> StratumResult:
+def _single_hyperplane(family, stratum) -> StratumResult:
     """Classify the stratum {h = 0} meet the three non-cofactor quadrics.
 
     A point of the plane h = 0 has monomial vector (pq, qs, sp) in the kernel
@@ -230,7 +225,7 @@ def monomial_kernel_lift(family, h: str) -> StratumResult:
     column vanishes (then a whole coordinate line lies in the stratum); a
     vector with exactly two nonzero entries never arises from a point.
     """
-    stratum = Stratum((COFACTOR_COORDS.index(h),))
+    (h,) = stratum.hyperplane_names
     mat, basis, row_quadrics, cycle = single_hyperplane_system(family, h)
     a = [[e.as_nfelem() for e in row] for row in mat]
     ref_points = _verified(family, stratum, stratum.reference_points())
@@ -285,7 +280,7 @@ def _consistency(u, w):
     return tuple(u[0] * w[5] - u[k] * w[5 - k] for k in (1, 2))
 
 
-def no_hyperplane_torus_check(family) -> StratumResult:
+def _torus(family, stratum) -> StratumResult:
     """Points with all four coordinates nonzero on every quadric.
 
     The mixed-monomial vector of such a point is an all-nonzero kernel vector
@@ -298,7 +293,6 @@ def no_hyperplane_torus_check(family) -> StratumResult:
     the circulant determinant of `quadric_independence`, which is nonzero;
     so M has rank 4 and its kernel is a plane for every m.
     """
-    stratum = Stratum(())
     kernel = nf_kernel_basis([[e.as_nfelem() for e in row] for row in family.mixed_matrix])
     if len(kernel) != 2:
         raise InternalCheckError(f"the mixed-monomial kernel has dimension {len(kernel)}, not 2")
@@ -324,7 +318,7 @@ def no_hyperplane_torus_check(family) -> StratumResult:
         vec = _all_nonzero_kernel_vector(kernel)
         if vec is None:
             return result(REFERENCE, all_ref, ("every kernel vector has a fixed zero entry",))
-        return result(NON_REFERENCE, (_torus_point(family, vec),))
+        return result(NON_REFERENCE, (_torus_point(family, stratum, vec),))
     if p1.is_zero() or p2.is_zero():
         return result(INCONCLUSIVE, extra_notes=(
             "one consistency quadratic vanishes identically; root extraction over Q(r) not attempted",))
@@ -343,7 +337,7 @@ def no_hyperplane_torus_check(family) -> StratumResult:
     for alpha, beta in candidates:
         vec = tuple(alpha * x + beta * y for x, y in zip(b0, b1))
         if all(not c.is_zero() for c in vec):
-            found.append(_torus_point(family, vec))
+            found.append(_torus_point(family, stratum, vec))
     if found:
         return result(NON_REFERENCE, tuple(found))
     if g.degree() == 2:
@@ -352,14 +346,14 @@ def no_hyperplane_torus_check(family) -> StratumResult:
     return result(REFERENCE, all_ref, ("every common root of the consistency relations has a zero entry",))
 
 
-def _torus_point(family, v):
+def _torus_point(family, stratum, v):
     """The point [pq : p*yz : q*yz : s*yz] of an all-nonzero mixed-monomial
     vector v = (XY, XZ, XT, YZ, ...) = (p, q, s, yz, ...), verified."""
     p, q, s, yz = v[0], v[1], v[2], v[3]
     pt = (p * q, p * yz, q * yz, s * yz)
     if any(c.is_zero() for c in pt):
         raise InternalCheckError("lifted torus point has a zero coordinate")
-    return _verified(family, Stratum(()), (pt,))[0]
+    return _verified(family, stratum, (pt,))[0]
 
 
 # -- quadric independence -----------------------------------------------------
@@ -386,8 +380,10 @@ def quadric_independence(family) -> IndependenceResult:
     det_cof = matrix_det(mat)
     if det_cof != circulant_det_formula(a, b, c, d):
         raise InternalCheckError("cofactor determinant disagrees with the eigenvalue-product formula")
-    coeff_rows = [_coefficient_row(q, QUADRIC_BASIS, f"Q{j}") for j, q in enumerate(family.quadrics)]
-    rank, pivots = matrix_rank(coeff_rows)
+    # M over all ten quadric monomials, zero in the four square columns
+    zero = MPoly.constant(0)
+    by_monomial = [dict(zip(MIXED_MONOMIALS, row)) for row in family.mixed_matrix]
+    rank, pivots = matrix_rank([[row.get(e, zero) for e in QUADRIC_BASIS] for row in by_monomial])
     return IndependenceResult(
         entries=(a, b, c, d),
         det_cofactor=det_cof,
@@ -398,10 +394,19 @@ def quadric_independence(family) -> IndependenceResult:
 
 # -- stratum dispatch and aggregation ------------------------------------------
 
+# what the 1- and 0-hyperplane strata report while m is a symbol:
+# (identity, the analysis that needs m fixed)
+_NEEDS_M = {
+    1: ("the 3x3 system is singular for every m, so the kernel lift is required", "kernel lift"),
+    0: ("the torus analysis solves a specialized linear system", "torus check"),
+}
+
+
 def classify_stratum(family, stratum) -> StratumResult:
     """Classify one stratum of `family`; pass `family.at_m(value)` to fix m.
     Raises when a quadric has a square term, since M then does not exist."""
-    # m stays a symbol unless `CubicFamily.at_m` fixed it
+    # M is read first, so a square term raises on every stratum; m stays a
+    # symbol unless `CubicFamily.at_m` fixed it
     symbolic = any(e.involves("m") for row in family.mixed_matrix for e in row)
     k = len(stratum.taken)
     if k == 4:
@@ -416,24 +421,11 @@ def classify_stratum(family, stratum) -> StratumResult:
             stratum, REFERENCE, _verified(family, stratum, stratum.reference_points()),
             identities=(f"Q{qj} with the three coordinates set to 0 is identically 0 in {COFACTOR_COORDS[qj]}",),
         )
-    if k == 2:
-        return stratum_double_hyperplane(family, stratum)
-    if k == 1:
-        h = COFACTOR_COORDS[stratum.taken[0]]
-        if symbolic:
-            return StratumResult(
-                stratum, INCONCLUSIVE, (),
-                identities=("the 3x3 system is singular for every m, so the kernel lift is required",),
-                notes=("m left symbolic; supply --m to run the kernel lift",),
-            )
-        return monomial_kernel_lift(family, h)
-    if symbolic:
-        return StratumResult(
-            stratum, INCONCLUSIVE, (),
-            identities=("the torus analysis solves a specialized linear system",),
-            notes=("m left symbolic; supply --m to run the torus check",),
-        )
-    return no_hyperplane_torus_check(family)
+    if k < 2 and symbolic:
+        identity, analysis = _NEEDS_M[k]
+        return StratumResult(stratum, INCONCLUSIVE, (), identities=(identity,),
+                             notes=(f"m left symbolic; supply --m to run the {analysis}",))
+    return {2: _double_hyperplane, 1: _single_hyperplane, 0: _torus}[k](family, stratum)
 
 
 def aggregate(results):

@@ -43,18 +43,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the option strings of `cgv check`; `--m` never takes one as its value
+_CHECK_OPTIONS = ("-h", "--help", "--m", "--seed", "--survey", "--bound", "--format", "--out")
+
+
 def _shield_dash_values(argv):
     """Rewrite `--m VALUE` as `--m=VALUE`, and `eval EXPR` as `eval -- EXPR`.
 
     argparse reads a value such as `-r` or `-2/3*r^2+5` as an option and
     rejects `--m -r` and `eval -r*X`; glued to its flag, or after `--`, the
-    value is taken as given.  `eval -h` still asks for help.
+    value is taken as given.  An option of `cgv check` is never glued, so
+    `--m --format json` still lacks its value.  `eval -h` still asks for help.
     """
     out = []
-    args = iter(argv)
-    for arg in args:
-        value = next(args, None) if arg == "--m" else None
-        out.append(arg if value is None else f"--m={value}")
+    for arg in argv:
+        if out[-1:] == ["--m"] and arg.split("=", 1)[0] not in _CHECK_OPTIONS:
+            out[-1] = f"--m={arg}"
+        else:
+            out.append(arg)
     expr = out[1] if out[:1] == ["eval"] and len(out) > 1 else ""
     if expr.startswith("-") and expr not in ("-h", "--help", "--"):
         out.insert(1, "--")

@@ -58,7 +58,7 @@ class _Tokenizer:
                 j = i
                 while j < n and text[j] in _DIGITS:
                     j += 1
-                self.tokens.append(("int", text[i:j], i))
+                self.tokens.append(("integer", text[i:j], i))
                 i = j
                 continue
             if ch.isalpha():
@@ -123,7 +123,7 @@ class _Parser:
         value = self.base()
         if self.peek()[0] == "^":
             self.advance()
-            tok = self.expect("int")
+            tok = self.expect("integer")
             value = value ** int(tok[1])
         return value
 
@@ -135,12 +135,12 @@ class _Parser:
             value = self.expr()
             self.expect(")")
             return value
-        if kind == "int":
+        if kind == "integer":
             self.advance()
             num = int(text)
             if self.peek()[0] == "/":
                 self.advance()
-                den_tok = self.expect("int")
+                den_tok = self.expect("integer")
                 den = int(den_tok[1])
                 if den == 0:
                     raise ParseError(den_tok[2], ("nonzero integer",), den_tok[1])

@@ -113,24 +113,25 @@ def cubics_suite(family, config: RunConfig, checks):
 # -- base locus ----------------------------------------------------------------------
 
 
+# the claim of a stratum: the three strata the source names, else the one
+# for its number of hyperplanes
+_STRATUM_CLAIMS = {
+    "T.X.Y|Q3": "stratum-triple-TXY",
+    "T.X|Q2.Q3": "stratum-double-TX",
+    "T|Q1.Q2.Q3": "single-stratum-T-points",
+    4: "stratum-quadruple-empty",
+    3: "stratum-triple-others",
+    2: "stratum-double-others",
+    1: "single-stratum-other-points",
+    0: "reference-base-points",
+}
+
+
 def _stratum_claim(stratum):
-    label = stratum.label()
-    points = points_str(stratum.reference_points())
-    if len(stratum.taken) == 4:
-        return claim("stratum-quadruple-empty")
-    if len(stratum.taken) == 3:
-        if label == "T.X.Y|Q3":
-            return claim("stratum-triple-TXY")
-        return claim("stratum-triple-others", points)
-    if len(stratum.taken) == 2:
-        if label == "T.X|Q2.Q3":
-            return claim("stratum-double-TX")
-        return claim("stratum-double-others", points)
-    if len(stratum.taken) == 1:
-        if label == "T|Q1.Q2.Q3":
-            return claim("single-stratum-T-points")
-        return claim("single-stratum-other-points", points)
-    return claim("reference-base-points")
+    key = _STRATUM_CLAIMS.get(stratum.label()) or _STRATUM_CLAIMS[len(stratum.taken)]
+    printed = claim(key)
+    # a claim the source makes of several strata is filled with this one's points
+    return printed if printed.value is not None else claim(key, points_str(stratum.reference_points()))
 
 
 def base_locus_suite(family, config: RunConfig, checks):
@@ -145,17 +146,10 @@ def base_locus_suite(family, config: RunConfig, checks):
             results.append(baselocus.StratumResult(stratum, INCONCLUSIVE, (), (), ()))
             continue
         results.append(res)
-        if res.kind == EMPTY:
-            computed = "empty"
-        elif res.kind == REFERENCE:
-            computed = points_str(res.points)
-        elif res.kind == NON_REFERENCE:
-            computed = "non-reference points: " + points_str(res.points)
-        else:
-            computed = "inconclusive"
         checks.append(make_check(
             f"base-locus/stratum/{label}",
-            computed,
+            {EMPTY: "empty", REFERENCE: points_str(res.points),
+             NON_REFERENCE: "non-reference points: " + points_str(res.points)}.get(res.kind, "inconclusive"),
             _stratum_claim(stratum),
             notes=res.identities + res.notes,
             ambiguous=res.kind == INCONCLUSIVE,
@@ -238,18 +232,14 @@ def base_locus_suite(family, config: RunConfig, checks):
         checks.append(error_check("base-locus/quadric-independence", exc))
 
     kind, points = baselocus.aggregate(results)
-    if kind == REFERENCE:
-        computed = points_str(points)
-    elif kind == NON_REFERENCE:
-        computed = "non-reference points found: " + points_str(points)
-    else:
-        computed = "indeterminate"
     checks.append(make_check(
         "base-locus/aggregate",
-        computed,
+        {REFERENCE: points_str(points),
+         NON_REFERENCE: "non-reference points found: " + points_str(points)}.get(kind, "indeterminate"),
         claim("reference-base-points"),
         notes=("the aggregate is confirmed only when every stratum is conclusive",)
-        + _m_symbolic_note(config),
+        + (("single-hyperplane and torus strata need --m; they are inconclusive here",)
+           if config.m_value is None else ()),
         ambiguous=kind == INCONCLUSIVE,
     ))
     checks.append(make_check(
@@ -258,12 +248,6 @@ def base_locus_suite(family, config: RunConfig, checks):
         notes=('the passage from base points of the cubic system to base-point freeness of the '
                'tricanonical system uses: "' + claim("codim-2-step").quote + '"',),
     ))
-
-
-def _m_symbolic_note(config: RunConfig):
-    if config.m_value is None:
-        return ("single-hyperplane and torus strata need --m; they are inconclusive here",)
-    return ()
 
 
 def quadric_independence_suite(family, config: RunConfig, checks):

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from cgv.baselocus import (REFERENCE, Stratum, classify_stratum, quadric_independence,
                            single_hyperplane_det_analysis,
-                           single_hyperplane_system, stratum_double_hyperplane)
+                           single_hyperplane_system)
 from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, LINE_R, LINE_R_PRIME,
                           REFERENCE_POINTS, SIGMA, SIGMA2, eval_at_point,
                           fixed_line_check)
@@ -89,7 +89,7 @@ def test_criterion_04_triple_and_double_strata(family):
             coeff = restricted.coeff_of_geom(mono)
             ok = ok and not coeff.is_zero()
             ok = ok and not coeff.substitute({"m": M1}).as_nfelem().is_zero()
-        res = stratum_double_hyperplane(family.at_m(M1), stratum)
+        res = classify_stratum(family.at_m(M1), stratum)
         ok = ok and res.kind == REFERENCE and len(res.points) == 2
     verdict(4, ok, "triple strata yield exactly the four reference points; "
                    "double strata restrict to nonzero single-monomial multiples "

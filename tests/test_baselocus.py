@@ -8,11 +8,9 @@ import cgv.suites as suites
 import cgv.baselocus as baselocus
 from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
                            QUADRIC_BASIS, InternalCheckError, Stratum, aggregate,
-                           all_strata, classify_stratum, monomial_kernel_lift,
-                           no_hyperplane_torus_check,
+                           all_strata, classify_stratum,
                            single_hyperplane_det_analysis,
-                           single_hyperplane_system, stratum_double_hyperplane,
-                           quadric_independence)
+                           single_hyperplane_system, quadric_independence)
 from cgv.cli import main
 from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, MIXED_MONOMIALS, REFERENCE_POINTS,
                           SIGMA, ConstructionError, CubicFamily, eval_at_point, point_name)
@@ -109,7 +107,7 @@ def test_double_strata_unit_monomials(family):
     }
     for taken, coeffs in table.items():
         stratum = Stratum(taken)
-        res = stratum_double_hyperplane(family, stratum)
+        res = classify_stratum(family, stratum)
         assert res.kind == REFERENCE
         assert len(res.points) == 2
         for j, expected_coeff in zip(stratum.quadrics, coeffs):
@@ -122,17 +120,17 @@ def test_double_strata_unit_monomials(family):
 
 def test_double_strata_m_dependent(family):
     for taken in ((0, 2), (1, 3)):
-        res = stratum_double_hyperplane(family, Stratum(taken))
+        res = classify_stratum(family, Stratum(taken))
         assert res.kind == REFERENCE
         assert any("m = 0" in n for n in res.notes)
-        degenerate = stratum_double_hyperplane(family.at_m(NFElem(0)), Stratum(taken))
+        degenerate = classify_stratum(family.at_m(NFElem(0)), Stratum(taken))
         assert degenerate.kind == INCONCLUSIVE
-        fine = stratum_double_hyperplane(family.at_m(M1), Stratum(taken))
+        fine = classify_stratum(family.at_m(M1), Stratum(taken))
         assert fine.kind == REFERENCE
 
 
 def test_double_stratum_TX_example(family):
-    res = stratum_double_hyperplane(family, Stratum((0, 1)))
+    res = classify_stratum(family, Stratum((0, 1)))
     names = [point_name(p) for p in res.points]
     assert names == ["[0:1:0:0]", "[0:0:1:0]"]
 
@@ -203,7 +201,7 @@ def test_det_numeric_crosscheck(family):
 
 
 def test_kernel_lift_at_m1(family):
-    res = monomial_kernel_lift(family.at_m(M1), "T")
+    res = classify_stratum(family.at_m(M1), Stratum((0,)))
     assert res.kind == REFERENCE
     names = [point_name(p) for p in res.points]
     assert names == ["[1:0:0:0]", "[0:1:0:0]", "[0:0:1:0]"]
@@ -224,16 +222,18 @@ def test_kernel_lift_at_m1(family):
 
 
 def test_kernel_lift_all_h_and_various_m(family):
-    for h in ("T", "X", "Y", "Z"):
+    for i in range(4):
         for mv in (M1, NFElem(0), NFElem(0, 1)):
-            res = monomial_kernel_lift(family.at_m(mv), h)
+            res = classify_stratum(family.at_m(mv), Stratum((i,)))
             assert res.kind == REFERENCE
             assert len(res.points) == 3
 
 
 def test_kernel_lift_requires_m(family):
-    with pytest.raises(ValueError):
-        monomial_kernel_lift(family, "T")
+    for taken, analysis in (((0,), "kernel lift"), ((), "torus check")):
+        res = classify_stratum(family, Stratum(taken))
+        assert res.kind == INCONCLUSIVE and res.points == ()
+        assert res.notes == (f"m left symbolic; supply --m to run the {analysis}",)
 
 
 def test_lift_identity_algebra():
@@ -247,7 +247,7 @@ def test_lift_identity_algebra():
 
 
 def test_torus_stratum_empty(family):
-    res = no_hyperplane_torus_check(family.at_m(M1))
+    res = classify_stratum(family.at_m(M1), Stratum(()))
     assert res.kind == REFERENCE
     assert len(res.points) == 4
     mat = family.at_m(M1).mixed_matrix
@@ -280,7 +280,7 @@ def test_a_torus_kernel_that_is_not_a_plane_is_an_internal_error(family, monkeyp
     real = baselocus.nf_kernel_basis
     monkeypatch.setattr(baselocus, "nf_kernel_basis", lambda rows: real(rows)[:1])
     with pytest.raises(InternalCheckError, match="dimension 1, not 2"):
-        no_hyperplane_torus_check(family.at_m(M1))
+        classify_stratum(family.at_m(M1), Stratum(()))
 
 
 def test_quadric_independence(family):
@@ -410,7 +410,7 @@ def test_kernel_lift_reports_non_reference_points():
     # a singular system whose kernel contains an all-nonzero vector must
     # surface the lifted non-reference point instead of staying silent
     fake = _synthetic_family(parse_poly("X*Y + Y*Z + Z*X"))
-    res = monomial_kernel_lift(fake, "T")
+    res = classify_stratum(fake, Stratum((0,)))
     assert res.kind == NON_REFERENCE
     assert res.points
     pt = res.points[0]
@@ -419,6 +419,38 @@ def test_kernel_lift_reports_non_reference_points():
 
 def test_kernel_lift_reports_zero_column_line():
     fake = _synthetic_family(parse_poly("Y*Z"))
-    res = monomial_kernel_lift(fake, "T")
+    res = classify_stratum(fake, Stratum((0,)))
     assert res.kind == NON_REFERENCE
     assert any("line" in s for s in res.identities)
+
+
+def _nf_vector(*entries):
+    return tuple(NFElem(e) for e in entries)
+
+
+# kernels in (XY, XZ, XT, YZ, YT, ZT) coordinates that drive the torus analysis
+# down the branches the real family never reaches
+@pytest.mark.parametrize("kernel, kind, text", [
+    ((_nf_vector(1, 0, 0, 0, 0, 0), _nf_vector(0, 1, 0, 0, 0, 0)), REFERENCE,
+     "every kernel vector has a fixed zero entry"),
+    ((_nf_vector(1, 0, 0, 0, 0, 1), _nf_vector(0, 1, 1, 1, 1, 0)), INCONCLUSIVE,
+     "the consistency gcd is quadratic; its roots were not extracted over Q(r)"),
+    ((_nf_vector(0, 0, 0, 0, 0, 1), _nf_vector(1, 0, 1, 0, 1, 0)), REFERENCE,
+     "every common root of the consistency relations has a zero entry"),
+], ids=["fixed-zero-entry", "quadratic-gcd", "roots-with-a-zero-entry"])
+def test_torus_branches_on_a_substituted_kernel(family, monkeypatch, kernel, kind, text):
+    monkeypatch.setattr(baselocus, "nf_kernel_basis", lambda rows: list(kernel))
+    res = classify_stratum(family.at_m(M1), Stratum(()))
+    assert res.kind == kind
+    assert text in res.identities + res.notes
+    assert res.points == (REFERENCE_POINTS if kind == REFERENCE else ())
+
+
+def test_a_nonsingular_single_hyperplane_system_leaves_the_reference_points(family, monkeypatch):
+    monkeypatch.setattr(baselocus, "nf_kernel_basis", lambda rows: [])
+    stratum = Stratum((0,))
+    res = classify_stratum(family.at_m(M1), stratum)
+    assert res.kind == REFERENCE
+    assert res.identities[-1] == "the specialized system is nonsingular: kernel = 0"
+    assert res.points == stratum.reference_points()
+    assert res.notes == ()

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 import cgv.linalg as linalg
-from cgv.baselocus import QUADRIC_BASIS, _coefficient_row
+from cgv.baselocus import QUADRIC_BASIS, quadric_independence
 from cgv.linalg import (circulant_det_formula, circulant_matrix, matrix_det, matrix_rank,
                         nf_kernel_basis)
 from cgv.mpoly import MPoly
@@ -127,8 +127,29 @@ def test_rank_matches_minor_enumeration(entry, scalar):
     assert 20 <= deficient <= 80
 
 
+def _quadric_rows(family):
+    """The coefficients of Q0..Q3 over the ten quadric monomials, read off the quadrics."""
+    return [[q.coeff_of_geom(e) for e in QUADRIC_BASIS] for q in family.quadrics]
+
+
+@pytest.mark.parametrize("m", [None, NFElem(0), NFElem(1), NFElem(0, 1)],
+                         ids=["symbolic", "0", "1", "r"])
+def test_quadric_rows_are_the_mixed_matrix_with_zero_square_columns(family, m):
+    fam = family.at_m(m)
+    rows = _quadric_rows(fam)
+    # M's columns in order, with a zero at each square X^2, Y^2, Z^2, T^2
+    expected = []
+    for row in fam.mixed_matrix:
+        entries = iter(row)
+        expected.append([MPoly.constant(0) if 2 in exp else next(entries) for exp in QUADRIC_BASIS])
+    assert rows == expected
+    assert [k for k, exp in enumerate(QUADRIC_BASIS) if 2 in exp] == [0, 4, 7, 9]
+    ind = quadric_independence(fam)
+    assert (ind.rank, ind.rank_witness) == matrix_rank(rows) == (4, (1, 2, 3, 5))
+
+
 def test_quadric_rank_takes_no_determinant(family, monkeypatch):
-    rows = [_coefficient_row(q, QUADRIC_BASIS, f"Q{j}") for j, q in enumerate(family.quadrics)]
+    rows = _quadric_rows(family)
     assert any(e.involves("m") for row in rows for e in row)
     dets = []
     real = linalg.matrix_det

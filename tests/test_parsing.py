@@ -60,7 +60,10 @@ def test_error_positions_and_expectations():
     assert exc.value.offset == 4
     with pytest.raises(ParseError) as exc:
         parse_poly("X ^ Y")
-    assert exc.value.expected == ("int",)
+    assert exc.value.expected == ("integer",)
+    for text in ("X^-1", "2/-3"):
+        with pytest.raises(ParseError, match="expected one of integer; found '-'"):
+            parse_poly(text)
     with pytest.raises(ParseError):
         parse_poly("(X + Y")
     with pytest.raises(ParseError):

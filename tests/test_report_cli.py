@@ -257,6 +257,24 @@ def test_cli_m_without_value_is_a_usage_error(capsys):
     assert "expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rest", [["--format", "json"], ["--format=json"], ["--out", "report.txt"],
+                                  ["--seed", "3"], ["--survey=10"], ["--bound", "2"],
+                                  ["--m", "1"], ["-h"], ["--help"]])
+def test_cli_m_never_takes_an_option_as_its_value(rest, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["check", "all", "--m", *rest]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --m: expected one argument" in captured.err
+    assert not (tmp_path / "report.txt").exists()
+
+
+def test_cli_option_list_matches_the_check_parser(capsys):
+    # every option string the check help shows is one `--m` leaves unglued
+    assert main(["check", "--help"]) == 0
+    shown = set(re.findall(r"(?<![\w-])--?[a-z]+", capsys.readouterr().out))
+    assert shown == set(cli._CHECK_OPTIONS)
+
+
 def test_cli_unwritable_out_is_a_configuration_error(tmp_path, capsys):
     out = tmp_path / "no-such-dir" / "report.txt"
     assert main(["check", "sigma", "--out", str(out)]) == 2
