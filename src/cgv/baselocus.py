@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .nf import NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
@@ -50,9 +50,10 @@ NON_REFERENCE = "non_reference_points"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
-class Stratum:
-    taken: tuple  # indices i in cofactor order (T,X,Y,Z) whose coordinate vanishes
+class Stratum(namedtuple("Stratum", "taken")):
+    """`taken`: the indices i in cofactor order (T,X,Y,Z) whose coordinate vanishes."""
+
+    __slots__ = ()
 
     @property
     def quadrics(self):
@@ -88,13 +89,9 @@ def all_strata():
     return out
 
 
-@dataclass(frozen=True)
-class StratumResult:
-    stratum: Stratum
-    kind: str
-    points: tuple          # tuples of 4 NFElem, in X,Y,Z,T positions
-    identities: tuple      # printed symbolic facts backing the classification
-    notes: tuple = ()
+# points: tuples of 4 NFElem, in X,Y,Z,T positions; identities: the printed
+# symbolic facts backing the classification
+StratumResult = namedtuple("StratumResult", "stratum kind points identities notes", defaults=((),))
 
 
 def _monomial(names):
@@ -180,11 +177,7 @@ def single_hyperplane_system(family, h: str):
     return tuple(rows), basis, tuple(row_quadrics), cycle
 
 
-@dataclass(frozen=True)
-class DetAnalysis:
-    det: MPoly
-    m_coefficient: NFElem
-    m_free_part: NFElem
+DetAnalysis = namedtuple("DetAnalysis", "det m_coefficient m_free_part")
 
 
 def single_hyperplane_det_analysis(mat) -> DetAnalysis:
@@ -364,12 +357,8 @@ QUADRIC_BASIS = tuple(sorted(
 ))
 
 
-@dataclass(frozen=True)
-class IndependenceResult:
-    entries: tuple            # (a, b, c, d)
-    det_cofactor: NFElem
-    rank: int
-    rank_witness: tuple       # pivot columns: the certifying maximal minor
+# entries: (a, b, c, d); rank_witness: the pivot columns of the certifying maximal minor
+IndependenceResult = namedtuple("IndependenceResult", "entries det_cofactor rank rank_witness")
 
 
 @functools.lru_cache(maxsize=1)  # `check all` asks twice for the one family it builds

@@ -11,16 +11,13 @@ expression text that `parse_display` parses once per process.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .mpoly import MPoly
 from .parsing import parse_poly
 
 
-@dataclass(frozen=True)
-class Claim:
-    value: str | None
-    quote: str
+Claim = namedtuple("Claim", "value quote")
 
 
 CLAIMS = {

@@ -47,17 +47,27 @@ def _build_parser() -> argparse.ArgumentParser:
 _CHECK_OPTIONS = ("-h", "--help", "--m", "--seed", "--survey", "--bound", "--format", "--out")
 
 
+def _is_check_option(arg) -> bool:
+    """Does argparse read `arg` as an option of `cgv check`?  As argparse
+    does, a long option may be abbreviated to any prefix longer than `--`."""
+    name = arg.split("=", 1)[0]
+    if name.startswith("--") and len(name) > 2:
+        return any(o.startswith(name) for o in _CHECK_OPTIONS)
+    return name in _CHECK_OPTIONS
+
+
 def _shield_dash_values(argv):
     """Rewrite `--m VALUE` as `--m=VALUE`, and `eval EXPR` as `eval -- EXPR`.
 
     argparse reads a value such as `-r` or `-2/3*r^2+5` as an option and
     rejects `--m -r` and `eval -r*X`; glued to its flag, or after `--`, the
-    value is taken as given.  An option of `cgv check` is never glued, so
-    `--m --format json` still lacks its value.  `eval -h` still asks for help.
+    value is taken as given.  An option of `cgv check`, abbreviated or not,
+    is never glued, so `--m --form json` still lacks its value.  `eval -h`
+    still asks for help.
     """
     out = []
     for arg in argv:
-        if out[-1:] == ["--m"] and arg.split("=", 1)[0] not in _CHECK_OPTIONS:
+        if out[-1:] == ["--m"] and not _is_check_option(arg):
             out[-1] = f"--m={arg}"
         else:
             out.append(arg)

@@ -7,17 +7,17 @@ from adjunction on the elliptic exceptional curves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class DivisorClass:
-    h: int
-    e: tuple
+class DivisorClass(namedtuple("DivisorClass", "h e")):
+    """h H~ + sum(e_i E_i), with e a tuple of four ints."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "e", tuple(int(c) for c in self.e))
+    __slots__ = ()
+
+    def __new__(cls, h: int, e):
+        return super().__new__(cls, h, tuple(int(c) for c in e))
 
     def __add__(self, other):
         return DivisorClass(self.h + other.h, tuple(a + b for a, b in zip(self.e, other.e)))

@@ -11,7 +11,7 @@ agreement flags rather than replayed line by line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .nf import NFElem
@@ -46,12 +46,10 @@ def rh_relation(p_cover: int, p_quotient: int) -> int:
     return deg_r
 
 
-@dataclass(frozen=True)
-class FeasibilityBranch:
-    delta_total: Fraction      # sum of all upstairs delta invariants
-    s_q: Fraction | None       # per-model downstairs total, when integral
-    violated: tuple            # names of failing constraints
-    status: str                # "infeasible" or "arithmetically-feasible-unresolved"
+# delta_total: the sum of all upstairs delta invariants; s_q: the per-model
+# downstairs total, None unless integral; violated: the names of the failing
+# constraints; status: "infeasible" or "arithmetically-feasible-unresolved"
+FeasibilityBranch = namedtuple("FeasibilityBranch", "delta_total s_q violated status")
 
 
 def quotient_feasibility(p_a: int, fibers: int, ram_deg: int) -> FeasibilityBranch:
@@ -97,12 +95,13 @@ def _xy_coefficients(f: MPoly, degree: int):
     return tuple(f.coeff_of_geom((degree - i, i, 0, 0)) for i in range(degree + 1))
 
 
-@dataclass(frozen=True)
-class BinaryForm:
-    """Homogeneous form in (X, Y) over Q(r); m is fixed before a form is built."""
+class BinaryForm(namedtuple("BinaryForm", "degree coeffs")):
+    """Homogeneous form in (X, Y) over Q(r); m is fixed before a form is built.
 
-    degree: int
-    coeffs: tuple   # a_0..a_d in Q(r), a_i the coefficient of X^(d-i) Y^i
+    `coeffs` is a_0..a_d in Q(r), a_i the coefficient of X^(d-i) Y^i.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def from_mpoly(cls, f: MPoly, degree: int) -> "BinaryForm":
@@ -245,12 +244,9 @@ def three_two_family_coeffs():
 # -- the cubic factor probe ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CubicProbe:
-    condition_value: NFElem    # 9*d*a - b*c
-    pattern: tuple | None
-    condition_says_one_root: bool
-    classifications_agree: bool | None
+# condition_value: 9*d*a - b*c; pattern and classifications_agree are None for the zero cubic
+CubicProbe = namedtuple("CubicProbe",
+                        "condition_value pattern condition_says_one_root classifications_agree")
 
 
 def cubic_one_root_probe(pencil, lam, mu) -> CubicProbe:

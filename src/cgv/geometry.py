@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .nf import NFElem
 from .mpoly import MPoly, GEOM_VARS
@@ -32,8 +32,7 @@ LINE_R = (X, Y, -X, -Y)
 LINE_R_PRIME = (X, Y, X, Y)
 
 
-@dataclass(frozen=True)
-class CoordMap:
+class CoordMap(namedtuple("CoordMap", "images")):
     """A permutation of the coordinates (X, Y, Z, T).
 
     Coordinate k maps to coordinate `images[k]`.  It acts on points by
@@ -41,11 +40,12 @@ class CoordMap:
     the generic point.
     """
 
-    images: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.images) != [0, 1, 2, 3]:
+    def __new__(cls, images: tuple):
+        if sorted(images) != [0, 1, 2, 3]:
             raise ValueError("images must permute the four coordinates")
+        return super().__new__(cls, images)
 
     def point_image(self, point):
         """Apply the map to a 4-tuple of coordinates (scalars or polynomials)."""
@@ -124,16 +124,19 @@ def eval_at_point(f: MPoly, pt):
     return f.substitute({v: c for v, c, g in zip(GEOM_VARS, pt, GENERIC_POINT) if c is not g})
 
 
-@dataclass(frozen=True, eq=False)
 class CubicFamily:
     """The four cubics C_0..C_3 and their quadric cofactors Q_0..Q_3.
 
     Compared by identity, so a result cached on a family lasts one run.
     """
 
-    cubics: tuple
-    quadrics: tuple
-    sigma_index_map: tuple
+    def __init__(self, cubics: tuple, quadrics: tuple, sigma_index_map: tuple):
+        object.__setattr__(self, "cubics", cubics)
+        object.__setattr__(self, "quadrics", quadrics)
+        object.__setattr__(self, "sigma_index_map", sigma_index_map)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CubicFamily is immutable")
 
     def at_m(self, value) -> "CubicFamily":
         """The family with m fixed to `value`; the family itself for None."""

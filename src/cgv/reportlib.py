@@ -11,7 +11,7 @@ same document, which the tests compare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
 from .claims import Claim
@@ -23,15 +23,8 @@ REFUTED = "refuted"
 INDETERMINATE = "indeterminate"
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    check_id: str
-    computed: str
-    claim_value: str | None = None
-    citation: str | None = None
-    agreement: str = INDETERMINATE
-    notes: tuple = ()
-    error: bool = False
+# claim_value and citation are None without a claim; error marks a check that did not complete
+CheckReport = namedtuple("CheckReport", "check_id computed claim_value citation agreement notes error")
 
 
 def make_check(check_id: str, computed: str, claim: Claim | None = None,
@@ -54,6 +47,7 @@ def make_check(check_id: str, computed: str, claim: Claim | None = None,
         citation=None if claim is None else claim.quote,
         agreement=agreement,
         notes=tuple(notes),
+        error=False,
     )
 
 
@@ -61,29 +55,29 @@ def error_check(check_id: str, exc: BaseException) -> CheckReport:
     return CheckReport(
         check_id=check_id,
         computed=f"internal error: {type(exc).__name__}: {exc}",
+        claim_value=None,
+        citation=None,
         agreement=INDETERMINATE,
         notes=("the check did not complete; this is a defect in the toolkit, not a verdict",),
         error=True,
     )
 
 
-@dataclass
 class RunConfig:
-    m_expr: str | None = None
-    seed: int = 1
-    survey: int = 100
-    bound: int = 5
-    m_value: NFElem | None = field(init=False, default=None)
+    """The options of `cgv check`, validated, with m parsed when given."""
 
-    def __post_init__(self):
-        if not 0 <= self.seed < 1 << 64:
-            raise ValueError(f"seed must be in [0, 2^64), got {self.seed}")
-        if self.survey < 1:
+    def __init__(self, m_expr: str | None, seed: int, survey: int, bound: int):
+        if not 0 <= seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2^64), got {seed}")
+        if survey < 1:
             raise ValueError("survey size must be >= 1")
-        if self.bound < 1:
+        if bound < 1:
             raise ValueError("witness bound must be >= 1")
-        if self.m_expr is not None:
-            self.m_value = parse_poly(self.m_expr).as_nfelem()
+        self.m_expr = m_expr
+        self.seed = seed
+        self.survey = survey
+        self.bound = bound
+        self.m_value = None if m_expr is None else parse_poly(m_expr).as_nfelem()
 
     def m_or_default(self):
         """Scalar m for checks that need one: --m if given, else 1."""

@@ -14,7 +14,7 @@ by cubic, so a caller builds each row once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import lcm
 
 from .nf import NFElem, nf_invert
@@ -39,11 +39,7 @@ def display_agreement(rows, i: int):
     return flags, diffs
 
 
-@dataclass(frozen=True)
-class LambdaReplay:
-    obstruction: NFElem
-    obstruction_inverse: NFElem
-    steps: tuple
+LambdaReplay = namedtuple("LambdaReplay", "obstruction obstruction_inverse steps")
 
 
 def lambda_replay(rows) -> LambdaReplay:
@@ -108,11 +104,8 @@ class SampleStream:
         return (self.next_coordinate(), self.next_coordinate(), self.next_coordinate())
 
 
-@dataclass(frozen=True)
-class SurveyResult:
-    seed: int
-    histogram: tuple   # ((rank, count), ...) sorted by rank
-    skipped: int
+# histogram: ((rank, count), ...) sorted by rank
+SurveyResult = namedtuple("SurveyResult", "seed histogram skipped")
 
 
 def rank_survey(family, n: int, seed: int) -> SurveyResult:

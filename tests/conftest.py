@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from cgv.cli import _build_parser
 from cgv.genus import BinaryForm
 from cgv.geometry import build_cubics
 from cgv.mpoly import VARS
 from cgv.nf import NFElem
+from cgv.reportlib import RunConfig
 
 # the real root of x^3 + x^2 - 1, for float cross-checks in tests only
 R_FLOAT = 0.7548776662466928
@@ -16,6 +18,14 @@ R_FLOAT = 0.7548776662466928
 @pytest.fixture(scope="session")
 def family():
     return build_cubics()
+
+
+def run_config(**options) -> RunConfig:
+    """The RunConfig of `cgv check` left at its defaults, with `options`
+    (any of m_expr, seed, survey, bound) set instead."""
+    args = vars(_build_parser().parse_args(["check", "all"]))
+    defaults = {k: args[k] for k in ("m_expr", "seed", "survey", "bound")}
+    return RunConfig(**{**defaults, **options})
 
 
 # sympy oracle: r is the symbol rr, reduced modulo its minimal polynomial

@@ -24,12 +24,12 @@ from cgv.genus import (ci_genus, distinct_points, pencil_factorization,
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem, nf_invert, nf_reduce
 from cgv.parsing import parse_poly
-from cgv.reportlib import CONFIRMED, REFUTED, RunConfig, render_text
+from cgv.reportlib import CONFIRMED, REFUTED, render_text
 from cgv.suites import run_suite
 from cgv.upoly import UPoly, squarefree_part, upoly_gcd
 
-from conftest import (nf_to_float, random_nfelem, random_nfelem_nonzero, scale_form,
-                      swap_xy)
+from conftest import (nf_to_float, random_nfelem, random_nfelem_nonzero, run_config,
+                      scale_form, swap_xy)
 
 M1 = NFElem(1)
 
@@ -122,7 +122,7 @@ def test_criterion_05_printed_matrix_and_determinant(family):
                + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
         ok = ok and abs(det) < 1e-9
     # the report's agreement flag is set strictly by the oracle: refuted
-    checks = {c.check_id: c for c in run_suite("base-locus", RunConfig(m_expr="1"))}
+    checks = {c.check_id: c for c in run_suite("base-locus", run_config(m_expr="1"))}
     ok = ok and checks["base-locus/det/T/m-free-part"].agreement == REFUTED
     ok = ok and checks["base-locus/det/T/m-coefficient"].agreement == CONFIRMED
     ok = ok and checks["base-locus/system/T/matrix"].agreement == CONFIRMED
@@ -162,7 +162,7 @@ def test_criterion_09_feasibility_branches():
     ok = b4.status == "infeasible" and "divisibility by 4" in b4.violated and b4.delta_total == 75
     b2 = quotient_feasibility(76, fibers=4, ram_deg=2)
     ok = ok and b2.status == "arithmetically-feasible-unresolved" and b2.s_q == 19
-    checks = {c.check_id: c for c in run_suite("genus", RunConfig())}
+    checks = {c.check_id: c for c in run_suite("genus", run_config())}
     ok = ok and checks["genus/feasibility/ram-deg-4"].agreement == CONFIRMED
     ok = ok and checks["genus/feasibility/ram-deg-2"].agreement != CONFIRMED
     verdict(9, ok, "R=4 infeasible by the 4-divides-75 obstruction; R=2 reported "
@@ -226,7 +226,7 @@ def test_criterion_12_property_suites(family):
         p = MPoly(terms)
         ok = ok and parse_poly(str(p)) == p
     # deterministic reports
-    cfg = RunConfig(m_expr="1", survey=10)
+    cfg = run_config(m_expr="1", survey=10)
     ok = ok and (render_text("all", cfg, run_suite("all", cfg))
                  == render_text("all", cfg, run_suite("all", cfg)))
     # distinct_points scaling and swap invariance

@@ -13,14 +13,14 @@ from cgv.genus import (BinaryForm, RamificationError,
                        quotient_feasibility, rh_relation,
                        three_two_family_coeffs, z4_witness_search)
 from cgv.geometry import LINE_R, LINE_R_PRIME, eval_at_point, point_name
-from cgv.reportlib import REFUTED, RunConfig
+from cgv.reportlib import REFUTED
 from cgv.suites import run_suite
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem
 from cgv.parsing import parse_poly
 from cgv.upoly import UPoly
 
-from conftest import random_nfelem_nonzero, scale_form, swap_xy
+from conftest import random_nfelem_nonzero, run_config, scale_form, swap_xy
 
 M1 = NFElem(1)
 
@@ -223,7 +223,7 @@ def test_witness_analysis(family):
 
 def test_xy_factor_points_are_computed_from_the_line(monkeypatch):
     def xy_check():
-        checks = run_suite("pencil", RunConfig())
+        checks = run_suite("pencil", run_config())
         return next(c for c in checks if c.check_id == "pencil/xy-factor-points")
 
     assert xy_check().computed == "[1:0:-1:0], [0:1:0:-1]"
@@ -248,7 +248,7 @@ def test_witness_note_follows_the_count(monkeypatch, count, outside):
     # the search returns the first member with at least 4 points, so 4 is possible:
     # a count the printed dichotomy allows gets no note
     monkeypatch.setattr(genus_mod, "z4_witness_search", lambda pencil, bound: (1, -5, count))
-    check = next(c for c in run_suite("pencil", RunConfig(m_expr="1"))
+    check = next(c for c in run_suite("pencil", run_config(m_expr="1"))
                  if c.check_id == "pencil/witness-search")
     assert check.computed == "non-empty"
     assert check.notes == (f"witness (lambda:mu) = (1:-5) with {count} distinct points",) + outside
@@ -307,7 +307,7 @@ def test_three_two_printed_relation_fails_identically():
     # frozen residual 4a^4 + 6a^6
     assert printed == UPoly((0, 0, 0, 0, Fraction(4), 0, Fraction(6)))
     # as the pencil suite prints them
-    check = next(c for c in run_suite("pencil", RunConfig())
+    check = next(c for c in run_suite("pencil", run_config())
                  if c.check_id == "pencil/three-two-condition")
     assert check.computed == "fails identically on the (3,2) family (residual 6*a^6 + 4*a^4)"
     assert check.notes[0].endswith("the residual is 0")

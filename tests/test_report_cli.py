@@ -8,13 +8,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from cgv import cli
 from cgv.cli import main
-from cgv.reportlib import (CONFIRMED, INDETERMINATE, REFUTED, CheckReport, RunConfig,
-                           make_check, render_json,
-                           render_text, summarize)
+from cgv.reportlib import (CONFIRMED, INDETERMINATE, REFUTED, CheckReport, make_check,
+                           render_json, render_text, summarize)
 from cgv.claims import Claim
 from cgv.nf import NFElem
 from cgv.parsing import parse_poly
 from cgv.suites import SUITE_NAMES, run_suite
+
+from conftest import run_config
 
 
 def test_make_check_agreement_rules():
@@ -32,17 +33,17 @@ def test_make_check_agreement_rules():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(survey=0)
+        run_config(survey=0)
     with pytest.raises(ValueError):
-        RunConfig(bound=0)
+        run_config(bound=0)
     with pytest.raises(ValueError):
-        RunConfig(m_expr="X + 1")
-    cfg = RunConfig(m_expr="r^2")
+        run_config(m_expr="X + 1")
+    cfg = run_config(m_expr="r^2")
     assert cfg.m_value == NFElem(0, 0, 1)
 
 
 def test_reports_byte_identical():
-    cfg = RunConfig(m_expr="1")
+    cfg = run_config(m_expr="1")
     for name in ("sigma", "divisors", "base-locus"):
         a = render_text(name, cfg, run_suite(name, cfg))
         b = render_text(name, cfg, run_suite(name, cfg))
@@ -53,7 +54,7 @@ def test_reports_byte_identical():
 
 
 def test_json_roundtrip_and_schema():
-    cfg = RunConfig()
+    cfg = run_config()
     checks = run_suite("divisors", cfg)
     text = render_json("divisors", cfg, checks)
     doc = json.loads(text)
@@ -107,7 +108,7 @@ reports = st.builds(
        st.integers(1, 10**6), st.lists(reports, max_size=4))
 @example("all", None, 1, 100, 5, [])
 def test_render_json_bytes_match_the_json_module(suite, m_expr, seed, survey, bound, checks):
-    config = RunConfig(seed=seed, survey=survey, bound=bound)
+    config = run_config(seed=seed, survey=survey, bound=bound)
     config.m_expr = m_expr   # any text: the writer does not parse m
     assert render_json(suite, config, checks) == dumped_report(suite, config, checks)
 
@@ -123,7 +124,7 @@ def test_summary_counts():
 
 
 def test_divisor_suite_confirms_the_four_multiplicities():
-    checks = run_suite("divisors", RunConfig())
+    checks = run_suite("divisors", run_config())
     mult_checks = [c for c in checks if c.check_id.startswith("divisors/exceptional-multiplicity/")]
     assert len(mult_checks) == 4
     assert all(c.agreement == CONFIRMED for c in mult_checks)
@@ -133,7 +134,7 @@ def test_a_failed_divisor_identity_is_an_error(monkeypatch, capsys):
     from cgv import divisors
     real = divisors.exceptional_multiplicity
     monkeypatch.setattr(divisors, "exceptional_multiplicity", lambda n: -2 if n == 3 else real(n))
-    checks = run_suite("divisors", RunConfig())
+    checks = run_suite("divisors", run_config())
     failed = [c for c in checks if c.check_id == "divisors/nK-decomposition/n=3"]
     assert len(failed) == 1 and failed[0].error
     assert summarize(checks)["errors"] == 1
@@ -143,18 +144,18 @@ def test_a_failed_divisor_identity_is_an_error(monkeypatch, capsys):
 
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
-        run_suite("nonsense", RunConfig())
+        run_suite("nonsense", run_config())
 
 
 def test_every_claimed_check_carries_a_citation():
-    cfg = RunConfig(m_expr="1", survey=5)
+    cfg = run_config(m_expr="1", survey=5)
     for c in run_suite("all", cfg):
         if c.claim_value is not None:
             assert c.citation
 
 
 def test_full_json_roundtrip():
-    cfg = RunConfig(m_expr="1", survey=5)
+    cfg = run_config(m_expr="1", survey=5)
     checks = run_suite("all", cfg)
     doc = json.loads(render_json("all", cfg, checks))
     assert len(doc["checks"]) == len(checks)
@@ -244,7 +245,7 @@ def test_suite_names_stable():
                            "tangent", "divisors", "genus", "pencil", "all")
 
 
-@pytest.mark.parametrize("m", ["-r", "-2/3*r^2+5"])
+@pytest.mark.parametrize("m", ["-r", "-2/3*r^2+5", "--1"])
 def test_cli_accepts_m_starting_with_minus(m, capsys):
     assert main(["check", "base-locus", "--m", m, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -259,7 +260,10 @@ def test_cli_m_without_value_is_a_usage_error(capsys):
 
 @pytest.mark.parametrize("rest", [["--format", "json"], ["--format=json"], ["--out", "report.txt"],
                                   ["--seed", "3"], ["--survey=10"], ["--bound", "2"],
-                                  ["--m", "1"], ["-h"], ["--help"]])
+                                  ["--m", "1"], ["-h"], ["--help"],
+                                  # abbreviations, which argparse accepts
+                                  ["--form", "json"], ["--se", "3"], ["--o", "report.txt"],
+                                  ["--fo=json"], ["--he"]])
 def test_cli_m_never_takes_an_option_as_its_value(rest, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["check", "all", "--m", *rest]) == 2
@@ -415,7 +419,7 @@ def count_calls(monkeypatch, name, *modules):
 def test_check_all_computes_quadric_independence_once(monkeypatch):
     import cgv.baselocus as baselocus
     calls = count_calls(monkeypatch, "matrix_rank", baselocus)
-    run_suite("all", RunConfig(m_expr="1", survey=5))
+    run_suite("all", run_config(m_expr="1", survey=5))
     assert len(calls) == 1
 
 
@@ -435,7 +439,7 @@ def test_family_verified_once_and_fresh_per_run(monkeypatch):
 
     monkeypatch.setattr(suites, "build_cubics", recorded_build)
     for runs in (1, 2):
-        run_suite("all", RunConfig(m_expr="1", survey=5))
+        run_suite("all", run_config(m_expr="1", survey=5))
         # results cached on the family last one run: the rank is computed again
         assert len(ranks) == runs
     assert sorted(text for text, in parses) == sorted(geometry.QUADRIC_TEXTS)
@@ -449,7 +453,7 @@ def test_check_all_leaves_the_shared_polynomials_unchanged():
     cubics, quadrics, _ = _verified_family()
     before = [dict(p.terms) for p in cubics + quadrics]
     for m_expr in (None, "0", "1", "r"):
-        run_suite("all", RunConfig(m_expr=m_expr))
+        run_suite("all", run_config(m_expr=m_expr))
     assert _verified_family()[:2] == (cubics, quadrics)
     assert [p.terms for p in cubics + quadrics] == before
 
@@ -457,7 +461,7 @@ def test_check_all_leaves_the_shared_polynomials_unchanged():
 def test_check_all_builds_each_chart_gradient_row_once(monkeypatch):
     import cgv.tangent as tangent
     calls = count_calls(monkeypatch, "chart_gradient", tangent)
-    run_suite("all", RunConfig(m_expr="1", survey=5))
+    run_suite("all", run_config(m_expr="1", survey=5))
     # rows 0, 1, 2 of the symbolic family, then of the family at m = 1 for the survey
     assert [i for _, i in calls] == [0, 1, 2, 0, 1, 2]
     assert len({id(family) for family, _ in calls}) == 2
@@ -468,7 +472,7 @@ def test_base_locus_builds_each_single_hyperplane_system_once(monkeypatch, m_exp
     import cgv.baselocus as baselocus
     import cgv.suites as suites
     calls = count_calls(monkeypatch, "single_hyperplane_system", suites, baselocus)
-    run_suite("base-locus", RunConfig(m_expr=m_expr))
+    run_suite("base-locus", run_config(m_expr=m_expr))
     # one system per hyperplane for the matrix and determinant checks, and
     # one per kernel lift once m is fixed
     assert len(calls) == builds
@@ -479,7 +483,7 @@ def test_quadric_independence_entries_compared_with_the_display(monkeypatch):
     import cgv.suites as suites
 
     def entries_check():
-        checks = run_suite("quadric-independence", RunConfig())
+        checks = run_suite("quadric-independence", run_config())
         return next(c for c in checks if c.check_id == "quadric-independence/entries")
 
     assert entries_check().agreement == CONFIRMED
@@ -496,7 +500,7 @@ def test_check_all_reads_every_claim(monkeypatch):
     import cgv.suites as suites
     from cgv.claims import CLAIMS
     calls = count_calls(monkeypatch, "claim", suites)
-    run_suite("all", RunConfig(survey=5))
+    run_suite("all", run_config(survey=5))
     # a registered claim that no check reads is unverified data
     assert set(CLAIMS) - {key for key, *_ in calls} == set()
 

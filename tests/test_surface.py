@@ -1,9 +1,11 @@
-"""The package surface: every module-level function and class in src/cgv, and
-every public method and property of those classes, has a caller in src/cgv;
-every defaulted parameter is both passed and left at its default there;
-`import cgv` loads the layers without the CLI; src/cgv imports only itself
-and the standard library, has no floating point, and turns every exception
-it catches as `Exception` into an error check."""
+"""The package surface: every module-level function, class and namedtuple in
+src/cgv, and every public method and property of those classes, has a caller
+in src/cgv; every defaulted parameter, a namedtuple field with a default
+included, is both passed and left at its default there; `import cgv` loads
+the layers without the CLI or `dataclasses`; src/cgv imports only itself and
+the standard library, has no floating point, and turns every exception it
+catches as `Exception` into an error check.  The value types are read-only,
+compare by value, and the cubic family by identity."""
 
 import ast
 import importlib.util
@@ -11,6 +13,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from cgv.baselocus import Stratum
+from cgv.claims import claim
+from cgv.divisors import HYPERPLANE, DivisorClass
+from cgv.geometry import SIGMA, build_cubics
+from cgv.mpoly import MPoly
+from cgv.reportlib import make_check
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cgv"
@@ -43,9 +54,19 @@ def _trees():
 ENTRY_POINTS = {("cli", "main"), ("geometry", "build_cubics"), ("nf", "nf_reduce")}
 
 
+def _namedtuple(node):
+    """The `namedtuple(...)` call that `node` assigns to one name, or None."""
+    if (isinstance(node, ast.Assign) and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "namedtuple"):
+        return node.value
+    return None
+
+
 def _unreferenced():
     """Module-level definitions in src/cgv that no code in src/cgv outside
-    their own body names, as a Name or an attribute."""
+    their own body names, as a Name or an attribute.  `Name = namedtuple(...)`
+    is a definition of Name."""
     trees = _trees()
     references = {}
     for tree in trees.values():
@@ -58,11 +79,17 @@ def _unreferenced():
     out = []
     for mod, tree in trees.items():
         for d in tree.body:
-            if not isinstance(d, (ast.FunctionDef, ast.ClassDef)) or (mod, d.name) in allowed:
+            if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                name = d.name
+            elif _namedtuple(d) is not None:
+                name = d.targets[0].id
+            else:
+                continue
+            if (mod, name) in allowed:
                 continue
             own = {id(n) for n in ast.walk(d)}
-            if not references.get(d.name, set()) - own:
-                out.append(f"{mod}.{d.name}")
+            if not references.get(name, set()) - own:
+                out.append(f"{mod}.{name}")
     return out
 
 
@@ -118,15 +145,28 @@ def _passes(call, name, position):
     return any(k.arg == name for k in call.keywords) or (position is not None and len(call.args) > position)
 
 
+def _namedtuple_defaulted(call):
+    """(name, position) of each field of `namedtuple(typename, fields,
+    defaults=...)` that has a default: the last len(defaults) fields."""
+    fields = call.args[1].value.replace(",", " ").split()
+    defaults = next((k.value for k in call.keywords if k.arg == "defaults"), None)
+    count = 0 if defaults is None else len(defaults.elts)
+    return [(f, i) for i, f in enumerate(fields) if i >= len(fields) - count]
+
+
 def _callables(trees):
-    """(label, definition, implicit arguments, where its calls are, the name
-    they call it by) for each function and method in src/cgv.  A class call
-    calls `__init__` or `__new__`; a nested function is called in its parent."""
+    """(label, defaulted parameters as `_defaulted` gives them, where its calls
+    are, the name they call it by) for each function, method and namedtuple
+    in src/cgv.  A class call calls `__init__` or `__new__`, or builds the
+    namedtuple; a nested function is called in its parent."""
     everywhere = list(trees.values())
     for mod, tree in trees.items():
         for d in tree.body:
             if isinstance(d, ast.FunctionDef):
-                yield f"{mod}.{d.name}", d, 0, everywhere, d.name
+                yield f"{mod}.{d.name}", _defaulted(d, 0), everywhere, d.name
+            elif _namedtuple(d) is not None:
+                name = d.targets[0].id
+                yield f"{mod}.{name}", _namedtuple_defaulted(d.value), everywhere, name
             elif isinstance(d, ast.ClassDef):
                 for m in d.body:
                     if not isinstance(m, ast.FunctionDef):
@@ -134,22 +174,22 @@ def _callables(trees):
                     static = any(isinstance(x, ast.Name) and x.id == "staticmethod"
                                  for x in m.decorator_list)
                     if m.name in ("__init__", "__new__"):
-                        yield f"{mod}.{d.name}.{m.name}", m, 1, everywhere, d.name
+                        yield f"{mod}.{d.name}.{m.name}", _defaulted(m, 1), everywhere, d.name
                     elif not m.name.startswith("__"):
-                        yield f"{mod}.{d.name}.{m.name}", m, int(not static), everywhere, m.name
+                        yield (f"{mod}.{d.name}.{m.name}", _defaulted(m, int(not static)),
+                               everywhere, m.name)
         for outer in ast.walk(tree):
             if isinstance(outer, ast.FunctionDef):
                 for inner in outer.body:
                     if isinstance(inner, ast.FunctionDef):
-                        yield f"{mod}.{outer.name}.{inner.name}", inner, 0, [outer], inner.name
+                        yield f"{mod}.{outer.name}.{inner.name}", _defaulted(inner, 0), [outer], inner.name
 
 
 def _single_use_defaults():
     """Defaulted parameters of functions called in src/cgv that every call
     there passes, or that no call there passes."""
     out = []
-    for label, fn, bound, scope, name in _callables(_trees()):
-        params = _defaulted(fn, bound)
+    for label, params, scope, name in _callables(_trees()):
         if not params or label == "cli.main":
             continue
         calls = [n for s in scope for n in ast.walk(s) if isinstance(n, ast.Call)
@@ -174,15 +214,20 @@ LAYERS = ["cgv", "cgv.baselocus", "cgv.claims", "cgv.divisors", "cgv.genus", "cg
 
 def test_import_loads_the_layers_without_the_cli():
     # the benchmark's setup time is `import cgv` plus build_cubics(): the import
-    # must load every layer it has always loaded, and no command-line parsing
-    code = ("import sys, cgv; "
+    # must load every layer it has always loaded, no command-line parsing, and
+    # not `dataclasses` (with `inspect`, `ast` and `dis` behind it), which
+    # costs more than the rest of the import; modules `site` loaded first
+    # do not count
+    code = ("import sys; before = set(sys.modules); import cgv; "
             "print(sorted(m for m in sys.modules if m == 'cgv' or m.startswith('cgv.'))); "
-            "print('argparse' in sys.modules, callable(cgv.build_cubics))")
+            "print('argparse' in sys.modules, callable(cgv.build_cubics)); "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout.splitlines()
     assert ast.literal_eval(out[0]) == LAYERS
     assert out[1] == "False True"
+    assert ast.literal_eval(out[2]) == []
 
 
 def test_imports_are_intra_package_or_stdlib():
@@ -228,3 +273,23 @@ def test_every_except_exception_reports_an_error_check():
                     for s in node.body for n in ast.walk(s)):
                 silent.append(f"{mod}:{node.lineno}")
     assert silent == []
+
+
+def test_value_types_are_read_only_and_keep_their_equality(monkeypatch):
+    family = build_cubics()
+    for value, name in [(Stratum((0,)), "taken"), (SIGMA, "images"), (HYPERPLANE, "e"),
+                        (family, "cubics"), (family, "mixed_matrix"),
+                        (claim("sigma-order"), "value"), (make_check("x", "1"), "computed")]:
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+    # the lattice class normalises e to a tuple of ints, so equal classes hash equal
+    lifted = DivisorClass(1, [0, 0, 0, 0])
+    assert lifted == HYPERPLANE and hash(lifted) == hash(HYPERPLANE) and type(lifted.e) is tuple
+    # a family is compared by identity, and M is computed once per family
+    calls = []
+    support = MPoly.geom_support
+    monkeypatch.setattr(MPoly, "geom_support", lambda self: calls.append(1) or support(self))
+    other = build_cubics()
+    assert other is not family and other != family
+    assert other.mixed_matrix is other.mixed_matrix
+    assert len(calls) == 4
