@@ -89,9 +89,9 @@ def all_strata():
     return out
 
 
-# points: tuples of 4 NFElem, in X,Y,Z,T positions; identities: the printed
-# symbolic facts backing the classification
-StratumResult = namedtuple("StratumResult", "stratum kind points identities notes", defaults=((),))
+# points: tuples of 4 NFElem, in X,Y,Z,T positions; notes: the printed
+# symbolic facts backing the classification, then any remarks
+StratumResult = namedtuple("StratumResult", "stratum kind points notes")
 
 
 def _monomial(names):
@@ -124,11 +124,10 @@ def _double_hyperplane(family, stratum) -> StratumResult:
     for j in stratum.quadrics:
         coeff = family.mixed_matrix[j][k]
         if coeff.is_zero():
-            return StratumResult(
-                stratum, INCONCLUSIVE, (),
-                identities=(f"Q{j} restricts to 0 on the stratum plane",),
-                notes=("an identically zero restriction leaves the whole coordinate line in the locus",),
-            )
+            return StratumResult(stratum, INCONCLUSIVE, (), notes=(
+                f"Q{j} restricts to 0 on the stratum plane",
+                "an identically zero restriction leaves the whole coordinate line in the locus",
+            ))
         identities.append(f"Q{j} restricts to ({coeff}) * {_monomial_name(MIXED_MONOMIALS[k])}")
         if coeff.involves("m"):
             notes.append(
@@ -137,7 +136,7 @@ def _double_hyperplane(family, stratum) -> StratumResult:
     # the product monomial vanishes where either free coordinate does
     return StratumResult(
         stratum, REFERENCE, _verified(family, stratum, stratum.reference_points()),
-        identities=tuple(identities), notes=tuple(notes),
+        notes=tuple(identities + notes),
     )
 
 
@@ -224,10 +223,10 @@ def _single_hyperplane(family, stratum) -> StratumResult:
     ref_points = _verified(family, stratum, stratum.reference_points())
 
     def result(kind, points, identity, notes=()):
-        return StratumResult(stratum, kind, points, identities=(
+        return StratumResult(stratum, kind, points, notes=(
             "the zero monomial vector forces at least two free coordinates to vanish: reference points only",
             "a kernel vector with exactly two nonzero entries is never the monomial vector of a point",
-            identity), notes=notes)
+            identity) + notes)
 
     kernel = nf_kernel_basis(a)
     if not kernel:
@@ -298,8 +297,7 @@ def _torus(family, stratum) -> StratumResult:
     notes = (f"mixed-monomial kernel dimension {len(kernel)}",)
 
     def result(kind, points=(), identities=(), extra_notes=()):
-        return StratumResult(stratum, kind, points, identities=base_identities + identities,
-                             notes=notes + extra_notes)
+        return StratumResult(stratum, kind, points, notes=base_identities + identities + notes + extra_notes)
 
     b0, b1 = kernel
     # on alpha*b0 + beta*b1 each relation is a binary quadratic in (alpha, beta)
@@ -401,19 +399,19 @@ def classify_stratum(family, stratum) -> StratumResult:
     if k == 4:
         return StratumResult(
             stratum, EMPTY, (),
-            identities=("X = Y = Z = T = 0 has only the trivial common zero, which is not a projective point",),
+            notes=("X = Y = Z = T = 0 has only the trivial common zero, which is not a projective point",),
         )
     if k == 3:
         # no column: the surviving quadric vanishes identically
         (qj,) = stratum.quadrics
         return StratumResult(
             stratum, REFERENCE, _verified(family, stratum, stratum.reference_points()),
-            identities=(f"Q{qj} with the three coordinates set to 0 is identically 0 in {COFACTOR_COORDS[qj]}",),
+            notes=(f"Q{qj} with the three coordinates set to 0 is identically 0 in {COFACTOR_COORDS[qj]}",),
         )
     if k < 2 and symbolic:
         identity, analysis = _NEEDS_M[k]
-        return StratumResult(stratum, INCONCLUSIVE, (), identities=(identity,),
-                             notes=(f"m left symbolic; supply --m to run the {analysis}",))
+        return StratumResult(stratum, INCONCLUSIVE, (),
+                             notes=(identity, f"m left symbolic; supply --m to run the {analysis}"))
     return {2: _double_hyperplane, 1: _single_hyperplane, 0: _torus}[k](family, stratum)
 
 

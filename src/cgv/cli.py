@@ -19,8 +19,9 @@ ERROR_EXIT = 1
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing leaves it unchanged."""
+def _build_parser():
+    """The argument parser and the option strings of `cgv check`, built once
+    per process; parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="cgv",
         description="Exact-arithmetic verification of the tricanonical-system "
@@ -28,46 +29,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    check = sub.add_parser("check", help="run a named check suite")
+    # help is added here rather than by argparse, so that its option strings
+    # are listed with the others
+    check = sub.add_parser("check", help="run a named check suite", add_help=False)
     check.add_argument("suite", choices=SUITE_NAMES)
-    check.add_argument("--m", dest="m_expr", default=None,
-                       help="specialize the parameter m to an exact expression, e.g. 1 or r^2")
-    check.add_argument("--seed", type=int, default=1, help="64-bit seed for the rank survey")
-    check.add_argument("--survey", type=int, default=100, help="number of survey points")
-    check.add_argument("--bound", type=int, default=5, help="scan bound for the witness search")
-    check.add_argument("--format", dest="fmt", choices=("text", "json"), default="text")
-    check.add_argument("--out", default=None, help="write the report to this path instead of stdout")
+    options = (
+        check.add_argument("-h", "--help", action="help", help="show this help message and exit"),
+        check.add_argument("--m", dest="m_expr", default=None,
+                           help="specialize the parameter m to an exact expression, e.g. 1 or r^2"),
+        check.add_argument("--seed", type=int, default=1, help="64-bit seed for the rank survey"),
+        check.add_argument("--survey", type=int, default=100, help="number of survey points"),
+        check.add_argument("--bound", type=int, default=5, help="scan bound for the witness search"),
+        check.add_argument("--format", dest="fmt", choices=("text", "json"), default="text"),
+        check.add_argument("--out", default=None, help="write the report to this path instead of stdout"),
+    )
 
     ev = sub.add_parser("eval", help="evaluate a polynomial expression to canonical form")
     ev.add_argument("expr")
-    return parser
+    return parser, tuple(s for action in options for s in action.option_strings)
 
 
-# the option strings of `cgv check`; `--m` never takes one as its value
-_CHECK_OPTIONS = ("-h", "--help", "--m", "--seed", "--survey", "--bound", "--format", "--out")
-
-
-def _is_check_option(arg) -> bool:
-    """Does argparse read `arg` as an option of `cgv check`?  As argparse
+def _is_check_option(arg, check_options) -> bool:
+    """Does argparse read `arg` as one of `check_options`?  As argparse
     does, a long option may be abbreviated to any prefix longer than `--`."""
     name = arg.split("=", 1)[0]
     if name.startswith("--") and len(name) > 2:
-        return any(o.startswith(name) for o in _CHECK_OPTIONS)
-    return name in _CHECK_OPTIONS
+        return any(o.startswith(name) for o in check_options)
+    return name in check_options
 
 
-def _shield_dash_values(argv):
+def _shield_dash_values(argv, check_options):
     """Rewrite `--m VALUE` as `--m=VALUE`, and `eval EXPR` as `eval -- EXPR`.
 
     argparse reads a value such as `-r` or `-2/3*r^2+5` as an option and
     rejects `--m -r` and `eval -r*X`; glued to its flag, or after `--`, the
-    value is taken as given.  An option of `cgv check`, abbreviated or not,
-    is never glued, so `--m --form json` still lacks its value.  `eval -h`
-    still asks for help.
+    value is taken as given.  One of `check_options`, the option strings of
+    `cgv check`, abbreviated or not, is never glued, so `--m --form json`
+    still lacks its value.  `eval -h` still asks for help.
     """
     out = []
     for arg in argv:
-        if out[-1:] == ["--m"] and not _is_check_option(arg):
+        if out[-1:] == ["--m"] and not _is_check_option(arg, check_options):
             out[-1] = f"--m={arg}"
         else:
             out.append(arg)
@@ -83,9 +85,10 @@ def main(argv=None) -> int:
     lift_limit = getattr(sys, "set_int_max_str_digits", None)
     if lift_limit is not None:
         lift_limit(0)
-    parser = _build_parser()
+    parser, check_options = _build_parser()
     try:
-        args = parser.parse_args(_shield_dash_values(sys.argv[1:] if argv is None else argv))
+        args = parser.parse_args(_shield_dash_values(sys.argv[1:] if argv is None else argv,
+                                                     check_options))
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize
         return USAGE_EXIT if exc.code not in (0, None) else 0

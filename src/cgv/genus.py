@@ -88,6 +88,8 @@ def quotient_feasibility(p_a: int, fibers: int, ram_deg: int) -> FeasibilityBran
 
 
 # -- binary forms on the fixed line ---------------------------------------------
+# A binary form of degree d in (X, Y) over Q(r) is its coefficient tuple
+# a_0..a_d, a_i the coefficient of X^(d-i) Y^i; m is fixed before it is built.
 
 
 def _xy_coefficients(f: MPoly, degree: int):
@@ -95,47 +97,35 @@ def _xy_coefficients(f: MPoly, degree: int):
     return tuple(f.coeff_of_geom((degree - i, i, 0, 0)) for i in range(degree + 1))
 
 
-class BinaryForm(namedtuple("BinaryForm", "degree coeffs")):
-    """Homogeneous form in (X, Y) over Q(r); m is fixed before a form is built.
-
-    `coeffs` is a_0..a_d in Q(r), a_i the coefficient of X^(d-i) Y^i.
-    """
-
-    __slots__ = ()
-
-    @classmethod
-    def from_mpoly(cls, f: MPoly, degree: int) -> "BinaryForm":
-        if f.involves("Z") or f.involves("T") or f.involves("m"):
-            raise ValueError("not a binary form in (X, Y) over Q(r)")
-        if not f.is_homogeneous(degree):
-            raise ValueError(f"not homogeneous of degree {degree}")
-        return cls(degree, tuple(c.as_nfelem() for c in _xy_coefficients(f, degree)))
-
-    def is_zero(self):
-        return all(c.is_zero() for c in self.coeffs)
-
-    def dehomog(self) -> UPoly:
-        """f(x, 1) with ascending coefficients over NFElem."""
-        return UPoly(tuple(reversed(self.coeffs)))
+def _binary_form(f: MPoly, degree: int):
+    """The coefficient tuple of f, which must be a binary form of `degree`."""
+    if f.involves("Z") or f.involves("T") or f.involves("m"):
+        raise ValueError("not a binary form in (X, Y) over Q(r)")
+    if not f.is_homogeneous(degree):
+        raise ValueError(f"not homogeneous of degree {degree}")
+    return tuple(c.as_nfelem() for c in _xy_coefficients(f, degree))
 
 
-def distinct_points(bf: BinaryForm) -> int:
-    """Number of distinct projective roots over the algebraic closure."""
-    if bf.is_zero():
+def _dehomogenized(form) -> UPoly:
+    """f(x, 1) with ascending coefficients, for a nonzero binary form f."""
+    if not any(form):
         raise ValueError("the zero form has no root divisor")
-    deh = bf.dehomog()
+    return UPoly(tuple(reversed(form)))
+
+
+def distinct_points(form) -> int:
+    """Number of distinct projective roots over the algebraic closure."""
+    deh = _dehomogenized(form)
     finite = 0 if deh.degree() <= 0 else squarefree_part(deh).degree()
-    at_infinity = 1 if bf.coeffs[0].is_zero() else 0
+    at_infinity = 1 if form[0].is_zero() else 0
     return finite + at_infinity
 
 
-def multiplicity_pattern(bf: BinaryForm):
+def multiplicity_pattern(form):
     """Descending multiplicities of the projective roots."""
-    if bf.is_zero():
-        raise ValueError("the zero form has no root divisor")
-    deh = bf.dehomog()
+    deh = _dehomogenized(form)
     mults = []
-    inf_mult = bf.degree - (deh.degree() if deh.degree() >= 0 else 0)
+    inf_mult = len(form) - 1 - deh.degree()
     if inf_mult:
         mults.append(inf_mult)
     # chain of gcds: deg f_j counts roots with multiplicity > j
@@ -184,14 +174,13 @@ def pencil_on_line(family):
     """The pair (A, B) = ((XZ C0)|r, (YT C1)|r) for a family with m fixed, each
     the coefficient 6-tuple of a binary quintic in (X, Y).  The pencil member
     (lambda:mu) restricts to lambda*A + mu*B (`pencil_member`)."""
-    return tuple(BinaryForm.from_mpoly(eval_at_point(g, LINE_R), 5).coeffs
-                 for g in _pencil_generators(family))
+    return tuple(_binary_form(eval_at_point(g, LINE_R), 5) for g in _pencil_generators(family))
 
 
-def pencil_member(pencil, lam, mu) -> BinaryForm:
+def pencil_member(pencil, lam, mu):
     """The member lambda XZ C0 + mu YT C1 of the pencil on r."""
     a, b = pencil
-    return BinaryForm(5, tuple(lam * ca + mu * cb for ca, cb in zip(a, b)))
+    return tuple(lam * ca + mu * cb for ca, cb in zip(a, b))
 
 
 def z4_witness_search(pencil, bound: int):
@@ -201,10 +190,10 @@ def z4_witness_search(pencil, bound: int):
         raise ValueError("bound must be >= 1")
     for lam in range(1, bound + 1):
         for mu in range(-bound, bound + 1):
-            bf = pencil_member(pencil, lam, mu)
-            if bf.is_zero():
+            member = pencil_member(pencil, lam, mu)
+            if not any(member):
                 continue
-            count = distinct_points(bf)
+            count = distinct_points(member)
             if count >= 4:
                 return lam, mu, count
     return None
@@ -245,8 +234,7 @@ def three_two_family_coeffs():
 
 
 # condition_value: 9*d*a - b*c; pattern and classifications_agree are None for the zero cubic
-CubicProbe = namedtuple("CubicProbe",
-                        "condition_value pattern condition_says_one_root classifications_agree")
+CubicProbe = namedtuple("CubicProbe", "condition_value pattern classifications_agree")
 
 
 def cubic_one_root_probe(pencil, lam, mu) -> CubicProbe:
@@ -254,19 +242,17 @@ def cubic_one_root_probe(pencil, lam, mu) -> CubicProbe:
     lambda X Qbar0 - mu Y Qbar1 of the pencil member on r, against the true
     multiplicity pattern.  The member is XY times that cubic, so the cubic's
     coefficients are the member's middle four."""
-    member = pencil_member(pencil, lam, mu).coeffs
+    member = pencil_member(pencil, lam, mu)
     if not (member[0].is_zero() and member[5].is_zero()):
         raise ArithmeticError("the pencil member on r is not divisible by XY")
-    bf = BinaryForm(3, member[1:5])
-    a, b, c, d = bf.coeffs
+    cubic = member[1:5]
+    a, b, c, d = cubic
     cond = NFElem(9) * d * a - b * c
-    if bf.is_zero():
-        return CubicProbe(cond, None, cond.is_zero(), None)
-    pattern = multiplicity_pattern(bf)
-    one_root = len(pattern) == 1
+    if not any(cubic):
+        return CubicProbe(cond, None, None)
+    pattern = multiplicity_pattern(cubic)
     return CubicProbe(
         condition_value=cond,
         pattern=pattern,
-        condition_says_one_root=cond.is_zero(),
-        classifications_agree=(cond.is_zero() == one_root),
+        classifications_agree=(cond.is_zero() == (len(pattern) == 1)),
     )

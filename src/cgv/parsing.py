@@ -42,7 +42,6 @@ _DIGITS = "0123456789"
 
 class _Tokenizer:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = []
         i, n = 0, len(text)
         while i < n:
@@ -74,7 +73,6 @@ class _Tokenizer:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _Tokenizer(text).tokens
         self.pos = 0
 

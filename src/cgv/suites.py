@@ -143,7 +143,7 @@ def base_locus_suite(family, config: RunConfig, checks):
             res = classify_stratum(family_m, stratum)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
             checks.append(error_check(f"base-locus/stratum/{label}", exc))
-            results.append(baselocus.StratumResult(stratum, INCONCLUSIVE, (), (), ()))
+            results.append(baselocus.StratumResult(stratum, INCONCLUSIVE, (), ()))
             continue
         results.append(res)
         checks.append(make_check(
@@ -151,7 +151,7 @@ def base_locus_suite(family, config: RunConfig, checks):
             {EMPTY: "empty", REFERENCE: points_str(res.points),
              NON_REFERENCE: "non-reference points: " + points_str(res.points)}.get(res.kind, "inconclusive"),
             _stratum_claim(stratum),
-            notes=res.identities + res.notes,
+            notes=res.notes,
             ambiguous=res.kind == INCONCLUSIVE,
         ))
 
@@ -203,7 +203,7 @@ def base_locus_suite(family, config: RunConfig, checks):
             else:
                 checks.append(make_check(
                     f"base-locus/det/{h}/value",
-                    str(analysis.det) if not analysis.det.is_zero() else "0",
+                    str(analysis.det),
                     notes=("determinant over Q(r)[m] of the transported system",),
                 ))
         except Exception as exc:  # noqa: BLE001 - the checks already made stay
@@ -284,19 +284,14 @@ def quadric_independence_suite(family, config: RunConfig, checks):
 
 
 def tangent_suite(family, config: RunConfig, checks):
-    keys = {0: "tangent-display-c0", 1: "tangent-display-c1", 2: "tangent-display-c2"}
     grad_rows = tuple(tangent.chart_gradient(family, i) for i in range(3))
     for i in range(3):
-        flags, diffs = tangent.display_agreement(grad_rows, i)
-        n_match = sum(flags)
-        notes = []
-        for k, (f, d) in enumerate(zip(flags, diffs)):
-            if not f:
-                notes.append(f"component {k} differs from the printed display by {d}")
+        diffs = tangent.display_agreement(grad_rows, i)
+        notes = [f"component {k} differs from the printed display by {d}" for k, d in enumerate(diffs) if d]
         checks.append(make_check(
             f"tangent/display/C{i}",
-            f"{n_match}/3 components match",
-            claim(keys[i]),
+            f"{len(diffs) - len(notes)}/3 components match",
+            claim(f"tangent-display-c{i}"),
             notes=tuple(notes) or ("all gradient components equal the printed display",),
         ))
     replay = tangent.lambda_replay(grad_rows)
@@ -337,7 +332,7 @@ def tangent_suite(family, config: RunConfig, checks):
         "rank 3 at every sampled point" if all_rank3 else hist_s,
         claim("tangent-rank-generic"),
         notes=(f"histogram over {effective} points ({survey.skipped} skipped): {hist_s}",
-               f"seed {survey.seed}, coordinates in [-20, 20] without 0")
+               f"seed {config.seed}, coordinates in [-20, 20] without 0")
         + _m_note(config),
     ))
 
@@ -521,7 +516,7 @@ def pencil_suite(family, config: RunConfig, checks):
         probe = genus.cubic_one_root_probe(pencil, lam, mu)
         checks.append(make_check(
             f"pencil/cubic-probe/lambda={lam},mu={mu}",
-            f"condition {'zero' if probe.condition_says_one_root else 'nonzero'}; "
+            f"condition {'zero' if probe.condition_value.is_zero() else 'nonzero'}; "
             f"pattern {probe.pattern}; classifications "
             f"{'agree' if probe.classifications_agree else 'disagree'}",
             claim("cubic-one-root-condition"),

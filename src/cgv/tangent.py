@@ -32,11 +32,9 @@ def chart_gradient(family, i: int):
 
 def display_agreement(rows, i: int):
     """Componentwise comparison of the computed gradient rows[i] with the
-    printed row: (equality flags, computed minus printed)."""
-    claimed = tuple(parse_display(t) for t in CLAIMED_TANGENT_ROWS[i])
-    flags = tuple(c == p for c, p in zip(rows[i], claimed))
-    diffs = tuple(c - p for c, p in zip(rows[i], claimed))
-    return flags, diffs
+    printed row: computed minus printed, zero where they agree."""
+    claimed = (parse_display(t) for t in CLAIMED_TANGENT_ROWS[i])
+    return tuple(c - p for c, p in zip(rows[i], claimed))
 
 
 LambdaReplay = namedtuple("LambdaReplay", "obstruction obstruction_inverse steps")
@@ -105,7 +103,7 @@ class SampleStream:
 
 
 # histogram: ((rank, count), ...) sorted by rank
-SurveyResult = namedtuple("SurveyResult", "seed histogram skipped")
+SurveyResult = namedtuple("SurveyResult", "histogram skipped")
 
 
 def rank_survey(family, n: int, seed: int) -> SurveyResult:
@@ -139,7 +137,7 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
                 continue
             rank = matrix_rank(rows)[0]
         hist[rank] = hist.get(rank, 0) + 1
-    return SurveyResult(seed=seed, histogram=tuple(sorted(hist.items())), skipped=skipped)
+    return SurveyResult(histogram=tuple(sorted(hist.items())), skipped=skipped)
 
 
 def _integer_terms(det):

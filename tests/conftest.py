@@ -5,7 +5,6 @@ import pytest
 import sympy as sp
 
 from cgv.cli import _build_parser
-from cgv.genus import BinaryForm
 from cgv.geometry import build_cubics
 from cgv.mpoly import VARS
 from cgv.nf import NFElem
@@ -23,7 +22,7 @@ def family():
 def run_config(**options) -> RunConfig:
     """The RunConfig of `cgv check` left at its defaults, with `options`
     (any of m_expr, seed, survey, bound) set instead."""
-    args = vars(_build_parser().parse_args(["check", "all"]))
+    args = vars(_build_parser()[0].parse_args(["check", "all"]))
     defaults = {k: args[k] for k in ("m_expr", "seed", "survey", "bound")}
     return RunConfig(**{**defaults, **options})
 
@@ -68,14 +67,14 @@ def random_nfelem_nonzero(rng: random.Random) -> NFElem:
             return a
 
 
-def scale_form(bf, c):
-    """The binary form c * bf."""
-    return BinaryForm(bf.degree, tuple(c * a for a in bf.coeffs))
+def scale_form(form, c):
+    """The binary form c * form, on coefficient tuples."""
+    return tuple(c * a for a in form)
 
 
-def swap_xy(bf):
-    """The binary form bf(Y, X)."""
-    return BinaryForm(bf.degree, tuple(reversed(bf.coeffs)))
+def swap_xy(form):
+    """The binary form form(Y, X), on coefficient tuples."""
+    return tuple(reversed(form))
 
 
 def nf_products(monkeypatch, run):

@@ -230,13 +230,13 @@ def test_criterion_12_property_suites(family):
     ok = ok and (render_text("all", cfg, run_suite("all", cfg))
                  == render_text("all", cfg, run_suite("all", cfg)))
     # distinct_points scaling and swap invariance
-    from cgv.genus import BinaryForm, distinct_points
+    from cgv.genus import _binary_form, distinct_points
     for text in ("X^5", "X*Y*(X^3+Y^3)", "(X-Y)^2*(X+Y)^3"):
-        bf = BinaryForm.from_mpoly(parse_poly(text), 5)
-        n = distinct_points(bf)
+        form = _binary_form(parse_poly(text), 5)
+        n = distinct_points(form)
         c = random_nfelem_nonzero(rng)
-        ok = ok and distinct_points(scale_form(bf, c)) == n
-        ok = ok and distinct_points(swap_xy(bf)) == n
+        ok = ok and distinct_points(scale_form(form, c)) == n
+        ok = ok and distinct_points(swap_xy(form)) == n
     verdict(12, ok, "field axioms (1000 cases), substitution/Leibniz, gcd/squarefree "
                     "contracts, parser round-trip, byte-identical reports, "
                     "distinct-point invariances")

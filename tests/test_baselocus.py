@@ -233,7 +233,8 @@ def test_kernel_lift_requires_m(family):
     for taken, analysis in (((0,), "kernel lift"), ((), "torus check")):
         res = classify_stratum(family, Stratum(taken))
         assert res.kind == INCONCLUSIVE and res.points == ()
-        assert res.notes == (f"m left symbolic; supply --m to run the {analysis}",)
+        # one identity, then the remark
+        assert res.notes[1:] == (f"m left symbolic; supply --m to run the {analysis}",)
 
 
 def test_lift_identity_algebra():
@@ -421,7 +422,7 @@ def test_kernel_lift_reports_zero_column_line():
     fake = _synthetic_family(parse_poly("Y*Z"))
     res = classify_stratum(fake, Stratum((0,)))
     assert res.kind == NON_REFERENCE
-    assert any("line" in s for s in res.identities)
+    assert any("line" in s for s in res.notes)
 
 
 def _nf_vector(*entries):
@@ -442,7 +443,7 @@ def test_torus_branches_on_a_substituted_kernel(family, monkeypatch, kernel, kin
     monkeypatch.setattr(baselocus, "nf_kernel_basis", lambda rows: list(kernel))
     res = classify_stratum(family.at_m(M1), Stratum(()))
     assert res.kind == kind
-    assert text in res.identities + res.notes
+    assert text in res.notes
     assert res.points == (REFERENCE_POINTS if kind == REFERENCE else ())
 
 
@@ -451,6 +452,7 @@ def test_a_nonsingular_single_hyperplane_system_leaves_the_reference_points(fami
     stratum = Stratum((0,))
     res = classify_stratum(family.at_m(M1), stratum)
     assert res.kind == REFERENCE
-    assert res.identities[-1] == "the specialized system is nonsingular: kernel = 0"
+    assert res.notes[-1] == "the specialized system is nonsingular: kernel = 0"
     assert res.points == stratum.reference_points()
-    assert res.notes == ()
+    # the three identities of the kernel lift, and no remark after them
+    assert len(res.notes) == 3

@@ -219,6 +219,14 @@ def test_cli_usage_errors(capsys):
     assert "configuration error" in err
 
 
+def test_cli_without_a_command_prints_the_usage(capsys):
+    # a bare `cgv` names its commands on stderr and is a usage error
+    assert main([]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage: cgv [-h] {check,eval} ...\n"
+
+
 def test_cli_check_runs_and_writes(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["check", "divisors", "--format", "json", "--out", str(out)])
@@ -276,7 +284,7 @@ def test_cli_option_list_matches_the_check_parser(capsys):
     # every option string the check help shows is one `--m` leaves unglued
     assert main(["check", "--help"]) == 0
     shown = set(re.findall(r"(?<![\w-])--?[a-z]+", capsys.readouterr().out))
-    assert shown == set(cli._CHECK_OPTIONS)
+    assert shown == set(cli._build_parser()[1])
 
 
 def test_cli_unwritable_out_is_a_configuration_error(tmp_path, capsys):
