@@ -1,13 +1,16 @@
 """Command-line frontend: `cgv check <suite>` and `cgv eval <expr>`.
 
 Exit codes: 0 = every check completed (refuting a published claim is a
-successful run); 1 = internal error; 2 = usage or configuration error.
+successful run); 1 = internal error; 2 = usage or configuration error;
+3 = standard output was closed before all of it was written, as when
+`cgv eval ... | head -c 0` stops reading.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 from .parsing import ParseError
@@ -16,6 +19,7 @@ from .suites import SUITE_NAMES, eval_expr, run_suite
 
 USAGE_EXIT = 2
 ERROR_EXIT = 1
+PIPE_EXIT = 3
 
 
 @functools.cache
@@ -79,6 +83,21 @@ def _shield_dash_values(argv, check_options):
     return out
 
 
+def _emit(text: str) -> int:
+    """Write `text` to stdout and flush it: 0, or PIPE_EXIT when the reader
+    has closed the pipe.  Python flushes stdout again at exit, so stdout is
+    then pointed at the null device, and nothing more reaches stderr."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return PIPE_EXIT
+    return 0
+
+
 def main(argv=None) -> int:
     # an exact verifier reads and prints integers of any length; Python caps
     # int <-> str conversion at 4,300 digits from 3.10.7 on
@@ -90,16 +109,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(_shield_dash_values(sys.argv[1:] if argv is None else argv,
                                                      check_options))
     except SystemExit as exc:
-        # argparse exits 2 on usage errors already; normalize
-        return USAGE_EXIT if exc.code not in (0, None) else 0
+        # argparse exits 2 on usage errors already; normalize.  --help has
+        # printed its text to stdout
+        return USAGE_EXIT if exc.code not in (0, None) else _emit("")
 
     if args.command == "eval":
         try:
-            print(eval_expr(args.expr))
+            text = eval_expr(args.expr)
         except ParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return USAGE_EXIT
-        return 0
+        return _emit(text + "\n")
 
     if args.command == "check":
         try:
@@ -119,8 +139,8 @@ def main(argv=None) -> int:
                 print(f"configuration error: cannot write {args.out}: {exc.strerror}",
                       file=sys.stderr)
                 return USAGE_EXIT
-        else:
-            sys.stdout.write(text)
+        elif _emit(text):
+            return PIPE_EXIT
         return ERROR_EXIT if any(c.error for c in checks) else 0
 
     parser.print_usage(sys.stderr)

@@ -8,7 +8,6 @@ from adjunction on the elliptic exceptional curves.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 
 class DivisorClass(namedtuple("DivisorClass", "h e")):
@@ -49,9 +48,10 @@ def pair(d1: DivisorClass, d2: DivisorClass) -> int:
     return DEGREE * d1.h * d2.h - sum(a * b for a, b in zip(d1.e, d2.e))
 
 
-def adjunction_genus(d: DivisorClass) -> Fraction:
-    """(D.D + K.D)/2 + 1."""
-    return Fraction(pair(d, d) + pair(CANONICAL, d), 2) + 1
+def adjunction_genus(d: DivisorClass) -> int:
+    """(D.D + K.D)/2 + 1.  D.D + K.D = 5h(h + 1) - sum(e_i(e_i - 1)) is even, as
+    h(h + 1) and each e_i(e_i - 1) are, so the halving is exact."""
+    return (pair(d, d) + pair(CANONICAL, d)) // 2 + 1
 
 
 def exceptional_multiplicity(n: int) -> int:

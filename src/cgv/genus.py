@@ -12,7 +12,6 @@ agreement flags rather than replayed line by line.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .nf import NFElem
 from .upoly import UPoly, upoly_gcd, squarefree_part
@@ -66,22 +65,22 @@ def quotient_feasibility(p_a: int, fibers: int, ram_deg: int) -> FeasibilityBran
         raise ValueError("fiber count must be >= 0")
     if ram_deg < 0 or ram_deg % 2:
         raise ValueError("deg(R) must be a nonnegative even integer")
-    p_g = Fraction(ram_deg - 2, 2)
+    p_g = (ram_deg - 2) // 2   # exact: ram_deg is even
     delta_total = p_a - p_g
     violated = []
     if p_g < 0:
         violated.append("cover genus nonnegative")
     if delta_total < 0:
         violated.append("delta budget nonnegative")
-    s_q = Fraction(delta_total, 4)
-    if s_q.denominator != 1:
+    s_q, rest = divmod(delta_total, 4)
+    if rest:
         violated.append("divisibility by 4")
     elif s_q < fibers:
         # every upstairs base point is singular, so each delta_Q is >= 1
         violated.append("one unit of delta per fiber")
     return FeasibilityBranch(
         delta_total=delta_total,
-        s_q=s_q if s_q.denominator == 1 else None,
+        s_q=None if rest else s_q,
         violated=tuple(violated),
         status="infeasible" if violated else "arithmetically-feasible-unresolved",
     )

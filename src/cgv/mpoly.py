@@ -15,8 +15,6 @@ with `NFElem.__mul__`, the one Q(r) product.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .nf import NFElem, NF_ONE, NF_ZERO, binary_power, join_terms, nf_str, term_str
 from .upoly import UPoly
 
@@ -146,14 +144,14 @@ class MPoly:
         return binary_power(self, n, MPoly.constant(1))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, NFElem)):
+        if isinstance(other, (int, NFElem)):
             other = MPoly.constant(other)
         if not isinstance(other, MPoly):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        # a constant hashes like its coefficient, so like an equal int or Fraction
+        # a constant hashes like its coefficient, so like an equal int
         if self.is_constant():
             return hash(self.terms.get(ZERO_EXP, 0))
         return hash(frozenset(self.terms.items()))
@@ -164,7 +162,7 @@ class MPoly:
         """Ring homomorphism sending each variable to its image.
 
         `mapping` takes variable names (a name outside VARS is a KeyError) to
-        MPoly, NFElem, Fraction or int; missing variables map to themselves.
+        MPoly, NFElem or int; missing variables map to themselves.
         A term with a positive exponent on a zero scalar image is dropped
         before any product, an image 1 is never multiplied, and any other
         scalar image (a constant MPoly included) folds its power into the

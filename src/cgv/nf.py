@@ -6,41 +6,33 @@ with d > 0 and gcd(n0, n1, n2, d) = 1.  That form is unique, so structural
 equality coincides with equality in the field.  A product reduces with
 r^3 = 1 - r^2 and r^4 = -1 + r + r^2 and runs one gcd; an inverse is the
 first column of the adjugate of the multiplication-by-a matrix over its
-determinant, the norm.  Printing reads the integers directly: each
-nonzero numerator is reduced over d with one gcd (none when d = 1), and no
-Fraction is built.  This module also holds the one term formatter,
-`term_str`, which takes a printed coefficient and a ready monomial string,
-and the one sign joiner, `join_terms`, which joins a list of terms with
-one join; `nf_str`, `MPoly.__str__` and `UPoly.to_str` all print
-through them.  The single real root of x^3 + x^2 - 1 is r ~ 0.7548776662.
+determinant, the norm.  The integers are the only form of an element:
+`NFElem(n0, n1, n2, d)` builds one from them and `integers()` reads them
+back.  Printing reads them directly: each nonzero numerator is reduced
+over d with one gcd (none when d = 1).  This module also holds the one
+term formatter, `term_str`, which takes a printed coefficient and a ready
+monomial string, and the one sign joiner, `join_terms`, which joins a list
+of terms with one join; `nf_str`, `MPoly.__str__` and `UPoly.to_str` all
+print through them.  The single real root of x^3 + x^2 - 1 is r ~ 0.7548776662.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
-
-
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, int):
-        return Fraction(v)
-    raise TypeError(f"cannot coerce {v!r} to a rational")
+from math import gcd
 
 
 class NFElem:
-    """An element c0 + c1*r + c2*r^2 of Q(r)."""
+    """The element (n0 + n1*r + n2*r^2)/d of Q(r), from ints with d != 0."""
 
     # _v = (n0, n1, n2, d), normalised: d > 0 and gcd(n0, n1, n2, d) = 1
     __slots__ = ("_v",)
 
-    def __new__(cls, c0, c1=0, c2=0):
-        if type(c0) is int and type(c1) is int and type(c2) is int:
-            return _elem(c0, c1, c2, 1)
-        qs = [_as_fraction(c) for c in (c0, c1, c2)]
-        d = lcm(*(q.denominator for q in qs))
-        return _elem(*(q.numerator * (d // q.denominator) for q in qs), d)
+    def __new__(cls, n0, n1=0, n2=0, d=1):
+        if not (type(n0) is int and type(n1) is int and type(n2) is int and type(d) is int):
+            raise TypeError(f"NFElem takes ints, not {(n0, n1, n2, d)!r}")
+        if not d:
+            raise ZeroDivisionError("NFElem denominator is 0")
+        return _elem(n0, n1, n2, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("NFElem is immutable")
@@ -53,24 +45,11 @@ class NFElem:
             return v
         if isinstance(v, int):
             return _elem(v, 0, 0, 1)
-        if isinstance(v, Fraction):
-            return _elem(v.numerator, 0, 0, v.denominator)
         raise TypeError(f"cannot coerce {v!r} to NFElem")
 
-    @property
-    def c0(self) -> Fraction:
-        return Fraction(self._v[0], self._v[3])
-
-    @property
-    def c1(self) -> Fraction:
-        return Fraction(self._v[1], self._v[3])
-
-    @property
-    def c2(self) -> Fraction:
-        return Fraction(self._v[2], self._v[3])
-
-    def coords(self):
-        return (self.c0, self.c1, self.c2)
+    def integers(self) -> tuple:
+        """The stored (n0, n1, n2, d): d > 0 and gcd(n0, n1, n2, d) = 1."""
+        return self._v
 
     # -- predicates ----------------------------------------------------
 
@@ -158,11 +137,9 @@ class NFElem:
         return self._v == other._v
 
     def __hash__(self):
-        # a rational element hashes like the equal Fraction or int
+        # an integer element hashes like the equal int
         n0, n1, n2, d = self._v
-        if n1 or n2:
-            return hash(self._v)
-        return hash(Fraction(n0, d))
+        return hash(n0) if d == 1 and not (n1 or n2) else hash(self._v)
 
     # -- printing --------------------------------------------------------
 
@@ -170,7 +147,7 @@ class NFElem:
         return nf_str(self)
 
     def __repr__(self):
-        return f"NFElem({self.c0!r}, {self.c1!r}, {self.c2!r})"
+        return "NFElem({}, {}, {}, {})".format(*self._v)
 
 
 _new = object.__new__
@@ -208,21 +185,6 @@ def binary_power(base, n: int, one):
 NF_ZERO = NFElem(0)
 NF_ONE = NFElem(1)
 NF_R = NFElem(0, 1)
-
-
-def nf_reduce(coeffs) -> NFElem:
-    """Reduce a rational polynomial in r (ascending coefficients) mod r^3+r^2-1."""
-    cs = [_as_fraction(c) for c in coeffs]
-    for k in range(len(cs) - 1, 2, -1):
-        c = cs[k]
-        if c:
-            # r^k = r^(k-3) - r^(k-1)
-            cs[k - 3] += c
-            cs[k - 1] -= c
-        cs[k] = Fraction(0)
-    while len(cs) < 3:
-        cs.append(Fraction(0))
-    return NFElem(cs[0], cs[1], cs[2])
 
 
 def nf_invert(a: NFElem) -> NFElem:
@@ -271,7 +233,7 @@ _R_POWERS = ("", "r", "r^2")
 
 def nf_str(a: NFElem) -> str:
     """Canonical print: ascending powers of r, explicit signs, and each nonzero
-    numerator over d in lowest terms, as str(Fraction(n, d)) prints it."""
+    numerator over d in lowest terms, "n/d", or "n" where d divides it."""
     v = a._v
     d = v[3]
     terms = []

@@ -12,9 +12,7 @@ Grammar (whitespace insensitive, no implicit multiplication):
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .nf import NF_R
+from .nf import NF_R, NFElem
 from .mpoly import MPoly, VAR_INDEX
 
 
@@ -142,7 +140,7 @@ class _Parser:
                 den = int(den_tok[1])
                 if den == 0:
                     raise ParseError(den_tok[2], ("nonzero integer",), den_tok[1])
-                return MPoly.constant(Fraction(num, den))
+                return MPoly.constant(NFElem(num, 0, 0, den))
             return MPoly.constant(num)
         if kind == "ident":
             self.advance()

@@ -148,12 +148,9 @@ def _integer_terms(det):
     """
     if det.involves("T") or det.involves("m"):
         raise ValueError(f"the survey needs a polynomial in X, Y, Z with m fixed: {det}")
-    coords = [(e, c.coords()) for e, c in det.terms.items()]
-    den = lcm(*(q.denominator for _, qs in coords for q in qs))
-    return tuple(
-        (*e[:3], *(q.numerator * (den // q.denominator) for q in qs))
-        for e, qs in coords
-    )
+    terms = [(e, c.integers()) for e, c in det.terms.items()]
+    den = lcm(*(v[3] for _, v in terms))
+    return tuple((*e[:3], *(n * (den // v[3]) for n in v[:3])) for e, v in terms)
 
 
 def _integer_value(terms, x, y, z):

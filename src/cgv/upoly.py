@@ -6,13 +6,13 @@ from .nf import NF_ONE, NF_ZERO, NFElem, binary_power, join_terms, term_str
 
 
 def _as_upoly(v) -> "UPoly":
-    """v itself, or the constant polynomial v for an int, Fraction or NFElem."""
+    """v itself, or the constant polynomial v for an int or NFElem."""
     return v if isinstance(v, UPoly) else UPoly((v,))
 
 
 class UPoly:
-    """Coefficients in Q(r), stored ascending as NFElem (int and Fraction
-    coefficients are coerced); the zero polynomial is the empty tuple."""
+    """Coefficients in Q(r), stored ascending as NFElem (int coefficients
+    are coerced); the zero polynomial is the empty tuple."""
 
     __slots__ = ("coeffs",)
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy as sp
@@ -37,10 +38,15 @@ def red(expr):
     return sp.expand(sp.rem(sp.expand(expr), MIN, RR))
 
 
+def nf_to_sympy(a: NFElem):
+    n0, n1, n2, d = a.integers()
+    return (n0 + n1 * RR + n2 * RR**2) / sp.Integer(d)
+
+
 def to_sympy(p):
     out = 0
     for exp, c in p.terms.items():
-        term = sp.Rational(c.c0) + sp.Rational(c.c1) * RR + sp.Rational(c.c2) * RR**2
+        term = nf_to_sympy(c)
         for v, k in zip(VARS, exp):
             if k:
                 term *= SYMS[v] ** k
@@ -49,7 +55,25 @@ def to_sympy(p):
 
 
 def nf_to_float(a: NFElem) -> float:
-    return float(a.c0) + float(a.c1) * R_FLOAT + float(a.c2) * R_FLOAT ** 2
+    n0, n1, n2, d = a.integers()
+    return (n0 + n1 * R_FLOAT + n2 * R_FLOAT ** 2) / d
+
+
+def frac_elem(c0, c1=0, c2=0) -> NFElem:
+    """The element c0 + c1*r + c2*r^2 of Q(r), for int or Fraction coordinates."""
+    qs = [Fraction(c) for c in (c0, c1, c2)]
+    d = lcm(*(q.denominator for q in qs))
+    return NFElem(*(q.numerator * (d // q.denominator) for q in qs), d)
+
+
+def nf_reduce(coeffs) -> NFElem:
+    """Reduce a rational polynomial in r (ascending coefficients) mod r^3 + r^2 - 1."""
+    cs = [Fraction(c) for c in coeffs] + [Fraction(0)] * 3
+    for k in range(len(cs) - 1, 2, -1):
+        # r^k = r^(k-3) - r^(k-1)
+        cs[k - 3] += cs[k]
+        cs[k - 1] -= cs[k]
+    return frac_elem(*cs[:3])
 
 
 def random_fraction(rng: random.Random, span: int = 30, den: int = 10) -> Fraction:
@@ -57,7 +81,7 @@ def random_fraction(rng: random.Random, span: int = 30, den: int = 10) -> Fracti
 
 
 def random_nfelem(rng: random.Random, span: int = 30, den: int = 10) -> NFElem:
-    return NFElem(*(random_fraction(rng, span, den) for _ in range(3)))
+    return frac_elem(*(random_fraction(rng, span, den) for _ in range(3)))
 
 
 def random_nfelem_nonzero(rng: random.Random) -> NFElem:
@@ -91,7 +115,7 @@ def nf_products(monkeypatch, run):
 
 
 # reference printer: the term formatter and sign joiner as the package first
-# wrote them, over the Fraction coordinates, kept here so that the package's
+# wrote them, over Fraction coordinates, kept here so that the package's
 # printer is compared with code it does not share
 
 
@@ -122,7 +146,8 @@ def ref_join_terms(terms):
 
 def ref_nf_str(a: NFElem) -> str:
     """Ascending powers of r, each coordinate as str(Fraction) prints it."""
-    return ref_join_terms(ref_term_str(str(c), (("r", k),)) for k, c in enumerate(a.coords()) if c)
+    *ns, d = a.integers()
+    return ref_join_terms(ref_term_str(str(Fraction(n, d)), (("r", k),)) for k, n in enumerate(ns) if n)
 
 
 def ref_mpoly_str(p) -> str:

@@ -7,7 +7,6 @@ against the printed value is asserted to be exactly what the oracle forces.
 """
 
 import random
-from fractions import Fraction
 
 from cgv.baselocus import (REFERENCE, Stratum, classify_stratum, quadric_independence,
                            single_hyperplane_det_analysis,
@@ -22,13 +21,13 @@ from cgv.genus import (ci_genus, distinct_points, pencil_factorization,
                        quintuple_root_condition, quotient_feasibility,
                        rh_relation, z4_witness_search)
 from cgv.mpoly import MPoly
-from cgv.nf import NFElem, nf_invert, nf_reduce
+from cgv.nf import NFElem, nf_invert
 from cgv.parsing import parse_poly
 from cgv.reportlib import CONFIRMED, REFUTED, render_text
 from cgv.suites import run_suite
 from cgv.upoly import UPoly, squarefree_part, upoly_gcd
 
-from conftest import (nf_to_float, random_nfelem, random_nfelem_nonzero, run_config,
+from conftest import (nf_reduce, nf_to_float, random_nfelem, random_nfelem_nonzero, run_config,
                       scale_form, swap_xy)
 
 M1 = NFElem(1)
@@ -46,11 +45,10 @@ def test_criterion_01_m_coefficient_vanishes():
 
 
 def test_criterion_02_nonvanishing_certificates():
-    g = upoly_gcd(UPoly((Fraction(10), Fraction(4), Fraction(-20))),
-                  UPoly((Fraction(-1), Fraction(0), Fraction(1), Fraction(1))))
+    g = upoly_gcd(UPoly((10, 4, -20)), UPoly((-1, 0, 1, 1)))
     obstruction = NFElem(-4, 4, 3)
     inv = nf_invert(obstruction)
-    ok = g == UPoly((Fraction(1),)) and obstruction * inv == NFElem(1)
+    ok = g == UPoly((1,)) and obstruction * inv == NFElem(1)
     verdict(2, ok, "gcd(-20x^2+4x+10, x^3+x^2-1) = 1 and (3r^2+4r-4)^-1 exists")
 
 
@@ -209,8 +207,8 @@ def test_criterion_12_property_suites(family):
         ok = ok and (f * g).partial("X") == f * g.partial("X") + g * f.partial("X")
     # squarefree / gcd contracts
     for _ in range(50):
-        f = UPoly(tuple(Fraction(rng.randint(-6, 6)) for _ in range(rng.randint(1, 6))))
-        g = UPoly(tuple(Fraction(rng.randint(-6, 6)) for _ in range(rng.randint(1, 6))))
+        f = UPoly(tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 6))))
+        g = UPoly(tuple(rng.randint(-6, 6) for _ in range(rng.randint(1, 6))))
         if f.is_zero() and g.is_zero():
             continue
         h = upoly_gcd(f, g)

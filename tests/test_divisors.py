@@ -62,6 +62,18 @@ def test_adjunction_genus_values():
     assert adjunction_genus(d) == Fraction(lat.pair(d, d) + lat.pair(lat.CANONICAL, d), 2) + 1
 
 
+def test_adjunction_numerator_is_even():
+    # D.D + K.D = 5h(h + 1) - sum(e_i(e_i - 1)), so the integer halving is exact
+    rng = random.Random(56)
+    for _ in range(500):
+        d = DivisorClass(rng.randint(-9, 9), [rng.randint(-9, 9) for _ in range(4)])
+        numerator = lat.pair(d, d) + lat.pair(lat.CANONICAL, d)
+        assert numerator == 5 * d.h * (d.h + 1) - sum(e * (e - 1) for e in d.e)
+        assert numerator % 2 == 0
+        g = adjunction_genus(d)
+        assert type(g) is int and g == Fraction(numerator, 2) + 1
+
+
 def test_pair_symmetric_bilinear():
     rng = random.Random(71)
     for _ in range(60):

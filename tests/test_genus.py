@@ -118,6 +118,23 @@ def test_feasibility_roundtrip():
         assert rh_relation(int(p_g), 0) == ram
 
 
+def test_feasibility_matches_the_rational_route():
+    # p_g = (deg R - 2)/2 and s_Q = delta_total/4, computed over Fraction
+    for p_a in range(-3, 30):
+        for ram in range(0, 24, 2):
+            for fibers in (0, 1, 4):
+                branch = quotient_feasibility(p_a, fibers=fibers, ram_deg=ram)
+                p_g = Fraction(ram - 2, 2)
+                s_q = Fraction(p_a - p_g, 4)
+                assert branch.delta_total == p_a - p_g
+                assert branch.s_q == (s_q if s_q.denominator == 1 else None)
+                assert ("divisibility by 4" in branch.violated) == (s_q.denominator != 1)
+                assert ("cover genus nonnegative" in branch.violated) == (p_g < 0)
+                assert ("one unit of delta per fiber" in branch.violated) == (
+                    s_q.denominator == 1 and s_q < fibers)
+                assert type(branch.delta_total) is int
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         quotient_feasibility(76, fibers=4, ram_deg=3)
@@ -309,7 +326,7 @@ def test_three_two_printed_relation_fails_identically():
     corrected = 3 * a[5] * a[5] + 2 * a[0] * a[0] - a[1] * a[5]
     assert corrected.is_zero()
     # frozen residual 4a^4 + 6a^6
-    assert printed == UPoly((0, 0, 0, 0, Fraction(4), 0, Fraction(6)))
+    assert printed == UPoly((0, 0, 0, 0, 4, 0, 6))
     # as the pencil suite prints them
     check = next(c for c in run_suite("pencil", run_config())
                  if c.check_id == "pencil/three-two-condition")
@@ -347,7 +364,7 @@ def test_cubic_probe_on_pencil(family):
 
 # -- the pencil on r, against a direct restriction ------------------------------------
 
-PENCIL_M = (NFElem(0), NFElem(1), NFElem(0, 1), NFElem(Fraction(7, 3)))
+PENCIL_M = (NFElem(0), NFElem(1), NFElem(0, 1), NFElem(7, 0, 0, 3))
 
 
 @settings(max_examples=80, deadline=None)

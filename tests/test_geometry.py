@@ -11,7 +11,7 @@ from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NF_R, NFElem
 from cgv.parsing import parse_poly
 
-from conftest import nf_products
+from conftest import frac_elem, nf_products
 
 
 def pullback(f, g):
@@ -157,7 +157,7 @@ def test_identity_map_fixes_both_lines():
 
 
 fractions = st.fractions(min_value=-30, max_value=30, max_denominator=12)
-nf_elems = st.builds(NFElem, fractions, fractions, fractions)
+nf_elems = st.builds(frac_elem, fractions, fractions, fractions)
 
 
 def test_at_m_none_is_the_family(family):

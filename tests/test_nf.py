@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cgv.nf import NFElem, NF_ONE, NF_R, join_terms, nf_invert, nf_reduce, nf_str, term_str
+from cgv.mpoly import MPoly
+from cgv.nf import NFElem, NF_ONE, NF_R, join_terms, nf_invert, nf_str, term_str
+from cgv.upoly import UPoly
 
-from conftest import R_FLOAT, nf_to_float, random_nfelem, random_nfelem_nonzero, ref_nf_str
+from conftest import (R_FLOAT, frac_elem, nf_reduce, nf_to_float, random_nfelem,
+                      random_nfelem_nonzero, ref_nf_str)
 
 
 def test_reduce_cube():
@@ -65,7 +68,7 @@ def test_invert_obstruction_element():
     # 3r^2 + 4r - 4 is a unit; frozen from the extended-Euclid oracle
     a = NFElem(-4, 4, 3)
     inv = nf_invert(a)
-    assert inv == NFElem(Fraction(17, 35), Fraction(29, 35), Fraction(16, 35))
+    assert inv == NFElem(17, 29, 16, 35)
     assert a * inv == NF_ONE
 
 
@@ -102,7 +105,7 @@ def test_canonical_printing():
     assert nf_str(NFElem(0)) == "0"
     assert nf_str(NF_R) == "r"
     assert nf_str(NFElem(-2, 1, 3)) == "-2 + r + 3*r^2"
-    assert nf_str(NFElem(Fraction(1, 2), 0, Fraction(-3, 4))) == "1/2 - 3/4*r^2"
+    assert nf_str(NFElem(2, 0, -3, 4)) == "1/2 - 3/4*r^2"
     assert nf_str(NFElem(0, -1)) == "-r"
 
 
@@ -131,40 +134,83 @@ coordinates = st.one_of(
 @example(0, Fraction(-1, 2), 0)
 def test_printer_matches_the_fraction_route(c0, c1, c2):
     # the element, its negative, its rational part and its pure-r part
-    for a in (NFElem(c0, c1, c2), -NFElem(c0, c1, c2), NFElem(c0), NFElem(0, c1)):
+    for a in (frac_elem(c0, c1, c2), -frac_elem(c0, c1, c2), frac_elem(c0), frac_elem(0, c1)):
         assert nf_str(a) == ref_nf_str(a)
 
 
 def test_equality_and_hash_coercion():
     assert NFElem(3) == 3
-    assert NFElem(Fraction(1, 2)) == Fraction(1, 2)
-    assert hash(NFElem(2, 0, 0)) == hash(NFElem(Fraction(2), 0, 0))
+    assert hash(NFElem(2, 0, 0)) == hash(NFElem(4, 0, 0, 2))
     assert NFElem(1, 1) != NFElem(1)
-
-
-def test_integer_constructor_skips_the_rational_path(monkeypatch):
-    # three plain ints already have denominator 1; a bool takes the general path
-    import cgv.nf as nf
-    calls = []
-    real = nf.lcm
-    monkeypatch.setattr(nf, "lcm", lambda *args: calls.append(args) or real(*args))
-    for c in ((0, 0, 0), (2, -4, 6), (-7, 0, 1), (10**30, 3, -5)):
-        assert NFElem(*c).coords() == tuple(Fraction(x) for x in c)
-    assert calls == []
-    assert NFElem(True, 0, 0) == NFElem(1)
-    assert len(calls) == 1
+    # a rational is an NFElem, never a Fraction: the two are not coerced
+    assert NFElem(1, 0, 0, 2) != Fraction(1, 2)
 
 
 def test_immutability():
     a = NFElem(1, 2, 3)
-    with pytest.raises(AttributeError):
-        a.c0 = Fraction(5)
+    for name in ("_v", "n0", "d"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 5)
 
 
-def test_rational_elements_hash_like_fractions():
-    assert 1 in {NFElem(1)}
-    assert Fraction(1, 2) in {NFElem(Fraction(1, 2))}
-    assert NFElem(-3) in {-3}
-    assert hash(NFElem(Fraction(-4, 6))) == hash(Fraction(-2, 3))
+def test_integers_are_the_stored_form():
+    assert NFElem(2, -4, 6).integers() == (2, -4, 6, 1)
+    assert NFElem(6, 0, -9, 12).integers() == (2, 0, -3, 4)
+    assert NFElem(1, 2, 3, -5).integers() == (-1, -2, -3, 5)
+    assert NFElem(0, 0, 0, -7).integers() == (0, 0, 0, 1)
+    assert (NF_R / 3).integers() == (0, 1, 0, 3)
+    # the repr prints the integers, and reads back through the constructor
+    a = NFElem(10**30, 3, -5, 7)
+    assert repr(a) == f"NFElem({10**30}, 3, -5, 7)"
+    assert eval(repr(a)) == a
+
+
+# four ints, the last nonzero; k scales the whole quadruple
+quadruples = st.tuples(st.integers(-10**20, 10**20), st.integers(-50, 50), st.integers(-50, 50),
+                       st.integers(-10**9, 10**9).filter(bool))
+
+
+@settings(max_examples=300, deadline=None)
+@given(quadruples, st.integers(-10**6, 10**6).filter(bool))
+@example((0, 0, 0, 1), -1)
+@example((3, 0, 0, 1), -2)
+@example((1, 2, 3, 4), -6)
+def test_a_common_factor_of_the_integers_cancels(v, k):
+    a = NFElem(*v)
+    b = NFElem(*(k * x for x in v))
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a.integers() == b.integers()
+    assert a.integers()[3] > 0
+
+
+def test_a_zero_denominator_is_refused():
+    for v in ((1, 0, 0, 0), (0, 0, 0, 0), (1, 2, 3, 0)):
+        with pytest.raises(ZeroDivisionError):
+            NFElem(*v)
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), 0.5, 1.0, "1", "1/2", None], ids=repr)
+def test_only_ints_are_taken(bad):
+    for args in ((bad,), (0, bad), (0, 0, bad), (1, 0, 0, bad)):
+        with pytest.raises(TypeError):
+            NFElem(*args)
+    with pytest.raises(TypeError):
+        NFElem.coerce(bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**30, 10**30))
+def test_equal_scalars_hash_alike(n):
+    # an int and the equal NFElem, constant MPoly and constant UPoly; a
+    # polynomial equals a scalar, and MPoly and UPoly are not compared
+    scalars = (n, NFElem(n), NFElem(2 * n, 0, 0, 2))
+    polys = (MPoly.constant(n), MPoly.constant(NFElem(n)), UPoly((n,)), UPoly((NFElem(-n, 0, 0, -1),)))
+    assert all(a == b for a in scalars + polys for b in scalars)
+    assert len({hash(a) for a in scalars + polys}) == 1
+    # so does a rational or an irrational element
+    for e in (NFElem(n, 0, 0, 7), NFElem(n, 1, 0, 3), NFElem(0, 0, 1)):
+        assert MPoly.constant(e) == e == UPoly((e,))
+        assert hash(e) == hash(MPoly.constant(e)) == hash(UPoly((e,)))
     # an irrational element built two ways hashes alike
     assert hash(NFElem(0, 1) * NFElem(0, 1)) == hash(NFElem(0, 0, 1))

@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from cgv.nf import NFElem
 
+from conftest import frac_elem
+
 big = st.integers(min_value=-(2 ** 160), max_value=2 ** 160)
 coords = st.builds(Fraction, big, st.integers(min_value=1, max_value=2 ** 96))
 small = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -45,65 +47,71 @@ def ref_pow(a, n):
     return out
 
 
+def as_fractions(a):
+    """The coordinates of a on 1, r, r^2, as a Fraction triple."""
+    *ns, d = a.integers()
+    return tuple(Fraction(n, d) for n in ns)
+
+
 def assert_canonical(a):
-    n0, n1, n2, d = a._v  # the stored form is what these invariants are about
+    n0, n1, n2, d = a.integers()
     assert d > 0
     assert gcd(n0, n1, n2, d) == 1
     if not (n0 or n1 or n2):
-        assert a._v == (0, 0, 0, 1)
-    assert a.coords() == (Fraction(n0, d), Fraction(n1, d), Fraction(n2, d))
+        assert d == 1
 
 
 @settings(max_examples=200, deadline=None)
 @given(triples, triples)
 def test_add_mul_match_fraction_triples(p, q):
-    a, b = NFElem(*p), NFElem(*q)
+    a, b = frac_elem(*p), frac_elem(*q)
     assert_canonical(a)
+    assert as_fractions(a) == p
     for got, want in ((a + b, ref_add(p, q)), (a - b, ref_add(p, tuple(-x for x in q))),
                       (a * b, ref_mul(p, q))):
         assert_canonical(got)
-        assert got.coords() == want
+        assert as_fractions(got) == want
 
 
 @settings(max_examples=150, deadline=None)
 @given(triples)
 def test_inverse_matches_fraction_triples(p):
-    a = NFElem(*p)
+    a = frac_elem(*p)
     if a.is_zero():
         with pytest.raises(ZeroDivisionError):
             a.inverse()
         return
     inv = a.inverse()
     assert_canonical(inv)
-    assert ref_mul(p, inv.coords()) == ONE
+    assert ref_mul(p, as_fractions(inv)) == ONE
 
 
 @settings(max_examples=80, deadline=None)
 @given(triples, st.integers(min_value=-5, max_value=5))
 def test_pow_matches_fraction_triples(p, n):
-    a = NFElem(*p)
+    a = frac_elem(*p)
     if a.is_zero() and n < 0:
         return
     got = a ** n
     assert_canonical(got)
     if n >= 0:
-        assert got.coords() == ref_pow(p, n)
+        assert as_fractions(got) == ref_pow(p, n)
     else:
-        assert ref_mul(got.coords(), ref_pow(p, -n)) == ONE
+        assert ref_mul(as_fractions(got), ref_pow(p, -n)) == ONE
 
 
 @given(triples)
-def test_coordinates_are_read_only_fractions(p):
-    a = NFElem(*p)
-    assert all(type(c) is Fraction for c in (a.c0, a.c1, a.c2))
-    assert (a.c0, a.c1, a.c2) == p
-    for name in ("c0", "c1", "c2", "_v"):
+def test_the_integers_are_read_only(p):
+    a = frac_elem(*p)
+    v = a.integers()
+    for name in ("_v", "n0", "d"):
         with pytest.raises(AttributeError):
-            setattr(a, name, Fraction(5))
+            setattr(a, name, 5)
+    assert a.integers() == v
 
 
 def test_zero_is_stored_canonically():
-    for z in (NFElem(0), NFElem(Fraction(0, 7)), NFElem(Fraction(1, 3)) - NFElem(Fraction(1, 3)),
-              NFElem(Fraction(2, 5), -1) * 0):
+    for z in (NFElem(0), NFElem(0, 0, 0, 7), NFElem(0, 0, 0, -3), NFElem(1, 0, 0, 3) - NFElem(1, 0, 0, 3),
+              NFElem(2, -5, 0, 5) * 0):
         assert_canonical(z)
-        assert z._v == (0, 0, 0, 1)
+        assert z.integers() == (0, 0, 0, 1)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -24,10 +23,22 @@ def test_defining_relation_collapses():
 
 
 def test_rational_literals():
-    assert parse_poly("1/2 + 3/4").as_nfelem() == NFElem(Fraction(5, 4))
-    assert parse_poly("1 / 2").as_nfelem() == NFElem(Fraction(1, 2))
+    assert parse_poly("1/2 + 3/4").as_nfelem() == NFElem(5, 0, 0, 4)
+    assert parse_poly("1 / 2").as_nfelem() == NFElem(1, 0, 0, 2)
+    assert parse_poly("6/4").as_nfelem().integers() == (3, 0, 0, 2)
     with pytest.raises(ParseError):
         parse_poly("1/0")
+
+
+def test_a_rational_literal_is_built_without_an_inverse(monkeypatch):
+    import cgv.nf as nf
+    calls = []
+    real = nf.nf_invert
+    monkeypatch.setattr(nf, "nf_invert", lambda a: calls.append(a) or real(a))
+    p = parse_poly("1/2*X - 5/7*r*Y + 12/8 - 0/3")
+    assert calls == []
+    X, Y = MPoly.var("X"), MPoly.var("Y")
+    assert p == NFElem(1, 0, 0, 2) * X - NFElem(0, 5, 0, 7) * Y + NFElem(3, 0, 0, 2)
 
 
 def test_whitespace_insensitive():

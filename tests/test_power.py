@@ -1,7 +1,5 @@
 """Square-and-multiply in the three `__pow__`: exact values, few products."""
 
-from fractions import Fraction
-
 import pytest
 
 from cgv.mpoly import MPoly
@@ -9,9 +7,9 @@ from cgv.nf import NFElem
 from cgv.upoly import UPoly
 
 BASES = [
-    NFElem(Fraction(-3, 2), 1, Fraction(5, 7)),
+    NFElem(-21, 14, 10, 14),  # -3/2 + r + 5/7*r^2
     MPoly.var("X") + NFElem(0, 1) * MPoly.var("m") + 2,
-    UPoly((Fraction(1), Fraction(-2, 3), Fraction(1))),
+    UPoly((1, NFElem(-2, 0, 0, 3), 1)),
 ]
 
 

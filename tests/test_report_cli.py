@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -303,6 +306,31 @@ def test_cli_empty_out_is_a_configuration_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("configuration error: cannot write")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["eval", "(X+Y)^2"], ["check", "sigma"], ["--help"]],
+                         ids=["eval", "check", "help"])
+def test_cli_into_a_closed_pipe_prints_no_traceback(argv, unbuffered):
+    # stdout is the write end of a pipe whose read end is already closed, so
+    # every write to it fails with EPIPE; the run says nothing on stderr,
+    # also at the interpreter's final flush, and exits PIPE_EXIT
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        run = subprocess.run([sys.executable, "-m", "cgv.cli", *argv], stdout=write_end,
+                             stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert run.stderr == b""
+    if argv == ["--help"]:
+        # argparse swallows a failed write of the help text, which fails
+        # there only when stdout is unbuffered
+        assert run.returncode == (0 if unbuffered else cli.PIPE_EXIT)
+    else:
+        assert run.returncode == cli.PIPE_EXIT
 
 
 def _printed_checks(capsys):

@@ -2,9 +2,10 @@
 src/cgv, and every public method and property of those classes, has a caller
 in src/cgv; every defaulted parameter, a namedtuple field with a default
 included, is both passed and left at its default there; `import cgv` loads
-the layers without the CLI or `dataclasses`; src/cgv imports only itself and
-the standard library, has no floating point, and turns every exception it
-catches as `Exception` into an error check.  The value types are read-only,
+the layers without the CLI, `dataclasses` or the standard library's other
+number types; src/cgv imports only itself and the standard library, has no
+floating point and no rational type but its own, and turns every exception
+it catches as `Exception` into an error check.  The value types are read-only,
 compare by value, and the cubic family by identity."""
 
 import ast
@@ -50,8 +51,8 @@ def _trees():
     return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
 
 
-# entry points and the test oracle, called only from outside the package
-ENTRY_POINTS = {("cli", "main"), ("geometry", "build_cubics"), ("nf", "nf_reduce")}
+# entry points, called only from outside the package
+ENTRY_POINTS = {("cli", "main"), ("geometry", "build_cubics")}
 
 
 def _namedtuple(node):
@@ -216,12 +217,14 @@ def test_import_loads_the_layers_without_the_cli():
     # the benchmark's setup time is `import cgv` plus build_cubics(): the import
     # must load every layer it has always loaded, no command-line parsing, and
     # not `dataclasses` (with `inspect`, `ast` and `dis` behind it), which
-    # costs more than the rest of the import; modules `site` loaded first
+    # costs more than the rest of the import, nor `fractions`, `decimal` and
+    # `numbers`, since Q(r) has one integer form; modules `site` loaded first
     # do not count
     code = ("import sys; before = set(sys.modules); import cgv; "
             "print(sorted(m for m in sys.modules if m == 'cgv' or m.startswith('cgv.'))); "
             "print('argparse' in sys.modules, callable(cgv.build_cubics)); "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal', '_decimal', 'numbers'}"
+            " & (set(sys.modules) - before)))")
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout.splitlines()
@@ -246,6 +249,7 @@ def test_imports_are_intra_package_or_stdlib():
 
 
 def test_no_floating_point():
+    # nor a second rational type: a rational of Q(r) is an NFElem
     floats = []
     for mod, tree in _trees().items():
         for node in ast.walk(tree):
@@ -254,6 +258,10 @@ def test_no_floating_point():
             elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id == "float"):
                 floats.append(f"{mod}:{node.lineno}: float(...)")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+                floats += [f"{mod}:{node.lineno}: import {name}" for name in names
+                           if name and name.split(".")[0] in ("fractions", "decimal", "_decimal")]
     assert floats == []
 
 

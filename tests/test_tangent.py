@@ -192,7 +192,7 @@ def test_integer_value_is_the_determinant_over_one_denominator(family, m_text):
     # at these m the coefficients of D have denominators 1, 3 and 9, so a
     # coefficient left off the common denominator changes the sums
     det = matrix_det(chart_rows(family.at_m(scalar(m_text))))
-    den = lcm(*(q.denominator for c in det.terms.values() for q in c.coords()))
+    den = lcm(*(c.integers()[3] for c in det.terms.values()))
     assert den > 1
     terms = _integer_terms(det)
 
