@@ -1,9 +1,10 @@
 """Command-line frontend: `cgv check <suite>` and `cgv eval <expr>`.
 
 Exit codes: 0 = every check completed (refuting a published claim is a
-successful run); 1 = internal error; 2 = usage or configuration error;
-3 = standard output was closed before all of it was written, as when
-`cgv eval ... | head -c 0` stops reading.
+successful run); 1 = internal error; 2 = usage or configuration error,
+or standard output could not be written for another reason than a closed
+pipe (`cgv eval 1 > /dev/full`); 3 = standard output was closed before
+all of it was written, as when `cgv eval ... | head -c 0` stops reading.
 """
 
 from __future__ import annotations
@@ -84,17 +85,23 @@ def _shield_dash_values(argv, check_options):
 
 
 def _emit(text: str) -> int:
-    """Write `text` to stdout and flush it: 0, or PIPE_EXIT when the reader
-    has closed the pipe.  Python flushes stdout again at exit, so stdout is
-    then pointed at the null device, and nothing more reaches stderr."""
+    """Write `text` to stdout and flush it: 0, PIPE_EXIT when the reader has
+    closed the pipe, or USAGE_EXIT with one stderr line on any other failed
+    write (a full disk, say).  Python flushes stdout again at exit, so on a
+    failure stdout is pointed at the null device, and nothing more reaches
+    stderr."""
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
-        return PIPE_EXIT
+        if isinstance(exc, BrokenPipeError):
+            return PIPE_EXIT
+        print(f"configuration error: cannot write standard output: {exc.strerror}",
+              file=sys.stderr)
+        return USAGE_EXIT
     return 0
 
 
@@ -139,8 +146,8 @@ def main(argv=None) -> int:
                 print(f"configuration error: cannot write {args.out}: {exc.strerror}",
                       file=sys.stderr)
                 return USAGE_EXIT
-        elif _emit(text):
-            return PIPE_EXIT
+        elif status := _emit(text):
+            return status
         return ERROR_EXIT if any(c.error for c in checks) else 0
 
     parser.print_usage(sys.stderr)

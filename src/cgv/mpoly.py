@@ -10,7 +10,8 @@ coerced to NFElem.  Arithmetic results are built by the private `_mpoly`,
 the counterpart of `nf._elem`, which takes a dict that is already of
 exponent tuples and NFElem coefficients and only drops the zeros.  A
 product adds the unpacked exponent tuples and multiplies the coefficients
-with `NFElem.__mul__`, the one Q(r) product.
+with `NFElem.__mul__`, the one Q(r) product; a difference subtracts the
+coefficients in one pass, with no negated operand.
 """
 
 from __future__ import annotations
@@ -126,10 +127,14 @@ class MPoly:
         return _mpoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        return self + (-MPoly.coerce(other))
+        out = dict(self.terms)
+        for e, c in MPoly.coerce(other).terms.items():
+            s = out.get(e)
+            out[e] = -c if s is None else s - c
+        return _mpoly(out)
 
     def __rsub__(self, other):
-        return MPoly.coerce(other) + (-self)
+        return MPoly.coerce(other) - self
 
     def __mul__(self, other):
         return _mpoly(_mul_terms(self.terms, MPoly.coerce(other).terms))
@@ -166,18 +171,20 @@ class MPoly:
         A term with a positive exponent on a zero scalar image is dropped
         before any product, an image 1 is never multiplied, and any other
         scalar image (a constant MPoly included) folds its power into the
-        coefficient.  Polynomial images multiply out term by term.  Each
-        image power is computed once per call.
+        coefficient, and the term goes straight into the result.  Polynomial
+        images multiply out term by term.  Each image power is computed once
+        per call.
         """
         for v in mapping:
             if v not in VAR_INDEX:
                 raise KeyError(f"unknown variable {v!r}")
-        zeros, scalars, polys, cleared = [], [], [], []
+        zeros, scalars, polys = [], [], []
+        kept = [1] * NVARS   # 0 on each substituted variable
         for i, v in enumerate(VARS):
             img = mapping.get(v)
             if img is None:
                 continue
-            cleared.append(i)
+            kept[i] = 0
             if not isinstance(img, MPoly):
                 img = NFElem.coerce(img)
             elif img.is_constant():
@@ -189,6 +196,7 @@ class MPoly:
                 zeros.append(i)
             elif img != NF_ONE:
                 scalars.append((i, img))
+        k0, k1, k2, k3, k4 = kept
         powers = {}   # (variable index, k) -> image ** k
 
         def power(i, img, k):
@@ -197,25 +205,30 @@ class MPoly:
                 p = powers[(i, k)] = img ** k
             return p
 
+        terms = self.terms.items()
+        for i in zeros:
+            terms = [(e, c) for e, c in terms if not e[i]]
         out = {}
-        for e, c in self.terms.items():
-            if any(e[i] for i in zeros):
-                continue
+        get = out.get
+        for e, c in terms:
             for i, s in scalars:
                 k = e[i]
                 if k:
                     c = c * power(i, s, k)
-            kept = list(e)
-            for i in cleared:
-                kept[i] = 0
-            acc = {tuple(kept): c}
-            for i, img in polys:
-                k = e[i]
-                if k:
-                    acc = _mul_terms(acc, power(i, img, k).terms)
-            for en, cn in acc.items():
-                s = out.get(en)
-                out[en] = cn if s is None else s + cn
+            x, y, z, t, w = e
+            e0 = (x * k0, y * k1, z * k2, t * k3, w * k4)
+            if polys:
+                acc = {e0: c}
+                for i, img in polys:
+                    k = e[i]
+                    if k:
+                        acc = _mul_terms(acc, power(i, img, k).terms)
+                for en, cn in acc.items():
+                    s = get(en)
+                    out[en] = cn if s is None else s + cn
+            else:
+                s = get(e0)
+                out[e0] = c if s is None else s + c
         return _mpoly(out)
 
     def partial(self, name: str) -> "MPoly":

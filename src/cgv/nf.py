@@ -4,9 +4,11 @@ An element (n0 + n1*r + n2*r^2)/d is stored on the power basis (1, r, r^2)
 as three integer numerators over one denominator (Cohen, GTM 138, 4.2),
 with d > 0 and gcd(n0, n1, n2, d) = 1.  That form is unique, so structural
 equality coincides with equality in the field.  A product reduces with
-r^3 = 1 - r^2 and r^4 = -1 + r + r^2 and runs one gcd; an inverse is the
-first column of the adjugate of the multiplication-by-a matrix over its
-determinant, the norm.  The integers are the only form of an element:
+r^3 = 1 - r^2 and r^4 = -1 + r + r^2.  A product, sum or difference runs
+its one gcd only when its denominator is not 1, a negation runs none, and
+a difference is formed directly, with no negated operand.  An inverse is
+the first column of the adjugate of the multiplication-by-a matrix over
+its determinant, the norm.  The integers are the only form of an element:
 `NFElem(n0, n1, n2, d)` builds one from them and `integers()` reads them
 back.  Printing reads them directly: each nonzero numerator is reduced
 over d with one gcd (none when d = 1).  This module also holds the one
@@ -77,8 +79,11 @@ class NFElem:
     __radd__ = __add__
 
     def __neg__(self):
+        # negating the numerators keeps d > 0 and the gcd 1
         n0, n1, n2, d = self._v
-        return _elem(-n0, -n1, -n2, d)
+        a = _new(NFElem)
+        _set_v(a, (-n0, -n1, -n2, d))
+        return a
 
     def __sub__(self, other):
         if type(other) is not NFElem:
@@ -86,14 +91,18 @@ class NFElem:
                 other = NFElem.coerce(other)
             except TypeError:
                 return NotImplemented
-        return self + (-other)
+        a0, a1, a2, ad = self._v
+        b0, b1, b2, bd = other._v
+        if ad == bd:
+            return _elem(a0 - b0, a1 - b1, a2 - b2, ad)
+        return _elem(a0 * bd - b0 * ad, a1 * bd - b1 * ad, a2 * bd - b2 * ad, ad * bd)
 
     def __rsub__(self, other):
-        try:
-            o = NFElem.coerce(other)
-        except TypeError:
+        # other - self for an int other; an NFElem other took __sub__
+        if not isinstance(other, int):
             return NotImplemented
-        return o + (-self)
+        n0, n1, n2, d = self._v
+        return _elem(other * d - n0, -n1, -n2, d)
 
     def __mul__(self, other):
         if type(other) is not NFElem:
@@ -155,12 +164,14 @@ _set_v = NFElem._v.__set__
 
 
 def _elem(n0, n1, n2, d) -> NFElem:
-    """(n0 + n1*r + n2*r^2)/d, stored with d > 0 and no factor common to all four."""
-    g = gcd(n0, n1, n2, d)
-    if d < 0:
-        g = -g
-    if g != 1:
-        n0, n1, n2, d = n0 // g, n1 // g, n2 // g, d // g
+    """(n0 + n1*r + n2*r^2)/d, stored with d > 0 and no factor common to all four.
+    With d = 1 that is already so, and no gcd is taken."""
+    if d != 1:
+        g = gcd(n0, n1, n2, d)
+        if d < 0:
+            g = -g
+        if g != 1:
+            n0, n1, n2, d = n0 // g, n1 // g, n2 // g, d // g
     a = _new(NFElem)
     _set_v(a, (n0, n1, n2, d))
     return a

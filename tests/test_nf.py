@@ -157,6 +157,7 @@ def test_integers_are_the_stored_form():
     assert NFElem(2, -4, 6).integers() == (2, -4, 6, 1)
     assert NFElem(6, 0, -9, 12).integers() == (2, 0, -3, 4)
     assert NFElem(1, 2, 3, -5).integers() == (-1, -2, -3, 5)
+    assert NFElem(3, 6, 9, -1).integers() == (-3, -6, -9, 1)
     assert NFElem(0, 0, 0, -7).integers() == (0, 0, 0, 1)
     assert (NF_R / 3).integers() == (0, 1, 0, 3)
     # the repr prints the integers, and reads back through the constructor

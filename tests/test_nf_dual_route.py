@@ -10,7 +10,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cgv.nf import NFElem
 
@@ -69,6 +69,32 @@ def test_add_mul_match_fraction_triples(p, q):
     assert as_fractions(a) == p
     for got, want in ((a + b, ref_add(p, q)), (a - b, ref_add(p, tuple(-x for x in q))),
                       (a * b, ref_mul(p, q))):
+        assert_canonical(got)
+        assert as_fractions(got) == want
+
+
+# four ints, the last nonzero, as NFElem(n0, n1, n2, d) takes them
+quadruples = st.tuples(big, big, st.integers(-50, 50), st.integers(-10 ** 9, 10 ** 9).filter(bool))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quadruples, quadruples, big)
+@example((3, 6, 9, -1), (3, 6, 9, -1), 0)     # d = -1 is stored as (-3, -6, -9, 1)
+@example((1, -2, 3, 1), (4, 5, -6, 1), 7)     # d = 1 on both sides
+@example((1, 2, 3, 6), (5, -1, 2, 6), -1)     # equal denominators
+@example((1, 2, 3, 6), (-5, 4, 3, 6), 1)      # equal denominators, a common factor left
+@example((0, 0, 0, 5), (2, 0, 0, 4), 0)       # zero operands
+def test_differences_and_negation_match_the_integer_sums(u, v, n):
+    # the reference subtracts the Fraction coordinates read off integers()
+    a, b = NFElem(*u), NFElem(*v)
+    assert_canonical(a)
+    assert as_fractions(a) == tuple(Fraction(x, u[3]) for x in u[:3])
+    p, q = as_fractions(a), as_fractions(b)
+    minus_p = tuple(-x for x in p)
+    for got, want in ((a - b, ref_add(p, tuple(-x for x in q))), (a - a, (0, 0, 0)),
+                      (n - a, ref_add((n, 0, 0), minus_p)), (a - n, ref_add(p, (-n, 0, 0))),
+                      (-a, minus_p)):
+        assert type(got) is NFElem
         assert_canonical(got)
         assert as_fractions(got) == want
 

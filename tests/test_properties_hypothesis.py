@@ -119,6 +119,12 @@ permutations = st.tuples(st.permutations(GEOM_VARS), signs).map(
          {"X": MPoly.constant(0), "Y": MPoly.constant(1), "T": NFElem(0, 1), "m": parse_poly("Y + Z")})
 @example(parse_poly("X^2*m + Y^2 + Z*T*m + r"), {"X": NFElem(1), "Y": 0, "Z": 0, "T": 0, "m": 1})
 @example(parse_poly("X*m^2 + Y*Z - T^2*m"), {"m": 0, "X": parse_poly("r*Y + 1"), "T": 1})
+# scalar images only, where each term goes straight into the result; terms collide there
+@example(parse_poly("X^2*m + Y^2*Z + Z*T*m^2 - r*X*Y + Z*T + 3"),
+         {"X": 0, "Y": 1, "Z": MPoly.constant(NFElem(2, -1, 0, 3)), "m": NFElem(0, 1)})
+@example(parse_poly("X*Y*m + Y^2*m^2 + Y^2*m + T^2*m - r"),
+         {"X": MPoly.constant(0), "T": MPoly.constant(-1), "m": NFElem(1, 0, 2, 5)})
+@example(parse_poly("X^2 + X*m + X*m^2 + m^3 + Y"), {"m": NFElem(0, 1, -1, 2)})
 def test_substitute_matches_sympy(f, mapping):
     # dual route: simultaneous replacement of the symbols in sympy, reduced mod r^3 + r^2 - 1
     sym_images = {SYMS[v]: to_sympy(MPoly.coerce(img)) for v, img in mapping.items()}
@@ -163,6 +169,14 @@ def test_product_matches_sympy(f, g):
     assert red(to_sympy(products[0]) - to_sympy(f) * to_sympy(g)) == 0
     assert products[1] == products[2]
     assert not products[3].terms
+    # a difference, taken in one pass, is the sum with the negation
+    r = NFElem(0, 1)
+    differences = (f - g, g - f, f - f, 1 - f, f - 1, r - f, f - r)
+    for p in differences:
+        assert_canonical(p)
+    assert differences[0] == f + (-g) and differences[1] == g + (-f)
+    assert not differences[2].terms
+    assert differences[3:] == (-f + 1, f + (-1), -f + r, f + (-r))
 
 
 # -- the printer against the reference printer in conftest ----------------------------

@@ -333,6 +333,24 @@ def test_cli_into_a_closed_pipe_prints_no_traceback(argv, unbuffered):
         assert run.returncode == cli.PIPE_EXIT
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["eval", "1"], ["check", "sigma"]], ids=["eval", "check"])
+def test_cli_into_a_full_device_is_a_configuration_error(argv, unbuffered):
+    # every write to /dev/full fails with ENOSPC; the run says so in one
+    # stderr line, adds nothing at the interpreter's final flush, and exits 2
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]),
+           "PYTHONUNBUFFERED": unbuffered}
+    with open("/dev/full", "wb") as full:
+        run = subprocess.run([sys.executable, "-m", "cgv.cli", *argv], stdout=full,
+                             stderr=subprocess.PIPE, env=env, timeout=120)
+    err = run.stderr.decode()
+    assert run.returncode == cli.USAGE_EXIT
+    assert err.startswith("configuration error: cannot write standard output: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err and "Exception ignored" not in err
+
+
 def _printed_checks(capsys):
     """The check blocks of the text report just printed, one string each."""
     body = capsys.readouterr().out.split("\n\n")[1]
