@@ -23,6 +23,10 @@ point, classifies each stratum exactly:
 
 The 4x10 coefficient rows of `quadric_independence` are M, with zeros in
 the four square columns.
+
+The quadrics at the reference points, the m-flag and the slice kernels are
+read from caches on the family (see `CubicFamily`), so each costs one
+computation per run.
 """
 
 from __future__ import annotations
@@ -48,6 +52,13 @@ EMPTY = "empty"
 REFERENCE = "reference_points"
 NON_REFERENCE = "non_reference_points"
 INCONCLUSIVE = "inconclusive"
+
+# the reference points by value: their position in REFERENCE_POINTS and their printed name
+_REFERENCE_INDEX = {pt: i for i, pt in enumerate(REFERENCE_POINTS)}
+_REFERENCE_NAMES = {pt: point_name(pt) for pt in REFERENCE_POINTS}
+
+# 1/(3r - 2): the display unit carried by the first row of a single-hyperplane system
+DISPLAY_UNIT_INV = NFElem(-2, 3).inverse()
 
 
 class Stratum(namedtuple("Stratum", "taken")):
@@ -104,12 +115,18 @@ def _monomial_name(exp) -> str:
     return "*".join(v for v, k in zip(GEOM_VARS, exp) if k)
 
 
+def _quadric_at(family, j, pt):
+    """Q_j at `pt`: the family's table entry at a reference point, else substituted."""
+    i = _REFERENCE_INDEX.get(pt)
+    return eval_at_point(family.quadrics[j], pt) if i is None else family.reference_values[j][i]
+
+
 def _verified(family, stratum, points):
     """`points`, each checked by exact substitution to kill every defining form
     of the stratum; InternalCheckError names the first that does not."""
     for pt in points:
         if (any(not pt[GEOM_VARS.index(COFACTOR_COORDS[i])].is_zero() for i in stratum.taken)
-                or not all(eval_at_point(family.quadrics[j], pt).is_zero() for j in stratum.quadrics)):
+                or not all(_quadric_at(family, j, pt).is_zero() for j in stratum.quadrics)):
             raise InternalCheckError(f"{point_name(pt)} fails exact substitution on {stratum.label()}")
     return tuple(points)
 
@@ -164,14 +181,12 @@ def single_hyperplane_system(family, h: str):
     cycle = tuple(GEOM_VARS[(start + n) % 4] for n in (1, 2, 3))
     basis = [_monomial((cycle[n], cycle[(n + 1) % 3])) for n in range(3)]
     row_quadrics = [(i + k) % 4 for k in (1, 2, 3)]
-    unit = NFElem(-2, 3)  # 3r - 2
-    unit_inv = unit.inverse()
     cols = [MIXED_MONOMIALS.index(e) for e in basis]
     rows = []
     for pos, j in enumerate(row_quadrics):
         entries = tuple(family.mixed_matrix[j][k] for k in cols)
         if pos == 0:
-            entries = tuple(c * unit_inv for c in entries)
+            entries = tuple(c * DISPLAY_UNIT_INV for c in entries)
         rows.append(entries)
     return tuple(rows), basis, tuple(row_quadrics), cycle
 
@@ -216,10 +231,13 @@ def _single_hyperplane(family, stratum) -> StratumResult:
     vector with exactly one nonzero entry exists iff the matching matrix
     column vanishes (then a whole coordinate line lies in the stratum); a
     vector with exactly two nonzero entries never arises from a point.
+
+    The kernel is eliminated once per distinct matrix of the family; the
+    lift below uses this stratum's own basis and cycle.
     """
     (h,) = stratum.hyperplane_names
     mat, basis, row_quadrics, cycle = single_hyperplane_system(family, h)
-    a = [[e.as_nfelem() for e in row] for row in mat]
+    a = tuple(tuple(e.as_nfelem() for e in row) for row in mat)
     ref_points = _verified(family, stratum, stratum.reference_points())
 
     def result(kind, points, identity, notes=()):
@@ -228,7 +246,9 @@ def _single_hyperplane(family, stratum) -> StratumResult:
             "a kernel vector with exactly two nonzero entries is never the monomial vector of a point",
             identity) + notes)
 
-    kernel = nf_kernel_basis(a)
+    kernel = family.slice_kernels.get(a)
+    if kernel is None:
+        kernel = family.slice_kernels[a] = tuple(nf_kernel_basis(a))
     if not kernel:
         return result(REFERENCE, ref_points, "the specialized system is nonsingular: kernel = 0")
 
@@ -394,7 +414,7 @@ def classify_stratum(family, stratum) -> StratumResult:
     Raises when a quadric has a square term, since M then does not exist."""
     # M is read first, so a square term raises on every stratum; m stays a
     # symbol unless `CubicFamily.at_m` fixed it
-    symbolic = any(e.involves("m") for row in family.mixed_matrix for e in row)
+    symbolic = family.involves_m
     k = len(stratum.taken)
     if k == 4:
         return StratumResult(
@@ -436,4 +456,4 @@ def aggregate(results):
 
 
 def points_str(points) -> str:
-    return ", ".join(point_name(p) for p in points) if points else "(none)"
+    return ", ".join(_REFERENCE_NAMES.get(p) or point_name(p) for p in points) if points else "(none)"

@@ -128,6 +128,10 @@ class CubicFamily:
     """The four cubics C_0..C_3 and their quadric cofactors Q_0..Q_3.
 
     Compared by identity, so a result cached on a family lasts one run.
+    Cached here, each on first use: M (`mixed_matrix`), whether M involves
+    m (`involves_m`), the value of each Q_j at each reference point
+    (`reference_values`) and the kernels of the single-hyperplane slices of
+    M, by matrix value (`slice_kernels`, filled by `baselocus`).
     """
 
     def __init__(self, cubics: tuple, quadrics: tuple, sigma_index_map: tuple):
@@ -161,6 +165,23 @@ class CubicFamily:
             if not set(q.geom_support()) <= set(MIXED_MONOMIALS):
                 raise ConstructionError(f"Q{j} has a term off the mixed monomials")
         return tuple(tuple(q.coeff_of_geom(e) for e in MIXED_MONOMIALS) for q in self.quadrics)
+
+    @functools.cached_property
+    def involves_m(self) -> bool:
+        """Does any entry of M involve m?  False once `at_m` fixed it."""
+        return any(e.involves("m") for row in self.mixed_matrix for e in row)
+
+    @functools.cached_property
+    def reference_values(self):
+        """Q_j at the reference point REFERENCE_POINTS[i], as row j, column i,
+        by exact substitution."""
+        return tuple(tuple(eval_at_point(q, pt) for pt in REFERENCE_POINTS) for q in self.quadrics)
+
+    @functools.cached_property
+    def slice_kernels(self) -> dict:
+        """Kernel bases of single-hyperplane slices of M, keyed by the slice's
+        rows of NFElem, so that equal slices are eliminated once."""
+        return {}
 
 
 @functools.cache
@@ -204,6 +225,8 @@ def build_cubics() -> CubicFamily:
     """The verified family, as a fresh `CubicFamily` on every call.
 
     The family is a new object each time because results cached on the
-    family (`baselocus.quadric_independence`) are meant to last one run.
+    family are meant to last one run: M, the m-flag, the reference-point
+    table and the slice kernels (see `CubicFamily`), and
+    `baselocus.quadric_independence`.
     """
     return CubicFamily(*_verified_family())

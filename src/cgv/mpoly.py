@@ -149,7 +149,7 @@ class MPoly:
         return binary_power(self, n, MPoly.constant(1))
 
     def __eq__(self, other):
-        if isinstance(other, (int, NFElem)):
+        if type(other) is int or isinstance(other, NFElem):
             other = MPoly.constant(other)
         if not isinstance(other, MPoly):
             return NotImplemented

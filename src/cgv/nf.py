@@ -45,7 +45,8 @@ class NFElem:
     def coerce(v) -> "NFElem":
         if isinstance(v, NFElem):
             return v
-        if isinstance(v, int):
+        # an int, as in the constructor: a bool is refused
+        if type(v) is int:
             return _elem(v, 0, 0, 1)
         raise TypeError(f"cannot coerce {v!r} to NFElem")
 
@@ -98,8 +99,8 @@ class NFElem:
         return _elem(a0 * bd - b0 * ad, a1 * bd - b1 * ad, a2 * bd - b2 * ad, ad * bd)
 
     def __rsub__(self, other):
-        # other - self for an int other; an NFElem other took __sub__
-        if not isinstance(other, int):
+        # other - self for an int other (not a bool); an NFElem other took __sub__
+        if type(other) is not int:
             return NotImplemented
         n0, n1, n2, d = self._v
         return _elem(other * d - n0, -n1, -n2, d)

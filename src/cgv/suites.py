@@ -134,6 +134,14 @@ def _stratum_claim(stratum):
     return printed if printed.value is not None else claim(key, points_str(stratum.reference_points()))
 
 
+def _stratum_computed(res) -> str:
+    if res.kind == REFERENCE:
+        return points_str(res.points)
+    if res.kind == NON_REFERENCE:
+        return "non-reference points: " + points_str(res.points)
+    return "empty" if res.kind == EMPTY else "inconclusive"
+
+
 def base_locus_suite(family, config: RunConfig, checks):
     family_m = family.at_m(config.m_value)
     results = []
@@ -148,15 +156,16 @@ def base_locus_suite(family, config: RunConfig, checks):
         results.append(res)
         checks.append(make_check(
             f"base-locus/stratum/{label}",
-            {EMPTY: "empty", REFERENCE: points_str(res.points),
-             NON_REFERENCE: "non-reference points: " + points_str(res.points)}.get(res.kind, "inconclusive"),
+            _stratum_computed(res),
             _stratum_claim(stratum),
             notes=res.notes,
             ambiguous=res.kind == INCONCLUSIVE,
         ))
 
-    # the single-hyperplane system and its determinant, h = T first
+    # the single-hyperplane system and its determinant, h = T first; each
+    # distinct matrix is expanded once
     printed = tuple(tuple(parse_display(t) for t in row) for row in PRINTED_SYSTEM_MATRIX)
+    analyses = {}
     for h in ("T", "X", "Y", "Z"):
         try:
             mat, basis, row_quadrics, _ = single_hyperplane_system(family, h)
@@ -176,7 +185,9 @@ def base_locus_suite(family, config: RunConfig, checks):
                     if same else "differs from the transported h=T matrix",
                     notes=(f"rows Q{row_quadrics[0]}, Q{row_quadrics[1]}, Q{row_quadrics[2]} restricted to {h} = 0",),
                 ))
-            analysis = single_hyperplane_det_analysis(mat)
+            analysis = analyses.get(mat)
+            if analysis is None:
+                analysis = analyses[mat] = single_hyperplane_det_analysis(mat)
             if h == "T":
                 checks.append(make_check(
                     "base-locus/det/T/m-coefficient",
@@ -234,8 +245,9 @@ def base_locus_suite(family, config: RunConfig, checks):
     kind, points = baselocus.aggregate(results)
     checks.append(make_check(
         "base-locus/aggregate",
-        {REFERENCE: points_str(points),
-         NON_REFERENCE: "non-reference points found: " + points_str(points)}.get(kind, "indeterminate"),
+        points_str(points) if kind == REFERENCE
+        else "non-reference points found: " + points_str(points) if kind == NON_REFERENCE
+        else "indeterminate",
         claim("reference-base-points"),
         notes=("the aggregate is confirmed only when every stratum is conclusive",)
         + (("single-hyperplane and torus strata need --m; they are inconclusive here",)

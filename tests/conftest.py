@@ -101,6 +101,20 @@ def swap_xy(form):
     return tuple(reversed(form))
 
 
+def count_calls(monkeypatch, name, *modules):
+    """Record the arguments of each call to the function `name`, patched in each module given."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def nf_products(monkeypatch, run):
     """run() and the names of the NFElem products and powers it made, in order;
     undoes the monkeypatches of the test when done."""

@@ -19,7 +19,7 @@ from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem
 from cgv.parsing import parse_poly
 
-from conftest import nf_to_float
+from conftest import count_calls, nf_to_float, run_config
 
 M1 = NFElem(1)
 
@@ -456,3 +456,63 @@ def test_a_nonsingular_single_hyperplane_system_leaves_the_reference_points(fami
     assert res.points == stratum.reference_points()
     # the three identities of the kernel lift, and no remark after them
     assert len(res.notes) == 3
+
+
+def test_one_run_substitutes_each_quadric_at_each_reference_point_once(monkeypatch, capsys):
+    import cgv.geometry as geometry
+    geometry.build_cubics()  # the construction checks run once per process, before counting
+    evals = count_calls(monkeypatch, "eval_at_point", geometry, baselocus)
+    kernels = count_calls(monkeypatch, "nf_kernel_basis", baselocus)
+    dets = count_calls(monkeypatch, "single_hyperplane_det_analysis", suites)
+    counts = []
+    for _ in range(2):
+        assert main(["check", "base-locus", "--m=1"]) == 0
+        capsys.readouterr()
+        at_reference = [(f, pt) for f, pt in evals if pt in REFERENCE_POINTS]
+        counts.append((len(at_reference), len(kernels), len(dets)))
+        del evals[:], kernels[:], dets[:]
+    # 4 quadrics x 4 points at most; the second run substitutes again, on its own family
+    assert 0 < counts[0][0] <= 16
+    assert counts[1] == counts[0]
+    # the four single-hyperplane slices are equal, so one slice kernel and the
+    # torus kernel, and one determinant expansion
+    assert counts[0][1:] == (2, 1)
+
+
+def _mixed_term_family(family):
+    """The family with X*Y added to Q1: M still exists, but the rotation no
+    longer permutes the quadrics, and the four single-hyperplane slices differ."""
+    quadrics = (family.quadrics[0], family.quadrics[1] + parse_poly("X*Y")) + family.quadrics[2:]
+    cubics = tuple(MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics))
+    return CubicFamily(cubics, quadrics, family.sigma_index_map)
+
+
+def test_results_are_reused_by_value_not_by_position(family, monkeypatch):
+    # the real family first, so that a cache keyed by h or by stratum holds its values
+    real = [classify_stratum(family.at_m(M1), s) for s in all_strata()]
+    real_checks = suites.run_suite("base-locus", run_config(m_expr="1"))
+    altered = _mixed_term_family(family)
+    shared = altered.at_m(M1)
+    slices = {h: single_hyperplane_system(shared, h)[0] for h in COFACTOR_COORDS}
+    assert len(set(slices.values())) == 3
+    # each stratum of one family equals the same stratum of its own fresh family
+    results = [classify_stratum(shared, stratum) for stratum in all_strata()]
+    assert results == [classify_stratum(altered.at_m(M1), s) for s in all_strata()]
+    assert results != real
+    # and each slice's kernel is its own: T and Z are nonsingular here, X and Y are not
+    for res in results:
+        if len(res.stratum.taken) == 1:
+            (h,) = res.stratum.hyperplane_names
+            dim = len(nf_kernel_basis(nf_rows(slices[h])))
+            assert dim == (0 if h in "TZ" else 1)
+            assert (res.notes[2] == "the specialized system is nonsingular: kernel = 0") == (dim == 0)
+            assert any(n.startswith(f"kernel dimension {dim};") for n in res.notes) == (dim > 0)
+    # each determinant of one suite run is the expansion of its own matrix
+    monkeypatch.setattr(suites, "build_cubics", lambda: _mixed_term_family(family))
+    checks = {c.check_id: c.computed for c in suites.run_suite("base-locus", run_config(m_expr="1"))}
+    dets = {h: matrix_det(single_hyperplane_system(_mixed_term_family(family), h)[0]) for h in COFACTOR_COORDS}
+    assert len(set(dets.values())) > 1
+    for h in ("X", "Y", "Z"):
+        assert checks[f"base-locus/det/{h}/value"] == str(dets[h])
+    assert checks["base-locus/det/T/m-free-part"] == str(dets["T"].substitute({"m": 0}).as_nfelem())
+    assert {c.check_id: c.computed for c in real_checks}["base-locus/det/X/value"] == "0"

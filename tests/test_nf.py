@@ -200,6 +200,24 @@ def test_only_ints_are_taken(bad):
         NFElem.coerce(bad)
 
 
+@pytest.mark.parametrize("b", [True, False])
+def test_a_bool_is_not_an_int_here(b):
+    # as in the constructor, a bool is refused wherever an int is coerced
+    with pytest.raises(TypeError):
+        NFElem(b)
+    with pytest.raises(TypeError):
+        NFElem.coerce(b)
+    with pytest.raises(TypeError):
+        MPoly.constant(b)
+    a = NFElem(2)
+    for op in (lambda: a + b, lambda: b + a, lambda: a - b, lambda: b - a, lambda: a * b, lambda: b * a):
+        with pytest.raises(TypeError):
+            op()
+    assert a.__rsub__(b) is NotImplemented
+    # equality does not coerce it either
+    assert NFElem(int(b)) != b and MPoly.constant(int(b)) != b
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(-10**30, 10**30))
 def test_equal_scalars_hash_alike(n):

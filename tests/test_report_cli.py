@@ -18,7 +18,7 @@ from cgv.nf import NFElem
 from cgv.parsing import parse_poly
 from cgv.suites import SUITE_NAMES, run_suite
 
-from conftest import run_config
+from conftest import count_calls, run_config
 
 
 def test_make_check_agreement_rules():
@@ -454,20 +454,6 @@ def test_cli_check_accepts_m_past_the_digit_limit(int_digit_limit, capsys):
     assert main(["check", "sigma", "--format", "json", "--m", m]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["m"] == m and doc["summary"]["errors"] == "0"
-
-
-def count_calls(monkeypatch, name, *modules):
-    """Record the arguments of each call to the function `name`, patched in each module given."""
-    calls = []
-    real = getattr(modules[0], name)
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    for module in modules:
-        monkeypatch.setattr(module, name, counted)
-    return calls
 
 
 def test_check_all_computes_quadric_independence_once(monkeypatch):
