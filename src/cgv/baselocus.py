@@ -24,14 +24,13 @@ point, classifies each stratum exactly:
 The 4x10 coefficient rows of `quadric_independence` are M, with zeros in
 the four square columns.
 
-The quadrics at the reference points, the m-flag and the slice kernels are
-read from caches on the family (see `CubicFamily`), so each costs one
-computation per run.
+The quadrics at the reference points, the m-flag, the slice kernels and
+the independence analysis are read from caches on the family (see
+`CubicFamily`), so each costs one computation per run.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import namedtuple
 
@@ -379,8 +378,15 @@ QUADRIC_BASIS = tuple(sorted(
 IndependenceResult = namedtuple("IndependenceResult", "entries det_cofactor rank rank_witness")
 
 
-@functools.lru_cache(maxsize=1)  # `check all` asks twice for the one family it builds
 def quadric_independence(family) -> IndependenceResult:
+    """The circulant determinant and the rank of M over the ten quadric
+    monomials, cached on the family (`CubicFamily.independence`): `check
+    all` asks twice and computes once, and the result ends with the run."""
+    return family.independence
+
+
+def independence_analysis(family) -> IndependenceResult:
+    """`quadric_independence`, computed; `CubicFamily.independence` calls it."""
     # (a, b, c, d): the XY column of M
     a, b, c, d = (row[0].as_nfelem() for row in family.mixed_matrix)
     mat = circulant_matrix(a, b, c, d)

@@ -130,8 +130,9 @@ class CubicFamily:
     Compared by identity, so a result cached on a family lasts one run.
     Cached here, each on first use: M (`mixed_matrix`), whether M involves
     m (`involves_m`), the value of each Q_j at each reference point
-    (`reference_values`) and the kernels of the single-hyperplane slices of
-    M, by matrix value (`slice_kernels`, filled by `baselocus`).
+    (`reference_values`), the kernels of the single-hyperplane slices of
+    M, by matrix value (`slice_kernels`, filled by `baselocus`), and the
+    quadric-independence analysis (`independence`, computed by `baselocus`).
     """
 
     def __init__(self, cubics: tuple, quadrics: tuple, sigma_index_map: tuple):
@@ -183,6 +184,12 @@ class CubicFamily:
         rows of NFElem, so that equal slices are eliminated once."""
         return {}
 
+    @functools.cached_property
+    def independence(self):
+        """`baselocus.quadric_independence` of this family."""
+        from .baselocus import independence_analysis   # baselocus imports this module
+        return independence_analysis(self)
+
 
 @functools.cache
 def _verified_family():
@@ -226,7 +233,7 @@ def build_cubics() -> CubicFamily:
 
     The family is a new object each time because results cached on the
     family are meant to last one run: M, the m-flag, the reference-point
-    table and the slice kernels (see `CubicFamily`), and
-    `baselocus.quadric_independence`.
+    table, the slice kernels and the independence analysis (see
+    `CubicFamily`).
     """
     return CubicFamily(*_verified_family())

@@ -9,14 +9,20 @@ sequence of 5 non-negative ints (else ValueError), and every coefficient is
 coerced to NFElem.  Arithmetic results are built by the private `_mpoly`,
 the counterpart of `nf._elem`, which takes a dict that is already of
 exponent tuples and NFElem coefficients and only drops the zeros.  A
-product adds the unpacked exponent tuples and multiplies the coefficients
-with `NFElem.__mul__`, the one Q(r) product; a difference subtracts the
-coefficients in one pass, with no negated operand.
+product (`_mul_terms`) adds the unpacked exponent tuples.  With a one-term
+operand it multiplies the coefficients with `NFElem.__mul__`; otherwise it
+sums the term pairs of each output monomial on the integers, reducing with
+the rule that `NFElem.__mul__` also writes, and normalises each output
+coefficient once with `nf._elem`.  A dual-route test ties the two copies of
+the rule together.  A difference subtracts the coefficients in one pass,
+with no negated operand.
 """
 
 from __future__ import annotations
 
-from .nf import NFElem, NF_ONE, NF_ZERO, binary_power, join_terms, nf_str, term_str
+from math import gcd
+
+from .nf import NFElem, NF_ONE, NF_ZERO, _elem, binary_power, join_terms, nf_str, term_str
 from .upoly import UPoly
 
 VARS = ("X", "Y", "Z", "T", "m")
@@ -27,17 +33,54 @@ ZERO_EXP = (0,) * NVARS
 
 
 def _mul_terms(a, b):
-    """Product of two term dicts, as a term dict (zero sums not yet dropped)."""
-    out = {}
-    get = out.get
-    b_items = list(b.items())
+    """Product of two term dicts, as a term dict (zero sums not yet dropped).
+
+    With a one-term operand no two term pairs share a monomial, so each
+    coefficient is one `NFElem.__mul__`.  Otherwise each term pair's product
+    is formed on the integers, reduced with r^3 = 1 - r^2 and r^4 = -1 + r
+    + r^2 as in `NFElem.__mul__`, over the denominator ad*bd, and added
+    unnormalised into its monomial's (n0, n1, n2, d): an equal d adds the
+    numerators, another d brings both sums to the lcm.  `_elem` then
+    normalises each output coefficient once (Johnson, "Sparse polynomial
+    arithmetic", 1974).  The operands are not first cleared to a common
+    denominator: that would widen every final gcd.  The reduction rule is
+    written both here and in `NFElem.__mul__`; the dual-route product test
+    (`test_product_matches_sympy`) ties the two together.
+    """
+    if len(a) != 1:
+        a, b = b, a
+    if len(a) == 1:
+        ((x1, y1, z1, t1, m1), c1), = a.items()
+        return {(x1 + x2, y1 + y2, z1 + z2, t1 + t2, m1 + m2): c1 * c2
+                for (x2, y2, z2, t2, m2), c2 in b.items()}
+    acc = {}
+    get = acc.get
+    b_items = [(e, c.integers()) for e, c in b.items()]
     for (x1, y1, z1, t1, m1), c1 in a.items():
-        for (x2, y2, z2, t2, m2), c2 in b_items:
+        a0, a1, a2, ad = c1.integers()
+        for (x2, y2, z2, t2, m2), (b0, b1, b2, bd) in b_items:
             e = (x1 + x2, y1 + y2, z1 + z2, t1 + t2, m1 + m2)
-            c = c1 * c2
+            e3 = a1 * b2 + a2 * b1
+            e4 = a2 * b2
+            n0 = a0 * b0 + e3 - e4
+            n1 = a0 * b1 + a1 * b0 + e4
+            n2 = a0 * b2 + a1 * b1 + a2 * b0 - e3 + e4
+            d = ad * bd
             s = get(e)
-            out[e] = c if s is None else s + c
-    return out
+            if s is None:
+                acc[e] = (n0, n1, n2, d)
+            else:
+                s0, s1, s2, sd = s
+                if sd == d:
+                    acc[e] = (s0 + n0, s1 + n1, s2 + n2, d)
+                else:
+                    g = gcd(sd, d)
+                    u, v = d // g, sd // g
+                    acc[e] = (s0 * u + n0 * v, s1 * u + n1 * v, s2 * u + n2 * v, sd * u)
+    # normalised in place: each sum is freed as its coefficient replaces it
+    for e, (n0, n1, n2, d) in acc.items():
+        acc[e] = _elem(n0, n1, n2, d)
+    return acc
 
 
 def _exponent(exp) -> tuple:
@@ -142,10 +185,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            raise ValueError("negative exponent")
+        # binary_power refuses a negative or non-int n
         return binary_power(self, n, MPoly.constant(1))
 
     def __eq__(self, other):

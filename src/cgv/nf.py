@@ -115,7 +115,7 @@ class NFElem:
         b0, b1, b2, bd = other._v
         e3 = a1 * b2 + a2 * b1
         e4 = a2 * b2
-        # r^3 = 1 - r^2,  r^4 = -1 + r + r^2
+        # r^3 = 1 - r^2,  r^4 = -1 + r + r^2 (mpoly._mul_terms repeats this rule)
         n0 = a0 * b0 + e3 - e4
         n1 = a0 * b1 + a1 * b0 + e4
         n2 = a0 * b2 + a1 * b1 + a2 * b0 - e3 + e4
@@ -130,10 +130,9 @@ class NFElem:
         return self * NFElem.coerce(other).inverse()
 
     def __pow__(self, n: int) -> "NFElem":
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.inverse() ** (-n)
+        # a negative power is a power of the inverse; binary_power checks n
+        if type(n) is int and n < 0:
+            return binary_power(self.inverse(), -n, NF_ONE)
         return binary_power(self, n, NF_ONE)
 
     # -- equality / hashing ---------------------------------------------
@@ -182,8 +181,13 @@ def binary_power(base, n: int, one):
     """base**n for n >= 0 by square-and-multiply.
 
     Takes bit_length(n) - 1 squarings and popcount(n) - 1 other products;
-    `one` is returned for n = 0.
+    `one` is returned for n = 0.  n must be an int, not a bool (TypeError),
+    and not negative (ValueError).
     """
+    if type(n) is not int:
+        raise TypeError("exponent must be an integer")
+    if n < 0:
+        raise ValueError("negative exponent")
     out = None
     while True:
         if n & 1:

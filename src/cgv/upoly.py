@@ -86,8 +86,7 @@ class UPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent")
+        # binary_power refuses a negative or non-int n
         return binary_power(self, n, UPoly((NF_ONE,)))
 
     def __divmod__(self, other):

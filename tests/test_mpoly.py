@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from cgv import mpoly
 from cgv.mpoly import MPoly, VARS
 from cgv.nf import NF_ZERO, NFElem
 from cgv.parsing import parse_poly
+from cgv.upoly import UPoly
 
-from conftest import nf_products, random_nfelem
+from conftest import count_calls, nf_products, random_nfelem
 
 
 def random_mpoly(rng, nterms=4, max_exp=3):
@@ -182,24 +184,31 @@ def test_constructor_accepts_any_sequence_of_five_exponents():
     assert all(type(e) is tuple for e in f.terms)
 
 
-@pytest.mark.parametrize("n", [2.0, Fraction(2), "2", None])
+@pytest.mark.parametrize("n", [2.0, Fraction(2), "2", None, True])
 def test_pow_rejects_non_integer_exponents(n):
-    with pytest.raises(TypeError, match="exponent must be an integer"):
-        X ** n
+    # one check, in binary_power, for the three __pow__; a bool is not an int
+    for base in (NFElem(2), X, UPoly((1, 1))):
+        with pytest.raises(TypeError, match="exponent must be an integer"):
+            base ** n
 
 
-def test_one_product_multiplies_each_term_pair_once(monkeypatch):
-    # NFElem.__mul__ is the only product in Q(r): an MPoly product calls it
-    # once per term pair, so a tracer wrapped around it sees every pair
+def test_product_normalises_each_output_monomial_once(monkeypatch):
+    # two multi-term operands: each output coefficient is summed on the
+    # integers and normalised once by _elem, with no NFElem product
     f = parse_poly("1/2*X - 2/3*r*Y + 3/4*m")
     g = parse_poly("X - 1/6*r^2*T + (1 + r)*Y + 5/7*m")
-    calls = []
-    real = NFElem.__mul__
-    monkeypatch.setattr(NFElem, "__mul__", lambda a, b: calls.append(1) or real(a, b))
-    h = f * g
-    assert len(calls) == len(f.terms) * len(g.terms) == 12
-    monkeypatch.undo()
-    assert h == parse_poly("(1/2*X - 2/3*r*Y + 3/4*m)*(X - 1/6*r^2*T + (1 + r)*Y + 5/7*m)")
+    expected = parse_poly("(1/2*X - 2/3*r*Y + 3/4*m)*(X - 1/6*r^2*T + (1 + r)*Y + 5/7*m)")
+    elems = count_calls(monkeypatch, "_elem", mpoly)   # nf_products undoes this patch too
+    h, products = nf_products(monkeypatch, lambda: f * g)
+    assert products == []
+    assert len(elems) == len(h.terms) == 9 < len(f.terms) * len(g.terms) == 12
+    assert h == expected
+    # a one-term operand, on either side: one NFElem product per term of the other
+    c = parse_poly("-2/3*r*Y*m")
+    for run in (lambda: c * g, lambda: g * c):
+        h, products = nf_products(monkeypatch, run)
+        assert products == ["mul"] * len(g.terms)
+        assert h == parse_poly("(-2/3*r*Y*m)*(X - 1/6*r^2*T + (1 + r)*Y + 5/7*m)")
 
 
 def test_constants_hash_like_their_coefficient():

@@ -156,17 +156,36 @@ colliding = st.dictionaries(
     nf_elems, max_size=3).map(MPoly)
 
 
+# the product kernel sums the term pairs of each output monomial on the
+# integers, with the reduction rule of NFElem.__mul__, and normalises once;
+# a one-term operand takes NFElem.__mul__ itself
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(colliding, mpolys), st.one_of(colliding, mpolys))
 @example(MPoly.var("X"), MPoly.var("Y"))
 @example(MPoly({(1, 0, 0, 0, 0): NFElem(0, 1, 0), (0, 1, 0, 0, 0): NFElem(1, 0, 0)}),
          MPoly({(1, 0, 0, 0, 0): NFElem(0, 1, 0), (0, 1, 0, 0, 0): NFElem(-1, 0, 0)}))
+# the two cross pairs of (X+Y)^2 land on one monomial
+@example(parse_poly("X + Y"), parse_poly("X + Y"))
+# no two pairs share a monomial
+@example(parse_poly("X + Y"), parse_poly("Z + T"))
+# the cross pairs cancel, and (X+Y)(X-Y) - (X^2 - Y^2) is 0
+@example(parse_poly("X + Y"), parse_poly("X - Y"))
+# colliding pairs over equal denominators (4 and 4), and over unequal ones (14 and 15)
+@example(parse_poly("1/2*X + 1/2*r*Y"), parse_poly("1/2*r^2*X - 1/2*Y"))
+@example(parse_poly("1/2*r*X + 1/3*r^2*Y + 1"), parse_poly("1/5*r^2*X + (1/7 - 1/7*r)*Y - 1/2"))
+# d = 1 throughout
+@example(parse_poly("2*X + 3*r*Y + r^2*m"), parse_poly("X - Y + 5 - r*m"))
+# a one-term operand on either side
+@example(parse_poly("-2/3*r*X"), parse_poly("X + 1/2*Y - r^2"))
+@example(parse_poly("X + 1/2*Y - r^2"), parse_poly("-2/3*r*X"))
 def test_product_matches_sympy(f, g):
-    # dual route: the product of the sympy images, reduced mod r^3 + r^2 - 1
-    products = (f * g, (f + g) * (f - g), f * f - g * g, f * (g - g))
+    # dual route: the product of the sympy images, reduced mod r^3 + r^2 - 1,
+    # and every result stored with d > 0, gcd 1 and no zero coefficient
+    products = (f * g, (f + g) * (f - g), f * f - g * g, f * (g - g), g * f)
     for p in products:
         assert_canonical(p)
     assert red(to_sympy(products[0]) - to_sympy(f) * to_sympy(g)) == 0
+    assert products[4] == products[0]
     assert products[1] == products[2]
     assert not products[3].terms
     # a difference, taken in one pass, is the sum with the negation

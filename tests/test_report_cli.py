@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -486,6 +488,19 @@ def test_family_verified_once_and_fresh_per_run(monkeypatch):
     first, second = families
     assert first is not second
     assert all(a is b for a, b in zip(first.cubics + first.quadrics, second.cubics + second.quadrics))
+
+
+def test_family_is_collected_after_its_run(monkeypatch):
+    import cgv.suites as suites
+    families = []
+    real_build = suites.build_cubics
+    monkeypatch.setattr(suites, "build_cubics", lambda: families.append(real_build()) or families[-1])
+    run_suite("base-locus", run_config(m_expr="1"))
+    # the quadric-independence result is cached on the family, not in the
+    # process, so nothing holds the family once the run has returned
+    family = weakref.ref(families.pop())
+    gc.collect()
+    assert family() is None
 
 
 def test_check_all_leaves_the_shared_polynomials_unchanged():
