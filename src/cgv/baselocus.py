@@ -21,12 +21,12 @@ point, classifies each stratum exactly:
     subject to (XY)(ZT) = (XZ)(YT) = (XT)(YZ), which reduces to a gcd of
     two binary quadratics.
 
-The 4x10 coefficient rows of `quadric_independence` are M, with zeros in
-the four square columns.
+Every classifier returns through `_result`, which checks each reported
+point by exact substitution before it builds the result.
 
 The quadrics at the reference points, the m-flag, the slice kernels and
-the independence analysis are read from caches on the family (see
-`CubicFamily`), so each costs one computation per run.
+the independence analysis (computed next to M) are read from caches on
+the family (see `CubicFamily`), so each costs one computation per run.
 """
 
 from __future__ import annotations
@@ -36,16 +36,10 @@ from collections import namedtuple
 
 from .nf import NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
-from .mpoly import MPoly, GEOM_VARS
-from .linalg import (matrix_det, matrix_rank, nf_kernel_basis, circulant_det_formula,
-                     circulant_matrix)
-from .geometry import (COFACTOR_COORDS, MIXED_MONOMIALS, REFERENCE_POINTS, eval_at_point,
-                       point_name)
-
-
-class InternalCheckError(RuntimeError):
-    """An invariant of the toolkit itself failed; never a verdict about a claim."""
-
+from .mpoly import GEOM_VARS
+from .linalg import matrix_det, nf_kernel_basis
+from .geometry import (COFACTOR_COORDS, MIXED_MONOMIALS, REFERENCE_POINTS, IndependenceResult,
+                       InternalCheckError, eval_at_point, point_name)
 
 EMPTY = "empty"
 REFERENCE = "reference_points"
@@ -120,14 +114,15 @@ def _quadric_at(family, j, pt):
     return eval_at_point(family.quadrics[j], pt) if i is None else family.reference_values[j][i]
 
 
-def _verified(family, stratum, points):
-    """`points`, each checked by exact substitution to kill every defining form
-    of the stratum; InternalCheckError names the first that does not."""
+def _result(family, stratum, kind, points, notes) -> StratumResult:
+    """The result of `stratum`, built once each of `points` is checked by exact
+    substitution to kill every defining form of the stratum; InternalCheckError
+    names the first point that does not."""
     for pt in points:
         if (any(not pt[GEOM_VARS.index(COFACTOR_COORDS[i])].is_zero() for i in stratum.taken)
                 or not all(_quadric_at(family, j, pt).is_zero() for j in stratum.quadrics)):
             raise InternalCheckError(f"{point_name(pt)} fails exact substitution on {stratum.label()}")
-    return tuple(points)
+    return StratumResult(stratum, kind, tuple(points), notes)
 
 
 def _double_hyperplane(family, stratum) -> StratumResult:
@@ -140,7 +135,7 @@ def _double_hyperplane(family, stratum) -> StratumResult:
     for j in stratum.quadrics:
         coeff = family.mixed_matrix[j][k]
         if coeff.is_zero():
-            return StratumResult(stratum, INCONCLUSIVE, (), notes=(
+            return _result(family, stratum, INCONCLUSIVE, (), (
                 f"Q{j} restricts to 0 on the stratum plane",
                 "an identically zero restriction leaves the whole coordinate line in the locus",
             ))
@@ -150,10 +145,8 @@ def _double_hyperplane(family, stratum) -> StratumResult:
                 f"the coefficient of the Q{j} restriction is ({coeff}): a unit for every m except m = 0"
             )
     # the product monomial vanishes where either free coordinate does
-    return StratumResult(
-        stratum, REFERENCE, _verified(family, stratum, stratum.reference_points()),
-        notes=tuple(identities + notes),
-    )
+    return _result(family, stratum, REFERENCE, stratum.reference_points(),
+                   tuple(identities + notes))
 
 
 # -- single-hyperplane strata -------------------------------------------------
@@ -237,10 +230,10 @@ def _single_hyperplane(family, stratum) -> StratumResult:
     (h,) = stratum.hyperplane_names
     mat, basis, row_quadrics, cycle = single_hyperplane_system(family, h)
     a = tuple(tuple(e.as_nfelem() for e in row) for row in mat)
-    ref_points = _verified(family, stratum, stratum.reference_points())
+    ref_points = stratum.reference_points()
 
     def result(kind, points, identity, notes=()):
-        return StratumResult(stratum, kind, points, notes=(
+        return _result(family, stratum, kind, points, (
             "the zero monomial vector forces at least two free coordinates to vanish: reference points only",
             "a kernel vector with exactly two nonzero entries is never the monomial vector of a point",
             identity) + notes)
@@ -270,7 +263,7 @@ def _single_hyperplane(family, stratum) -> StratumResult:
         lifted = dict(zip(cycle, (u * w, u * v, v * w)))
         pt = tuple(lifted.get(name, NFElem(0)) for name in GEOM_VARS)
         return result(
-            NON_REFERENCE, _verified(family, stratum, (pt,)),
+            NON_REFERENCE, (pt,),
             "an all-nonzero kernel vector (u, v, w) lifts to the point (uw, uv, vw) on the free coordinates",
             notes + ("the lifted point is not a reference point",))
 
@@ -316,7 +309,7 @@ def _torus(family, stratum) -> StratumResult:
     notes = (f"mixed-monomial kernel dimension {len(kernel)}",)
 
     def result(kind, points=(), identities=(), extra_notes=()):
-        return StratumResult(stratum, kind, points, notes=base_identities + identities + notes + extra_notes)
+        return _result(family, stratum, kind, points, base_identities + identities + notes + extra_notes)
 
     b0, b1 = kernel
     # on alpha*b0 + beta*b1 each relation is a binary quadratic in (alpha, beta)
@@ -328,7 +321,7 @@ def _torus(family, stratum) -> StratumResult:
         vec = _all_nonzero_kernel_vector(kernel)
         if vec is None:
             return result(REFERENCE, all_ref, ("every kernel vector has a fixed zero entry",))
-        return result(NON_REFERENCE, (_torus_point(family, stratum, vec),))
+        return result(NON_REFERENCE, (_torus_point(vec),))
     if p1.is_zero() or p2.is_zero():
         return result(INCONCLUSIVE, extra_notes=(
             "one consistency quadratic vanishes identically; root extraction over Q(r) not attempted",))
@@ -347,7 +340,7 @@ def _torus(family, stratum) -> StratumResult:
     for alpha, beta in candidates:
         vec = tuple(alpha * x + beta * y for x, y in zip(b0, b1))
         if all(not c.is_zero() for c in vec):
-            found.append(_torus_point(family, stratum, vec))
+            found.append(_torus_point(vec))
     if found:
         return result(NON_REFERENCE, tuple(found))
     if g.degree() == 2:
@@ -356,53 +349,23 @@ def _torus(family, stratum) -> StratumResult:
     return result(REFERENCE, all_ref, ("every common root of the consistency relations has a zero entry",))
 
 
-def _torus_point(family, stratum, v):
+def _torus_point(v):
     """The point [pq : p*yz : q*yz : s*yz] of an all-nonzero mixed-monomial
-    vector v = (XY, XZ, XT, YZ, ...) = (p, q, s, yz, ...), verified."""
+    vector v = (XY, XZ, XT, YZ, ...) = (p, q, s, yz, ...)."""
     p, q, s, yz = v[0], v[1], v[2], v[3]
     pt = (p * q, p * yz, q * yz, s * yz)
     if any(c.is_zero() for c in pt):
         raise InternalCheckError("lifted torus point has a zero coordinate")
-    return _verified(family, stratum, (pt,))[0]
+    return pt
 
 
 # -- quadric independence -----------------------------------------------------
-
-QUADRIC_BASIS = tuple(sorted(
-    (tuple(e) for e in itertools.product(range(3), repeat=4) if sum(e) == 2),
-    reverse=True,
-))
-
-
-# entries: (a, b, c, d); rank_witness: the pivot columns of the certifying maximal minor
-IndependenceResult = namedtuple("IndependenceResult", "entries det_cofactor rank rank_witness")
-
 
 def quadric_independence(family) -> IndependenceResult:
     """The circulant determinant and the rank of M over the ten quadric
     monomials, cached on the family (`CubicFamily.independence`): `check
     all` asks twice and computes once, and the result ends with the run."""
     return family.independence
-
-
-def independence_analysis(family) -> IndependenceResult:
-    """`quadric_independence`, computed; `CubicFamily.independence` calls it."""
-    # (a, b, c, d): the XY column of M
-    a, b, c, d = (row[0].as_nfelem() for row in family.mixed_matrix)
-    mat = circulant_matrix(a, b, c, d)
-    det_cof = matrix_det(mat)
-    if det_cof != circulant_det_formula(a, b, c, d):
-        raise InternalCheckError("cofactor determinant disagrees with the eigenvalue-product formula")
-    # M over all ten quadric monomials, zero in the four square columns
-    zero = MPoly.constant(0)
-    by_monomial = [dict(zip(MIXED_MONOMIALS, row)) for row in family.mixed_matrix]
-    rank, pivots = matrix_rank([[row.get(e, zero) for e in QUADRIC_BASIS] for row in by_monomial])
-    return IndependenceResult(
-        entries=(a, b, c, d),
-        det_cofactor=det_cof,
-        rank=rank,
-        rank_witness=pivots,
-    )
 
 
 # -- stratum dispatch and aggregation ------------------------------------------
@@ -423,21 +386,17 @@ def classify_stratum(family, stratum) -> StratumResult:
     symbolic = family.involves_m
     k = len(stratum.taken)
     if k == 4:
-        return StratumResult(
-            stratum, EMPTY, (),
-            notes=("X = Y = Z = T = 0 has only the trivial common zero, which is not a projective point",),
-        )
+        return _result(family, stratum, EMPTY, (), (
+            "X = Y = Z = T = 0 has only the trivial common zero, which is not a projective point",))
     if k == 3:
         # no column: the surviving quadric vanishes identically
         (qj,) = stratum.quadrics
-        return StratumResult(
-            stratum, REFERENCE, _verified(family, stratum, stratum.reference_points()),
-            notes=(f"Q{qj} with the three coordinates set to 0 is identically 0 in {COFACTOR_COORDS[qj]}",),
-        )
+        return _result(family, stratum, REFERENCE, stratum.reference_points(), (
+            f"Q{qj} with the three coordinates set to 0 is identically 0 in {COFACTOR_COORDS[qj]}",))
     if k < 2 and symbolic:
         identity, analysis = _NEEDS_M[k]
-        return StratumResult(stratum, INCONCLUSIVE, (),
-                             notes=(identity, f"m left symbolic; supply --m to run the {analysis}"))
+        return _result(family, stratum, INCONCLUSIVE, (),
+                       (identity, f"m left symbolic; supply --m to run the {analysis}"))
     return {2: _double_hyperplane, 1: _single_hyperplane, 0: _torus}[k](family, stratum)
 
 

@@ -14,9 +14,9 @@ import functools
 import os
 import sys
 
-from .parsing import ParseError
+from .parsing import ParseError, parse_poly
 from .reportlib import RunConfig, render_json, render_text
-from .suites import SUITE_NAMES, eval_expr, run_suite
+from .suites import SUITE_NAMES, run_suite
 
 USAGE_EXIT = 2
 ERROR_EXIT = 1
@@ -122,11 +122,12 @@ def main(argv=None) -> int:
 
     if args.command == "eval":
         try:
-            text = eval_expr(args.expr)
+            value = parse_poly(args.expr)
         except ParseError as exc:
             print(f"parse error: {exc}", file=sys.stderr)
             return USAGE_EXIT
-        return _emit(text + "\n")
+        # reduced and printed canonically, a scalar as c0 + c1*r + c2*r^2
+        return _emit(f"{value.as_nfelem() if value.is_constant() else value}\n")
 
     if args.command == "check":
         try:

@@ -16,11 +16,16 @@ from collections import namedtuple
 
 from .nf import NFElem
 from .mpoly import MPoly, GEOM_VARS
+from .linalg import circulant_det_formula, circulant_matrix, matrix_det, matrix_rank
 from .parsing import parse_poly
 
 
 class ConstructionError(RuntimeError):
     pass
+
+
+class InternalCheckError(RuntimeError):
+    """An invariant of the toolkit itself failed; never a verdict about a claim."""
 
 
 # (X, Y, Z, T) as a point: every polynomial takes itself as its value here
@@ -109,6 +114,15 @@ MIXED_MONOMIALS = tuple(tuple(int(v in pair) for v in GEOM_VARS)
                         for pair in itertools.combinations(GEOM_VARS, 2))
 
 
+QUADRIC_BASIS = tuple(sorted(
+    (tuple(e) for e in itertools.product(range(3), repeat=4) if sum(e) == 2),
+    reverse=True,
+))
+
+# entries: (a, b, c, d); rank_witness: the pivot columns of the certifying maximal minor
+IndependenceResult = namedtuple("IndependenceResult", "entries det_cofactor rank rank_witness")
+
+
 def point_name(pt) -> str:
     return "[" + ":".join(str(c) for c in pt) + "]"
 
@@ -132,7 +146,7 @@ class CubicFamily:
     m (`involves_m`), the value of each Q_j at each reference point
     (`reference_values`), the kernels of the single-hyperplane slices of
     M, by matrix value (`slice_kernels`, filled by `baselocus`), and the
-    quadric-independence analysis (`independence`, computed by `baselocus`).
+    quadric-independence analysis of M (`independence`), computed here.
     """
 
     def __init__(self, cubics: tuple, quadrics: tuple, sigma_index_map: tuple):
@@ -185,10 +199,19 @@ class CubicFamily:
         return {}
 
     @functools.cached_property
-    def independence(self):
-        """`baselocus.quadric_independence` of this family."""
-        from .baselocus import independence_analysis   # baselocus imports this module
-        return independence_analysis(self)
+    def independence(self) -> IndependenceResult:
+        """The circulant determinant of the XY column (a, b, c, d) of M, by
+        cofactors and checked against the eigenvalue formula, and the rank of
+        M over the ten quadric monomials, zero in the four square columns."""
+        a, b, c, d = (row[0].as_nfelem() for row in self.mixed_matrix)
+        det_cof = matrix_det(circulant_matrix(a, b, c, d))
+        if det_cof != circulant_det_formula(a, b, c, d):
+            raise InternalCheckError("cofactor determinant disagrees with the eigenvalue-product formula")
+        zero = MPoly.constant(0)
+        by_monomial = [dict(zip(MIXED_MONOMIALS, row)) for row in self.mixed_matrix]
+        rank, pivots = matrix_rank([[row.get(e, zero) for e in QUADRIC_BASIS] for row in by_monomial])
+        return IndependenceResult(entries=(a, b, c, d), det_cofactor=det_cof, rank=rank,
+                                  rank_witness=pivots)
 
 
 @functools.cache

@@ -14,8 +14,8 @@ operand it multiplies the coefficients with `NFElem.__mul__`; otherwise it
 sums the term pairs of each output monomial on the integers, reducing with
 the rule that `NFElem.__mul__` also writes, and normalises each output
 coefficient once with `nf._elem`.  A dual-route test ties the two copies of
-the rule together.  A difference subtracts the coefficients in one pass,
-with no negated operand.
+the rule together.  A difference p - q subtracts the coefficients of q in
+one pass, with no negated operand.
 """
 
 from __future__ import annotations
@@ -124,9 +124,9 @@ class MPoly:
 
     @staticmethod
     def coerce(v) -> "MPoly":
-        if isinstance(v, MPoly):
-            return v
-        return MPoly.constant(v)
+        if (out := _as_mpoly(v)) is None:
+            raise TypeError(f"cannot coerce {v!r} to MPoly")
+        return out
 
     # -- structure -------------------------------------------------------
 
@@ -157,9 +157,10 @@ class MPoly:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other):
-        o = MPoly.coerce(other)
+        if (other := _as_mpoly(other)) is None:
+            return NotImplemented
         out = dict(self.terms)
-        for e, c in o.terms.items():
+        for e, c in other.terms.items():
             s = out.get(e)
             out[e] = c if s is None else s + c
         return _mpoly(out)
@@ -170,17 +171,21 @@ class MPoly:
         return _mpoly({e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
+        if (other := _as_mpoly(other)) is None:
+            return NotImplemented
         out = dict(self.terms)
-        for e, c in MPoly.coerce(other).terms.items():
+        for e, c in other.terms.items():
             s = out.get(e)
             out[e] = -c if s is None else s - c
         return _mpoly(out)
 
     def __rsub__(self, other):
-        return MPoly.coerce(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        return _mpoly(_mul_terms(self.terms, MPoly.coerce(other).terms))
+        if (other := _as_mpoly(other)) is None:
+            return NotImplemented
+        return _mpoly(_mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -189,9 +194,7 @@ class MPoly:
         return binary_power(self, n, MPoly.constant(1))
 
     def __eq__(self, other):
-        if type(other) is int or isinstance(other, NFElem):
-            other = MPoly.constant(other)
-        if not isinstance(other, MPoly):
+        if (other := _as_mpoly(other)) is None:
             return NotImplemented
         return self.terms == other.terms
 
@@ -225,13 +228,12 @@ class MPoly:
             if img is None:
                 continue
             kept[i] = 0
-            if not isinstance(img, MPoly):
-                img = NFElem.coerce(img)
-            elif img.is_constant():
+            if type(img) is not NFElem:
+                img = MPoly.coerce(img)
+                if not img.is_constant():
+                    polys.append((i, img))
+                    continue
                 img = img.as_nfelem()
-            else:
-                polys.append((i, img))
-                continue
             if img.is_zero():
                 zeros.append(i)
             elif img != NF_ONE:
@@ -339,6 +341,14 @@ class MPoly:
 
 
 _set_terms = MPoly.terms.__set__
+
+
+def _as_mpoly(v):
+    """v itself, the constant polynomial v for an NFElem or an int (not a
+    bool), or None for any other value."""
+    if isinstance(v, MPoly):
+        return v
+    return MPoly.constant(v) if isinstance(v, NFElem) or type(v) is int else None
 
 
 def _mpoly(terms) -> MPoly:

@@ -6,7 +6,7 @@ with d > 0 and gcd(n0, n1, n2, d) = 1.  That form is unique, so structural
 equality coincides with equality in the field.  A product reduces with
 r^3 = 1 - r^2 and r^4 = -1 + r + r^2.  A product, sum or difference runs
 its one gcd only when its denominator is not 1, a negation runs none, and
-a difference is formed directly, with no negated operand.  An inverse is
+a difference x - y is formed directly, with no negated operand.  An inverse is
 the first column of the adjugate of the multiplication-by-a matrix over
 its determinant, the norm.  The integers are the only form of an element:
 `NFElem(n0, n1, n2, d)` builds one from them and `integers()` reads them
@@ -43,12 +43,9 @@ class NFElem:
 
     @staticmethod
     def coerce(v) -> "NFElem":
-        if isinstance(v, NFElem):
-            return v
-        # an int, as in the constructor: a bool is refused
-        if type(v) is int:
-            return _elem(v, 0, 0, 1)
-        raise TypeError(f"cannot coerce {v!r} to NFElem")
+        if (out := _as_nfelem(v)) is None:
+            raise TypeError(f"cannot coerce {v!r} to NFElem")
+        return out
 
     def integers(self) -> tuple:
         """The stored (n0, n1, n2, d): d > 0 and gcd(n0, n1, n2, d) = 1."""
@@ -66,11 +63,8 @@ class NFElem:
     # -- ring operations -----------------------------------------------
 
     def __add__(self, other):
-        if type(other) is not NFElem:
-            try:
-                other = NFElem.coerce(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not NFElem and (other := _as_nfelem(other)) is None:
+            return NotImplemented
         a0, a1, a2, ad = self._v
         b0, b1, b2, bd = other._v
         if ad == bd:
@@ -87,11 +81,8 @@ class NFElem:
         return a
 
     def __sub__(self, other):
-        if type(other) is not NFElem:
-            try:
-                other = NFElem.coerce(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not NFElem and (other := _as_nfelem(other)) is None:
+            return NotImplemented
         a0, a1, a2, ad = self._v
         b0, b1, b2, bd = other._v
         if ad == bd:
@@ -99,18 +90,12 @@ class NFElem:
         return _elem(a0 * bd - b0 * ad, a1 * bd - b1 * ad, a2 * bd - b2 * ad, ad * bd)
 
     def __rsub__(self, other):
-        # other - self for an int other (not a bool); an NFElem other took __sub__
-        if type(other) is not int:
-            return NotImplemented
-        n0, n1, n2, d = self._v
-        return _elem(other * d - n0, -n1, -n2, d)
+        # other - self for an int other, as -self + other; an NFElem other took __sub__
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        if type(other) is not NFElem:
-            try:
-                other = NFElem.coerce(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not NFElem and (other := _as_nfelem(other)) is None:
+            return NotImplemented
         a0, a1, a2, ad = self._v
         b0, b1, b2, bd = other._v
         e3 = a1 * b2 + a2 * b1
@@ -127,7 +112,9 @@ class NFElem:
         return nf_invert(self)
 
     def __truediv__(self, other):
-        return self * NFElem.coerce(other).inverse()
+        if type(other) is not NFElem and (other := _as_nfelem(other)) is None:
+            return NotImplemented
+        return self * other.inverse()
 
     def __pow__(self, n: int) -> "NFElem":
         # a negative power is a power of the inverse; binary_power checks n
@@ -138,11 +125,8 @@ class NFElem:
     # -- equality / hashing ---------------------------------------------
 
     def __eq__(self, other):
-        if type(other) is not NFElem:
-            try:
-                other = NFElem.coerce(other)
-            except TypeError:
-                return NotImplemented
+        if type(other) is not NFElem and (other := _as_nfelem(other)) is None:
+            return NotImplemented
         return self._v == other._v
 
     def __hash__(self):
@@ -161,6 +145,14 @@ class NFElem:
 
 _new = object.__new__
 _set_v = NFElem._v.__set__
+
+
+def _as_nfelem(v):
+    """v as an NFElem: itself, or an int as in the constructor (a bool is
+    refused); None for any other value."""
+    if isinstance(v, NFElem):
+        return v
+    return _elem(v, 0, 0, 1) if type(v) is int else None
 
 
 def _elem(n0, n1, n2, d) -> NFElem:

@@ -73,6 +73,9 @@ class RunConfig:
             raise ValueError("survey size must be >= 1")
         if bound < 1:
             raise ValueError("witness bound must be >= 1")
+        # the text report prints m on its config line
+        if m_expr is not None and m_expr.splitlines() not in ([], [m_expr]):
+            raise ValueError("m must not contain a line break")
         self.m_expr = m_expr
         self.seed = seed
         self.survey = survey

@@ -23,7 +23,6 @@ from .geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME, REFERENCE_POINTS,
 from .mpoly import GEOM_VARS
 from .nf import NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
-from .parsing import parse_poly
 from .reportlib import RunConfig, error_check, make_check
 
 M_DEFAULT_NOTE = "m defaulted to 1 for this scalar check; override with --m"
@@ -551,12 +550,6 @@ SUITES = (
 )
 
 SUITE_NAMES = tuple(name for name, _ in SUITES) + ("all",)
-
-
-def eval_expr(text: str) -> str:
-    """Parse, reduce, and print canonically (scalars as c0 + c1*r + c2*r^2)."""
-    value = parse_poly(text)
-    return str(value.as_nfelem()) if value.is_constant() else str(value)
 
 
 def run_suite(name: str, config: RunConfig):

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+from itertools import zip_longest
+
 from .nf import NF_ONE, NF_ZERO, NFElem, binary_power, join_terms, term_str
 
 
-def _as_upoly(v) -> "UPoly":
-    """v itself, or the constant polynomial v for an int or NFElem."""
-    return v if isinstance(v, UPoly) else UPoly((v,))
+def _as_upoly(v):
+    """v itself, the constant polynomial v for an NFElem or an int (not a
+    bool), or None for any other value."""
+    if isinstance(v, UPoly):
+        return v
+    return UPoly((v,)) if isinstance(v, NFElem) or type(v) is int else None
 
 
 class UPoly:
@@ -41,24 +46,18 @@ class UPoly:
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        try:
-            return self.coeffs == _as_upoly(other).coeffs
-        except TypeError:
+        if (other := _as_upoly(other)) is None:
             return NotImplemented
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         # degree <= 0 hashes like the scalar it equals: its coefficient, or 0
         return hash(self.coeffs[0] if len(self.coeffs) == 1 else self.coeffs or 0)
 
     def __add__(self, other):
-        other = _as_upoly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else NF_ZERO
-            b = other.coeffs[i] if i < len(other.coeffs) else NF_ZERO
-            out.append(a + b)
-        return UPoly(out)
+        if (other := _as_upoly(other)) is None:
+            return NotImplemented
+        return UPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=NF_ZERO)])
 
     __radd__ = __add__
 
@@ -66,13 +65,16 @@ class UPoly:
         return UPoly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        return self + (-_as_upoly(other))
+        if (other := _as_upoly(other)) is None:
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
-        return _as_upoly(other) - self
+        return (-self).__add__(other)
 
     def __mul__(self, other):
-        other = _as_upoly(other)
+        if (other := _as_upoly(other)) is None:
+            return NotImplemented
         if not self.coeffs or not other.coeffs:
             return UPoly()
         out = [NF_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -90,6 +92,8 @@ class UPoly:
         return binary_power(self, n, UPoly((NF_ONE,)))
 
     def __divmod__(self, other):
+        if (other := _as_upoly(other)) is None:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
@@ -104,11 +108,9 @@ class UPoly:
                     rem[k - dg + j] = rem[k - dg + j] - c * other.coeffs[j]
         return UPoly(q), UPoly(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
-        return divmod(self, other)[1]
+        qr = self.__divmod__(other)
+        return qr if qr is NotImplemented else qr[1]
 
     def monic(self):
         if self.is_zero():

@@ -7,13 +7,14 @@ import cgv.suites as suites
 
 import cgv.baselocus as baselocus
 from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
-                           QUADRIC_BASIS, InternalCheckError, Stratum, aggregate,
+                           Stratum, aggregate,
                            all_strata, classify_stratum,
                            single_hyperplane_det_analysis,
                            single_hyperplane_system, quadric_independence)
 from cgv.cli import main
-from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, MIXED_MONOMIALS, REFERENCE_POINTS,
-                          SIGMA, ConstructionError, CubicFamily, eval_at_point, point_name)
+from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, MIXED_MONOMIALS, QUADRIC_BASIS,
+                          REFERENCE_POINTS, SIGMA, ConstructionError, CubicFamily,
+                          InternalCheckError, eval_at_point, point_name)
 from cgv.linalg import circulant_det_formula, matrix_det, matrix_rank, nf_kernel_basis
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem
@@ -247,6 +248,29 @@ def test_lift_identity_algebra():
         assert (p * q, q * s, s * p) == (scale * u, scale * v, scale * w)
 
 
+def test_the_torus_stratum_checks_each_reported_point(family, monkeypatch):
+    lookups = count_calls(monkeypatch, "_quadric_at", baselocus)
+    res = classify_stratum(family.at_m(M1), Stratum(()))
+    assert res.kind == REFERENCE and res.points == REFERENCE_POINTS
+    # each of Q0..Q3 at each reported point, read from the family's table
+    assert sorted((j, REFERENCE_POINTS.index(pt)) for _, j, pt in lookups) == [
+        (j, i) for j in range(4) for i in range(4)]
+    # a point that fails the check is an internal error, not a verdict
+    monkeypatch.setattr(baselocus, "_quadric_at", lambda family, j, pt: NFElem(1))
+    with pytest.raises(InternalCheckError, match=r"\[1:0:0:0\] fails exact substitution on -\|Q0"):
+        classify_stratum(family.at_m(M1), Stratum(()))
+
+
+@pytest.mark.parametrize("m", [NFElem(0), NFElem(1), NFElem(0, 1)], ids=["0", "1", "r"])
+def test_every_reported_point_is_checked(family, monkeypatch, m):
+    lookups = count_calls(monkeypatch, "_quadric_at", baselocus)
+    for stratum in all_strata():
+        del lookups[:]
+        res = classify_stratum(family.at_m(m), stratum)
+        looked_up = {(j, pt) for _, j, pt in lookups}
+        assert {(j, pt) for pt in res.points for j in stratum.quadrics} <= looked_up
+
+
 def test_torus_stratum_empty(family):
     res = classify_stratum(family.at_m(M1), Stratum(()))
     assert res.kind == REFERENCE
@@ -418,11 +442,16 @@ def test_kernel_lift_reports_non_reference_points():
     assert all(not c.is_zero() for c in pt[:3]) and pt[3].is_zero()
 
 
-def test_kernel_lift_reports_zero_column_line():
+def test_kernel_lift_reports_zero_column_line(monkeypatch):
     fake = _synthetic_family(parse_poly("Y*Z"))
+    lookups = count_calls(monkeypatch, "_quadric_at", baselocus)
     res = classify_stratum(fake, Stratum((0,)))
     assert res.kind == NON_REFERENCE
     assert any("line" in s for s in res.notes)
+    # the sample point on the line is checked on each quadric of the stratum
+    (sample,) = res.points
+    assert sample == (NFElem(1), NFElem(1), NFElem(0), NFElem(0))
+    assert [(j, pt) for _, j, pt in lookups] == [(j, sample) for j in (1, 2, 3)]
 
 
 def _nf_vector(*entries):

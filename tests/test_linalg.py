@@ -4,7 +4,8 @@ from itertools import combinations
 import pytest
 
 import cgv.linalg as linalg
-from cgv.baselocus import QUADRIC_BASIS, quadric_independence
+from cgv.baselocus import quadric_independence
+from cgv.geometry import QUADRIC_BASIS
 from cgv.linalg import (circulant_det_formula, circulant_matrix, matrix_det, matrix_rank,
                         nf_kernel_basis)
 from cgv.mpoly import MPoly

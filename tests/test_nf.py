@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -216,6 +217,55 @@ def test_a_bool_is_not_an_int_here(b):
     assert a.__rsub__(b) is NotImplemented
     # equality does not coerce it either
     assert NFElem(int(b)) != b and MPoly.constant(int(b)) != b
+
+
+# each value type: a sample value, a scalar converted by hand, and its binary
+# operators; + - * also have reflected forms
+OPERAND_TYPES = {
+    "NFElem": (NFElem(3, 1, 0, 2), NFElem.coerce,
+               (operator.add, operator.sub, operator.mul, operator.truediv)),
+    "UPoly": (UPoly((1, 2)), lambda c: UPoly((c,)),
+              (operator.add, operator.sub, operator.mul, divmod, operator.mod)),
+    "MPoly": (MPoly({(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): NF_R}), MPoly.constant,
+              (operator.add, operator.sub, operator.mul)),
+}
+REFLECTED = (operator.add, operator.sub, operator.mul)
+
+
+@pytest.mark.parametrize("kind", OPERAND_TYPES)
+def test_an_int_or_nfelem_operand_is_converted_as_by_hand(kind):
+    value, convert, ops = OPERAND_TYPES[kind]
+    for scalar in (2, -3, NFElem(1, 1), NFElem(5, 0, -1, 3)):
+        by_hand = convert(scalar)
+        assert by_hand == scalar and scalar == by_hand
+        for op in ops:
+            assert op(value, scalar) == op(value, by_hand)
+            if op in REFLECTED:
+                assert op(scalar, value) == op(by_hand, value)
+
+
+def test_a_upoly_divides_by_an_int():
+    # the divisor is converted like any other operand
+    assert divmod(UPoly((1, 2)), 2) == (UPoly((NFElem(1, 0, 0, 2), 1)), UPoly())
+    assert UPoly((1, 2)) % 2 == UPoly()
+    # 1/r = r + r^2, since r^3 + r^2 = 1
+    assert divmod(UPoly((1, 2)), NFElem(0, 1)) == (UPoly((NFElem(0, 1, 1), NFElem(0, 2, 2))), UPoly())
+
+
+@pytest.mark.parametrize("kind", OPERAND_TYPES)
+def test_a_foreign_operand_is_not_implemented(kind):
+    value, _, ops = OPERAND_TYPES[kind]
+    foreign = [object(), True, 0.5, Fraction(1, 2)]
+    foreign += {"UPoly": [MPoly.var("X"), MPoly.constant(2)],
+                "MPoly": [UPoly((0, 1)), UPoly((2,))]}.get(kind, [])
+    for other in foreign:
+        for op in ops:
+            # Python's own error, after both operands' methods declined
+            with pytest.raises(TypeError, match="unsupported operand type"):
+                op(value, other)
+            with pytest.raises(TypeError, match="unsupported operand type"):
+                op(other, value)
+        assert not (value == other) and not (other == value) and value != other
 
 
 @settings(max_examples=200, deadline=None)

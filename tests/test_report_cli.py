@@ -459,19 +459,18 @@ def test_cli_check_accepts_m_past_the_digit_limit(int_digit_limit, capsys):
 
 
 def test_check_all_computes_quadric_independence_once(monkeypatch):
-    import cgv.baselocus as baselocus
-    calls = count_calls(monkeypatch, "matrix_rank", baselocus)
+    import cgv.geometry as geometry
+    calls = count_calls(monkeypatch, "matrix_rank", geometry)
     run_suite("all", run_config(m_expr="1", survey=5))
     assert len(calls) == 1
 
 
 def test_family_verified_once_and_fresh_per_run(monkeypatch):
-    import cgv.baselocus as baselocus
     import cgv.geometry as geometry
     import cgv.suites as suites
     geometry._verified_family.cache_clear()
     parses = count_calls(monkeypatch, "parse_poly", geometry)
-    ranks = count_calls(monkeypatch, "matrix_rank", baselocus)
+    ranks = count_calls(monkeypatch, "matrix_rank", geometry)
     families = []
     real_build = suites.build_cubics
 
@@ -568,6 +567,22 @@ def test_cli_seed_outside_64_bits_is_a_configuration_error(seed, capsys):
     assert captured.out == ""
     assert captured.err.startswith("configuration error: seed must be in [0, 2^64)")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("m", ["1\n", "1\r", "1\r\n", "1\x85", "1\u2028", "1\x1c", "\n1", "1\n+ r"],
+                         ids=repr)
+def test_cli_m_with_a_line_break_is_a_configuration_error(m, capsys):
+    # the parser skips these as white space, and the text report would print
+    # m across two config lines
+    assert main(["check", "divisors", "--m", m]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: m must not contain a line break\n"
+    # the empty string is still a parse error, and one line is still read
+    assert main(["check", "divisors", "--m", ""]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: at offset 0")
+    assert main(["check", "divisors", "--m", "1 \t"]) == 0
+    assert "\nconfig: m=1 \t seed=1 survey=100 bound=5\n\n" in capsys.readouterr().out
 
 
 def test_cli_largest_64_bit_seed_is_accepted(capsys):

@@ -3,10 +3,11 @@ src/cgv, and every public method and property of those classes, has a caller
 in src/cgv; every defaulted parameter, a namedtuple field with a default
 included, is both passed and left at its default there; `import cgv` loads
 the layers without the CLI, `dataclasses` or the standard library's other
-number types; src/cgv imports only itself and the standard library, has no
-floating point and no rational type but its own, and turns every exception
-it catches as `Exception` into an error check.  The value types are read-only,
-compare by value, and the cubic family by identity."""
+number types; src/cgv imports only itself and the standard library, with
+no import cycle among its modules, has no floating point and no rational
+type but its own, and turns every exception it catches as `Exception`
+into an error check.  The value types are read-only, compare by value, and
+the cubic family by identity."""
 
 import ast
 import importlib.util
@@ -246,6 +247,41 @@ def test_imports_are_intra_package_or_stdlib():
             foreign += [f"{mod}: {name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names | {"cgv"}]
     assert foreign == []
+
+
+def _import_cycle():
+    """A cycle in the graph of `from .x import` and `from . import x` inside
+    src/cgv, imports inside functions included, as a list of modules; []
+    when there is none."""
+    trees = _trees()
+    edges = {mod: set() for mod in trees}
+    for mod, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                names = [node.module] if node.module else [a.name for a in node.names]
+                edges[mod] |= {name.split(".")[0] for name in names} & set(trees)
+    done, path = set(), []
+
+    def visit(mod):
+        if mod in path:
+            return path[path.index(mod):] + [mod]
+        if mod in done:
+            return []
+        path.append(mod)
+        for nxt in sorted(edges[mod]):
+            if cycle := visit(nxt):
+                return cycle
+        path.pop()
+        done.add(mod)
+        return []
+
+    return next((c for c in map(visit, sorted(trees)) if c), [])
+
+
+def test_the_package_has_no_import_cycle():
+    # a module that imports its importer, even inside a function, ties the
+    # two layers into one; a lower layer hands its results up, not down
+    assert _import_cycle() == []
 
 
 def test_no_floating_point():
