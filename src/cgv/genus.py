@@ -143,22 +143,27 @@ def multiplicity_pattern(form):
 # -- the witness pencil -----------------------------------------------------------
 
 
-def _pencil_generators(family):
-    a = MPoly.var("X") * MPoly.var("Z") * family.cubics[0]
-    b = MPoly.var("Y") * MPoly.var("T") * family.cubics[1]
-    return a, b
+def _pencil_on_r(family):
+    """((XZ C0)|r, (YT C1)|r), the generators of the witness pencil restricted
+    to r, once per family (`CubicFamily.derive`); with m fixed, the symbolic
+    family's pair with m := v."""
+    def build(f):
+        a = MPoly.var("X") * MPoly.var("Z") * f.cubics[0]
+        b = MPoly.var("Y") * MPoly.var("T") * f.cubics[1]
+        return eval_at_point(a, LINE_R), eval_at_point(b, LINE_R)
+    return family.derive("pencil on r", build)
 
 
 def pencil_factorization(family):
     """The exact identity (lambda XZ C0 + mu YT C1)|r
     = XY (lambda X Qbar0 - mu Y Qbar1), checked on the two generators;
     both sides are linear in (lambda, mu), so this is the symbolic identity."""
-    a, b = _pencil_generators(family)
+    a, b = _pencil_on_r(family)
     x, y = MPoly.var("X"), MPoly.var("Y")
     qbar0 = eval_at_point(family.quadrics[0], LINE_R)
     qbar1 = eval_at_point(family.quadrics[1], LINE_R)
-    first = eval_at_point(a, LINE_R) == x * x * y * qbar0
-    second = eval_at_point(b, LINE_R) == -(x * y * y * qbar1)
+    first = a == x * x * y * qbar0
+    second = b == -(x * y * y * qbar1)
     return first, second, qbar0, qbar1
 
 
@@ -173,7 +178,7 @@ def pencil_on_line(family):
     """The pair (A, B) = ((XZ C0)|r, (YT C1)|r) for a family with m fixed, each
     the coefficient 6-tuple of a binary quintic in (X, Y).  The pencil member
     (lambda:mu) restricts to lambda*A + mu*B (`pencil_member`)."""
-    return tuple(_binary_form(eval_at_point(g, LINE_R), 5) for g in _pencil_generators(family))
+    return tuple(_binary_form(g, 5) for g in _pencil_on_r(family))
 
 
 def pencil_member(pencil, lam, mu):

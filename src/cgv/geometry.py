@@ -145,8 +145,11 @@ class CubicFamily:
     Cached here, each on first use: M (`mixed_matrix`), whether M involves
     m (`involves_m`), the value of each Q_j at each reference point
     (`reference_values`), the kernels of the single-hyperplane slices of
-    M, by matrix value (`slice_kernels`, filled by `baselocus`), and the
-    quadric-independence analysis of M (`independence`), computed here.
+    M, by matrix value (`slice_kernels`, filled by `baselocus`), the
+    quadric-independence analysis of M (`independence`), computed here,
+    and the polynomial tuples other layers derive from the cubics
+    (`derive`: the chart-gradient rows in `tangent`, the pencil on r in
+    `genus`).  `at_m` substitutes nothing up front; see `_FamilyAtM`.
     """
 
     def __init__(self, cubics: tuple, quadrics: tuple, sigma_index_map: tuple):
@@ -159,14 +162,19 @@ class CubicFamily:
 
     def at_m(self, value) -> "CubicFamily":
         """The family with m fixed to `value`; the family itself for None."""
-        if value is None:
-            return self
-        sub = {"m": value}
-        return CubicFamily(
-            tuple(c.substitute(sub) for c in self.cubics),
-            tuple(q.substitute(sub) for q in self.quadrics),
-            self.sigma_index_map,
-        )
+        return self if value is None else _FamilyAtM(self, value)
+
+    def derive(self, key, build):
+        """`build(self)`, a tuple of polynomials, computed once per family
+        and key; `build` must commute with fixing m (see `_FamilyAtM`)."""
+        values = self._derived
+        if key not in values:
+            values[key] = build(self)
+        return values[key]
+
+    @functools.cached_property
+    def _derived(self) -> dict:
+        return {}
 
     @functools.cached_property
     def mixed_matrix(self):
@@ -202,16 +210,48 @@ class CubicFamily:
     def independence(self) -> IndependenceResult:
         """The circulant determinant of the XY column (a, b, c, d) of M, by
         cofactors and checked against the eigenvalue formula, and the rank of
-        M over the ten quadric monomials, zero in the four square columns."""
+        Q_0..Q_3 over the ten quadric monomials.  The four square columns are
+        zero, so that is the rank of M, with M's pivot columns given as
+        QUADRIC_BASIS indices."""
         a, b, c, d = (row[0].as_nfelem() for row in self.mixed_matrix)
         det_cof = matrix_det(circulant_matrix(a, b, c, d))
         if det_cof != circulant_det_formula(a, b, c, d):
             raise InternalCheckError("cofactor determinant disagrees with the eigenvalue-product formula")
-        zero = MPoly.constant(0)
-        by_monomial = [dict(zip(MIXED_MONOMIALS, row)) for row in self.mixed_matrix]
-        rank, pivots = matrix_rank([[row.get(e, zero) for e in QUADRIC_BASIS] for row in by_monomial])
+        rank, pivots = matrix_rank(self.mixed_matrix)
         return IndependenceResult(entries=(a, b, c, d), det_cofactor=det_cof, rank=rank,
-                                  rank_witness=pivots)
+                                  rank_witness=tuple(QUADRIC_BASIS.index(MIXED_MONOMIALS[k])
+                                                     for k in pivots))
+
+
+class _FamilyAtM(CubicFamily):
+    """The family `parent` with m fixed to a value v (`CubicFamily.at_m`).
+
+    Its cubics and quadrics are the parent's with m := v, substituted on
+    first use, so M is still read off the specialised quadrics.  A `derive`
+    value is the parent's symbolic value, computed once per run on the
+    parent, with m := v in each entry: fixing m is a ring map, so it
+    commutes with the partials, with T := 1, with products and with
+    restriction to a line.
+    """
+
+    def __init__(self, parent: CubicFamily, value):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "sigma_index_map", parent.sigma_index_map)
+        object.__setattr__(self, "_m", {"m": value})
+
+    def _specialized(self, polys) -> tuple:
+        return tuple(p.substitute(self._m) for p in polys)
+
+    @functools.cached_property
+    def cubics(self):
+        return self._specialized(self.parent.cubics)
+
+    @functools.cached_property
+    def quadrics(self):
+        return self._specialized(self.parent.quadrics)
+
+    def derive(self, key, build):
+        return super().derive(key, lambda _: self._specialized(self.parent.derive(key, build)))
 
 
 @functools.cache
@@ -256,7 +296,7 @@ def build_cubics() -> CubicFamily:
 
     The family is a new object each time because results cached on the
     family are meant to last one run: M, the m-flag, the reference-point
-    table, the slice kernels and the independence analysis (see
-    `CubicFamily`).
+    table, the slice kernels, the independence analysis and the derived
+    polynomials (see `CubicFamily`).
     """
     return CubicFamily(*_verified_family())

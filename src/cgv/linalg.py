@@ -4,8 +4,10 @@ A matrix is a sequence of equal-length rows whose entries are all NFElem or
 all MPoly.  Determinants use cofactor expansion (adequate at size <= 6).
 Ranks come from one fraction-free elimination: each step scales a row by a
 nonzero pivot, a unit of the fraction field, so polynomial entries never
-need a quotient and the rank over Q(r)(X,Y,Z,T,m) is exact.  Kernels are
-read off the reduced row echelon form over Q(r).
+need a quotient and the rank over Q(r)(X,Y,Z,T,m) is exact.  It runs
+column by column and stops at full row rank, so the columns after the
+last pivot are never eliminated.  Kernels are read off the reduced row
+echelon form over Q(r).
 """
 
 from __future__ import annotations
@@ -53,30 +55,36 @@ def _det(rows):
 def matrix_rank(rows):
     """Rank over the fraction field of the entries, with the pivot columns.
 
-    Fraction-free elimination: the pivot row p clears column c in every row
-    below it by row <- p[c] * row - row[c] * p; entries up to column c are
-    never read again, so only those after it are computed.  Returns
-    (rank, pivot columns); the pivot columns are the greedy column basis, so
-    at full row rank they index the lexicographically first nonzero maximal
-    minor.
+    Fraction-free elimination, one column at a time: step k swaps its pivot
+    row p into place k and turns each row below it with a nonzero entry f in
+    the pivot column c into p[c] * row - f * p.  A column is brought through
+    the earlier steps only when the elimination reaches it, entry by entry
+    with that same product, and the elimination stops at full row rank, so
+    no column after the last pivot is ever read (a left-looking order of
+    the same steps; Bareiss, Math. Comp. 22 (1968) 565-578).  Returns
+    (rank, pivot columns); the pivot columns are the greedy column basis,
+    so at full row rank they index the lexicographically first nonzero
+    maximal minor.
     """
     nc = _width(rows)
-    a = [tuple(r) for r in rows]
+    n = len(rows)
+    steps = []   # per pivot: (row swapped into place, pivot entry, [(row, f)])
     pivots = []
     for col in range(nc):
         top = len(pivots)
-        if top == len(a):
+        if top == n:
             break
-        piv = next((i for i in range(top, len(a)) if not a[i][col].is_zero()), None)
+        v = [r[col] for r in rows]
+        for k, (swap, p, factors) in enumerate(steps):
+            v[k], v[swap] = v[swap], v[k]
+            y = v[k]
+            for i, f in factors:
+                v[i] = p * v[i] - f * y
+        piv = next((i for i in range(top, n) if not v[i].is_zero()), None)
         if piv is None:
             continue
-        a[top], a[piv] = a[piv], a[top]
-        p = a[top]
-        for i in range(top + 1, len(a)):
-            f = a[i][col]
-            if not f.is_zero():
-                a[i] = a[i][:col + 1] + tuple(
-                    p[col] * x - f * y for x, y in zip(a[i][col + 1:], p[col + 1:]))
+        v[top], v[piv] = v[piv], v[top]
+        steps.append((piv, v[top], [(i, v[i]) for i in range(top + 1, n) if not v[i].is_zero()]))
         pivots.append(col)
     return len(pivots), tuple(pivots)
 

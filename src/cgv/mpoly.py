@@ -328,10 +328,12 @@ class MPoly:
         terms = self.terms
         order = sorted(terms, reverse=True)
         order.sort(key=sum, reverse=True)   # stable: lex order holds within a degree
-        # "*v^k" for each variable v and each k up to the top degree, built per call
-        top = sum(order[0]) if order else 0
-        px, py, pz, pt, pm = (["", "*" + v] + [f"*{v}^{k}" for k in range(2, top + 1)]
-                              for v in VARS)
+        if not order:
+            return "0"
+        # "*v^k" for each variable v and each exponent k that occurs, so
+        # printing costs O(terms) and not O(degree)
+        px, py, pz, pt, pm = ({k: f"*{v}^{k}" if k > 1 else "*" + v if k else "" for k in set(ks)}
+                              for v, ks in zip(VARS, zip(*order)))
         return join_terms([
             term_str(nf_str(terms[e]), (px[e[0]] + py[e[1]] + pz[e[2]] + pt[e[3]] + pm[e[4]])[1:])
             for e in order])

@@ -116,6 +116,12 @@ class NFElem:
             return NotImplemented
         return self * other.inverse()
 
+    def __rtruediv__(self, other):
+        # other / self for an int other; an NFElem other took __truediv__
+        if (other := _as_nfelem(other)) is None:
+            return NotImplemented
+        return other * self.inverse()
+
     def __pow__(self, n: int) -> "NFElem":
         # a negative power is a power of the inverse; binary_power checks n
         if type(n) is int and n < 0:

@@ -9,7 +9,7 @@ stacked rows.  The survey builds D, the determinant of the three symbolic
 rows, once per call and evaluates it over the integers at each point; only
 where D vanishes does it substitute the rows and eliminate.  The display,
 lambda and pairwise checks take the rows `chart_gradient` built, indexed
-by cubic, so a caller builds each row once.
+by cubic; each row is built once per run (`chart_gradient`).
 """
 
 from __future__ import annotations
@@ -25,9 +25,11 @@ CHART_VARS = ("X", "Y", "Z")
 
 
 def chart_gradient(family, i: int):
-    """Gradient row of C_i on the chart T = 1, symbolic in the coordinates."""
-    c = family.cubics[i]
-    return tuple(c.partial(v).substitute({"T": 1}) for v in CHART_VARS)
+    """Gradient row of C_i on the chart T = 1, symbolic in the coordinates,
+    once per family (`CubicFamily.derive`).  With m fixed it is the
+    symbolic family's row with m := v."""
+    return family.derive(("chart gradient", i), lambda f: tuple(
+        f.cubics[i].partial(v).substitute({"T": 1}) for v in CHART_VARS))
 
 
 def display_agreement(rows, i: int):
@@ -74,7 +76,8 @@ def lambda_replay(rows) -> LambdaReplay:
 
 def pairwise_independence(rows, i: int, j: int) -> bool:
     """Are the symbolic rows i and j independent over Q(r)(x, y, z, m), i.e.
-    is some 2x2 minor of the stacked pair a nonzero polynomial?"""
+    is some 2x2 minor of the stacked pair a nonzero polynomial?  The
+    elimination stops at the first nonzero minor."""
     return matrix_rank((rows[i], rows[j]))[0] == 2
 
 
@@ -108,7 +111,8 @@ SurveyResult = namedtuple("SurveyResult", "histogram skipped")
 
 def rank_survey(family, n: int, seed: int) -> SurveyResult:
     """Exact rank of the stacked C_0, C_1, C_2 tangent rows at n sampled points
-    of a family with m fixed (`CubicFamily.at_m`).
+    of a family with m fixed (`CubicFamily.at_m`), whose symbolic rows are
+    the symbolic family's rows with m := v (`chart_gradient`).
 
     D, the determinant of the three symbolic rows, is built once and brought
     to integer terms (`_integer_terms`).  Over a field a nonzero D(p) proves

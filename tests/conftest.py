@@ -7,7 +7,7 @@ import sympy as sp
 
 from cgv.cli import _build_parser
 from cgv.geometry import build_cubics
-from cgv.mpoly import VARS
+from cgv.mpoly import MPoly, VARS
 from cgv.nf import NFElem
 from cgv.reportlib import RunConfig
 
@@ -113,6 +113,18 @@ def count_calls(monkeypatch, name, *modules):
     for module in modules:
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def mpoly_products(monkeypatch, run):
+    """run() and the MPoly products it made, as operand pairs in order;
+    undoes the monkeypatches of the test when done."""
+    calls = []
+    real = MPoly.__mul__
+    monkeypatch.setattr(MPoly, "__mul__", lambda a, b: calls.append((a, b)) or real(a, b))
+    try:
+        return run(), calls
+    finally:
+        monkeypatch.undo()
 
 
 def nf_products(monkeypatch, run):

@@ -13,7 +13,7 @@ from cgv.genus import (RamificationError, _binary_form,
                        quintuple_family_coeffs, quintuple_root_condition,
                        quotient_feasibility, rh_relation,
                        three_two_family_coeffs, z4_witness_search)
-from cgv.geometry import LINE_R, LINE_R_PRIME, eval_at_point, point_name
+from cgv.geometry import LINE_R, LINE_R_PRIME, build_cubics, eval_at_point, point_name
 from cgv.reportlib import REFUTED
 from cgv.suites import run_suite
 from cgv.mpoly import MPoly
@@ -21,7 +21,7 @@ from cgv.nf import NFElem
 from cgv.parsing import parse_poly
 from cgv.upoly import UPoly
 
-from conftest import random_nfelem_nonzero, run_config, scale_form, swap_xy
+from conftest import mpoly_products, random_nfelem_nonzero, run_config, scale_form, swap_xy
 
 M1 = NFElem(1)
 
@@ -385,6 +385,46 @@ def test_pencil_member_matches_direct_restriction(family, lam, mu, m):
     probe = cubic_one_root_probe(pencil_on_line(fam), lam, mu)
     assert probe.condition_value == 9 * d * a - b * c
     assert probe.pattern == (None if not any(cubic) else multiplicity_pattern(cubic))
+
+
+SPECIAL_M = ("0", "1", "r", "-r", "2/3*r^2-5")
+
+
+def restricted_after_fixing_m(family, value):
+    """((XZ C0)|r, (YT C1)|r) with m := value put into the cubics first, then
+    restricted to r by Z := -X, T := -Y."""
+    x, y, z, t = (MPoly.var(v) for v in "XYZT")
+    c0, c1 = (c.substitute({"m": value}) for c in family.cubics[:2])
+    return tuple(_binary_form(g.substitute({"Z": -x, "T": -y}), 5) for g in (x * z * c0, y * t * c1))
+
+
+@pytest.mark.parametrize("m_text", SPECIAL_M)
+def test_pencil_on_line_specializes_m(family, m_text):
+    value = parse_poly(m_text).as_nfelem()
+    assert pencil_on_line(family.at_m(value)) == restricted_after_fixing_m(family, value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9))
+def test_pencil_on_line_specializes_any_m(family, n0, n1, n2, d):
+    value = NFElem(n0, n1, n2, d)
+    assert pencil_on_line(family.at_m(value)) == restricted_after_fixing_m(family, value)
+
+
+def test_the_pencil_on_r_is_restricted_once_per_run(monkeypatch):
+    # the symbolic family restricts the generators once; pencil_factorization
+    # reads that pair, and each family with m fixed only substitutes m into it
+    fam = build_cubics()
+    first = pencil_on_line(fam.at_m(M1))
+    restrictions = []
+    real = genus_mod.eval_at_point
+    monkeypatch.setattr(genus_mod, "eval_at_point", lambda f, pt: restrictions.append(pt) or real(f, pt))
+    (holds0, holds1, _, _), products = mpoly_products(monkeypatch, lambda: pencil_factorization(fam))
+    assert holds0 and holds1
+    assert restrictions == [LINE_R, LINE_R]   # Qbar0 and Qbar1 only
+    assert len(products) == 6                 # X*X*Y*Qbar0 and X*Y*Y*Qbar1
+    again, products = mpoly_products(monkeypatch, lambda: pencil_on_line(fam.at_m(M1)))
+    assert again == first and products == []
 
 
 def test_cubic_probe_rejects_a_member_without_the_xy_factor():

@@ -164,6 +164,20 @@ def test_at_m_none_is_the_family(family):
     assert family.at_m(None) is family
 
 
+def test_at_m_substitutes_on_first_use(family, monkeypatch):
+    substituted = []
+    real = MPoly.substitute
+    monkeypatch.setattr(MPoly, "substitute", lambda p, mapping: substituted.append(p) or real(p, mapping))
+    fixed = family.at_m(NFElem(2))
+    assert substituted == []
+    fixed.mixed_matrix
+    assert substituted == list(family.quadrics)
+    fixed.quadrics, fixed.mixed_matrix
+    assert substituted == list(family.quadrics)
+    fixed.cubics
+    assert substituted == list(family.quadrics + family.cubics)
+
+
 @settings(max_examples=60, deadline=None)
 @given(nf_elems)
 def test_at_m_specializes_quadrics_and_cubics(family, value):

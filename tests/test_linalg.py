@@ -2,16 +2,19 @@ import random
 from itertools import combinations
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 import cgv.linalg as linalg
 from cgv.baselocus import quadric_independence
-from cgv.geometry import QUADRIC_BASIS
+from cgv.geometry import MIXED_MONOMIALS, QUADRIC_BASIS, build_cubics
 from cgv.linalg import (circulant_det_formula, circulant_matrix, matrix_det, matrix_rank,
                         nf_kernel_basis)
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem
 
-from conftest import random_nfelem
+from conftest import mpoly_products, random_nfelem
 
 
 def nf_matrix(rows):
@@ -199,3 +202,122 @@ def test_matrix_equality_and_shape():
     assert m1[1] == tuple(NFElem(v) for v in (4, 1, 2, 3))
     with pytest.raises(ValueError):
         matrix_rank(nf_matrix([[1, 2], [3]]))
+
+
+# -- the column-by-column elimination against a whole-matrix one -------------------
+
+
+def right_looking_rank(rows):
+    """(rank, pivots) by the same fraction-free steps, each applied at once to
+    every later column of every row below the pivot, through full rank."""
+    a = [tuple(r) for r in rows]
+    pivots = []
+    for col in range(len(a[0]) if a else 0):
+        top = len(pivots)
+        if top == len(a):
+            break
+        piv = next((i for i in range(top, len(a)) if not a[i][col].is_zero()), None)
+        if piv is None:
+            continue
+        a[top], a[piv] = a[piv], a[top]
+        p = a[top]
+        for i in range(top + 1, len(a)):
+            f = a[i][col]
+            if not f.is_zero():
+                a[i] = a[i][:col + 1] + tuple(p[col] * x - f * y for x, y in zip(a[i][col + 1:], p[col + 1:]))
+        pivots.append(col)
+    return len(pivots), tuple(pivots)
+
+
+QR = sp.QQ.algebraic_field(sp.CRootOf(sp.Symbol("x") ** 3 + sp.Symbol("x") ** 2 - 1, 0))
+QR_R = QR.from_sympy(QR.ext)
+QR_M_X = QR.frac_field(sp.Symbol("m"), sp.Symbol("X"))
+
+
+def qr_elem(a: NFElem):
+    n0, n1, n2, d = (QR.convert(n) for n in a.integers())
+    return (n0 + n1 * QR_R + n2 * QR_R * QR_R) / d
+
+
+def qr_m_x_elem(p: MPoly):
+    m, x = QR_M_X.gens
+    return sum((QR_M_X.convert_from(qr_elem(c), QR) * x ** e[0] * m ** e[4] for e, c in p.terms.items()),
+               QR_M_X.zero)
+
+
+def sympy_rank(rows):
+    """The rank by sympy's elimination over Q(r), or over Q(r)(m, X) for MPoly entries."""
+    field, elem = (QR, qr_elem) if isinstance(rows[0][0], NFElem) else (QR_M_X, qr_m_x_elem)
+    return DomainMatrix([[elem(e) for e in row] for row in rows], (len(rows), len(rows[0])), field).rank()
+
+
+NF_ENTRIES = st.one_of(
+    st.just(NFElem(0)),
+    st.builds(NFElem, st.integers(-3, 3), st.integers(-2, 2), st.integers(-1, 1), st.integers(1, 3)),
+)
+MPOLY_ENTRIES = st.one_of(
+    st.just(MPoly()),
+    st.builds(lambda a, b, c: MPoly.constant(a) + MPoly.constant(b) * MPoly.var("m")
+              + MPoly.constant(c) * MPoly.var("X") * MPoly.var("m"), NF_ENTRIES, NF_ENTRIES, NF_ENTRIES),
+)
+
+
+@st.composite
+def matrices(draw, entries, scalar, max_rows, max_cols):
+    """A matrix whose rows past the first k are integer combinations of those
+    k, in a drawn row order, with some columns zeroed: wide, tall and square,
+    of full rank and rank-deficient."""
+    nr, nc = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    k = draw(st.integers(0, nr))
+    base = [[draw(entries) for _ in range(nc)] for _ in range(k)]
+    rows = list(base)
+    for _ in range(nr - k):
+        row = [scalar(0)] * nc
+        for b in base:
+            c = draw(st.integers(-2, 2))
+            row = [x + c * y for x, y in zip(row, b)]
+        rows.append(row)
+    rows = [rows[i] for i in draw(st.permutations(range(nr)))]
+    for col in draw(st.sets(st.integers(0, nc - 1), max_size=2)):
+        for row in rows:
+            row[col] = scalar(0)
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(NF_ENTRIES, NFElem, 5, 6))
+def test_lazy_rank_matches_whole_matrix_elimination_over_qr(rows):
+    got = matrix_rank(rows)
+    assert got == right_looking_rank(rows)
+    assert got[0] == sympy_rank(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices(MPOLY_ENTRIES, MPoly.constant, 3, 4))
+def test_lazy_rank_matches_whole_matrix_elimination_over_mpoly(rows):
+    got = matrix_rank(rows)
+    assert got == right_looking_rank(rows)
+    assert got[0] == sympy_rank(rows)
+
+
+class Untouchable:
+    """An entry that fails any test or arithmetic on it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"entry read: {name}")
+
+
+@pytest.mark.parametrize("m", [None, NFElem(1)], ids=["symbolic", "1"])
+def test_independence_never_reaches_the_yt_and_zt_columns(m, monkeypatch):
+    want_family = build_cubics().at_m(m)
+    want = want_family.independence
+    fam = build_cubics().at_m(m)
+    yt, zt = MIXED_MONOMIALS.index((0, 1, 0, 1)), MIXED_MONOMIALS.index((0, 0, 1, 1))
+    fam.__dict__["mixed_matrix"] = tuple(
+        tuple(Untouchable() if k in (yt, zt) else e for k, e in enumerate(row)) for row in fam.mixed_matrix)
+    got, products = mpoly_products(monkeypatch, lambda: fam.independence)
+    assert got == want
+    assert (got.rank, got.rank_witness) == (4, (1, 2, 3, 5))
+    # pivots at XY, XZ, XT and YZ: the products of eliminating those four columns alone
+    first_four = [row[:4] for row in want_family.mixed_matrix]
+    assert len(products) == len(mpoly_products(monkeypatch, lambda: right_looking_rank(first_four))[1]) > 0

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -232,3 +233,18 @@ def test_constants_hash_like_their_coefficient():
 ])
 def test_canonical_print_pins(text, printed):
     assert str(parse_poly(text)) == printed
+
+
+def test_printing_costs_the_terms_not_the_degree():
+    # a power string is built for each exponent that occurs, not for each
+    # one up to the top degree
+    p = MPoly.var("X") ** 100000 * MPoly.var("m")
+    tracemalloc.start()
+    try:
+        text = str(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == "X^100000*m"
+    assert peak < 1 << 20
+    assert str(parse_poly("X^10000000000*m - 2*Y^3 + m")) == "X^10000000000*m - 2*Y^3 + m"

@@ -220,7 +220,7 @@ def test_a_bool_is_not_an_int_here(b):
 
 
 # each value type: a sample value, a scalar converted by hand, and its binary
-# operators; + - * also have reflected forms
+# operators; + - * and / also have reflected forms
 OPERAND_TYPES = {
     "NFElem": (NFElem(3, 1, 0, 2), NFElem.coerce,
                (operator.add, operator.sub, operator.mul, operator.truediv)),
@@ -229,7 +229,7 @@ OPERAND_TYPES = {
     "MPoly": (MPoly({(1, 0, 0, 0, 0): 1, (0, 0, 0, 0, 1): NF_R}), MPoly.constant,
               (operator.add, operator.sub, operator.mul)),
 }
-REFLECTED = (operator.add, operator.sub, operator.mul)
+REFLECTED = (operator.add, operator.sub, operator.mul, operator.truediv)
 
 
 @pytest.mark.parametrize("kind", OPERAND_TYPES)
@@ -250,6 +250,16 @@ def test_a_upoly_divides_by_an_int():
     assert UPoly((1, 2)) % 2 == UPoly()
     # 1/r = r + r^2, since r^3 + r^2 = 1
     assert divmod(UPoly((1, 2)), NFElem(0, 1)) == (UPoly((NFElem(0, 1, 1), NFElem(0, 2, 2))), UPoly())
+
+
+def test_an_int_divides_by_an_element():
+    x = NFElem(0, 1)
+    assert 2 / x == NFElem(2) * x.inverse() == NFElem(0, 2, 2)
+    assert 0 / x == 0
+    with pytest.raises(ZeroDivisionError):
+        1 / NFElem(0)
+    with pytest.raises(TypeError, match="unsupported operand type"):
+        True / x
 
 
 @pytest.mark.parametrize("kind", OPERAND_TYPES)

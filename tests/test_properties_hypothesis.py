@@ -218,6 +218,7 @@ print_exponents = st.tuples(*(st.one_of(st.integers(0, 3), st.integers(9, 12)) f
 @example(MPoly({(1, 0, 0, 0, 0): -1, ZERO_EXP: NFElem(-1, 0, -1)}))
 @example(MPoly({(0, 0, 0, 0, 1): 1, (0, 10, 0, 0, 11): NFElem(0, -1), (12, 0, 0, 0, 0): NFElem(2, -3)}))
 @example(MPoly({(1, 1, 1, 1, 1): NFElem(-3, 2, 6, 6), (0, 0, 2, 0, 3): 7}))
+@example(MPoly({(100000, 0, 0, 0, 1): NFElem(2, -3), (0, 3, 0, 0, 0): -1}))   # far past the term count
 def test_mpoly_printer_matches_the_reference(p):
     assert str(p) == ref_mpoly_str(p)
 

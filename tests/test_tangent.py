@@ -6,7 +6,7 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
 import cgv.tangent as tangent
-from cgv.geometry import REFERENCE_POINTS, CubicFamily, eval_at_point
+from cgv.geometry import REFERENCE_POINTS, CubicFamily, build_cubics, eval_at_point
 from cgv.linalg import matrix_det, matrix_rank, nf_rref
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem, nf_invert
@@ -15,7 +15,7 @@ from cgv.tangent import (CHART_VARS, SampleStream, _integer_terms, _integer_valu
                          chart_gradient, display_agreement, lambda_replay,
                          pairwise_independence, rank_survey)
 
-from conftest import random_nfelem, red, to_sympy
+from conftest import mpoly_products, random_nfelem, red, to_sympy
 
 M1 = NFElem(1)
 
@@ -100,6 +100,16 @@ def test_pairwise_independence(family):
 
 def test_pairwise_self_dependent(family):
     assert not pairwise_independence(chart_rows(family), 1, 1)
+
+
+def test_pairwise_independence_forms_one_minor_per_pair(family, monkeypatch):
+    # the elimination stops at full rank: the first 2x2 minor is nonzero, so
+    # its two products are the only ones
+    rows = chart_rows(family)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        independent, products = mpoly_products(monkeypatch, lambda: pairwise_independence(rows, i, j))
+        assert independent
+        assert products == [(rows[i][0], rows[j][1]), (rows[j][0], rows[i][1])]
 
 
 def test_rank_at_handpicked_point(family):
@@ -213,7 +223,10 @@ def test_integer_value_is_the_determinant_over_one_denominator(family, m_text):
 
 def test_survey_at_fixed_m_needs_no_elimination(family, monkeypatch):
     # D(p) is nonzero at every sampled point: no point takes the row
-    # substitution or matrix_rank, only chart_gradient's 9 substitutions of T = 1
+    # substitution or matrix_rank.  With the symbolic rows built, as the
+    # tangent suite builds them before its survey, the survey's only
+    # substitutions are m := 1 in the 9 entries of the three rows it reads
+    chart_rows(family)
     fixed = family.at_m(M1)
     ranks, substitutions = [], []
     real_substitute = MPoly.substitute
@@ -227,7 +240,7 @@ def test_survey_at_fixed_m_needs_no_elimination(family, monkeypatch):
     survey = rank_survey(fixed, 100, 1)
     assert survey.histogram == ((3, 100),)
     assert ranks == []
-    assert len(substitutions) == 9
+    assert substitutions == [{"m": M1}] * 9
 
 
 def test_survey_rejects_symbolic_m(family):
@@ -250,14 +263,50 @@ def test_sampled_points_cannot_be_reference_points():
         assert tuple(map(NFElem, chart_pt)) not in REFERENCE_POINTS
 
 
+SPECIAL_M = ("0", "1", "r", "-r", "2/3*r^2-5")
+
+
+def substituted_first_row(family, i, value):
+    """The chart row of C_i with m := value put into the cubic first, then
+    differentiated and restricted to T = 1."""
+    c = family.cubics[i].substitute({"m": value})
+    return tuple(c.partial(v).substitute({"T": 1}) for v in CHART_VARS)
+
+
 def test_chart_gradient_specializes_m(family):
-    # dual route: fix m in the family, then differentiate, against
-    # differentiating the symbolic family, then fixing m in each entry
-    for m_text in ("0", "1", "r", "-r", "2/3*r^2-5"):
+    # dual route: fix m in the cubic, then differentiate, against the
+    # fixed family's row, which specialises the symbolic row
+    for m_text in SPECIAL_M:
         value = scalar(m_text)
         for i in range(4):
             sym = chart_gradient(family, i)
             fixed = chart_gradient(family.at_m(value), i)
             assert any(g.involves("m") for g in sym)
             assert not any(g.involves("m") for g in fixed)
-            assert fixed == tuple(g.substitute({"m": value}) for g in sym)
+            assert fixed == substituted_first_row(family, i, value)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9), st.integers(0, 3))
+def test_chart_gradient_specializes_any_m(family, n0, n1, n2, d, i):
+    value = NFElem(n0, n1, n2, d)
+    assert chart_gradient(family.at_m(value), i) == substituted_first_row(family, i, value)
+
+
+def test_a_fixed_family_builds_each_symbolic_row_once(monkeypatch):
+    # the symbolic rows are differentiated once per run; every family with
+    # m fixed only substitutes m into them, and at_m itself substitutes nothing
+    fam = build_cubics()
+    partials, substitutions = [], []
+    real_partial, real_substitute = MPoly.partial, MPoly.substitute
+    monkeypatch.setattr(MPoly, "partial", lambda p, v: partials.append(v) or real_partial(p, v))
+    monkeypatch.setattr(MPoly, "substitute",
+                        lambda p, mapping: substitutions.append(dict(mapping)) or real_substitute(p, mapping))
+    fixed = [fam.at_m(scalar(m_text)) for m_text in SPECIAL_M]
+    assert substitutions == []
+    for f in fixed:
+        chart_rows(f)
+        chart_rows(f)
+    assert len(partials) == 9
+    assert sum("T" in s for s in substitutions) == 9
+    assert [s for s in substitutions if "m" in s] == [{"m": scalar(t)} for t in SPECIAL_M for _ in range(9)]
