@@ -15,7 +15,8 @@ sums the term pairs of each output monomial on the integers, reducing with
 the rule that `NFElem.__mul__` also writes, and normalises each output
 coefficient once with `nf._elem`.  A dual-route test ties the two copies of
 the rule together.  A difference p - q subtracts the coefficients of q in
-one pass, with no negated operand.
+one pass, with no negated operand; a scalar minus p converts the scalar once
+and subtracts the same way.
 """
 
 from __future__ import annotations
@@ -180,7 +181,10 @@ class MPoly:
         return _mpoly(out)
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        # other - self for an int or NFElem other, converted once
+        if (other := _as_mpoly(other)) is None:
+            return NotImplemented
+        return other.__sub__(self)
 
     def __mul__(self, other):
         if (other := _as_mpoly(other)) is None:

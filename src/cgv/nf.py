@@ -90,8 +90,10 @@ class NFElem:
         return _elem(a0 * bd - b0 * ad, a1 * bd - b1 * ad, a2 * bd - b2 * ad, ad * bd)
 
     def __rsub__(self, other):
-        # other - self for an int other, as -self + other; an NFElem other took __sub__
-        return (-self).__add__(other)
+        # other - self for an int other, converted once; an NFElem other took __sub__
+        if (other := _as_nfelem(other)) is None:
+            return NotImplemented
+        return other.__sub__(self)
 
     def __mul__(self, other):
         if type(other) is not NFElem and (other := _as_nfelem(other)) is None:
@@ -206,9 +208,11 @@ def nf_invert(a: NFElem) -> NFElem:
 
     With a = (n0 + n1*r + n2*r^2)/d, the columns of M below are the
     coordinates of n*1, n*r and n*r^2.  n^-1 solves M x = e0, so it is the
-    first column of adj(M) over det(M) = N(n), and a^-1 = d * n^-1.
+    first column of adj(M) over det(M) = N(n), and a^-1 = d * n^-1.  An
+    NFElem is read as it is; anything else goes through `NFElem.coerce`.
     """
-    a = NFElem.coerce(a)
+    if type(a) is not NFElem:
+        a = NFElem.coerce(a)
     n0, n1, n2, d = a._v
     if not (n0 or n1 or n2):
         raise ZeroDivisionError("cannot invert 0 in Q(r)")

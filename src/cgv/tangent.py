@@ -6,8 +6,10 @@ The printed tangent displays are replayed componentwise, the printed
 lambda-elimination is reproduced down to its obstruction element, and a
 deterministic integer-point survey measures the exact rank of the three
 stacked rows.  The survey builds D, the determinant of the three symbolic
-rows, once per call and evaluates it over the integers at each point; only
-where D vanishes does it substitute the rows and eliminate.  The display,
+rows, once per call and packs it into one integer polynomial nested for
+Horner (`_packed_horner`), so that each point costs one integer sum, zero
+exactly when D is; only where D vanishes does it substitute the rows and
+eliminate.  The display,
 lambda and pairwise checks take the rows `chart_gradient` built, indexed
 by cubic; each row is built once per run (`chart_gradient`).
 """
@@ -86,10 +88,13 @@ def pairwise_independence(rows, i: int, j: int) -> bool:
 LCG_MULTIPLIER = 6364136223846793005
 LCG_INCREMENT = 1442695040888963407
 LCG_MASK = (1 << 64) - 1
+# the largest sampled coordinate, and so the bound of the survey's packed sums
+SAMPLE_BOUND = 20
 
 
 class SampleStream:
-    """64-bit LCG; each draw advances the state, then maps to [-20, 20] \\ {0}."""
+    """64-bit LCG; each draw advances the state, then maps to
+    [-SAMPLE_BOUND, SAMPLE_BOUND] \\ {0}."""
 
     def __init__(self, seed: int):
         self.state = seed & LCG_MASK
@@ -97,7 +102,7 @@ class SampleStream:
     def next_coordinate(self) -> int:
         while True:
             self.state = (LCG_MULTIPLIER * self.state + LCG_INCREMENT) & LCG_MASK
-            v = (self.state % 41) - 20
+            v = self.state % (2 * SAMPLE_BOUND + 1) - SAMPLE_BOUND
             if v != 0:
                 return v
 
@@ -114,10 +119,11 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
     of a family with m fixed (`CubicFamily.at_m`), whose symbolic rows are
     the symbolic family's rows with m := v (`chart_gradient`).
 
-    D, the determinant of the three symbolic rows, is built once and brought
-    to integer terms (`_integer_terms`).  Over a field a nonzero D(p) proves
-    rank 3 at p, and then no row is zero.  Only where D(p) vanishes
-    (`_integer_value`) are the rows substituted, points on a degeneracy locus
+    D, the determinant of the three symbolic rows, is built once and packed
+    for coordinates up to SAMPLE_BOUND (`_packed_horner`): each point costs
+    one integer sum by Horner in X, Y and Z, zero exactly when D(p) is.  Over
+    a field a nonzero D(p) proves rank 3 at p, and then no row is zero.  Only
+    where D(p) vanishes are the rows substituted, points on a degeneracy locus
     (a zero gradient row) skipped and the rest eliminated.  Sampled
     coordinates are never 0, so no sample is a reference point.  A family
     whose m is not fixed raises ValueError.
@@ -125,13 +131,13 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
     if n < 1:
         raise ValueError("survey size must be >= 1")
     rows_sym = [chart_gradient(family, i) for i in range(3)]
-    det_terms = _integer_terms(matrix_det(rows_sym))
+    packed_det = _packed_horner(matrix_det(rows_sym), SAMPLE_BOUND)[1]
     stream = SampleStream(seed)
     hist = {}
     skipped = 0
     for _ in range(n):
         x, y, z = stream.next_point()
-        if any(_integer_value(det_terms, x, y, z)):
+        if packed_det(x, y, z):
             rank = 3
         else:
             sub = {"X": x, "Y": y, "Z": z}
@@ -144,28 +150,56 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
     return SurveyResult(histogram=tuple(sorted(hist.items())), skipped=skipped)
 
 
-def _integer_terms(det):
-    """The terms of a polynomial in X, Y, Z over one common denominator L > 0,
-    as tuples (a, b, c, n0, n1, n2): the polynomial is
-    sum (n0 + n1*r + n2*r^2) * X^a * Y^b * Z^c / L.  A polynomial that
-    involves T or m raises ValueError.
+def _packed_horner(poly, bound: int):
+    """(k, packed) for a polynomial p in X, Y, Z over Q(r), read at integer
+    points whose coordinates lie in [-bound, bound] (bound >= 1).
+
+    Over one common denominator L > 0, L * p is the sum of
+    (n0 + n1*r + n2*r^2) * X^a * Y^b * Z^c.  Each coefficient is packed into
+    the integer n0 + n1*2^k + n2*2^(2k), and packed(x, y, z) sums the packed
+    terms at (x, y, z) by Horner in X, then Y, then Z.  That sum is
+    s0 + s1*2^k + s2*2^(2k), where L * p(x, y, z) = s0 + s1*r + s2*r^2.  With
+    B = bound^deg(p) times the sum of every |n_i|, each |s_i| <= B, and k is
+    the least width with 2^(k-1) > B; so the packed sum is a balanced base-2^k
+    number whose digits are (s0, s1, s2), and since 1, r, r^2 are a basis of
+    Q(r) it is zero exactly when p(x, y, z) is.  A polynomial that involves T
+    or m, or a bound below 1, raises ValueError.
     """
-    if det.involves("T") or det.involves("m"):
-        raise ValueError(f"the survey needs a polynomial in X, Y, Z with m fixed: {det}")
-    terms = [(e, c.integers()) for e, c in det.terms.items()]
+    if poly.involves("T") or poly.involves("m"):
+        raise ValueError(f"the survey needs a polynomial in X, Y, Z with m fixed: {poly}")
+    if bound < 1:
+        raise ValueError("the coordinate bound must be >= 1")
+    terms = [(e[:3], c.integers()) for e, c in poly.terms.items()]
     den = lcm(*(v[3] for _, v in terms))
-    return tuple((*e[:3], *(n * (den // v[3]) for n in v[:3])) for e, v in terms)
+    terms = [(e, [n * (den // v[3]) for n in v[:3]]) for e, v in terms]
+    deg = max((sum(e) for e, _ in terms), default=0)
+    k = (sum(abs(n) for _, ns in terms for n in ns) * bound ** deg).bit_length() + 1
+    nested = _horner_nest({e: n0 + (n1 << k) + (n2 << 2 * k) for e, (n0, n1, n2) in terms}, 3)
+
+    def packed(x, y, z):
+        sx = 0
+        for ys in nested:
+            sy = 0
+            for zs in ys:
+                sz = 0
+                for c in zs:
+                    sz = sz * z + c
+                sy = sy * y + sz
+            sx = sx * x + sy
+        return sx
+
+    return k, packed
 
 
-def _integer_value(terms, x, y, z):
-    """(s0, s1, s2) with L * p(x, y, z) = s0 + s1*r + s2*r^2 for the integer
-    terms of p and integers x, y, z.  Since 1, r, r^2 are a basis of Q(r)
-    and L > 0, p(x, y, z) is zero exactly when all three sums are.
-    """
-    s0 = s1 = s2 = 0
-    for a, b, c, n0, n1, n2 in terms:
-        t = x ** a * y ** b * z ** c
-        s0 += n0 * t
-        s1 += n1 * t
-        s2 += n2 * t
-    return s0, s1, s2
+def _horner_nest(terms, nvars: int):
+    """The integer polynomial {exponent tuple: n} in nvars variables, nested
+    for Horner: the coefficients of the first variable from its top degree
+    down to 0, each nested the same way in the others; with no variable
+    left, the constant n (0 for none)."""
+    if not nvars:
+        return terms.get((), 0)
+    by_lead = {}
+    for (a, *rest), n in terms.items():
+        by_lead.setdefault(a, {})[tuple(rest)] = n
+    return tuple(_horner_nest(by_lead.get(a, {}), nvars - 1)
+                 for a in range(max(by_lead, default=-1), -1, -1))

@@ -1,8 +1,11 @@
-"""Dense univariate polynomials over Q(r)."""
+"""Dense univariate polynomials over Q(r).
+
+The public `UPoly(coeffs)` coerces each coefficient to NFElem; arithmetic
+builds its results with the private `_upoly`, which only drops trailing
+zeros.  A difference is formed coefficientwise, with no negated operand.
+"""
 
 from __future__ import annotations
-
-from itertools import zip_longest
 
 from .nf import NF_ONE, NF_ZERO, NFElem, binary_power, join_terms, term_str
 
@@ -21,11 +24,8 @@ class UPoly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=()):
-        cs = [NFElem.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    def __new__(cls, coeffs):
+        return _upoly([NFElem.coerce(c) for c in coeffs])
 
     def __setattr__(self, name, value):
         raise AttributeError("UPoly is immutable")
@@ -57,39 +57,46 @@ class UPoly:
     def __add__(self, other):
         if (other := _as_upoly(other)) is None:
             return NotImplemented
-        return UPoly([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=NF_ZERO)])
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        return _upoly([x + y for x, y in zip(a, b)] + list(a[n:] + b[n:]))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return UPoly(tuple(-c for c in self.coeffs))
+        return _upoly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if (other := _as_upoly(other)) is None:
             return NotImplemented
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        return _upoly([x - y for x, y in zip(a, b)] + list(a[n:]) + [-y for y in b[n:]])
 
     def __rsub__(self, other):
-        return (-self).__add__(other)
+        # other - self for an int or NFElem other, converted once
+        if (other := _as_upoly(other)) is None:
+            return NotImplemented
+        return other.__sub__(self)
 
     def __mul__(self, other):
         if (other := _as_upoly(other)) is None:
             return NotImplemented
         if not self.coeffs or not other.coeffs:
-            return UPoly()
+            return _upoly([])
         out = [NF_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
-        return UPoly(out)
+        return _upoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         # binary_power refuses a negative or non-int n
-        return binary_power(self, n, UPoly((NF_ONE,)))
+        return binary_power(self, n, _upoly([NF_ONE]))
 
     def __divmod__(self, other):
         if (other := _as_upoly(other)) is None:
@@ -106,7 +113,7 @@ class UPoly:
                 q[k - dg] = c
                 for j in range(dg + 1):
                     rem[k - dg + j] = rem[k - dg + j] - c * other.coeffs[j]
-        return UPoly(q), UPoly(rem)
+        return _upoly(q), _upoly(rem)
 
     def __mod__(self, other):
         qr = self.__divmod__(other)
@@ -115,10 +122,12 @@ class UPoly:
     def monic(self):
         if self.is_zero():
             raise ValueError("cannot normalize the zero polynomial")
-        return self * self.lead().inverse()
+        # only the nonzero coefficients are scaled, with no UPoly product
+        inv = self.lead().inverse()
+        return _upoly([c * inv if c else c for c in self.coeffs])
 
     def derivative(self):
-        return UPoly(tuple(c * k for k, c in enumerate(self.coeffs) if k >= 1))
+        return _upoly([c * k for k, c in enumerate(self.coeffs) if k])
 
     def to_str(self, var: str = "x") -> str:
         """Descending powers of `var`."""
@@ -132,6 +141,18 @@ class UPoly:
 
     def __repr__(self):
         return f"UPoly({list(self.coeffs)!r})"
+
+
+_set_coeffs = UPoly.coeffs.__set__
+
+
+def _upoly(cs: list) -> UPoly:
+    """A UPoly on a list of NFElem, trailing zeros dropped; nothing is coerced."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(UPoly)
+    _set_coeffs(p, tuple(cs))
+    return p
 
 
 def upoly_gcd(f: UPoly, g: UPoly) -> UPoly:

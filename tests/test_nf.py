@@ -9,7 +9,7 @@ from cgv.mpoly import MPoly
 from cgv.nf import NFElem, NF_ONE, NF_R, join_terms, nf_invert, nf_str, term_str
 from cgv.upoly import UPoly
 
-from conftest import (R_FLOAT, frac_elem, nf_reduce, nf_to_float, random_nfelem,
+from conftest import (R_FLOAT, count_calls, frac_elem, nf_reduce, nf_to_float, random_nfelem,
                       random_nfelem_nonzero, ref_nf_str)
 
 
@@ -244,12 +244,22 @@ def test_an_int_or_nfelem_operand_is_converted_as_by_hand(kind):
                 assert op(scalar, value) == op(by_hand, value)
 
 
+@pytest.mark.parametrize("kind", OPERAND_TYPES)
+def test_a_scalar_minus_a_value_negates_nothing(kind, monkeypatch):
+    # 3 - x converts 3 once and subtracts, with no negated operand
+    value, convert, _ = OPERAND_TYPES[kind]
+    negations = count_calls(monkeypatch, "__neg__", type(value))
+    for scalar in (3, NFElem(5, 0, -1, 3)):
+        assert scalar - value == convert(scalar) - value
+    assert negations == []
+
+
 def test_a_upoly_divides_by_an_int():
     # the divisor is converted like any other operand
-    assert divmod(UPoly((1, 2)), 2) == (UPoly((NFElem(1, 0, 0, 2), 1)), UPoly())
-    assert UPoly((1, 2)) % 2 == UPoly()
+    assert divmod(UPoly((1, 2)), 2) == (UPoly((NFElem(1, 0, 0, 2), 1)), UPoly(()))
+    assert UPoly((1, 2)) % 2 == UPoly(())
     # 1/r = r + r^2, since r^3 + r^2 = 1
-    assert divmod(UPoly((1, 2)), NFElem(0, 1)) == (UPoly((NFElem(0, 1, 1), NFElem(0, 2, 2))), UPoly())
+    assert divmod(UPoly((1, 2)), NFElem(0, 1)) == (UPoly((NFElem(0, 1, 1), NFElem(0, 2, 2))), UPoly(()))
 
 
 def test_an_int_divides_by_an_element():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import lcm
 
@@ -11,7 +12,7 @@ from cgv.linalg import matrix_det, matrix_rank, nf_rref
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem, nf_invert
 from cgv.parsing import parse_poly
-from cgv.tangent import (CHART_VARS, SampleStream, _integer_terms, _integer_value,
+from cgv.tangent import (CHART_VARS, SampleStream, _packed_horner,
                          chart_gradient, display_agreement, lambda_replay,
                          pairwise_independence, rank_survey)
 
@@ -197,14 +198,27 @@ def test_chart_determinant_matches_sympy(family, m_text):
     assert not det.is_zero()
 
 
+def balanced_digits(packed, k):
+    """The three balanced base-2^k digits (s0, s1, s2) of s0 + s1*2^k + s2*2^(2k),
+    each in [-2^(k-1), 2^(k-1))."""
+    digits = []
+    for _ in range(3):
+        d = (packed + (1 << (k - 1))) % (1 << k) - (1 << (k - 1))
+        digits.append(d)
+        packed = (packed - d) >> k
+    assert packed == 0
+    return digits
+
+
 @pytest.mark.parametrize("m_text", ["2/3*r^2-5", "7/3"])
 def test_integer_value_is_the_determinant_over_one_denominator(family, m_text):
     # at these m the coefficients of D have denominators 1, 3 and 9, so a
-    # coefficient left off the common denominator changes the sums
+    # coefficient left off the common denominator changes the digits; the
+    # bound is tightest at the corners (+-40, +-40, +-40)
     det = matrix_det(chart_rows(family.at_m(scalar(m_text))))
     den = lcm(*(c.integers()[3] for c in det.terms.values()))
     assert den > 1
-    terms = _integer_terms(det)
+    k, packed = _packed_horner(det, 40)
 
     @settings(max_examples=150, deadline=None)
     @given(st.tuples(*[st.integers(min_value=-40, max_value=40)] * 3))
@@ -214,11 +228,44 @@ def test_integer_value_is_the_determinant_over_one_denominator(family, m_text):
     def check(point):
         x, y, z = point
         value = det.substitute({"X": x, "Y": y, "Z": z}).as_nfelem()
-        sums = _integer_value(terms, x, y, z)
-        assert any(sums) == (not value.is_zero())
-        assert NFElem(*sums) == den * value
+        digits = balanced_digits(packed(x, y, z), k)
+        assert NFElem(*digits) == den * value
+        assert (packed(x, y, z) == 0) == value.is_zero()
 
+    for corner in itertools.product((-40, 40), repeat=3):
+        check = example(corner)(check)
     check()
+
+
+chart_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3).map(lambda e: (*e, 0, 0)),
+    st.builds(NFElem, *[st.integers(-50, 50)] * 3, st.integers(1, 6)), max_size=6).map(MPoly)
+
+
+@settings(max_examples=80, deadline=None)
+@given(chart_polys, st.integers(1, 6), st.data())
+# one term at the corner (bound, ...) reaches the bound: 4 at 1, 6^3 at 6
+@example(MPoly({(1, 0, 0, 0, 0): 4}), 1, None)
+@example(MPoly({(1, 1, 1, 0, 0): NFElem(0, 0, 1)}), 6, None)
+def test_packed_digits_hold_up_to_the_bound(p, bound, data):
+    # the digits stay apart at every point within the bound, the extreme
+    # corner (bound, bound, bound) included
+    den = lcm(*(c.integers()[3] for c in p.terms.values()))
+    k, packed = _packed_horner(p, bound)
+    points = [(bound,) * 3, (-bound,) * 3]
+    if data is not None:
+        points.append(data.draw(st.tuples(*[st.integers(-bound, bound)] * 3)))
+    for x, y, z in points:
+        value = p.substitute({"X": x, "Y": y, "Z": z}).as_nfelem()
+        assert NFElem(*balanced_digits(packed(x, y, z), k)) == den * value
+
+
+def test_packed_horner_refuses_t_m_and_a_bound_below_one():
+    for text in ("X*T", "m*Y", "m"):
+        with pytest.raises(ValueError):
+            _packed_horner(parse_poly(text), 20)
+    with pytest.raises(ValueError):
+        _packed_horner(parse_poly("X"), 0)
 
 
 def test_survey_at_fixed_m_needs_no_elimination(family, monkeypatch):

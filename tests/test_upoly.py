@@ -2,11 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import given, settings, strategies as st
 
-from cgv.nf import NF_ONE, NFElem
+from cgv.genus import pencil_member, pencil_on_line
+from cgv.nf import NF_ONE, NF_ZERO, NFElem
 from cgv.upoly import UPoly, squarefree_part, upoly_gcd
 
-from conftest import frac_elem, random_nfelem
+from conftest import count_calls, frac_elem, nf_to_sympy, random_nfelem, red
 
 F = Fraction
 
@@ -31,8 +34,8 @@ def test_gcd_printed_coprimality():
 
 def test_gcd_with_zero_is_monic():
     f = poly(2, 4)
-    assert upoly_gcd(f, UPoly()) == poly(F(1, 2), 1)
-    assert upoly_gcd(UPoly(), f) == poly(F(1, 2), 1)
+    assert upoly_gcd(f, UPoly(())) == poly(F(1, 2), 1)
+    assert upoly_gcd(UPoly(()), f) == poly(F(1, 2), 1)
 
 
 def test_gcd_shared_factor():
@@ -44,7 +47,7 @@ def test_gcd_shared_factor():
 
 def test_gcd_both_zero_rejected():
     with pytest.raises(ValueError):
-        upoly_gcd(UPoly(), UPoly())
+        upoly_gcd(UPoly(()), UPoly(()))
 
 
 def test_gcd_divides_both_exactly():
@@ -92,7 +95,7 @@ def test_squarefree_mixed_multiplicities():
 
 def test_squarefree_zero_rejected():
     with pytest.raises(ValueError):
-        squarefree_part(UPoly())
+        squarefree_part(UPoly(()))
 
 
 def test_squarefree_contract():
@@ -125,12 +128,12 @@ def test_monic_and_lead():
     f = poly(2, 0, 4)
     assert f.monic() == poly(F(1, 2), 0, 1)
     with pytest.raises(ValueError):
-        UPoly().monic()
+        UPoly(()).monic()
 
 
 def test_printing():
     assert poly(-1, 0, 1, 1).to_str() == "x^3 + x^2 - 1"
-    assert UPoly().to_str() == "0"
+    assert UPoly(()).to_str() == "0"
     assert poly(0, -1).to_str() == "-x"
     assert poly(F(-1, 2), 0, F(3, 4), -1).to_str("a") == "-a^3 + 3/4*a^2 - 1/2"
     assert UPoly((NFElem(-1, 0, 0, 2),)).to_str("a") == "-1/2"
@@ -165,3 +168,59 @@ def test_constants_hash_like_their_coefficient():
     assert poly(1, 2) in {poly(1, 2)}
     assert UPoly((NFElem(1), NFElem(2))) == poly(1, 2)
     assert hash(UPoly((NFElem(1), NFElem(2)))) == hash(poly(1, 2))
+
+
+@pytest.mark.parametrize("lam, mu", [(1, 0), (0, 1), (1, 1), (2, -3)])
+def test_gcd_and_squarefree_part_build_no_coerced_or_negated_operand(family, monkeypatch, lam, mu):
+    # on a quintic of the pencil on r, every coefficient is already an NFElem:
+    # internal results are built as they are, a difference negates nothing and
+    # monic scales the coefficients with no UPoly product
+    pencil = pencil_on_line(family.at_m(NF_ONE))
+    f = UPoly(tuple(reversed(pencil_member(pencil, lam, mu))))
+    expected = (upoly_gcd(f, f.derivative()), squarefree_part(f))
+    calls = (count_calls(monkeypatch, "coerce", NFElem),
+             count_calls(monkeypatch, "__neg__", UPoly),
+             count_calls(monkeypatch, "__mul__", UPoly))
+    assert (upoly_gcd(f, f.derivative()), squarefree_part(f)) == expected
+    assert calls == ([], [], [])
+
+
+# dual route: UPoly over Q(r) against sympy polynomials in x over Q[rr] mod r^3 + r^2 - 1
+SX = sp.Symbol("x")
+nf_coeffs = st.one_of(st.just(NF_ZERO), st.builds(NFElem, *[st.integers(-9, 9)] * 3, st.integers(1, 5)))
+upolys = st.lists(nf_coeffs, max_size=6).map(UPoly)
+
+
+def upoly_to_sympy(f):
+    return sum((nf_to_sympy(c) * SX ** k for k, c in enumerate(f.coeffs)), sp.Integer(0))
+
+
+def assert_canonical(f):
+    assert all(type(c) is NFElem for c in f.coeffs)
+    assert not f.coeffs or not f.coeffs[-1].is_zero()
+
+
+@settings(max_examples=40, deadline=None)
+@given(upolys, upolys)
+def test_difference_and_derivative_match_sympy(f, g):
+    for got, want in ((f - g, upoly_to_sympy(f) - upoly_to_sympy(g)),
+                      (f.derivative(), sp.diff(upoly_to_sympy(f), SX))):
+        assert_canonical(got)
+        assert red(upoly_to_sympy(got) - want) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(upolys, upolys)
+def test_monic_and_divmod_match_sympy(f, g):
+    if not f.is_zero():
+        h = f.monic()
+        assert_canonical(h)
+        assert h.lead() == NF_ONE and h.degree() == f.degree()
+        assert red(upoly_to_sympy(h) * nf_to_sympy(f.lead()) - upoly_to_sympy(f)) == 0
+    if not g.is_zero():
+        # division with remainder is unique: f = q g + rem with deg rem < deg g
+        q, rem = divmod(f, g)
+        assert_canonical(q)
+        assert_canonical(rem)
+        assert rem.degree() < g.degree()
+        assert red(upoly_to_sympy(q) * upoly_to_sympy(g) + upoly_to_sympy(rem) - upoly_to_sympy(f)) == 0
