@@ -201,6 +201,9 @@ def binary_power(base, n: int, one):
 NF_ZERO = NFElem(0)
 NF_ONE = NFElem(1)
 NF_R = NFElem(0, 1)
+# the minimal polynomial x^3 + x^2 - 1 of r, coefficients ascending: the rule
+# r^3 = 1 - r^2 that NFElem.__mul__ reduces with
+R_MINIMAL_POLY = (-1, 0, 1, 1)
 
 
 def nf_invert(a: NFElem) -> NFElem:

@@ -12,8 +12,10 @@ Grammar (whitespace insensitive, no implicit multiplication):
 
 from __future__ import annotations
 
+import re
+
 from .nf import NF_R, NFElem
-from .mpoly import MPoly, VAR_INDEX
+from .mpoly import MPoly, VAR_INDEX, VARS
 
 
 class ParseError(ValueError):
@@ -30,48 +32,38 @@ class ParseError(ValueError):
 class UnknownIdentifierError(ParseError):
     def __init__(self, offset: int, name: str):
         self.name = name
-        super().__init__(offset, ("X", "Y", "Z", "T", "r", "m"), name,
+        super().__init__(offset, VARS + ("r",), name,
                          f"at offset {offset}: unknown identifier {name!r}")
 
 
-_PUNCT = ("+", "-", "*", "^", "/", "(", ")")
-_DIGITS = "0123456789"
+# an ASCII integer, a word (a letter, then letters, numerals and "_"), an
+# operator, or any other non-space character, which is an error; whitespace
+# between tokens is skipped.  [^\W\d_] also admits numerals such as "²",
+# which are not letters: _tokens rejects them.
+_TOKEN = re.compile(r"([0-9]+)|([^\W\d_]\w*)|([-+*^/()])|(\S)")
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.tokens = []
-        i, n = 0, len(text)
-        while i < n:
-            ch = text[i]
-            if ch.isspace():
-                i += 1
-                continue
-            if ch in _PUNCT:
-                self.tokens.append((ch, ch, i))
-                i += 1
-                continue
-            if ch in _DIGITS:
-                j = i
-                while j < n and text[j] in _DIGITS:
-                    j += 1
-                self.tokens.append(("integer", text[i:j], i))
-                i = j
-                continue
-            if ch.isalpha():
-                j = i
-                while j < n and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                self.tokens.append(("ident", text[i:j], i))
-                i = j
-                continue
-            raise ParseError(i, ("expression",), ch)
-        self.tokens.append(("end", "", n))
+def _tokens(text: str) -> list:
+    """(kind, text, offset) for each token of text, then ("end", "", len(text))."""
+    tokens = []
+    for match in _TOKEN.finditer(text):
+        integer, word, op, _ = match.groups()
+        off = match.start()
+        if integer:
+            tokens.append(("integer", integer, off))
+        elif word and word[0].isalpha():
+            tokens.append(("ident", word, off))
+        elif op:
+            tokens.append((op, op, off))
+        else:
+            raise ParseError(off, ("expression",), text[off])
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _Tokenizer(text).tokens
+        self.tokens = _tokens(text)
         self.pos = 0
 
     def peek(self):

@@ -21,7 +21,7 @@ from .geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME, REFERENCE_POINTS,
                        SIGMA, SIGMA2, build_cubics, eval_at_point,
                        fixed_line_check, point_name)
 from .mpoly import GEOM_VARS
-from .nf import NFElem, nf_str
+from .nf import R_MINIMAL_POLY, NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
 from .reportlib import RunConfig, error_check, make_check
 
@@ -202,7 +202,7 @@ def base_locus_suite(family, config: RunConfig, checks):
                            "the stratum conclusion is recovered by the kernel lift instead",),
                 ))
                 printed_value = parse_display(claim("det-m-free-part").value).as_nfelem()
-                g = upoly_gcd(UPoly(printed_value.integers()[:3]), UPoly((-1, 0, 1, 1)))
+                g = upoly_gcd(UPoly(printed_value.integers()[:3]), UPoly(R_MINIMAL_POLY))
                 checks.append(make_check(
                     "base-locus/det/T/printed-value-coprime",
                     g.to_str(),
@@ -343,7 +343,7 @@ def tangent_suite(family, config: RunConfig, checks):
         "rank 3 at every sampled point" if all_rank3 else hist_s,
         claim("tangent-rank-generic"),
         notes=(f"histogram over {effective} points ({survey.skipped} skipped): {hist_s}",
-               f"seed {config.seed}, coordinates in [-20, 20] without 0")
+               f"seed {config.seed}, coordinates in [-{tangent.SAMPLE_BOUND}, {tangent.SAMPLE_BOUND}] without 0")
         + _m_note(config),
     ))
 

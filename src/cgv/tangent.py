@@ -92,22 +92,17 @@ LCG_MASK = (1 << 64) - 1
 SAMPLE_BOUND = 20
 
 
-class SampleStream:
-    """64-bit LCG; each draw advances the state, then maps to
-    [-SAMPLE_BOUND, SAMPLE_BOUND] \\ {0}."""
-
-    def __init__(self, seed: int):
-        self.state = seed & LCG_MASK
-
-    def next_coordinate(self) -> int:
-        while True:
-            self.state = (LCG_MULTIPLIER * self.state + LCG_INCREMENT) & LCG_MASK
-            v = self.state % (2 * SAMPLE_BOUND + 1) - SAMPLE_BOUND
-            if v != 0:
-                return v
-
-    def next_point(self):
-        return (self.next_coordinate(), self.next_coordinate(), self.next_coordinate())
+def sample_points(seed: int):
+    """Endless points (x, y, z) from a 64-bit LCG: each draw advances the
+    state, then maps to [-SAMPLE_BOUND, SAMPLE_BOUND]; a 0 is drawn again."""
+    state = seed & LCG_MASK
+    while True:
+        point = []
+        while len(point) < 3:
+            state = (LCG_MULTIPLIER * state + LCG_INCREMENT) & LCG_MASK
+            if v := state % (2 * SAMPLE_BOUND + 1) - SAMPLE_BOUND:
+                point.append(v)
+        yield tuple(point)
 
 
 # histogram: ((rank, count), ...) sorted by rank
@@ -132,11 +127,11 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
         raise ValueError("survey size must be >= 1")
     rows_sym = [chart_gradient(family, i) for i in range(3)]
     packed_det = _packed_horner(matrix_det(rows_sym), SAMPLE_BOUND)[1]
-    stream = SampleStream(seed)
+    points = sample_points(seed)
     hist = {}
     skipped = 0
     for _ in range(n):
-        x, y, z = stream.next_point()
+        x, y, z = next(points)
         if packed_det(x, y, z):
             rank = 3
         else:

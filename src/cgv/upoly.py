@@ -2,7 +2,8 @@
 
 The public `UPoly(coeffs)` coerces each coefficient to NFElem; arithmetic
 builds its results with the private `_upoly`, which only drops trailing
-zeros.  A difference is formed coefficientwise, with no negated operand.
+zeros.  A difference is formed coefficientwise, with no negated operand,
+and a product, quotient or derivative multiplies or adds no zero coefficient.
 """
 
 from __future__ import annotations
@@ -82,15 +83,16 @@ class UPoly:
     def __mul__(self, other):
         if (other := _as_upoly(other)) is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return _upoly([])
-        out = [NF_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        # only nonzero coefficients are multiplied, and each output coefficient
+        # starts at its first term product
+        b_terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
+        out = {}
         for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return _upoly(out)
+            if a:
+                for j, b in b_terms:
+                    k, p = i + j, a * b
+                    out[k] = out[k] + p if k in out else p
+        return _upoly([out.get(k, NF_ZERO) for k in range(len(self.coeffs) + len(other.coeffs) - 1)])
 
     __rmul__ = __mul__
 
@@ -106,14 +108,17 @@ class UPoly:
         rem = list(self.coeffs)
         dg = other.degree()
         lead_inv = other.lead().inverse()
+        # the lead term cancels by construction: only the nonzero coefficients
+        # below it are subtracted, and the remainder is the low dg coefficients
+        low = [(j, d) for j, d in enumerate(other.coeffs[:dg]) if d]
         q = [NF_ZERO] * max(len(rem) - dg, 0)
         for k in range(len(rem) - 1, dg - 1, -1):
             if rem[k]:
                 c = rem[k] * lead_inv
                 q[k - dg] = c
-                for j in range(dg + 1):
-                    rem[k - dg + j] = rem[k - dg + j] - c * other.coeffs[j]
-        return _upoly(q), _upoly(rem)
+                for j, d in low:
+                    rem[k - dg + j] = rem[k - dg + j] - c * d
+        return _upoly(q), _upoly(rem[:dg])
 
     def __mod__(self, other):
         qr = self.__divmod__(other)
@@ -127,7 +132,7 @@ class UPoly:
         return _upoly([c * inv if c else c for c in self.coeffs])
 
     def derivative(self):
-        return _upoly([c * k for k, c in enumerate(self.coeffs) if k])
+        return _upoly([c * k if c else c for k, c in enumerate(self.coeffs) if k])
 
     def to_str(self, var: str = "x") -> str:
         """Descending powers of `var`."""

@@ -1,10 +1,14 @@
 import random
+import re
+import sys
+import unicodedata
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem
-from cgv.parsing import ParseError, UnknownIdentifierError, parse_poly
+from cgv.parsing import ParseError, UnknownIdentifierError, _tokens, parse_poly
 
 from conftest import random_nfelem
 
@@ -108,3 +112,72 @@ def test_roundtrip_specials():
                  "(1/2 - 3*r + r^2)*X^3", "-X - Y - 1"):
         p = parse_poly(text)
         assert parse_poly(str(p)) == p
+
+
+# reference scanner: the character loop the tokenizer replaced, kept here so
+# that `_tokens` is compared with code it does not share
+
+
+def reference_tokens(text):
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in "+-*^/()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch in "0123456789":
+            j = i
+            while j < n and text[j] in "0123456789":
+                j += 1
+            tokens.append(("integer", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha():
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("ident", text[i:j], i))
+            i = j
+            continue
+        raise ParseError(i, ("expression",), ch)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+def scan(tokenize, text):
+    """The tokens of text, or the offset, expectations, found text and message
+    of the ParseError raised on it."""
+    try:
+        return tokenize(text)
+    except ParseError as e:
+        return e.offset, e.expected, e.found, str(e)
+
+
+def test_tokens_match_the_reference_scanner_on_every_code_point():
+    # the pattern's \s, \w and \d are str.isspace, isalnum() or "_" and
+    # isdecimal on every code point
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    for pattern, holds in ((r"\s", str.isspace), (r"\w", lambda c: c.isalnum() or c == "_"),
+                           (r"\d", str.isdecimal)):
+        assert re.findall(pattern, every) == [c for c in every if holds(c)], pattern
+    # every assigned code point gives the same tokens or error alone and inside
+    # words and integers ("²" is \w but not a letter, so it starts no word);
+    # unassigned, private-use and surrogate code points are neither
+    # alphanumeric nor space, so both scanners reject them where they stand
+    for ch in every:
+        if unicodedata.category(ch) in ("Cn", "Co", "Cs"):
+            assert not (ch.isalnum() or ch.isspace())
+            continue
+        for text in (ch, f"X{ch}", f"{ch}1", f"2{ch}m"):
+            assert scan(_tokens, text) == scan(reference_tokens, text), (hex(ord(ch)), text)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(alphabet="Xr m_1209+-*^/() \té²٣$", max_size=12))
+def test_tokens_match_the_reference_scanner_on_strings(text):
+    assert scan(_tokens, text) == scan(reference_tokens, text)

@@ -12,7 +12,7 @@ from cgv.linalg import matrix_det, matrix_rank, nf_rref
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem, nf_invert
 from cgv.parsing import parse_poly
-from cgv.tangent import (CHART_VARS, SampleStream, _packed_horner,
+from cgv.tangent import (CHART_VARS, sample_points, _packed_horner,
                          chart_gradient, display_agreement, lambda_replay,
                          pairwise_independence, rank_survey)
 
@@ -122,9 +122,9 @@ def test_rank_at_handpicked_point(family):
 
 def test_rank_monotonicity(family):
     # the rank of the 3 stacked rows never drops below the rank of a sub-pair
-    stream = SampleStream(99)
+    points = sample_points(99)
     for _ in range(5):
-        pt = stream.next_point()
+        pt = next(points)
         rows = [[e.as_nfelem() for e in gradient_at(family.at_m(M1), i, pt)] for i in range(3)]
         r3, _ = matrix_rank(rows)
         assert r3 <= 3
@@ -135,8 +135,8 @@ def test_rank_monotonicity(family):
 
 
 def test_sample_stream_frozen_draws():
-    stream = SampleStream(1)
-    pts = [stream.next_point() for _ in range(5)]
+    points = sample_points(1)
+    pts = [next(points) for _ in range(5)]
     assert pts == [(13, -9, 3), (-19, -1, 6), (9, 11, 12), (8, 12, 20), (13, 6, -15)]
     for p in pts:
         assert all(c != 0 and -20 <= c <= 20 for c in p)
@@ -160,10 +160,10 @@ def test_survey_falls_back_to_elimination_on_a_rank_deficient_family(family):
     twin = CubicFamily((c0, c0, c2, c3), family.quadrics, family.sigma_index_map).at_m(M1)
     n, seed = 30, 5
     survey = rank_survey(twin, n, seed)
-    stream = SampleStream(seed)
+    points = sample_points(seed)
     hist, skipped = {}, 0
     for _ in range(n):
-        pt = stream.next_point()
+        pt = next(points)
         rows = [[e.as_nfelem() for e in gradient_at(twin, i, pt)] for i in range(3)]
         if any(all(c.is_zero() for c in row) for row in rows):
             skipped += 1
@@ -178,9 +178,9 @@ def test_survey_falls_back_to_elimination_on_a_rank_deficient_family(family):
 @pytest.mark.parametrize("m_text", ["0", "1", "r"])
 def test_nonzero_determinant_iff_rank_three(family, m_text):
     fixed = family.at_m(scalar(m_text))
-    stream = SampleStream(7)
+    points = sample_points(7)
     for _ in range(200):
-        pt = stream.next_point()
+        pt = next(points)
         rows = [[e.as_nfelem() for e in gradient_at(fixed, i, pt)] for i in range(3)]
         det = matrix_det(rows)
         rank = len(nf_rref(rows)[1])
@@ -302,9 +302,9 @@ def test_survey_rejects_empty(family):
 
 def test_sampled_points_cannot_be_reference_points():
     # reference points have zero coordinates; samples never do
-    stream = SampleStream(12345)
+    points = sample_points(12345)
     for _ in range(50):
-        pt = stream.next_point()
+        pt = next(points)
         chart_pt = (pt[0], pt[1], pt[2], 1)
         assert all(c != 0 for c in chart_pt)
         assert tuple(map(NFElem, chart_pt)) not in REFERENCE_POINTS

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import random
 from fractions import Fraction
 
@@ -5,6 +7,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
+from cgv.cli import main
 from cgv.genus import pencil_member, pencil_on_line
 from cgv.nf import NF_ONE, NF_ZERO, NFElem
 from cgv.upoly import UPoly, squarefree_part, upoly_gcd
@@ -185,6 +188,40 @@ def test_gcd_and_squarefree_part_build_no_coerced_or_negated_operand(family, mon
     assert calls == ([], [], [])
 
 
+def test_products_divisions_and_derivatives_do_no_zero_work(monkeypatch):
+    # over one pass of the fixed report set, every NFElem product and sum made
+    # inside UPoly.__mul__, __divmod__ or derivative has two nonzero operands
+    depth, seen, zero = [0], [], []
+
+    def inside(f):
+        def run(*args):
+            depth[0] += 1
+            try:
+                return f(*args)
+            finally:
+                depth[0] -= 1
+        return run
+
+    def watched(name, f):
+        def op(a, b):
+            if depth[0]:
+                seen.append(name)
+                if not a or not b:
+                    zero.append((name, a, b))
+            return f(a, b)
+        return op
+
+    for name in ("__mul__", "__divmod__", "derivative"):
+        monkeypatch.setattr(UPoly, name, inside(getattr(UPoly, name)))
+    for name in ("__mul__", "__add__"):
+        monkeypatch.setattr(NFElem, name, watched(name, getattr(NFElem, name)))
+    for m in (None, "0", "1", "r"):
+        for fmt in ("text", "json"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["check", "all", "--format", fmt] + ([f"--m={m}"] if m else [])) == 0
+    assert seen and zero == []
+
+
 # dual route: UPoly over Q(r) against sympy polynomials in x over Q[rr] mod r^3 + r^2 - 1
 SX = sp.Symbol("x")
 nf_coeffs = st.one_of(st.just(NF_ZERO), st.builds(NFElem, *[st.integers(-9, 9)] * 3, st.integers(1, 5)))
@@ -207,6 +244,14 @@ def test_difference_and_derivative_match_sympy(f, g):
                       (f.derivative(), sp.diff(upoly_to_sympy(f), SX))):
         assert_canonical(got)
         assert red(upoly_to_sympy(got) - want) == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(upolys, upolys)
+def test_product_of_upolys_matches_sympy(f, g):
+    got = f * g
+    assert_canonical(got)
+    assert red(upoly_to_sympy(got) - upoly_to_sympy(f) * upoly_to_sympy(g)) == 0
 
 
 @settings(max_examples=40, deadline=None)
