@@ -24,9 +24,11 @@ point, classifies each stratum exactly:
 Every classifier returns through `_result`, which checks each reported
 point by exact substitution before it builds the result.
 
-The quadrics at the reference points, the m-flag, the slice kernels and
-the independence analysis (computed next to M) are read from caches on
-the family (see `CubicFamily`), so each costs one computation per run.
+The quadrics at the reference points, the m-flag and the kernel of each
+distinct single-hyperplane slice are kept in the family's memo
+(`CubicFamily.cached`), each built next to its one reader, so each costs
+one computation per run; the suites keep `quadric_independence` and the
+system determinants there too.
 """
 
 from __future__ import annotations
@@ -37,9 +39,10 @@ from collections import namedtuple
 from .nf import NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
 from .mpoly import GEOM_VARS
-from .linalg import matrix_det, nf_kernel_basis
-from .geometry import (COFACTOR_COORDS, MIXED_MONOMIALS, REFERENCE_POINTS, IndependenceResult,
-                       InternalCheckError, eval_at_point, point_name)
+from .linalg import (circulant_det_formula, circulant_matrix, matrix_det, matrix_rank,
+                     nf_kernel_basis)
+from .geometry import (COFACTOR_COORDS, MIXED_MONOMIALS, QUADRIC_BASIS, REFERENCE_POINTS,
+                       IndependenceResult, InternalCheckError, eval_at_point, point_name)
 
 EMPTY = "empty"
 REFERENCE = "reference_points"
@@ -108,10 +111,18 @@ def _monomial_name(exp) -> str:
     return "*".join(v for v, k in zip(GEOM_VARS, exp) if k)
 
 
+def _reference_values(family):
+    """Q_j at the reference point REFERENCE_POINTS[i], as row j, column i,
+    by exact substitution."""
+    return tuple(tuple(eval_at_point(q, pt) for pt in REFERENCE_POINTS) for q in family.quadrics)
+
+
 def _quadric_at(family, j, pt):
     """Q_j at `pt`: the family's table entry at a reference point, else substituted."""
     i = _REFERENCE_INDEX.get(pt)
-    return eval_at_point(family.quadrics[j], pt) if i is None else family.reference_values[j][i]
+    if i is None:
+        return eval_at_point(family.quadrics[j], pt)
+    return family.cached("reference values", _reference_values)[j][i]
 
 
 def _result(family, stratum, kind, points, notes) -> StratumResult:
@@ -238,9 +249,7 @@ def _single_hyperplane(family, stratum) -> StratumResult:
             "a kernel vector with exactly two nonzero entries is never the monomial vector of a point",
             identity) + notes)
 
-    kernel = family.slice_kernels.get(a)
-    if kernel is None:
-        kernel = family.slice_kernels[a] = tuple(nf_kernel_basis(a))
+    kernel = family.cached(("slice kernel", a), lambda _: tuple(nf_kernel_basis(a)))
     if not kernel:
         return result(REFERENCE, ref_points, "the specialized system is nonsingular: kernel = 0")
 
@@ -362,10 +371,19 @@ def _torus_point(v):
 # -- quadric independence -----------------------------------------------------
 
 def quadric_independence(family) -> IndependenceResult:
-    """The circulant determinant and the rank of M over the ten quadric
-    monomials, cached on the family (`CubicFamily.independence`): `check
-    all` asks twice and computes once, and the result ends with the run."""
-    return family.independence
+    """The circulant determinant of the XY column (a, b, c, d) of M, by
+    cofactors and checked against the eigenvalue formula, and the rank of
+    Q_0..Q_3 over the ten quadric monomials.  The four square columns are
+    zero, so that is the rank of M, with M's pivot columns given as
+    QUADRIC_BASIS indices."""
+    a, b, c, d = (row[0].as_nfelem() for row in family.mixed_matrix)
+    det_cof = matrix_det(circulant_matrix(a, b, c, d))
+    if det_cof != circulant_det_formula(a, b, c, d):
+        raise InternalCheckError("cofactor determinant disagrees with the eigenvalue-product formula")
+    rank, pivots = matrix_rank(family.mixed_matrix)
+    return IndependenceResult(entries=(a, b, c, d), det_cofactor=det_cof, rank=rank,
+                              rank_witness=tuple(QUADRIC_BASIS.index(MIXED_MONOMIALS[k])
+                                                 for k in pivots))
 
 
 # -- stratum dispatch and aggregation ------------------------------------------
@@ -378,12 +396,17 @@ _NEEDS_M = {
 }
 
 
+def _involves_m(family) -> bool:
+    """Does any entry of M involve m?  False once `at_m` fixed it."""
+    return any(e.involves("m") for row in family.mixed_matrix for e in row)
+
+
 def classify_stratum(family, stratum) -> StratumResult:
     """Classify one stratum of `family`; pass `family.at_m(value)` to fix m.
     Raises when a quadric has a square term, since M then does not exist."""
     # M is read first, so a square term raises on every stratum; m stays a
     # symbol unless `CubicFamily.at_m` fixed it
-    symbolic = family.involves_m
+    symbolic = family.cached("involves m", _involves_m)
     k = len(stratum.taken)
     if k == 4:
         return _result(family, stratum, EMPTY, (), (

@@ -6,6 +6,13 @@ unbalanced bracket is (3r-2)[(linear)*coord + (r+1)*mon], the unique one
 consistent with the T = 0 restrictions used downstream.  Construction fails
 loudly if any structural identity (homogeneity, cofactor split, vanishing at
 the reference points, closure under the rotation) does not hold.
+
+A `CubicFamily` lasts one run.  It keeps M and one memo, `cached`, and
+each layer keeps there what it computes once per run, next to its one
+reader: `baselocus` the m-flag, the quadrics at the reference points, the
+slice kernels; `suites` the system determinants and the independence
+analysis; `tangent` and `genus`, through `derive`, the chart-gradient rows
+and the pencil on r.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from collections import namedtuple
 
 from .nf import NFElem
 from .mpoly import MPoly, GEOM_VARS
-from .linalg import circulant_det_formula, circulant_matrix, matrix_det, matrix_rank
 from .parsing import parse_poly
 
 
@@ -141,21 +147,16 @@ def eval_at_point(f: MPoly, pt):
 class CubicFamily:
     """The four cubics C_0..C_3 and their quadric cofactors Q_0..Q_3.
 
-    Compared by identity, so a result cached on a family lasts one run.
-    Cached here, each on first use: M (`mixed_matrix`), whether M involves
-    m (`involves_m`), the value of each Q_j at each reference point
-    (`reference_values`), the kernels of the single-hyperplane slices of
-    M, by matrix value (`slice_kernels`, filled by `baselocus`), the
-    quadric-independence analysis of M (`independence`), computed here,
-    and the polynomial tuples other layers derive from the cubics
-    (`derive`: the chart-gradient rows in `tangent`, the pencil on r in
-    `genus`).  `at_m` substitutes nothing up front; see `_FamilyAtM`.
+    Compared by identity, so M (`mixed_matrix`) and the values in the memo
+    (`cached`, `derive`) last one run; `at_m` substitutes nothing up front
+    (see `_FamilyAtM`).
     """
 
     def __init__(self, cubics: tuple, quadrics: tuple, sigma_index_map: tuple):
         object.__setattr__(self, "cubics", cubics)
         object.__setattr__(self, "quadrics", quadrics)
         object.__setattr__(self, "sigma_index_map", sigma_index_map)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("CubicFamily is immutable")
@@ -164,17 +165,18 @@ class CubicFamily:
         """The family with m fixed to `value`; the family itself for None."""
         return self if value is None else _FamilyAtM(self, value)
 
-    def derive(self, key, build):
-        """`build(self)`, a tuple of polynomials, computed once per family
-        and key; `build` must commute with fixing m (see `_FamilyAtM`)."""
-        values = self._derived
-        if key not in values:
-            values[key] = build(self)
-        return values[key]
+    def cached(self, key, build):
+        """`build(self)`, computed once per family and key; `build` never
+        returns None, which marks a key not yet built."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build(self)
+        return value
 
-    @functools.cached_property
-    def _derived(self) -> dict:
-        return {}
+    def derive(self, key, build):
+        """`cached` for a tuple of polynomials whose `build` commutes with
+        fixing m, so that a family with m fixed specialises this value."""
+        return self.cached(key, build)
 
     @functools.cached_property
     def mixed_matrix(self):
@@ -189,48 +191,15 @@ class CubicFamily:
                 raise ConstructionError(f"Q{j} has a term off the mixed monomials")
         return tuple(tuple(q.coeff_of_geom(e) for e in MIXED_MONOMIALS) for q in self.quadrics)
 
-    @functools.cached_property
-    def involves_m(self) -> bool:
-        """Does any entry of M involve m?  False once `at_m` fixed it."""
-        return any(e.involves("m") for row in self.mixed_matrix for e in row)
-
-    @functools.cached_property
-    def reference_values(self):
-        """Q_j at the reference point REFERENCE_POINTS[i], as row j, column i,
-        by exact substitution."""
-        return tuple(tuple(eval_at_point(q, pt) for pt in REFERENCE_POINTS) for q in self.quadrics)
-
-    @functools.cached_property
-    def slice_kernels(self) -> dict:
-        """Kernel bases of single-hyperplane slices of M, keyed by the slice's
-        rows of NFElem, so that equal slices are eliminated once."""
-        return {}
-
-    @functools.cached_property
-    def independence(self) -> IndependenceResult:
-        """The circulant determinant of the XY column (a, b, c, d) of M, by
-        cofactors and checked against the eigenvalue formula, and the rank of
-        Q_0..Q_3 over the ten quadric monomials.  The four square columns are
-        zero, so that is the rank of M, with M's pivot columns given as
-        QUADRIC_BASIS indices."""
-        a, b, c, d = (row[0].as_nfelem() for row in self.mixed_matrix)
-        det_cof = matrix_det(circulant_matrix(a, b, c, d))
-        if det_cof != circulant_det_formula(a, b, c, d):
-            raise InternalCheckError("cofactor determinant disagrees with the eigenvalue-product formula")
-        rank, pivots = matrix_rank(self.mixed_matrix)
-        return IndependenceResult(entries=(a, b, c, d), det_cofactor=det_cof, rank=rank,
-                                  rank_witness=tuple(QUADRIC_BASIS.index(MIXED_MONOMIALS[k])
-                                                     for k in pivots))
-
 
 class _FamilyAtM(CubicFamily):
     """The family `parent` with m fixed to a value v (`CubicFamily.at_m`).
 
     Its cubics and quadrics are the parent's with m := v, substituted on
-    first use, so M is still read off the specialised quadrics.  A `derive`
-    value is the parent's symbolic value, computed once per run on the
-    parent, with m := v in each entry: fixing m is a ring map, so it
-    commutes with the partials, with T := 1, with products and with
+    first use, so M and every `cached` value are built on this family.  A
+    `derive` value is instead the parent's symbolic value, built once per
+    run on the parent, with m := v in each entry: fixing m is a ring map, so
+    it commutes with the partials, with T := 1, with products and with
     restriction to a line.
     """
 
@@ -238,6 +207,7 @@ class _FamilyAtM(CubicFamily):
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "sigma_index_map", parent.sigma_index_map)
         object.__setattr__(self, "_m", {"m": value})
+        object.__setattr__(self, "_memo", {})
 
     def _specialized(self, polys) -> tuple:
         return tuple(p.substitute(self._m) for p in polys)
@@ -251,7 +221,7 @@ class _FamilyAtM(CubicFamily):
         return self._specialized(self.parent.quadrics)
 
     def derive(self, key, build):
-        return super().derive(key, lambda _: self._specialized(self.parent.derive(key, build)))
+        return self.cached(key, lambda _: self._specialized(self.parent.derive(key, build)))
 
 
 @functools.cache
@@ -294,9 +264,7 @@ def _verified_family():
 def build_cubics() -> CubicFamily:
     """The verified family, as a fresh `CubicFamily` on every call.
 
-    The family is a new object each time because results cached on the
-    family are meant to last one run: M, the m-flag, the reference-point
-    table, the slice kernels, the independence analysis and the derived
-    polynomials (see `CubicFamily`).
+    The family is a new object each time because M and the values in its
+    memo are meant to last one run (see `CubicFamily`).
     """
     return CubicFamily(*_verified_family())

@@ -162,9 +162,8 @@ def base_locus_suite(family, config: RunConfig, checks):
         ))
 
     # the single-hyperplane system and its determinant, h = T first; each
-    # distinct matrix is expanded once
+    # distinct matrix is expanded once per run
     printed = tuple(tuple(parse_display(t) for t in row) for row in PRINTED_SYSTEM_MATRIX)
-    analyses = {}
     for h in ("T", "X", "Y", "Z"):
         try:
             mat, basis, row_quadrics, _ = single_hyperplane_system(family, h)
@@ -184,9 +183,8 @@ def base_locus_suite(family, config: RunConfig, checks):
                     if same else "differs from the transported h=T matrix",
                     notes=(f"rows Q{row_quadrics[0]}, Q{row_quadrics[1]}, Q{row_quadrics[2]} restricted to {h} = 0",),
                 ))
-            analysis = analyses.get(mat)
-            if analysis is None:
-                analysis = analyses[mat] = single_hyperplane_det_analysis(mat)
+            analysis = family.cached(("system determinant", mat),
+                                     lambda _: single_hyperplane_det_analysis(mat))
             if h == "T":
                 checks.append(make_check(
                     "base-locus/det/T/m-coefficient",
@@ -220,7 +218,7 @@ def base_locus_suite(family, config: RunConfig, checks):
             checks.append(error_check(f"base-locus/system/{h}", exc))
 
     try:
-        ind = quadric_independence(family)
+        ind = family.cached("quadric independence", quadric_independence)
         checks.append(make_check(
             "base-locus/quadric-independence/circulant-nonzero",
             "zero" if ind.det_cofactor.is_zero() else "nonzero",
@@ -262,7 +260,7 @@ def base_locus_suite(family, config: RunConfig, checks):
 
 
 def quadric_independence_suite(family, config: RunConfig, checks):
-    ind = quadric_independence(family)
+    ind = family.cached("quadric independence", quadric_independence)
     entries_claim = claim("circulant-entries")
     same = ind.entries == tuple(parse_display(t).as_nfelem() for t in PRINTED_CIRCULANT_ENTRIES)
     checks.append(make_check(
@@ -423,28 +421,26 @@ def genus_suite(family, config: RunConfig, checks):
         notes=("degree of the ramification divisor of a genus-3 double cover of a genus-1 curve",
                'the covering pencil comes from: "' + claim("rh-formula").quote + '"'),
     ))
-    for ram in (4, 2):
-        branch = genus.quotient_feasibility(p_a, fibers=4, ram_deg=ram)
-        if ram == 4:
-            checks.append(make_check(
-                "genus/feasibility/ram-deg-4",
-                branch.status,
-                claim("feasibility-R4"),
-                notes=(f"delta budget {branch.delta_total} is not divisible by 4 "
-                       f"(violated: {', '.join(branch.violated)})",
-                       f"doubled budget {2 * branch.delta_total} echoes the printed "
-                       + claim("feasibility-anchor-150").value,
-                       "orbit model: " + claim("orbit-structure").quote),
-            ))
-        else:
-            checks.append(make_check(
-                "genus/feasibility/ram-deg-2",
-                branch.status,
-                notes=(f"a rational quotient needs the downstairs total s_Q = {branch.s_q}, "
-                       "matching the printed anchor " + claim("feasibility-anchor-19").quote,
-                       'the source leaves this branch open: "' + claim("feasibility-R2-open").quote + '"',
-                       "never reported as confirmed: the arithmetic admits it and the exclusion is unproven here"),
-            ))
+    branch = genus.quotient_feasibility(p_a, fibers=4, ram_deg=4)
+    checks.append(make_check(
+        "genus/feasibility/ram-deg-4",
+        branch.status,
+        claim("feasibility-R4"),
+        notes=(f"delta budget {branch.delta_total} is not divisible by 4 "
+               f"(violated: {', '.join(branch.violated)})",
+               f"doubled budget {2 * branch.delta_total} echoes the printed "
+               + claim("feasibility-anchor-150").value,
+               "orbit model: " + claim("orbit-structure").quote),
+    ))
+    branch = genus.quotient_feasibility(p_a, fibers=4, ram_deg=2)
+    checks.append(make_check(
+        "genus/feasibility/ram-deg-2",
+        branch.status,
+        notes=(f"a rational quotient needs the downstairs total s_Q = {branch.s_q}, "
+               "matching the printed anchor " + claim("feasibility-anchor-19").quote,
+               'the source leaves this branch open: "' + claim("feasibility-R2-open").quote + '"',
+               "never reported as confirmed: the arithmetic admits it and the exclusion is unproven here"),
+    ))
     checks.append(make_check(
         "genus/delta-relation",
         "delta_P = 2 * delta_Q (input assumption)",

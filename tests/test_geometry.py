@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 import cgv.geometry as geometry
 from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, ConstructionError, CoordMap, LINE_R,
                           LINE_R_PRIME, QUADRIC_TEXTS, REFERENCE_POINTS, SIGMA, SIGMA2,
-                          eval_at_point, fixed_line_check, point_name)
+                          build_cubics, eval_at_point, fixed_line_check, point_name)
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NF_R, NFElem
 from cgv.parsing import parse_poly
@@ -176,6 +176,35 @@ def test_at_m_substitutes_on_first_use(family, monkeypatch):
     assert substituted == list(family.quadrics)
     fixed.cubics
     assert substituted == list(family.quadrics + family.cubics)
+
+
+def test_cached_builds_once_per_family_and_key():
+    family = build_cubics()
+    fixed = family.at_m(NFElem(2))
+    built = []
+
+    def build(f):
+        built.append(f)
+        return len(built)
+
+    assert family.cached("k", build) == family.cached("k", build) == 1
+    assert family.cached("other", build) == 2
+    # a fresh family and a family with m fixed each build their own value
+    fresh = build_cubics()
+    assert fresh.cached("k", build) == 3
+    assert fixed.cached("k", build) == fixed.cached("k", build) == 4
+    assert [f is g for f, g in zip(built, (family, family, fresh, fixed))] == [True] * 4
+
+    # derive on a family with m fixed builds on the parent only
+    derived = []
+
+    def build_polys(f):
+        derived.append(f)
+        return (f.quadrics[0],)
+
+    assert fixed.derive("q0", build_polys) == fixed.derive("q0", build_polys) == (fixed.quadrics[0],)
+    assert family.derive("q0", build_polys) == (family.quadrics[0],)
+    assert len(derived) == 1 and derived[0] is family
 
 
 @settings(max_examples=60, deadline=None)

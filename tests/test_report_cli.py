@@ -459,18 +459,19 @@ def test_cli_check_accepts_m_past_the_digit_limit(int_digit_limit, capsys):
 
 
 def test_check_all_computes_quadric_independence_once(monkeypatch):
-    import cgv.geometry as geometry
-    calls = count_calls(monkeypatch, "matrix_rank", geometry)
+    import cgv.baselocus as baselocus
+    calls = count_calls(monkeypatch, "matrix_rank", baselocus)
     run_suite("all", run_config(m_expr="1", survey=5))
     assert len(calls) == 1
 
 
 def test_family_verified_once_and_fresh_per_run(monkeypatch):
+    import cgv.baselocus as baselocus
     import cgv.geometry as geometry
     import cgv.suites as suites
     geometry._verified_family.cache_clear()
     parses = count_calls(monkeypatch, "parse_poly", geometry)
-    ranks = count_calls(monkeypatch, "matrix_rank", geometry)
+    ranks = count_calls(monkeypatch, "matrix_rank", baselocus)
     families = []
     real_build = suites.build_cubics
 

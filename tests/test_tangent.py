@@ -211,7 +211,7 @@ def balanced_digits(packed, k):
 
 
 @pytest.mark.parametrize("m_text", ["2/3*r^2-5", "7/3"])
-def test_integer_value_is_the_determinant_over_one_denominator(family, m_text):
+def test_packed_horner_is_the_determinant_over_one_denominator(family, m_text):
     # at these m the coefficients of D have denominators 1, 3 and 9, so a
     # coefficient left off the common denominator changes the digits; the
     # bound is tightest at the corners (+-40, +-40, +-40)
