@@ -22,7 +22,8 @@ point, classifies each stratum exactly:
     two binary quadratics.
 
 Every classifier returns through `_result`, which checks each reported
-point by exact substitution before it builds the result.
+point by exact substitution before it builds the result.  The system of
+a single-hyperplane stratum is M's slice as it stands.
 
 The quadrics at the reference points, the m-flag and the kernel of each
 distinct single-hyperplane slice are kept in the family's memo
@@ -41,20 +42,16 @@ from .upoly import UPoly, upoly_gcd
 from .mpoly import GEOM_VARS
 from .linalg import (circulant_det_formula, circulant_matrix, matrix_det, matrix_rank,
                      nf_kernel_basis)
-from .geometry import (COFACTOR_COORDS, MIXED_MONOMIALS, QUADRIC_BASIS, REFERENCE_POINTS,
-                       IndependenceResult, InternalCheckError, eval_at_point, point_name)
+from .geometry import (COFACTOR_COORDS, MIXED_MONOMIALS, REFERENCE_POINTS, InternalCheckError,
+                       eval_at_point, point_name)
 
 EMPTY = "empty"
 REFERENCE = "reference_points"
 NON_REFERENCE = "non_reference_points"
 INCONCLUSIVE = "inconclusive"
 
-# the reference points by value: their position in REFERENCE_POINTS and their printed name
+# the reference points by value: their position in REFERENCE_POINTS
 _REFERENCE_INDEX = {pt: i for i, pt in enumerate(REFERENCE_POINTS)}
-_REFERENCE_NAMES = {pt: point_name(pt) for pt in REFERENCE_POINTS}
-
-# 1/(3r - 2): the display unit carried by the first row of a single-hyperplane system
-DISPLAY_UNIT_INV = NFElem(-2, 3).inverse()
 
 
 class Stratum(namedtuple("Stratum", "taken")):
@@ -167,9 +164,9 @@ def single_hyperplane_system(family, h: str):
     a slice of M.
 
     Rows are Q_{i+1}, Q_{i+2}, Q_{i+3} (cofactor order), columns the pairwise
-    products of the free coordinates in cyclic order.  The first row carries
-    the display unit (3r-2) on every coefficient and is normalized by it, so
-    the h = T matrix reproduces the printed one entry for entry.
+    products of the free coordinates in cyclic order.  Every entry of the
+    first row carries the unit (3r-2), which the source divides out when it
+    prints the h = T matrix; the kernel does not depend on it.
 
     The free cycle (p, q, s), with basis (pq, qs, sp), is the three
     coordinates after h in (X, Y, Z, T) taken cyclically: (X, Y, Z) for
@@ -183,15 +180,10 @@ def single_hyperplane_system(family, h: str):
     start = GEOM_VARS.index(h)
     cycle = tuple(GEOM_VARS[(start + n) % 4] for n in (1, 2, 3))
     basis = [_monomial((cycle[n], cycle[(n + 1) % 3])) for n in range(3)]
-    row_quadrics = [(i + k) % 4 for k in (1, 2, 3)]
+    row_quadrics = tuple((i + k) % 4 for k in (1, 2, 3))
     cols = [MIXED_MONOMIALS.index(e) for e in basis]
-    rows = []
-    for pos, j in enumerate(row_quadrics):
-        entries = tuple(family.mixed_matrix[j][k] for k in cols)
-        if pos == 0:
-            entries = tuple(c * DISPLAY_UNIT_INV for c in entries)
-        rows.append(entries)
-    return tuple(rows), basis, tuple(row_quadrics), cycle
+    rows = tuple(tuple(family.mixed_matrix[j][k] for k in cols) for j in row_quadrics)
+    return rows, basis, row_quadrics, cycle
 
 
 DetAnalysis = namedtuple("DetAnalysis", "det m_coefficient m_free_part")
@@ -370,6 +362,16 @@ def _torus_point(v):
 
 # -- quadric independence -----------------------------------------------------
 
+# the ten quadric monomials, lex descending
+QUADRIC_BASIS = tuple(sorted(
+    (tuple(e) for e in itertools.product(range(3), repeat=4) if sum(e) == 2),
+    reverse=True,
+))
+
+# entries: (a, b, c, d); rank_witness: the pivot columns of the certifying maximal minor
+IndependenceResult = namedtuple("IndependenceResult", "entries det_cofactor rank rank_witness")
+
+
 def quadric_independence(family) -> IndependenceResult:
     """The circulant determinant of the XY column (a, b, c, d) of M, by
     cofactors and checked against the eigenvalue formula, and the rank of
@@ -444,4 +446,4 @@ def aggregate(results):
 
 
 def points_str(points) -> str:
-    return ", ".join(_REFERENCE_NAMES.get(p) or point_name(p) for p in points) if points else "(none)"
+    return ", ".join(point_name(p) for p in points) if points else "(none)"

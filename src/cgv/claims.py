@@ -1,11 +1,11 @@
-"""Registry of the published claims under verification.
+"""The text printed in the source, the one outside input of the package.
 
-Each entry pairs the claimed value (in this package's canonical printing)
-with a verbatim quote fragment from the source text, used verbatim as the
-citation string on check reports.  Values here are what the source asserts,
-not what this package computes; disagreements surface as `refuted`.  The
-printed displays that checks compare against are kept here too, as
-expression text that `parse_display` parses once per process.
+Each entry of CLAIMS pairs the value the source asserts (in this package's
+canonical printing) with a verbatim quote fragment, the citation on check
+reports; disagreements surface as `refuted`.  The printed displays are
+expression text that `parse_display` parses once per process: the quadrics,
+which `geometry` builds the family from, and the matrix, its unit, the
+circulant entries and the tangent rows, which only `suites` compares against.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .parsing import parse_poly
 Claim = namedtuple("Claim", "value quote")
 
 
+# a value of None is filled per use (`claim(key, value)`) or left open
 CLAIMS = {
     "sigma-order": Claim("4", "it is of order $4$"),
     "sigma2-involution": Claim("2", r"therefore $\sigma^2$ is an involution"),
@@ -39,18 +40,13 @@ CLAIMS = {
     "stratum-quadruple-empty": Claim("empty", r"Definitely $T\cap X\cap Y\cap Z$ is empty"),
     "stratum-triple-TXY": Claim("[0:0:1:0]", r"this intersection is $[0:0:1:0]$"),
     "stratum-triple-others": Claim(
-        None,  # usually filled per use
-        r"we get $[1:0:0:0],[0:1:0:0],[0:0:0:1]$ as the point of intersection"),
+        None, r"we get $[1:0:0:0],[0:1:0:0],[0:0:0:1]$ as the point of intersection"),
     "stratum-double-TX": Claim("[0:1:0:0], [0:0:1:0]",
                                r"the intersection contains the points $[0:1:0:0]$ and $[0:0:1:0]$"),
     "stratum-double-monomial": Claim("(-2 + 3*r)*Y*Z", r"we get that $$YZ=0$$"),
     "stratum-double-others": Claim(
-        None,  # usually filled per use
-        r"we get the points $[1:0:0:0],[0:1:0:0],[0:0:1:0],[0:0:0:1]$ as points of intersection"),
-    "single-system-matrix": Claim(
-        "[1, (1 + r), m; (3 - 5*r^2), (-2 + 3*r), (2 + 2*r - 6*r^2); "
-        "(5 - 5*r - 2*r^2), (3 - 5*r^2), (-2 + 3*r)*m]",
-        r"which can be written in the matrix form"),
+        None, r"we get the points $[1:0:0:0],[0:1:0:0],[0:0:1:0],[0:0:0:1]$ as points of intersection"),
+    "single-system-matrix": Claim(None, r"which can be written in the matrix form"),
     "det-m-coefficient": Claim("0", r"m(9r^3+9r^2-9)=0"),
     "det-m-free-part": Claim("10 + 4*r - 20*r^2", r"the determinant is $-20r^2+4r+10$"),
     "det-claim-coprime": Claim("1", r"it is relatively prime to $r^3+r^2-1$"),
@@ -58,8 +54,7 @@ CLAIMS = {
         "[1:0:0:0], [0:1:0:0], [0:0:1:0]",
         r"the intersection of $T=0$ with $Q_1\cap Q_2\cap Q_3$ is $[0:1:0:0]$ and $[0:0:1:0]$ and $[1:0:0:0]$"),
     "single-stratum-other-points": Claim(
-        None,  # usually filled per use
-        r"the other intersections like $X\cap Q_0\cap Q_2\cap Q_3$ are one the reference points"),
+        None, r"the other intersections like $X\cap Q_0\cap Q_2\cap Q_3$ are one the reference points"),
     "circulant-entries": Claim(
         "a=(r+1)(3r-2), b=3r-2, c=r^2(3r-2), d=-2r^2-5r+5",
         r"a=(r+1)(3r-2),\quad b=3r-2,\quad c=r^2(3r-2),\quad d=-2r^2-5r+5"),
@@ -107,6 +102,17 @@ CLAIMS = {
     "three-two-condition": Claim("holds identically", r"3a_5^2+2a_0^2=-a_1a_5"),
 }
 
+
+# The printed quadric cofactors Q_0..Q_3 of C_i = coord_i * Q_i, coords (T, X, Y, Z).
+QUADRIC_TEXTS = (
+    "(3*r-2)*((X+m*Y+r^2*Z)*T+(r+1)*X*Y)+(-6*r^2+2*r+2)*X*Z+(-2*r^2-5*r+5)*Y*Z",
+    "(3*r-2)*((Y+m*Z+r^2*T)*X+(r+1)*Y*Z)+(-6*r^2+2*r+2)*Y*T+(-2*r^2-5*r+5)*Z*T",
+    "(3*r-2)*((Z+m*T+r^2*X)*Y+(r+1)*Z*T)+(-6*r^2+2*r+2)*Z*X+(-2*r^2-5*r+5)*T*X",
+    "(3*r-2)*((T+m*X+r^2*Y)*Z+(r+1)*T*X)+(-6*r^2+2*r+2)*T*Y+(-2*r^2-5*r+5)*X*Y",
+)
+
+# divided out of the printed first row: Q_1 on T = 0 is (3r-2)(XY + m*XZ + (r+1)*YZ)
+DISPLAY_UNIT = "3*r-2"
 
 # The printed h = T single-hyperplane matrix: rows Q1, Q2, Q3 over (XY, YZ, ZX).
 PRINTED_SYSTEM_MATRIX = (

@@ -1,11 +1,12 @@
 """The order-4 coordinate rotation of P^3, its fixed lines, and the invariant
 cubic family with quadric cofactors.
 
-The four cubics are built from their printed displays; the reading of the
-unbalanced bracket is (3r-2)[(linear)*coord + (r+1)*mon], the unique one
-consistent with the T = 0 restrictions used downstream.  Construction fails
-loudly if any structural identity (homogeneity, cofactor split, vanishing at
-the reference points, closure under the rotation) does not hold.
+The four cubics are built from their printed displays, the quadric texts
+in `claims`; the reading of the unbalanced bracket is (3r-2)[(linear)*coord
++ (r+1)*mon], the unique one consistent with the T = 0 restrictions used
+downstream.  Construction fails loudly if any structural identity
+(homogeneity, cofactor split, vanishing at the reference points, closure
+under the rotation) does not hold.
 
 A `CubicFamily` lasts one run.  It keeps M and one memo, `cached`, and
 each layer keeps there what it computes once per run, next to its one
@@ -21,9 +22,9 @@ import functools
 import itertools
 from collections import namedtuple
 
+from . import claims
 from .nf import NFElem
 from .mpoly import MPoly, GEOM_VARS
-from .parsing import parse_poly
 
 
 class ConstructionError(RuntimeError):
@@ -96,15 +97,8 @@ def fixed_line_check(g: CoordMap, line):
     return (not failing), failing
 
 
-# The printed quadric cofactors; C_i = coord_i * Q_i with coords (T, X, Y, Z).
+# C_i = coord_i * Q_i with coords (T, X, Y, Z).
 COFACTOR_COORDS = ("T", "X", "Y", "Z")
-
-QUADRIC_TEXTS = (
-    "(3*r-2)*((X+m*Y+r^2*Z)*T+(r+1)*X*Y)+(-6*r^2+2*r+2)*X*Z+(-2*r^2-5*r+5)*Y*Z",
-    "(3*r-2)*((Y+m*Z+r^2*T)*X+(r+1)*Y*Z)+(-6*r^2+2*r+2)*Y*T+(-2*r^2-5*r+5)*Z*T",
-    "(3*r-2)*((Z+m*T+r^2*X)*Y+(r+1)*Z*T)+(-6*r^2+2*r+2)*Z*X+(-2*r^2-5*r+5)*T*X",
-    "(3*r-2)*((T+m*X+r^2*Y)*Z+(r+1)*T*X)+(-6*r^2+2*r+2)*T*Y+(-2*r^2-5*r+5)*X*Y",
-)
 
 REFERENCE_POINTS = (
     (NFElem(1), NFElem(0), NFElem(0), NFElem(0)),
@@ -120,15 +114,7 @@ MIXED_MONOMIALS = tuple(tuple(int(v in pair) for v in GEOM_VARS)
                         for pair in itertools.combinations(GEOM_VARS, 2))
 
 
-QUADRIC_BASIS = tuple(sorted(
-    (tuple(e) for e in itertools.product(range(3), repeat=4) if sum(e) == 2),
-    reverse=True,
-))
-
-# entries: (a, b, c, d); rank_witness: the pivot columns of the certifying maximal minor
-IndependenceResult = namedtuple("IndependenceResult", "entries det_cofactor rank rank_witness")
-
-
+@functools.lru_cache(maxsize=16)  # the reference points are named many times a run
 def point_name(pt) -> str:
     return "[" + ":".join(str(c) for c in pt) + "]"
 
@@ -231,7 +217,7 @@ def _verified_family():
     Returns (cubics, quadrics, index_map).  The polynomials are shared by
     every family `build_cubics` returns, so no caller may mutate their terms.
     """
-    quadrics = tuple(parse_poly(t) for t in QUADRIC_TEXTS)
+    quadrics = tuple(claims.parse_display(t) for t in claims.QUADRIC_TEXTS)
     cubics = tuple(MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics))
 
     for i, (c, q) in enumerate(zip(cubics, quadrics)):

@@ -61,94 +61,91 @@ def _tokens(text: str) -> list:
     return tokens
 
 
+# the name of a token kind in the expected set of an error
+_KIND_NAMES = {"ident": "identifier", "end": "end of input"}
+
+
 class _Parser:
+    """Each rule takes a token with `accept`; a token kind it tries and
+    declines is noted as accepted at that offset, so an error there lists
+    exactly the kinds the grammar accepts."""
+
     def __init__(self, text: str):
         self.tokens = _tokens(text)
         self.pos = 0
+        # the token kinds tried and declined since the last token was taken
+        self.tried = ()
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def advance(self):
+    def accept(self, *kinds):
+        """The next token, consumed, if its kind is one of `kinds`; else None."""
         tok = self.tokens[self.pos]
-        self.pos += 1
+        if tok[0] in kinds:
+            self.pos += 1
+            self.tried = ()
+            return tok
+        self.tried += kinds
+        return None
+
+    def expect(self, *kinds):
+        """`accept`, or a ParseError that lists every kind tried here."""
+        tok = self.accept(*kinds)
+        if tok is None:
+            _, text, off = self.tokens[self.pos]
+            raise ParseError(off, {_KIND_NAMES.get(k, k) for k in self.tried}, text or "end of input")
         return tok
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(tok[2], (kind,), tok[1] or "end of input")
-        return self.advance()
-
-    def parse(self) -> MPoly:
-        value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(tok[2], ("+", "-", "*", "^", "end of input"), tok[1])
-        return value
 
     def expr(self) -> MPoly:
         value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+        while op := self.accept("+", "-"):
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = value + rhs if op[0] == "+" else value - rhs
         return value
 
     def term(self) -> MPoly:
         value = self.factor()
-        while self.peek()[0] == "*":
-            self.advance()
+        while self.accept("*"):
             value = value * self.factor()
         return value
 
     def factor(self) -> MPoly:
         # unary minus binds looser than "^" so that -X^2 means -(X^2),
         # matching standard precedence and keeping printing round-trippable
-        if self.peek()[0] == "-":
-            self.advance()
+        if self.accept("-"):
             return -self.factor()
         value = self.base()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.expect("integer")
-            value = value ** int(tok[1])
+        if self.accept("^"):
+            value = value ** int(self.expect("integer")[1])
         return value
 
     def base(self) -> MPoly:
-        tok = self.peek()
-        kind, text, off = tok
-        if kind == "(":
-            self.advance()
-            value = self.expr()
-            self.expect(")")
-            return value
-        if kind == "integer":
-            self.advance()
-            num = int(text)
-            if self.peek()[0] == "/":
-                self.advance()
-                den_tok = self.expect("integer")
-                den = int(den_tok[1])
-                if den == 0:
-                    raise ParseError(den_tok[2], ("nonzero integer",), den_tok[1])
-                return MPoly.constant(NFElem(num, 0, 0, den))
-            return MPoly.constant(num)
-        if kind == "ident":
-            self.advance()
+        if tok := self.accept("ident"):
+            _, text, off = tok
             if text == "r":
                 return MPoly.constant(NF_R)
             if text in VAR_INDEX:
                 return MPoly.var(text)
             raise UnknownIdentifierError(off, text)
-        raise ParseError(off, ("identifier", "integer", "(", "-"), text or "end of input")
+        if tok := self.accept("integer"):
+            num = int(tok[1])
+            if self.accept("/"):
+                _, den, off = self.expect("integer")
+                if int(den) == 0:
+                    raise ParseError(off, ("nonzero integer",), den)
+                return MPoly.constant(NFElem(num, 0, 0, int(den)))
+            return MPoly.constant(num)
+        self.expect("(")
+        value = self.expr()
+        self.expect(")")
+        return value
 
 
 def parse_poly(text: str) -> MPoly:
     parser = _Parser(text)
     try:
-        return parser.parse()
+        value = parser.expr()
+        parser.expect("end")
+        return value
     except RecursionError:
-        _, found, off = parser.peek()
+        _, found, off = parser.tokens[parser.pos]
         raise ParseError(off, (), found or "end of input",
                          f"at offset {off}: nesting too deep") from None

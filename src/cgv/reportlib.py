@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import namedtuple
 from json.encoder import encode_basestring_ascii
 
-from .claims import Claim
 from .nf import NFElem
 from .parsing import parse_poly
 
@@ -27,7 +26,7 @@ INDETERMINATE = "indeterminate"
 CheckReport = namedtuple("CheckReport", "check_id computed claim_value citation agreement notes error")
 
 
-def make_check(check_id: str, computed: str, claim: Claim | None = None,
+def make_check(check_id: str, computed: str, claim=None,
                notes=(), ambiguous: bool = False) -> CheckReport:
     """Build a report; the agreement flag follows strictly from the data.
 

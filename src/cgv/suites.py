@@ -1,6 +1,7 @@
 """Named check suites over the verification modules.
 
-This is the one layer that turns layer values into CheckReport values.
+This is the one layer that turns layer values into CheckReport values,
+and the one that compares them with the printed source (`claims`).
 Each suite takes (family, config, checks) and appends to the run's list in
 a fixed order, so repeated runs are byte-identical.  A suite that raises
 keeps the checks it already appended; `run_suite` adds one error report
@@ -15,8 +16,8 @@ from .baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
                         all_strata, classify_stratum, points_str,
                         quadric_independence, single_hyperplane_det_analysis,
                         single_hyperplane_system)
-from .claims import (PRINTED_CIRCULANT_ENTRIES, PRINTED_SYSTEM_MATRIX, claim,
-                     parse_display)
+from .claims import (CLAIMED_TANGENT_ROWS, DISPLAY_UNIT, PRINTED_CIRCULANT_ENTRIES,
+                     PRINTED_SYSTEM_MATRIX, claim, parse_display)
 from .geometry import (COFACTOR_COORDS, LINE_R, LINE_R_PRIME, REFERENCE_POINTS,
                        SIGMA, SIGMA2, build_cubics, eval_at_point,
                        fixed_line_check, point_name)
@@ -47,12 +48,12 @@ def sigma_suite(family, config: RunConfig, checks):
         str(SIGMA2.order()),
         claim("sigma2-involution"),
     ))
-    for line, key in ((LINE_R, "fixed-line-r"), (LINE_R_PRIME, "fixed-line-r-prime")):
+    for line, name in ((LINE_R, "r"), (LINE_R_PRIME, "r-prime")):
         fixed, failing = fixed_line_check(SIGMA2, line)
         checks.append(make_check(
-            f"sigma/square-fixes-{'r' if line is LINE_R else 'r-prime'}",
+            f"sigma/square-fixes-{name}",
             "fixed pointwise" if fixed else "not fixed pointwise",
-            claim(key),
+            claim(f"fixed-line-{name}"),
             notes=("all cross products of the parametrized line and its image vanish identically",)
             if fixed else (f"nonvanishing cross products at coordinate pairs {failing}",),
         ))
@@ -141,6 +142,25 @@ def _stratum_computed(res) -> str:
     return "empty" if res.kind == EMPTY else "inconclusive"
 
 
+# 1/(3r - 2), which the printed systems divide their first row by
+_INV_DISPLAY_UNIT = parse_display(DISPLAY_UNIT).as_nfelem().inverse()
+
+
+def _printed_system(family, h):
+    """The h = 0 system as the source prints it, and its row quadrics."""
+    mat, _, row_quadrics, _ = single_hyperplane_system(family, h)
+    return (tuple(e * _INV_DISPLAY_UNIT for e in mat[0]),) + mat[1:], row_quadrics
+
+
+def _matrix_str(mat) -> str:
+    return "[" + "; ".join(", ".join(str(e) for e in row) for row in mat) + "]"
+
+
+def _det_analysis(family, mat):
+    """The determinant analysis of `mat`, once per run and matrix value."""
+    return family.cached(("system determinant", mat), lambda _: single_hyperplane_det_analysis(mat))
+
+
 def base_locus_suite(family, config: RunConfig, checks):
     family_m = family.at_m(config.m_value)
     results = []
@@ -161,59 +181,56 @@ def base_locus_suite(family, config: RunConfig, checks):
             ambiguous=res.kind == INCONCLUSIVE,
         ))
 
-    # the single-hyperplane system and its determinant, h = T first; each
-    # distinct matrix is expanded once per run
+    # the single-hyperplane systems as printed and their determinants, h = T first
     printed = tuple(tuple(parse_display(t) for t in row) for row in PRINTED_SYSTEM_MATRIX)
-    for h in ("T", "X", "Y", "Z"):
+    try:
+        mat, _ = _printed_system(family, "T")
+        checks.append(make_check(
+            "base-locus/system/T/matrix",
+            _matrix_str(mat),
+            claim("single-system-matrix", _matrix_str(printed)),
+            notes=("rows are the restrictions of Q1, Q2, Q3 to T = 0 over the basis (XY, YZ, ZX); "
+                   "the first row is normalized by the display unit 3r-2",),
+        ))
+        analysis = _det_analysis(family, mat)
+        checks.append(make_check(
+            "base-locus/det/T/m-coefficient",
+            nf_str(analysis.m_coefficient),
+            claim("det-m-coefficient"),
+        ))
+        checks.append(make_check(
+            "base-locus/det/T/m-free-part",
+            nf_str(analysis.m_free_part),
+            claim("det-m-free-part"),
+            notes=("the determinant of the printed matrix reduces to 0 identically in m over Q(r); "
+                   "the printed nonzero value arises from arithmetic slips in the printed expansion",
+                   "the stratum conclusion is recovered by the kernel lift instead",),
+        ))
+        printed_value = parse_display(claim("det-m-free-part").value).as_nfelem()
+        g = upoly_gcd(UPoly(printed_value.integers()[:3]), UPoly(R_MINIMAL_POLY))
+        checks.append(make_check(
+            "base-locus/det/T/printed-value-coprime",
+            g.to_str(),
+            claim("det-claim-coprime"),
+            notes=("the printed value -20r^2+4r+10 is indeed a unit of Q(r); "
+                   "the slip is upstream, in the determinant itself",),
+        ))
+    except Exception as exc:  # noqa: BLE001 - the checks already made stay
+        checks.append(error_check("base-locus/system/T", exc))
+    for h in ("X", "Y", "Z"):
         try:
-            mat, basis, row_quadrics, _ = single_hyperplane_system(family, h)
-            if h == "T":
-                checks.append(make_check(
-                    "base-locus/system/T/matrix",
-                    "[" + "; ".join(", ".join(str(e) for e in row) for row in mat) + "]",
-                    claim("single-system-matrix"),
-                    notes=("rows are the restrictions of Q1, Q2, Q3 to T = 0 over the basis (XY, YZ, ZX); "
-                           "the first row is normalized by the display unit 3r-2",),
-                ))
-            else:
-                same = mat == printed
-                checks.append(make_check(
-                    f"base-locus/system/{h}/matrix",
-                    "entry-for-entry equal to the printed h=T matrix under the rotation transport"
-                    if same else "differs from the transported h=T matrix",
-                    notes=(f"rows Q{row_quadrics[0]}, Q{row_quadrics[1]}, Q{row_quadrics[2]} restricted to {h} = 0",),
-                ))
-            analysis = family.cached(("system determinant", mat),
-                                     lambda _: single_hyperplane_det_analysis(mat))
-            if h == "T":
-                checks.append(make_check(
-                    "base-locus/det/T/m-coefficient",
-                    nf_str(analysis.m_coefficient),
-                    claim("det-m-coefficient"),
-                ))
-                checks.append(make_check(
-                    "base-locus/det/T/m-free-part",
-                    nf_str(analysis.m_free_part),
-                    claim("det-m-free-part"),
-                    notes=("the determinant of the printed matrix reduces to 0 identically in m over Q(r); "
-                           "the printed nonzero value arises from arithmetic slips in the printed expansion",
-                           "the stratum conclusion is recovered by the kernel lift instead",),
-                ))
-                printed_value = parse_display(claim("det-m-free-part").value).as_nfelem()
-                g = upoly_gcd(UPoly(printed_value.integers()[:3]), UPoly(R_MINIMAL_POLY))
-                checks.append(make_check(
-                    "base-locus/det/T/printed-value-coprime",
-                    g.to_str(),
-                    claim("det-claim-coprime"),
-                    notes=("the printed value -20r^2+4r+10 is indeed a unit of Q(r); "
-                           "the slip is upstream, in the determinant itself",),
-                ))
-            else:
-                checks.append(make_check(
-                    f"base-locus/det/{h}/value",
-                    str(analysis.det),
-                    notes=("determinant over Q(r)[m] of the transported system",),
-                ))
+            mat, row_quadrics = _printed_system(family, h)
+            checks.append(make_check(
+                f"base-locus/system/{h}/matrix",
+                "entry-for-entry equal to the printed h=T matrix under the rotation transport"
+                if mat == printed else "differs from the transported h=T matrix",
+                notes=(f"rows Q{row_quadrics[0]}, Q{row_quadrics[1]}, Q{row_quadrics[2]} restricted to {h} = 0",),
+            ))
+            checks.append(make_check(
+                f"base-locus/det/{h}/value",
+                str(_det_analysis(family, mat).det),
+                notes=("determinant over Q(r)[m] of the transported system",),
+            ))
         except Exception as exc:  # noqa: BLE001 - the checks already made stay
             checks.append(error_check(f"base-locus/system/{h}", exc))
 
@@ -294,8 +311,8 @@ def quadric_independence_suite(family, config: RunConfig, checks):
 
 def tangent_suite(family, config: RunConfig, checks):
     grad_rows = tuple(tangent.chart_gradient(family, i) for i in range(3))
-    for i in range(3):
-        diffs = tangent.display_agreement(grad_rows, i)
+    for i, texts in CLAIMED_TANGENT_ROWS.items():
+        diffs = tangent.display_agreement(grad_rows[i], tuple(map(parse_display, texts)))
         notes = [f"component {k} differs from the printed display by {d}" for k, d in enumerate(diffs) if d]
         checks.append(make_check(
             f"tangent/display/C{i}",
@@ -476,23 +493,18 @@ def pencil_suite(family, config: RunConfig, checks):
     ))
     witness = genus.z4_witness_search(pencil, config.bound)
     if witness is None:
-        checks.append(make_check(
-            "pencil/witness-search",
-            "not-found",
-            claim("z4-nonempty"),
-            notes=(f"no member with >= 4 distinct points up to bound {config.bound}",) + _m_note(config),
-        ))
+        found, notes = "not-found", (f"no member with >= 4 distinct points up to bound {config.bound}",)
     else:
         lam, mu, count = witness
-        notes = (f"witness (lambda:mu) = ({lam}:{mu}) with {count} distinct points",)
+        found, notes = "non-empty", (f"witness (lambda:mu) = ({lam}:{mu}) with {count} distinct points",)
         if count not in (4, 2):
             notes += (f"a count of {count} falls outside the printed dichotomy of 4 or 2",)
-        checks.append(make_check(
-            "pencil/witness-search",
-            "non-empty",
-            claim("z4-nonempty"),
-            notes=notes + _m_note(config),
-        ))
+    checks.append(make_check(
+        "pencil/witness-search",
+        found,
+        claim("z4-nonempty"),
+        notes=notes + _m_note(config),
+    ))
     fam5 = genus.quintuple_family_coeffs()
     holds5 = genus.quintuple_root_condition(fam5)
     x4y = (NFElem(0), NFElem(1), NFElem(0), NFElem(0), NFElem(0), NFElem(0))

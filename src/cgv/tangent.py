@@ -2,16 +2,16 @@
 
 Chart coordinates are carried by the X, Y, Z variables themselves, so a
 symbolic tangent row is a triple of polynomials in (X, Y, Z, m) over Q(r).
-The printed tangent displays are replayed componentwise, the printed
-lambda-elimination is reproduced down to its obstruction element, and a
-deterministic integer-point survey measures the exact rank of the three
-stacked rows.  The survey builds D, the determinant of the three symbolic
-rows, once per call and packs it into one integer polynomial nested for
-Horner (`_packed_horner`), so that each point costs one integer sum, zero
-exactly when D is; only where D vanishes does it substitute the rows and
-eliminate.  The display,
-lambda and pairwise checks take the rows `chart_gradient` built, indexed
-by cubic; each row is built once per run (`chart_gradient`).
+Each computed row is compared componentwise with the printed display that
+the tangent suite parses, the printed lambda-elimination is reproduced
+down to its obstruction element, and a deterministic integer-point survey
+measures the exact rank of the three stacked rows.  The survey builds D,
+the determinant of the three symbolic rows, once per call and packs it
+into one integer polynomial nested for Horner (`_packed_horner`), so that
+each point costs one integer sum, zero exactly when D is; only where D
+vanishes does it substitute the rows and eliminate.  The lambda and
+pairwise checks take the rows `chart_gradient` built, indexed by cubic;
+each row is built once per run (`chart_gradient`).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from math import lcm
 
 from .nf import NFElem, nf_invert
 from .linalg import matrix_det, matrix_rank
-from .claims import CLAIMED_TANGENT_ROWS, parse_display
 
 CHART_VARS = ("X", "Y", "Z")
 
@@ -34,11 +33,10 @@ def chart_gradient(family, i: int):
         f.cubics[i].partial(v).substitute({"T": 1}) for v in CHART_VARS))
 
 
-def display_agreement(rows, i: int):
-    """Componentwise comparison of the computed gradient rows[i] with the
-    printed row: computed minus printed, zero where they agree."""
-    claimed = (parse_display(t) for t in CLAIMED_TANGENT_ROWS[i])
-    return tuple(c - p for c, p in zip(rows[i], claimed))
+def display_agreement(row, printed):
+    """Componentwise comparison of a computed gradient row with its printed
+    display: computed minus printed, zero where they agree."""
+    return tuple(c - p for c, p in zip(row, printed))
 
 
 LambdaReplay = namedtuple("LambdaReplay", "obstruction obstruction_inverse steps")

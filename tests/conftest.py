@@ -5,10 +5,12 @@ from math import lcm
 import pytest
 import sympy as sp
 
+from cgv.claims import DISPLAY_UNIT
 from cgv.cli import _build_parser
 from cgv.geometry import build_cubics
 from cgv.mpoly import MPoly, VARS
 from cgv.nf import NFElem
+from cgv.parsing import parse_poly
 from cgv.reportlib import RunConfig
 
 # the real root of x^3 + x^2 - 1, for float cross-checks in tests only
@@ -18,6 +20,14 @@ R_FLOAT = 0.7548776662466928
 @pytest.fixture(scope="session")
 def family():
     return build_cubics()
+
+
+def over_display_unit(mat):
+    """A single-hyperplane system with its first row divided by the printed
+    display unit 3r-2 (`claims.DISPLAY_UNIT`), the form the source prints."""
+    unit = parse_poly(DISPLAY_UNIT).as_nfelem()
+    assert unit == NFElem(-2, 3)
+    return (tuple(e * unit.inverse() for e in mat[0]),) + tuple(mat[1:])
 
 
 def run_config(**options) -> RunConfig:

@@ -27,8 +27,8 @@ from cgv.reportlib import CONFIRMED, REFUTED, render_text
 from cgv.suites import run_suite
 from cgv.upoly import UPoly, squarefree_part, upoly_gcd
 
-from conftest import (nf_reduce, nf_to_float, random_nfelem, random_nfelem_nonzero, run_config,
-                      scale_form, swap_xy)
+from conftest import (nf_reduce, nf_to_float, over_display_unit, random_nfelem,
+                      random_nfelem_nonzero, run_config, scale_form, swap_xy)
 
 M1 = NFElem(1)
 
@@ -95,7 +95,7 @@ def test_criterion_04_triple_and_double_strata(family):
 
 
 def test_criterion_05_printed_matrix_and_determinant(family):
-    mat, _, _, _ = single_hyperplane_system(family, "T")
+    mat = over_display_unit(single_hyperplane_system(family, "T")[0])
     printed = (
         (parse_poly("1"), parse_poly("r+1"), parse_poly("m")),
         (parse_poly("r^2*(3*r-2)"), parse_poly("3*r-2"), parse_poly("-6*r^2+2*r+2")),

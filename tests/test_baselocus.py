@@ -6,13 +6,13 @@ import pytest
 import cgv.suites as suites
 
 import cgv.baselocus as baselocus
-from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
+from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, QUADRIC_BASIS, REFERENCE,
                            Stratum, aggregate,
                            all_strata, classify_stratum,
                            single_hyperplane_det_analysis,
                            single_hyperplane_system, quadric_independence)
 from cgv.cli import main
-from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, MIXED_MONOMIALS, QUADRIC_BASIS,
+from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, MIXED_MONOMIALS,
                           REFERENCE_POINTS, SIGMA, ConstructionError, CubicFamily,
                           InternalCheckError, eval_at_point, point_name)
 from cgv.linalg import circulant_det_formula, matrix_det, matrix_rank, nf_kernel_basis
@@ -20,7 +20,7 @@ from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem
 from cgv.parsing import parse_poly
 
-from conftest import count_calls, nf_to_float, run_config
+from conftest import count_calls, nf_to_float, over_display_unit, run_config
 
 M1 = NFElem(1)
 
@@ -138,6 +138,7 @@ def test_double_stratum_TX_example(family):
 
 def test_single_system_matches_printed_matrix(family):
     mat, basis, row_quadrics, cycle = single_hyperplane_system(family, "T")
+    mat = over_display_unit(mat)
     printed = (
         (parse_poly("1"), parse_poly("r+1"), parse_poly("m")),
         (parse_poly("r^2*(3*r-2)"), parse_poly("3*r-2"), parse_poly("-6*r^2+2*r+2")),
@@ -539,7 +540,8 @@ def test_results_are_reused_by_value_not_by_position(family, monkeypatch):
     # each determinant of one suite run is the expansion of its own matrix
     monkeypatch.setattr(suites, "build_cubics", lambda: _mixed_term_family(family))
     checks = {c.check_id: c.computed for c in suites.run_suite("base-locus", run_config(m_expr="1"))}
-    dets = {h: matrix_det(single_hyperplane_system(_mixed_term_family(family), h)[0]) for h in COFACTOR_COORDS}
+    dets = {h: matrix_det(over_display_unit(single_hyperplane_system(_mixed_term_family(family), h)[0]))
+            for h in COFACTOR_COORDS}
     assert len(set(dets.values())) > 1
     for h in ("X", "Y", "Z"):
         assert checks[f"base-locus/det/{h}/value"] == str(dets[h])

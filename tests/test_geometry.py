@@ -3,9 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cgv.claims as claims
 import cgv.geometry as geometry
+from cgv.claims import QUADRIC_TEXTS
 from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, ConstructionError, CoordMap, LINE_R,
-                          LINE_R_PRIME, QUADRIC_TEXTS, REFERENCE_POINTS, SIGMA, SIGMA2,
+                          LINE_R_PRIME, REFERENCE_POINTS, SIGMA, SIGMA2,
                           build_cubics, eval_at_point, fixed_line_check, point_name)
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NF_R, NFElem
@@ -226,7 +228,7 @@ def test_at_m_specializes_quadrics_and_cubics(family, value):
 ])
 def test_construction_checks_reject_an_altered_quadric(monkeypatch, extra, message):
     altered = (QUADRIC_TEXTS[0] + extra,) + QUADRIC_TEXTS[1:]
-    monkeypatch.setattr(geometry, "QUADRIC_TEXTS", altered)
+    monkeypatch.setattr(claims, "QUADRIC_TEXTS", altered)
     # the uncached construction, which the cached family is built by
     with pytest.raises(ConstructionError, match=message):
         geometry._verified_family.__wrapped__()

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 import cgv.linalg as linalg
-from cgv.baselocus import quadric_independence
-from cgv.geometry import MIXED_MONOMIALS, QUADRIC_BASIS, build_cubics
+from cgv.baselocus import QUADRIC_BASIS, quadric_independence
+from cgv.geometry import MIXED_MONOMIALS, build_cubics
 from cgv.linalg import (circulant_det_formula, circulant_matrix, matrix_det, matrix_rank,
                         nf_kernel_basis)
 from cgv.mpoly import MPoly

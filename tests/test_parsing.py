@@ -87,6 +87,53 @@ def test_error_positions_and_expectations():
         parse_poly("X + $")
 
 
+@pytest.mark.parametrize("text, message", [
+    # after a factor that has its exponent, "^" is not accepted
+    ("X^2^2", "at offset 3: expected one of *, +, -, end of input; found '^'"),
+    # inside parentheses the operators are accepted as well as ")"
+    ("(X Y", "at offset 3: expected one of ), *, +, -, ^; found 'Y'"),
+    ("(X^2 Y", "at offset 5: expected one of ), *, +, -; found 'Y'"),
+    ("(X", "at offset 2: expected one of ), *, +, -, ^; found 'end of input'"),
+    # after an integer, "/" makes it a rational literal
+    ("2 X", "at offset 2: expected one of *, +, -, /, ^, end of input; found 'X'"),
+    ("2/3 X", "at offset 4: expected one of *, +, -, ^, end of input; found 'X'"),
+    ("X Y", "at offset 2: expected one of *, +, -, ^, end of input; found 'Y'"),
+    ("X * ", "at offset 4: expected one of (, -, identifier, integer; found 'end of input'"),
+])
+def test_error_lists_the_tokens_accepted_at_its_offset(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text)
+    assert str(exc.value) == message
+
+
+# a text that holds one token of each kind an error can list, "" for the end
+_TOKEN_OF = {"+": "+", "-": "-", "*": "*", "^": "^", "/": "/", "(": "(", ")": ")",
+             "integer": "1", "identifier": "X", "end of input": ""}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["X", "1", "2", "+", "-", "*", "^", "/", "(", ")"]), max_size=10))
+def test_error_lists_exactly_the_tokens_the_grammar_accepts(tokens):
+    # the parser reads left to right without looking back, so a token is
+    # accepted where an error is exactly when the text cut there and ended
+    # by that token parses, or fails after that token
+    text = " ".join(tokens)
+    try:
+        parse_poly(text)
+        return
+    except ParseError as exc:
+        off, expected = exc.offset, set(exc.expected)
+    assert expected <= set(_TOKEN_OF)
+    for kind, token in _TOKEN_OF.items():
+        # a space keeps the token apart from an integer before it
+        try:
+            parse_poly(text[:off] + " " + token)
+            accepted = True
+        except ParseError as exc:
+            accepted = exc.offset > off + 1
+        assert accepted == (kind in expected), (text, kind)
+
+
 def test_scalar_guard():
     with pytest.raises(ValueError):
         parse_poly("X + 1").as_nfelem()

@@ -467,10 +467,12 @@ def test_check_all_computes_quadric_independence_once(monkeypatch):
 
 def test_family_verified_once_and_fresh_per_run(monkeypatch):
     import cgv.baselocus as baselocus
+    import cgv.claims as claims
     import cgv.geometry as geometry
     import cgv.suites as suites
     geometry._verified_family.cache_clear()
-    parses = count_calls(monkeypatch, "parse_poly", geometry)
+    # geometry reads the printed quadrics through `claims.parse_display`
+    parses = count_calls(monkeypatch, "parse_display", claims)
     ranks = count_calls(monkeypatch, "matrix_rank", baselocus)
     families = []
     real_build = suites.build_cubics
@@ -484,7 +486,7 @@ def test_family_verified_once_and_fresh_per_run(monkeypatch):
         run_suite("all", run_config(m_expr="1", survey=5))
         # results cached on the family last one run: the rank is computed again
         assert len(ranks) == runs
-    assert sorted(text for text, in parses) == sorted(geometry.QUADRIC_TEXTS)
+    assert sorted(text for text, in parses) == sorted(claims.QUADRIC_TEXTS)
     first, second = families
     assert first is not second
     assert all(a is b for a, b in zip(first.cubics + first.quadrics, second.cubics + second.quadrics))

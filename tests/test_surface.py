@@ -4,7 +4,8 @@ in src/cgv; every defaulted parameter, a namedtuple field with a default
 included, is both passed and left at its default there; `import cgv` loads
 the layers without the CLI, `dataclasses` or the standard library's other
 number types; src/cgv imports only itself and the standard library, with
-no import cycle among its modules, has no floating point and no rational
+no import cycle among its modules and the printed source (`claims`) read by
+geometry and the suites alone, has no floating point and no rational
 type but its own, and turns every exception it catches as `Exception`
 into an error check.  The value types are read-only, compare by value, and
 the cubic family by identity."""
@@ -249,10 +250,9 @@ def test_imports_are_intra_package_or_stdlib():
     assert foreign == []
 
 
-def _import_cycle():
-    """A cycle in the graph of `from .x import` and `from . import x` inside
-    src/cgv, imports inside functions included, as a list of modules; []
-    when there is none."""
+def _import_edges():
+    """The modules of src/cgv that each one imports by `from .x import` or
+    `from . import x`, imports inside functions included."""
     trees = _trees()
     edges = {mod: set() for mod in trees}
     for mod, tree in trees.items():
@@ -260,6 +260,13 @@ def _import_cycle():
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 names = [node.module] if node.module else [a.name for a in node.names]
                 edges[mod] |= {name.split(".")[0] for name in names} & set(trees)
+    return edges
+
+
+def _import_cycle():
+    """A cycle in the graph of `_import_edges`, as a list of modules; []
+    when there is none."""
+    edges = _import_edges()
     done, path = set(), []
 
     def visit(mod):
@@ -275,13 +282,21 @@ def _import_cycle():
         done.add(mod)
         return []
 
-    return next((c for c in map(visit, sorted(trees)) if c), [])
+    return next((c for c in map(visit, sorted(edges)) if c), [])
 
 
 def test_the_package_has_no_import_cycle():
     # a module that imports its importer, even inside a function, ties the
     # two layers into one; a lower layer hands its results up, not down
     assert _import_cycle() == []
+
+
+def test_only_geometry_and_suites_read_the_printed_source():
+    # the printed text is the package's one outside input: geometry builds
+    # the family from the printed quadrics, and the suites alone compare
+    # computed values with the rest
+    readers = {mod for mod, imported in _import_edges().items() if "claims" in imported}
+    assert readers == {"geometry", "suites"}
 
 
 def test_no_floating_point():

@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
 import cgv.tangent as tangent
+from cgv.claims import CLAIMED_TANGENT_ROWS
 from cgv.geometry import REFERENCE_POINTS, CubicFamily, build_cubics, eval_at_point
 from cgv.linalg import matrix_det, matrix_rank, nf_rref
 from cgv.mpoly import GEOM_VARS, MPoly
@@ -44,8 +45,9 @@ def scalar(text):
 def test_display_agreement_flags(family):
     # frozen from the independent differentiation oracle
     expected = {0: (True, True, True), 1: (False, True, True), 2: (True, False, True)}
+    rows = chart_rows(family)
     for i, flags in expected.items():
-        diffs = display_agreement(chart_rows(family), i)
+        diffs = display_agreement(rows[i], tuple(parse_poly(t) for t in CLAIMED_TANGENT_ROWS[i]))
         assert tuple(d.is_zero() for d in diffs) == flags
 
 
