@@ -427,22 +427,15 @@ def classify_stratum(family, stratum) -> StratumResult:
 
 def aggregate(results):
     """(kind, union of points): confirmed only when every stratum is conclusive."""
-    points = []
-    seen = set()
-    for res in results:
-        for pt in res.points:
-            if res.kind in (REFERENCE, NON_REFERENCE) and pt not in seen:
-                seen.add(pt)
-                points.append(pt)
+    points = tuple(dict.fromkeys(pt for res in results if res.kind in (REFERENCE, NON_REFERENCE)
+                                 for pt in res.points))
     if any(res.kind == NON_REFERENCE for res in results):
-        return NON_REFERENCE, tuple(points)
+        return NON_REFERENCE, points
     if any(res.kind == INCONCLUSIVE for res in results):
-        return INCONCLUSIVE, tuple(points)
-    expected = set(REFERENCE_POINTS)
-    if set(points) != expected:
+        return INCONCLUSIVE, points
+    if set(points) != set(REFERENCE_POINTS):
         raise InternalCheckError("conclusive strata do not union to the four reference points")
-    ordered = tuple(sorted(points, key=lambda p: REFERENCE_POINTS.index(p)))
-    return REFERENCE, ordered
+    return REFERENCE, REFERENCE_POINTS
 
 
 def points_str(points) -> str:

@@ -4,9 +4,9 @@ cubic family with quadric cofactors.
 The four cubics are built from their printed displays, the quadric texts
 in `claims`; the reading of the unbalanced bracket is (3r-2)[(linear)*coord
 + (r+1)*mon], the unique one consistent with the T = 0 restrictions used
-downstream.  Construction fails loudly if any structural identity
-(homogeneity, cofactor split, vanishing at the reference points, closure
-under the rotation) does not hold.
+downstream.  Construction checks each printed Q_i once (homogeneous of
+degree 2, no term off the mixed monomials, so Q_i and C_i = coord_i * Q_i
+vanish at the reference points), then closure under the rotation.
 
 A `CubicFamily` lasts one run.  It keeps M and one memo, `cached`, and
 each layer keeps there what it computes once per run, next to its one
@@ -130,6 +130,13 @@ def eval_at_point(f: MPoly, pt):
     return f.substitute({v: c for v, c, g in zip(GEOM_VARS, pt, GENERIC_POINT) if c is not g})
 
 
+def _mixed_row(j: int, q: MPoly) -> tuple:
+    """Row j of M, or a ConstructionError if Q_j has a term off MIXED_MONOMIALS."""
+    if not set(q.geom_support()) <= set(MIXED_MONOMIALS):
+        raise ConstructionError(f"Q{j} has a term off the mixed monomials")
+    return tuple(q.coeff_of_geom(e) for e in MIXED_MONOMIALS)
+
+
 class CubicFamily:
     """The four cubics C_0..C_3 and their quadric cofactors Q_0..Q_3.
 
@@ -172,10 +179,7 @@ class CubicFamily:
         the restriction of Q_j to a base-locus stratum is row j of M on the
         stratum's columns.
         """
-        for j, q in enumerate(self.quadrics):
-            if not set(q.geom_support()) <= set(MIXED_MONOMIALS):
-                raise ConstructionError(f"Q{j} has a term off the mixed monomials")
-        return tuple(tuple(q.coeff_of_geom(e) for e in MIXED_MONOMIALS) for q in self.quadrics)
+        return tuple(_mixed_row(j, q) for j, q in enumerate(self.quadrics))
 
 
 class _FamilyAtM(CubicFamily):
@@ -218,19 +222,11 @@ def _verified_family():
     every family `build_cubics` returns, so no caller may mutate their terms.
     """
     quadrics = tuple(claims.parse_display(t) for t in claims.QUADRIC_TEXTS)
-    cubics = tuple(MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics))
-
-    for i, (c, q) in enumerate(zip(cubics, quadrics)):
-        if not c.is_homogeneous(3):
-            raise ConstructionError(f"C{i} is not homogeneous of degree 3")
+    for i, q in enumerate(quadrics):
         if not q.is_homogeneous(2):
             raise ConstructionError(f"Q{i} is not homogeneous of degree 2")
-        quotient, exact = c.div_by_var(COFACTOR_COORDS[i])
-        if not exact or quotient != q:
-            raise ConstructionError(f"C{i} does not factor as {COFACTOR_COORDS[i]}*Q{i}")
-        for pt in REFERENCE_POINTS:
-            if not eval_at_point(c, pt).is_zero():
-                raise ConstructionError(f"C{i} does not vanish at {point_name(pt)}")
+        _mixed_row(i, q)
+    cubics = tuple(MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics))
 
     # closure under the rotation: each C_i maps to some C_j
     index_map = []

@@ -37,14 +37,14 @@ class UnknownIdentifierError(ParseError):
 
 
 # an ASCII integer, a word (a letter, then letters, numerals and "_"), an
-# operator, or any other non-space character, which is an error; whitespace
-# between tokens is skipped.  [^\W\d_] also admits numerals such as "²",
-# which are not letters: _tokens rejects them.
+# operator, or any other non-space character, which no rule accepts; whitespace
+# is skipped.  [^\W\d_] also admits numerals such as "²", which start no word.
 _TOKEN = re.compile(r"([0-9]+)|([^\W\d_]\w*)|([-+*^/()])|(\S)")
 
 
 def _tokens(text: str) -> list:
-    """(kind, text, offset) for each token of text, then ("end", "", len(text))."""
+    """(kind, text, offset) per token, ending at ("end", "", len(text)) or at
+    the first character that starts no token, as one "invalid" token."""
     tokens = []
     for match in _TOKEN.finditer(text):
         integer, word, op, _ = match.groups()
@@ -56,13 +56,20 @@ def _tokens(text: str) -> list:
         elif op:
             tokens.append((op, op, off))
         else:
-            raise ParseError(off, ("expression",), text[off])
+            return tokens + [("invalid", text[off], off)]
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 # the name of a token kind in the expected set of an error
 _KIND_NAMES = {"ident": "identifier", "end": "end of input"}
+
+
+def _pairwise_sum(values: list) -> MPoly:
+    """The sum of a nonempty list, added in a balanced tree of `+`."""
+    while len(values) > 1:
+        values = [a + b for a, b in zip(values[::2], values[1::2])] + values[len(values) // 2 * 2:]
+    return values[0]
 
 
 class _Parser:
@@ -96,10 +103,16 @@ class _Parser:
 
     def expr(self) -> MPoly:
         value = self.term()
-        while op := self.accept("+", "-"):
-            rhs = self.term()
-            value = value + rhs if op[0] == "+" else value - rhs
-        return value
+        if not (op := self.accept("+", "-")):
+            return value
+        # the added and the subtracted terms are each summed pairwise, so a
+        # sum of n terms copies O(n log n) terms, not O(n^2)
+        added, subtracted = [value], []
+        while op:
+            (added if op[0] == "+" else subtracted).append(self.term())
+            op = self.accept("+", "-")
+        value = _pairwise_sum(added)
+        return value - _pairwise_sum(subtracted) if subtracted else value
 
     def term(self) -> MPoly:
         value = self.factor()

@@ -222,8 +222,8 @@ def test_at_m_specializes_quadrics_and_cubics(family, value):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ("+X", "C0 is not homogeneous"),
-    ("+T^2", "C0 does not vanish at"),
+    ("+X", "Q0 is not homogeneous of degree 2"),
+    ("+T^2", "Q0 has a term off the mixed monomials"),
     ("+X*Y", "composed with the rotation is not in the family"),
 ])
 def test_construction_checks_reject_an_altered_quadric(monkeypatch, extra, message):
