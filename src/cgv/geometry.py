@@ -4,9 +4,10 @@ cubic family with quadric cofactors.
 The four cubics are built from their printed displays, the quadric texts
 in `claims`; the reading of the unbalanced bracket is (3r-2)[(linear)*coord
 + (r+1)*mon], the unique one consistent with the T = 0 restrictions used
-downstream.  Construction checks each printed Q_i once (homogeneous of
-degree 2, no term off the mixed monomials, so Q_i and C_i = coord_i * Q_i
-vanish at the reference points), then closure under the rotation.
+downstream.  Construction checks each printed Q_i once (no term off the
+mixed monomials, so Q_i is homogeneous of degree 2, and Q_i and
+C_i = coord_i * Q_i vanish at the reference points), then closure under
+the rotation.
 
 A `CubicFamily` lasts one run.  It keeps M and one memo, `cached`, and
 each layer keeps there what it computes once per run, next to its one
@@ -223,8 +224,6 @@ def _verified_family():
     """
     quadrics = tuple(claims.parse_display(t) for t in claims.QUADRIC_TEXTS)
     for i, q in enumerate(quadrics):
-        if not q.is_homogeneous(2):
-            raise ConstructionError(f"Q{i} is not homogeneous of degree 2")
         _mixed_row(i, q)
     cubics = tuple(MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics))
 

@@ -6,17 +6,18 @@ term order is graded lexicographic with X > Y > Z > T > m.
 
 The public constructor `MPoly(terms)` validates: every exponent must be a
 sequence of 5 non-negative ints (else ValueError), and every coefficient is
-coerced to NFElem.  Arithmetic results are built by the private `_mpoly`,
-the counterpart of `nf._elem`, which takes a dict that is already of
-exponent tuples and NFElem coefficients and only drops the zeros.  A
-product (`_mul_terms`) adds the unpacked exponent tuples.  With a one-term
-operand it multiplies the coefficients with `NFElem.__mul__`; otherwise it
-sums the term pairs of each output monomial on the integers, reducing with
-the rule that `NFElem.__mul__` also writes, and normalises each output
-coefficient once with `nf._elem`.  A dual-route test ties the two copies of
-the rule together.  A difference p - q subtracts the coefficients of q in
-one pass, with no negated operand; a scalar minus p converts the scalar once
-and subtracts the same way.
+coerced to NFElem.  Every arithmetic result but a product is built by the
+private `_mpoly`, the counterpart of `nf._elem`, which takes a dict that is
+already of exponent tuples and NFElem coefficients and only drops the
+zeros.  A product (`_mul_terms`) adds the unpacked exponent tuples.  With a
+one-term operand it multiplies the coefficients with `NFElem.__mul__`;
+otherwise it sums the term pairs of each output monomial on the integers,
+reducing with the row-form rule that `NFElem.__mul__` also writes,
+normalises each output coefficient once with `nf._elem` and deletes a sum
+that cancelled to 0, so `MPoly.__mul__` wraps its dict as it is.  A
+dual-route test ties the two copies of the rule together.  A difference
+p - q subtracts the coefficients of q in one pass, with no negated operand;
+a scalar minus p converts the scalar once and subtracts the same way.
 """
 
 from __future__ import annotations
@@ -34,18 +35,20 @@ ZERO_EXP = (0,) * NVARS
 
 
 def _mul_terms(a, b):
-    """Product of two term dicts, as a term dict (zero sums not yet dropped).
+    """Product of two term dicts, as a term dict with no zero coefficient.
 
     With a one-term operand no two term pairs share a monomial, so each
-    coefficient is one `NFElem.__mul__`.  Otherwise each term pair's product
-    is formed on the integers, reduced with r^3 = 1 - r^2 and r^4 = -1 + r
-    + r^2 as in `NFElem.__mul__`, over the denominator ad*bd, and added
-    unnormalised into its monomial's (n0, n1, n2, d): an equal d adds the
-    numerators, another d brings both sums to the lcm.  `_elem` then
-    normalises each output coefficient once (Johnson, "Sparse polynomial
-    arithmetic", 1974).  The operands are not first cleared to a common
-    denominator: that would widen every final gcd.  The reduction rule is
-    written both here and in `NFElem.__mul__`; the dual-route product test
+    coefficient is one `NFElem.__mul__`, never 0 since Q(r) has no zero
+    divisors.  Otherwise each term pair's product is formed on the integers
+    in the row form of `NFElem.__mul__` (r^3 = 1 - r^2, r^4 = -1 + r + r^2;
+    the differences a1 - a2 and a0 - a1 + a2 are taken once per left term),
+    over the denominator ad*bd, and added unnormalised into its monomial's
+    (n0, n1, n2, d): an equal d adds the numerators, another d brings both
+    sums to the lcm.  `_elem` then normalises each output coefficient once,
+    in place, and a sum that cancelled to 0 is deleted (Johnson, "Sparse
+    polynomial arithmetic", 1974).  The operands are not first cleared to a
+    common denominator: that would widen every final gcd.  The reduction rule
+    is written both here and in `NFElem.__mul__`; the dual-route product test
     (`test_product_matches_sympy`) ties the two together.
     """
     if len(a) != 1:
@@ -59,13 +62,14 @@ def _mul_terms(a, b):
     b_items = [(e, c.integers()) for e, c in b.items()]
     for (x1, y1, z1, t1, m1), c1 in a.items():
         a0, a1, a2, ad = c1.integers()
+        # the two differences of the row form, once per left term
+        a12 = a1 - a2
+        a012 = a0 - a12
         for (x2, y2, z2, t2, m2), (b0, b1, b2, bd) in b_items:
             e = (x1 + x2, y1 + y2, z1 + z2, t1 + t2, m1 + m2)
-            e3 = a1 * b2 + a2 * b1
-            e4 = a2 * b2
-            n0 = a0 * b0 + e3 - e4
-            n1 = a0 * b1 + a1 * b0 + e4
-            n2 = a0 * b2 + a1 * b1 + a2 * b0 - e3 + e4
+            n0 = a0 * b0 + a2 * b1 + a12 * b2
+            n1 = a1 * b0 + a0 * b1 + a2 * b2
+            n2 = a2 * b0 + a12 * b1 + a012 * b2
             d = ad * bd
             s = get(e)
             if s is None:
@@ -78,9 +82,16 @@ def _mul_terms(a, b):
                     g = gcd(sd, d)
                     u, v = d // g, sd // g
                     acc[e] = (s0 * u + n0 * v, s1 * u + n1 * v, s2 * u + n2 * v, sd * u)
-    # normalised in place: each sum is freed as its coefficient replaces it
+    # normalised in place: each sum is freed as its coefficient replaces it,
+    # and a sum that cancelled to 0 is deleted
+    cancelled = []
     for e, (n0, n1, n2, d) in acc.items():
-        acc[e] = _elem(n0, n1, n2, d)
+        if n0 or n1 or n2:
+            acc[e] = _elem(n0, n1, n2, d)
+        else:
+            cancelled.append(e)
+    for e in cancelled:
+        del acc[e]
     return acc
 
 
@@ -189,7 +200,10 @@ class MPoly:
     def __mul__(self, other):
         if (other := _as_mpoly(other)) is None:
             return NotImplemented
-        return _mpoly(_mul_terms(self.terms, other.terms))
+        # _mul_terms drops its cancelled sums, so no second zero filter
+        p = _new(MPoly)
+        _set_terms(p, _mul_terms(self.terms, other.terms))
+        return p
 
     __rmul__ = __mul__
 
@@ -346,6 +360,7 @@ class MPoly:
         return f"MPoly<{self}>"
 
 
+_new = object.__new__
 _set_terms = MPoly.terms.__set__
 
 
@@ -360,6 +375,6 @@ def _as_mpoly(v):
 def _mpoly(terms) -> MPoly:
     """An MPoly on a dict of exponent tuples to NFElem, zero coefficients dropped;
     nothing is coerced or re-tupled."""
-    p = object.__new__(MPoly)
+    p = _new(MPoly)
     _set_terms(p, {e: c for e, c in terms.items() if not c.is_zero()})
     return p

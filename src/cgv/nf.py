@@ -4,18 +4,20 @@ An element (n0 + n1*r + n2*r^2)/d is stored on the power basis (1, r, r^2)
 as three integer numerators over one denominator (Cohen, GTM 138, 4.2),
 with d > 0 and gcd(n0, n1, n2, d) = 1.  That form is unique, so structural
 equality coincides with equality in the field.  A product reduces with
-r^3 = 1 - r^2 and r^4 = -1 + r + r^2.  A product, sum or difference runs
+r^3 = 1 - r^2 and r^4 = -1 + r + r^2, written in row form: row k of
+the multiplication-by-a matrix times b.  A product, sum or difference runs
 its one gcd only when its denominator is not 1, a negation runs none, and
 a difference x - y is formed directly, with no negated operand.  An inverse is
 the first column of the adjugate of the multiplication-by-a matrix over
 its determinant, the norm.  The integers are the only form of an element:
 `NFElem(n0, n1, n2, d)` builds one from them and `integers()` reads them
-back.  Printing reads them directly: each nonzero numerator is reduced
-over d with one gcd (none when d = 1).  This module also holds the one
-term formatter, `term_str`, which takes a printed coefficient and a ready
+back.  `nf_str` prints from them directly: it writes each nonzero
+numerator over d itself, with one gcd (none when d = 1), and joins only a
+print of two or three components.  This module also holds the one term
+formatter, `term_str`, which takes a printed coefficient and a ready
 monomial string, and the one sign joiner, `join_terms`, which joins a list
-of terms with one join; `nf_str`, `MPoly.__str__` and `UPoly.to_str` all
-print through them.  The single real root of x^3 + x^2 - 1 is r ~ 0.7548776662.
+of terms with one join; `MPoly.__str__` and `UPoly.to_str` print their
+terms through both.  The single real root of x^3 + x^2 - 1 is r ~ 0.7548776662.
 """
 
 from __future__ import annotations
@@ -100,13 +102,12 @@ class NFElem:
             return NotImplemented
         a0, a1, a2, ad = self._v
         b0, b1, b2, bd = other._v
-        e3 = a1 * b2 + a2 * b1
-        e4 = a2 * b2
-        # r^3 = 1 - r^2,  r^4 = -1 + r + r^2 (mpoly._mul_terms repeats this rule)
-        n0 = a0 * b0 + e3 - e4
-        n1 = a0 * b1 + a1 * b0 + e4
-        n2 = a0 * b2 + a1 * b1 + a2 * b0 - e3 + e4
-        return _elem(n0, n1, n2, ad * bd)
+        # r^3 = 1 - r^2 and r^4 = -1 + r + r^2, in row form: row k of the
+        # multiplication-by-a matrix times b (mpoly._mul_terms repeats this rule)
+        a12 = a1 - a2
+        return _elem(a0 * b0 + a2 * b1 + a12 * b2,
+                     a1 * b0 + a0 * b1 + a2 * b2,
+                     a2 * b0 + a12 * b1 + (a0 - a12) * b2, ad * bd)
 
     __rmul__ = __mul__
 
@@ -249,20 +250,28 @@ def join_terms(terms: list) -> str:
     return " + ".join(terms).replace(" + -", " - ") if terms else "0"
 
 
-_R_POWERS = ("", "r", "r^2")
-
-
 def nf_str(a: NFElem) -> str:
     """Canonical print: ascending powers of r, explicit signs, and each nonzero
-    numerator over d in lowest terms, "n/d", or "n" where d divides it."""
-    v = a._v
-    d = v[3]
+    numerator over d in lowest terms, "n/d", or "n" where d divides it.
+
+    Each component is written here, with one gcd (none when d = 1): "n" or
+    "n/d", then "r", "-r", "n*r" or "n/d*r" (and the same for r^2); only a
+    print of two or three components goes through `join_terms`."""
+    n0, n1, n2, d = a._v
     terms = []
-    for k in 0, 1, 2:
-        n = v[k]
+    if n0:
+        if d == 1:
+            terms.append(f"{n0}")
+        else:
+            g = gcd(n0, d)
+            terms.append(f"{n0 // g}" if g == d else f"{n0 // g}/{d // g}")
+    for n, mono in (n1, "r"), (n2, "r^2"):
         if n:
             if d != 1:
                 g = gcd(n, d)
-                n = n // g if g == d else f"{n // g}/{d // g}"
-            terms.append(term_str(f"{n}", _R_POWERS[k]))
-    return join_terms(terms)
+                if g != d:
+                    terms.append(f"{n // g}/{d // g}*{mono}")
+                    continue
+                n //= g
+            terms.append(mono if n == 1 else "-" + mono if n == -1 else f"{n}*{mono}")
+    return terms[0] if len(terms) == 1 else join_terms(terms)

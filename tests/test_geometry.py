@@ -222,7 +222,7 @@ def test_at_m_specializes_quadrics_and_cubics(family, value):
 
 
 @pytest.mark.parametrize("extra, message", [
-    ("+X", "Q0 is not homogeneous of degree 2"),
+    ("+X", "Q0 has a term off the mixed monomials"),
     ("+T^2", "Q0 has a term off the mixed monomials"),
     ("+X*Y", "composed with the rotation is not in the family"),
 ])

@@ -133,6 +133,10 @@ coordinates = st.one_of(
 @example(0, 0, 0)
 @example(Fraction(-3, 4), 0, Fraction(5, 6))
 @example(0, Fraction(-1, 2), 0)
+# the r and r^2 numerators reduce to 1 and -1 over d = 3: "2/3 + r - r^2"
+@example(Fraction(2, 3), 1, -1)
+# the same signs with d = 1: "1 - r + r^2"
+@example(1, -1, 1)
 def test_printer_matches_the_fraction_route(c0, c1, c2):
     # the element, its negative, its rational part and its pure-r part
     for a in (frac_elem(c0, c1, c2), -frac_elem(c0, c1, c2), frac_elem(c0), frac_elem(0, c1)):

@@ -173,6 +173,9 @@ colliding = st.dictionaries(
 # colliding pairs over equal denominators (4 and 4), and over unequal ones (14 and 15)
 @example(parse_poly("1/2*X + 1/2*r*Y"), parse_poly("1/2*r^2*X - 1/2*Y"))
 @example(parse_poly("1/2*r*X + 1/3*r^2*Y + 1"), parse_poly("1/5*r^2*X + (1/7 - 1/7*r)*Y - 1/2"))
+# the two XY pairs, over denominators 2 and 1, cancel through the lcm branch
+# and their monomial is deleted
+@example(parse_poly("1/2*X + Y"), parse_poly("X - 2*Y"))
 # d = 1 throughout
 @example(parse_poly("2*X + 3*r*Y + r^2*m"), parse_poly("X - Y + 5 - r*m"))
 # a one-term operand on either side

@@ -8,12 +8,16 @@ at 100 points and seed 1; the survey pins run it at 1000 points and two
 seeds, so that a change in how the survey decides rank cannot drift it.
 The base-locus pins run `check base-locus` at the exceptional m values a,
 b, c and -c of the torus stratum, where its `refuted` and `indeterminate`
-branches are taken.
+branches are taken.  The eval pins run `cgv eval` on the 100 expressions of
+the benchmark's `expand` workload at two seeds, so that a printer or product
+change that keeps every value but alters a byte cannot drift the output.
 """
 
 import contextlib
 import hashlib
+import importlib
 import io
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +94,29 @@ def test_base_locus_report_pinned_at_exceptional_m(name, fmt):
         rc = main(["check", "base-locus", "--format", fmt, f"--m={EXCEPTIONAL_M[name]}"])
     assert rc == 0
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == BASE_LOCUS_PINS[(name, fmt)]
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# sha256 of the stdout of `cgv eval` on every expression of expand_exprs(seed), in order
+EVAL_PINS = {
+    1: "e954107da95b2d6f474df912e927d5e812749f6d44c458728c6be935099a3f9b",
+    2: "8850cbff3fdc8b8fa846722851ea2b2aee9f16df5baed5f9e3149569478d1bb9",
+}
+
+
+@pytest.fixture(scope="module")
+def expand_exprs():
+    # perfbench/workloads.py is read, never written; it imports its siblings by name
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        return importlib.import_module("workloads").expand_exprs
+
+
+@pytest.mark.parametrize("seed", sorted(EVAL_PINS), ids=[f"seed={s}" for s in sorted(EVAL_PINS)])
+def test_expand_eval_output_pinned(seed, expand_exprs):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for expr, _ in expand_exprs(seed):
+            assert main(["eval", expr]) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == EVAL_PINS[seed]
