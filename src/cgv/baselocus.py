@@ -21,15 +21,16 @@ point, classifies each stratum exactly:
     subject to (XY)(ZT) = (XZ)(YT) = (XT)(YZ), which reduces to a gcd of
     two binary quadratics.
 
-Every classifier returns through `_result`, which checks each reported
-point by exact substitution before it builds the result.  The system of
-a single-hyperplane stratum is M's slice as it stands.
+Every classifier returns through `_result`, which checks each point a
+classifier computes (a kernel lift, a zero-column sample, a torus point) by
+exact substitution before it builds the result.  A reference point needs
+no substitution: it lies on every Q_j because M exists.  The system of a
+single-hyperplane stratum is M's slice as it stands.
 
-The quadrics at the reference points, the m-flag and the kernel of each
-distinct single-hyperplane slice are kept in the family's memo
-(`CubicFamily.cached`), each built next to its one reader, so each costs
-one computation per run; the suites keep `quadric_independence` and the
-system determinants there too.
+The m-flag and the kernel of each distinct single-hyperplane slice are
+kept in the family's memo (`CubicFamily.cached`), each built next to its
+one reader, so each costs one computation per run; the suites keep
+`quadric_independence` and the system determinants there too.
 """
 
 from __future__ import annotations
@@ -49,9 +50,6 @@ EMPTY = "empty"
 REFERENCE = "reference_points"
 NON_REFERENCE = "non_reference_points"
 INCONCLUSIVE = "inconclusive"
-
-# the reference points by value: their position in REFERENCE_POINTS
-_REFERENCE_INDEX = {pt: i for i, pt in enumerate(REFERENCE_POINTS)}
 
 
 class Stratum(namedtuple("Stratum", "taken")):
@@ -108,27 +106,15 @@ def _monomial_name(exp) -> str:
     return "*".join(v for v, k in zip(GEOM_VARS, exp) if k)
 
 
-def _reference_values(family):
-    """Q_j at the reference point REFERENCE_POINTS[i], as row j, column i,
-    by exact substitution."""
-    return tuple(tuple(eval_at_point(q, pt) for pt in REFERENCE_POINTS) for q in family.quadrics)
-
-
-def _quadric_at(family, j, pt):
-    """Q_j at `pt`: the family's table entry at a reference point, else substituted."""
-    i = _REFERENCE_INDEX.get(pt)
-    if i is None:
-        return eval_at_point(family.quadrics[j], pt)
-    return family.cached("reference values", _reference_values)[j][i]
-
-
 def _result(family, stratum, kind, points, notes) -> StratumResult:
-    """The result of `stratum`, built once each of `points` is checked by exact
-    substitution to kill every defining form of the stratum; InternalCheckError
-    names the first point that does not."""
-    for pt in points:
+    """The result of `stratum`.  A REFERENCE result carries
+    `stratum.reference_points()`, which lie on the stratum's hyperplanes and,
+    since M exists, on every Q_j.  The points of a NON_REFERENCE result are
+    computed, so each is checked by exact substitution to kill every defining
+    form of the stratum; InternalCheckError names the first that does not."""
+    for pt in (points if kind == NON_REFERENCE else ()):
         if (any(not pt[GEOM_VARS.index(COFACTOR_COORDS[i])].is_zero() for i in stratum.taken)
-                or not all(_quadric_at(family, j, pt).is_zero() for j in stratum.quadrics)):
+                or not all(eval_at_point(family.quadrics[j], pt).is_zero() for j in stratum.quadrics)):
             raise InternalCheckError(f"{point_name(pt)} fails exact substitution on {stratum.label()}")
     return StratumResult(stratum, kind, tuple(points), notes)
 
@@ -352,12 +338,10 @@ def _torus(family, stratum) -> StratumResult:
 
 def _torus_point(v):
     """The point [pq : p*yz : q*yz : s*yz] of an all-nonzero mixed-monomial
-    vector v = (XY, XZ, XT, YZ, ...) = (p, q, s, yz, ...)."""
+    vector v = (XY, XZ, XT, YZ, ...) = (p, q, s, yz, ...); Q(r) has no zero
+    divisors, so no coordinate is 0."""
     p, q, s, yz = v[0], v[1], v[2], v[3]
-    pt = (p * q, p * yz, q * yz, s * yz)
-    if any(c.is_zero() for c in pt):
-        raise InternalCheckError("lifted torus point has a zero coordinate")
-    return pt
+    return (p * q, p * yz, q * yz, s * yz)
 
 
 # -- quadric independence -----------------------------------------------------

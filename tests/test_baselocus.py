@@ -24,6 +24,11 @@ from conftest import count_calls, nf_to_float, over_display_unit, run_config
 
 M1 = NFElem(1)
 
+# the ROADMAP's exceptional values of m: the torus stratum has base points there
+M_A = "5/7 + 18/7*r + 8/7*r^2"
+M_B = "-9/7 - 10/7*r - 20/7*r^2"
+M_C = "2/7 - 4/7*r + 6/7*r^2"
+
 
 def nf_rows(mat):
     """The rows of a matrix with constant MPoly entries, as NFElem rows."""
@@ -62,14 +67,22 @@ def test_stratum_reference_points(family):
     assert Stratum(()).reference_points() == REFERENCE_POINTS
 
 
-@pytest.mark.parametrize("m", [NFElem(0), NFElem(1), NFElem(0, 1)], ids=["0", "1", "r"])
-def test_reference_results_report_the_stratum_reference_points(family, m):
-    results = [classify_stratum(family.at_m(m), s) for s in all_strata()]
-    reference = [res for res in results if res.kind == REFERENCE]
-    # every stratum but the empty one, less the two strata left inconclusive at m = 0
-    assert len(reference) >= 13
+# m, and how many of the 16 strata are REFERENCE there: all but the empty
+# one, less the two strata left inconclusive at m = 0 and the five that
+# need m fixed while it is a symbol
+@pytest.mark.parametrize("m, n_reference", [
+    (NFElem(0), 13), (NFElem(1), 15), (NFElem(0, 1), 15),
+    (None, 10), (NFElem(-1), 15), (parse_poly("7/3").as_nfelem(), 15),
+], ids=["0", "1", "r", "symbolic", "-1", "7/3"])
+def test_reference_results_report_the_stratum_reference_points(family, m, n_reference):
+    # `_result` substitutes nothing into a REFERENCE result, so its points
+    # must be the stratum's own reference points
+    fixed = family if m is None else family.at_m(m)
+    reference = [res for res in (classify_stratum(fixed, s) for s in all_strata())
+                 if res.kind == REFERENCE]
+    assert len(reference) == n_reference
     for res in reference:
-        assert res.points == _unit_points(res.stratum)
+        assert res.points == res.stratum.reference_points() == _unit_points(res.stratum)
 
 
 def test_quadruple_stratum_empty(family):
@@ -250,26 +263,40 @@ def test_lift_identity_algebra():
 
 
 def test_the_torus_stratum_checks_each_reported_point(family, monkeypatch):
-    lookups = count_calls(monkeypatch, "_quadric_at", baselocus)
+    evals = count_calls(monkeypatch, "eval_at_point", baselocus)
+    # at m = 1 the torus stratum reports the reference points: nothing to substitute
     res = classify_stratum(family.at_m(M1), Stratum(()))
     assert res.kind == REFERENCE and res.points == REFERENCE_POINTS
-    # each of Q0..Q3 at each reported point, read from the family's table
-    assert sorted((j, REFERENCE_POINTS.index(pt)) for _, j, pt in lookups) == [
-        (j, i) for j in range(4) for i in range(4)]
+    assert evals == []
+    # at M_A it reports a computed point, substituted into each of Q0..Q3
+    fixed = family.at_m(parse_poly(M_A).as_nfelem())
+    res = classify_stratum(fixed, Stratum(()))
+    assert res.kind == NON_REFERENCE
+    (pt,) = res.points
+    assert point_name(pt) == "[-1:1:-1:1]"
+    assert evals == [(q, pt) for q in fixed.quadrics]
     # a point that fails the check is an internal error, not a verdict
-    monkeypatch.setattr(baselocus, "_quadric_at", lambda family, j, pt: NFElem(1))
-    with pytest.raises(InternalCheckError, match=r"\[1:0:0:0\] fails exact substitution on -\|Q0"):
-        classify_stratum(family.at_m(M1), Stratum(()))
+    monkeypatch.setattr(baselocus, "eval_at_point", lambda f, pt: NFElem(1))
+    with pytest.raises(InternalCheckError, match=r"\[-1:1:-1:1\] fails exact substitution on -\|Q0"):
+        classify_stratum(fixed, Stratum(()))
 
 
-@pytest.mark.parametrize("m", [NFElem(0), NFElem(1), NFElem(0, 1)], ids=["0", "1", "r"])
+@pytest.mark.parametrize("m", ["0", "1", "r", M_A, M_B], ids=["0", "1", "r", "M_A", "M_B"])
 def test_every_reported_point_is_checked(family, monkeypatch, m):
-    lookups = count_calls(monkeypatch, "_quadric_at", baselocus)
+    # a computed point is substituted into each quadric of its stratum; a
+    # reference point lies on every quadric because M exists, so a REFERENCE,
+    # EMPTY or INCONCLUSIVE result substitutes nothing
+    evals = count_calls(monkeypatch, "eval_at_point", baselocus)
+    fixed = family.at_m(parse_poly(m).as_nfelem())
+    kinds = []
     for stratum in all_strata():
-        del lookups[:]
-        res = classify_stratum(family.at_m(m), stratum)
-        looked_up = {(j, pt) for _, j, pt in lookups}
-        assert {(j, pt) for pt in res.points for j in stratum.quadrics} <= looked_up
+        del evals[:]
+        res = classify_stratum(fixed, stratum)
+        kinds.append(res.kind)
+        computed = res.points if res.kind == NON_REFERENCE else ()
+        assert evals == [(fixed.quadrics[j], pt) for pt in computed for j in stratum.quadrics]
+    # the exceptional values of m reach the substitution
+    assert (NON_REFERENCE in kinds) == (m in (M_A, M_B))
 
 
 def test_torus_stratum_empty(family):
@@ -280,12 +307,6 @@ def test_torus_stratum_empty(family):
     rank, _ = matrix_rank(mat)
     assert rank == 4
     assert len(nf_kernel_basis(nf_rows(mat))) == 2
-
-
-# the ROADMAP's exceptional values of m: the torus stratum has base points there
-M_A = "5/7 + 18/7*r + 8/7*r^2"
-M_B = "-9/7 - 10/7*r - 20/7*r^2"
-M_C = "2/7 - 4/7*r + 6/7*r^2"
 
 
 @pytest.mark.parametrize("m_text", ["0", "1", "r", M_A, M_B, M_C, f"-({M_C})"])
@@ -432,27 +453,29 @@ def _synthetic_family(restriction):
     return CubicFamily(cubics, quadrics, (0, 1, 2, 3))
 
 
-def test_kernel_lift_reports_non_reference_points():
+def test_kernel_lift_reports_non_reference_points(monkeypatch):
     # a singular system whose kernel contains an all-nonzero vector must
     # surface the lifted non-reference point instead of staying silent
     fake = _synthetic_family(parse_poly("X*Y + Y*Z + Z*X"))
+    evals = count_calls(monkeypatch, "eval_at_point", baselocus)
     res = classify_stratum(fake, Stratum((0,)))
     assert res.kind == NON_REFERENCE
-    assert res.points
-    pt = res.points[0]
+    (pt,) = res.points
     assert all(not c.is_zero() for c in pt[:3]) and pt[3].is_zero()
+    # the lifted point is substituted into each quadric of the stratum
+    assert evals == [(fake.quadrics[j], pt) for j in (1, 2, 3)]
 
 
 def test_kernel_lift_reports_zero_column_line(monkeypatch):
     fake = _synthetic_family(parse_poly("Y*Z"))
-    lookups = count_calls(monkeypatch, "_quadric_at", baselocus)
+    evals = count_calls(monkeypatch, "eval_at_point", baselocus)
     res = classify_stratum(fake, Stratum((0,)))
     assert res.kind == NON_REFERENCE
     assert any("line" in s for s in res.notes)
-    # the sample point on the line is checked on each quadric of the stratum
+    # the sample point on the line is substituted into each quadric of the stratum
     (sample,) = res.points
     assert sample == (NFElem(1), NFElem(1), NFElem(0), NFElem(0))
-    assert [(j, pt) for _, j, pt in lookups] == [(j, sample) for j in (1, 2, 3)]
+    assert evals == [(fake.quadrics[j], sample) for j in (1, 2, 3)]
 
 
 def _nf_vector(*entries):
@@ -488,7 +511,7 @@ def test_a_nonsingular_single_hyperplane_system_leaves_the_reference_points(fami
     assert len(res.notes) == 3
 
 
-def test_one_run_substitutes_each_quadric_at_each_reference_point_once(monkeypatch, capsys):
+def test_one_run_substitutes_nothing_at_the_reference_points(monkeypatch, capsys):
     import cgv.geometry as geometry
     geometry.build_cubics()  # the construction checks run once per process, before counting
     evals = count_calls(monkeypatch, "eval_at_point", geometry, baselocus)
@@ -501,12 +524,11 @@ def test_one_run_substitutes_each_quadric_at_each_reference_point_once(monkeypat
         at_reference = [(f, pt) for f, pt in evals if pt in REFERENCE_POINTS]
         counts.append((len(at_reference), len(kernels), len(dets)))
         del evals[:], kernels[:], dets[:]
-    # 4 quadrics x 4 points at most; the second run substitutes again, on its own family
-    assert 0 < counts[0][0] <= 16
-    assert counts[1] == counts[0]
-    # the four single-hyperplane slices are equal, so one slice kernel and the
-    # torus kernel, and one determinant expansion
-    assert counts[0][1:] == (2, 1)
+    # every stratum at m = 1 reports reference points, which lie on every
+    # quadric because M exists; the four single-hyperplane slices are equal,
+    # so one slice kernel and the torus kernel, and one determinant expansion,
+    # again in the second run, on its own family
+    assert counts == [(0, 2, 1)] * 2
 
 
 def _mixed_term_family(family):

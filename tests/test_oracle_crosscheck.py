@@ -77,3 +77,13 @@ def test_restricted_cofactors_against_sympy(family):
         ours = to_sympy(eval_at_point(q, LINE_R))
         theirs = sp.expand(sq.subs(sub, simultaneous=True))
         assert red(ours - theirs) == 0
+
+
+def test_quadrics_vanish_at_the_reference_points():
+    # the base locus substitutes nothing at a reference point, since M exists;
+    # here each Q_j at each e_i is 0 identically in m and r, without r's relation
+    coords = (SX, SY, SZ, ST)
+    for sq in independent_quadrics():
+        for i in range(4):
+            at_e = sq.subs({v: int(k == i) for k, v in enumerate(coords)}, simultaneous=True)
+            assert sp.expand(at_e) == 0
