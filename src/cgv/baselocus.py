@@ -5,8 +5,10 @@ common zero set decomposes over subsets S of {0..3}: the coordinates with
 index in S vanish and the remaining quadrics vanish.  No Q_j has a square
 term, so Q_j restricted to a stratum is row j of the 4x6 mixed-monomial
 matrix M (`CubicFamily.mixed_matrix`) on the stratum's columns, the
-products of two free coordinates.  `classify_stratum`, the one entry
-point, classifies each stratum exactly:
+products of two free coordinates.  Every matrix the layer checks is read
+off M by column monomial, the circulant of `quadric_independence` too: it
+is M's m-free block on the cyclic columns XY, YZ, ZT, XT.
+`classify_stratum`, the one entry point, classifies each stratum exactly:
 
   * 4 hyperplanes: no projective point.
   * 3 hyperplanes: no columns, so the quadric vanishes identically, leaving
@@ -41,8 +43,7 @@ from collections import namedtuple
 from .nf import NFElem, nf_str
 from .upoly import UPoly, upoly_gcd
 from .mpoly import GEOM_VARS
-from .linalg import (circulant_det_formula, circulant_matrix, matrix_det, matrix_rank,
-                     nf_kernel_basis)
+from .linalg import circulant_det_formula, matrix_det, matrix_rank, nf_kernel_basis
 from .geometry import (COFACTOR_COORDS, MIXED_MONOMIALS, REFERENCE_POINTS, InternalCheckError,
                        eval_at_point, point_name)
 
@@ -74,12 +75,6 @@ class Stratum(namedtuple("Stratum", "taken")):
         """The points e_v of the free coordinates v, in REFERENCE_POINTS order."""
         free = {COFACTOR_COORDS[j] for j in self.quadrics}
         return tuple(pt for v, pt in zip(GEOM_VARS, REFERENCE_POINTS) if v in free)
-
-    def columns(self):
-        """The columns of `CubicFamily.mixed_matrix` whose monomial is a
-        product of two free coordinates."""
-        zero = [GEOM_VARS.index(h) for h in self.hyperplane_names]
-        return tuple(k for k, e in enumerate(MIXED_MONOMIALS) if not any(e[i] for i in zero))
 
 
 def all_strata():
@@ -123,7 +118,7 @@ def _double_hyperplane(family, stratum) -> StratumResult:
     """Two coordinates vanish; both restricted quadrics, the stratum's one
     column of M, must be nonzero multiples of the product of the two free
     coordinates."""
-    (k,) = stratum.columns()
+    k = MIXED_MONOMIALS.index(_monomial([COFACTOR_COORDS[j] for j in stratum.quadrics]))
     identities = []
     notes = []
     for j in stratum.quadrics:
@@ -160,8 +155,6 @@ def single_hyperplane_system(family, h: str):
 
     Returns (matrix, basis exponent vectors, row quadric indices, free cycle).
     """
-    if h not in COFACTOR_COORDS:
-        raise ValueError(f"unknown hyperplane {h!r}")
     i = COFACTOR_COORDS.index(h)
     start = GEOM_VARS.index(h)
     cycle = tuple(GEOM_VARS[(start + n) % 4] for n in (1, 2, 3))
@@ -189,7 +182,9 @@ def _all_nonzero_kernel_vector(basis):
     for p in range(n):
         if all(v[p].is_zero() for v in basis):
             return None
-    # a generic small combination avoids the coordinate hyperplanes
+    # complete for its callers: one vector has no zero entry here; two meet (1, t) for
+    # t = 0..6, where each entry of b0 + t*b1 vanishes for at most one t, so some t
+    # clears n <= 6 entries; three only span a zero slice, answered by its zero columns
     for coeffs in itertools.product(range(0, len(basis) * 3 + 1), repeat=len(basis)):
         if all(c == 0 for c in coeffs):
             continue
@@ -280,8 +275,8 @@ def _torus(family, stratum) -> StratumResult:
     [pq : p*mu_YZ : q*mu_YZ : s*mu_YZ] with (p, q, s) = (mu_XY, mu_XZ, mu_XT).
     Points with a vanishing coordinate already lie in other strata.
 
-    The columns XY, YZ, ZT, XT of M are free of m, and their determinant is
-    the circulant determinant of `quadric_independence`, which is nonzero;
+    M's m-free block on the columns XY, YZ, ZT, XT is the one whose
+    determinant `quadric_independence` takes and the suites check nonzero;
     so M has rank 4 and its kernel is a plane for every m.
     """
     kernel = nf_kernel_basis([[e.as_nfelem() for e in row] for row in family.mixed_matrix])
@@ -357,13 +352,15 @@ IndependenceResult = namedtuple("IndependenceResult", "entries det_cofactor rank
 
 
 def quadric_independence(family) -> IndependenceResult:
-    """The circulant determinant of the XY column (a, b, c, d) of M, by
-    cofactors and checked against the eigenvalue formula, and the rank of
-    Q_0..Q_3 over the ten quadric monomials.  The four square columns are
-    zero, so that is the rank of M, with M's pivot columns given as
-    QUADRIC_BASIS indices."""
-    a, b, c, d = (row[0].as_nfelem() for row in family.mixed_matrix)
-    det_cof = matrix_det(circulant_matrix(a, b, c, d))
+    """The determinant of M's m-free columns XY, YZ, ZT, XT, the transpose of
+    the circulant of the XY column (a, b, c, d), by cofactors and checked
+    against the circulant's eigenvalue formula; and the rank of Q_0..Q_3 over
+    the ten quadric monomials, which is the rank of M since the four square
+    columns are zero, with M's pivot columns given as QUADRIC_BASIS indices."""
+    cols = [MIXED_MONOMIALS.index(_monomial(pair)) for pair in ("XY", "YZ", "ZT", "XT")]
+    block = tuple(tuple(row[k].as_nfelem() for k in cols) for row in family.mixed_matrix)
+    a, b, c, d = (row[0] for row in block)
+    det_cof = matrix_det(block)
     if det_cof != circulant_det_formula(a, b, c, d):
         raise InternalCheckError("cofactor determinant disagrees with the eigenvalue-product formula")
     rank, pivots = matrix_rank(family.mixed_matrix)

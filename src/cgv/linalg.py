@@ -134,9 +134,3 @@ def circulant_det_formula(a, b, c, d) -> NFElem:
     """
     a, b, c, d = (NFElem.coerce(v) for v in (a, b, c, d))
     return (a + b + c + d) * (a - b + c - d) * ((a - c) ** 2 + (b - d) ** 2)
-
-
-def circulant_matrix(a, b, c, d):
-    """The 4x4 circulant with first row (a, b, c, d), as NFElem rows."""
-    first = tuple(NFElem.coerce(v) for v in (a, b, c, d))
-    return tuple(first[-k:] + first[:-k] for k in range(4))

@@ -30,6 +30,12 @@ def over_display_unit(mat):
     return (tuple(e * unit.inverse() for e in mat[0]),) + tuple(mat[1:])
 
 
+def circulant_matrix(a, b, c, d):
+    """The 4x4 circulant with first row (a, b, c, d), as NFElem rows."""
+    first = tuple(NFElem.coerce(v) for v in (a, b, c, d))
+    return tuple(first[-k:] + first[:-k] for k in range(4))
+
+
 def run_config(**options) -> RunConfig:
     """The RunConfig of `cgv check` left at its defaults, with `options`
     (any of m_expr, seed, survey, bound) set instead."""

@@ -14,7 +14,7 @@ from cgv.baselocus import (REFERENCE, Stratum, classify_stratum, quadric_indepen
 from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, LINE_R, LINE_R_PRIME,
                           REFERENCE_POINTS, SIGMA, SIGMA2, eval_at_point,
                           fixed_line_check)
-from cgv.linalg import circulant_det_formula, circulant_matrix, matrix_det
+from cgv.linalg import circulant_det_formula, matrix_det
 import cgv.divisors as lat
 from cgv.genus import (ci_genus, distinct_points, pencil_factorization,
                        pencil_member, pencil_on_line, quintuple_family_coeffs,
@@ -27,7 +27,7 @@ from cgv.reportlib import CONFIRMED, REFUTED, render_text
 from cgv.suites import run_suite
 from cgv.upoly import UPoly, squarefree_part, upoly_gcd
 
-from conftest import (nf_reduce, nf_to_float, over_display_unit, random_nfelem,
+from conftest import (circulant_matrix, nf_reduce, nf_to_float, over_display_unit, random_nfelem,
                       random_nfelem_nonzero, run_config, scale_form, swap_xy)
 
 M1 = NFElem(1)

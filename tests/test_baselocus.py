@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import cgv.suites as suites
 
@@ -356,9 +357,9 @@ def test_stratum_restrictions_are_slices_of_the_mixed_matrix(family, m):
     fam = family.at_m(m)
     assert len(fam.mixed_matrix) == 4 and all(len(row) == 6 for row in fam.mixed_matrix)
     for stratum in all_strata():
-        columns = stratum.columns()
-        assert len(columns) == {4: 0, 3: 0, 2: 1, 1: 3, 0: 6}[len(stratum.taken)]
         zero = {name: 0 for name in stratum.hyperplane_names}
+        columns = [k for k, e in enumerate(MIXED_MONOMIALS) if not any(e[GEOM_VARS.index(h)] for h in zero)]
+        assert len(columns) == {4: 0, 3: 0, 2: 1, 1: 3, 0: 6}[len(stratum.taken)]
         for j in stratum.quadrics:
             sliced = MPoly()
             for k in columns:
@@ -498,6 +499,33 @@ def test_torus_branches_on_a_substituted_kernel(family, monkeypatch, kernel, kin
     assert res.kind == kind
     assert text in res.notes
     assert res.points == (REFERENCE_POINTS if kind == REFERENCE else ())
+
+
+def _span_bases(k, n):
+    """k vectors of length n over small elements of Q(r), small integers often,
+    so that b0 + t*b1 meets 0 at small t."""
+    small = st.integers(-3, 3)
+    entries = st.one_of(st.integers(-6, 6).map(NFElem), st.builds(NFElem, small, small))
+    return st.lists(st.tuples(*[entries] * n), min_size=k, max_size=k)
+
+
+# one vector or two, on the slice (n = 3) or on M (n = 6): every call the base
+# locus makes that passes the zero-column branch
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(*(_span_bases(k, n) for k in (1, 2) for n in (3, 6))))
+# c0*b0 + c1*b1 has a zero entry for each (c0, c1) in {0, 1, 2}^2; (1, 3) clears
+@example([_nf_vector(1, 0, -1, -2, -1, 5), _nf_vector(0, 1, 1, 1, 2, 1)])
+@example([_nf_vector(0, -1, -2), _nf_vector(1, 1, 1)])
+@example([_nf_vector(2, -1, 3)])
+def test_an_unconfined_kernel_has_an_all_nonzero_vector(basis):
+    n = len(basis[0])
+    rank = matrix_rank(basis)[0]
+    # a basis, not confined to a coordinate hyperplane
+    assume(rank == len(basis) and not any(all(b[p].is_zero() for b in basis) for p in range(n)))
+    vec = baselocus._all_nonzero_kernel_vector(basis)
+    assert vec is not None and len(vec) == n
+    assert all(not x.is_zero() for x in vec)
+    assert matrix_rank(list(basis) + [vec])[0] == rank
 
 
 def test_a_nonsingular_single_hyperplane_system_leaves_the_reference_points(family, monkeypatch):

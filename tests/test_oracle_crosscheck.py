@@ -5,12 +5,17 @@ system and compare: the dual-route discipline for the values the package's
 own arithmetic is trusted with elsewhere.
 """
 
+import pytest
 import sympy as sp
 
-from cgv.baselocus import single_hyperplane_det_analysis, single_hyperplane_system
+from cgv.baselocus import (quadric_independence, single_hyperplane_det_analysis,
+                           single_hyperplane_system)
+from cgv.geometry import MIXED_MONOMIALS
+from cgv.linalg import circulant_det_formula
+from cgv.nf import NFElem
 from cgv.tangent import chart_gradient
 
-from conftest import RR, SYMS, nf_to_sympy, red, to_sympy
+from conftest import RR, SYMS, circulant_matrix, nf_to_sympy, red, to_sympy
 
 SX, SY, SZ, ST, SM = (SYMS[v] for v in ("X", "Y", "Z", "T", "m"))
 
@@ -57,7 +62,6 @@ def test_printed_matrix_determinant_vanishes(family):
 
 
 def test_circulant_value_against_sympy(family):
-    from cgv.baselocus import quadric_independence
     ind = quadric_independence(family)
     a = red((RR + 1) * (3 * RR - 2))
     b = 3 * RR - 2
@@ -67,6 +71,23 @@ def test_circulant_value_against_sympy(family):
     det = red(m.det())
     got = ind.det_cofactor
     assert red(det - nf_to_sympy(got)) == 0
+
+
+@pytest.mark.parametrize("m", [None, NFElem(0), NFElem(1), NFElem(0, 1)],
+                         ids=["symbolic", "0", "1", "r"])
+def test_the_circulant_is_the_cyclic_block_of_the_mixed_matrix(family, m):
+    # M's columns XY, YZ, ZT, XT (exponents in X, Y, Z, T order) are the
+    # transpose of the circulant of the XY column, and sympy's determinant of
+    # that block is the eigenvalue-product formula
+    fam = family.at_m(m)
+    cols = [MIXED_MONOMIALS.index(e) for e in ((1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (1, 0, 0, 1))]
+    block = [tuple(row[k].as_nfelem() for k in cols) for row in fam.mixed_matrix]
+    xy = [row[0] for row in block]
+    assert block == list(zip(*circulant_matrix(*xy)))
+    det = red(sp.Matrix([[nf_to_sympy(e) for e in row] for row in block]).det())
+    formula = circulant_det_formula(*xy)
+    assert red(det - nf_to_sympy(formula)) == 0
+    assert quadric_independence(fam).det_cofactor == formula
 
 
 def test_restricted_cofactors_against_sympy(family):
