@@ -29,10 +29,11 @@ exact substitution before it builds the result.  A reference point needs
 no substitution: it lies on every Q_j because M exists.  The system of a
 single-hyperplane stratum is M's slice as it stands.
 
-The m-flag and the kernel of each distinct single-hyperplane slice are
-kept in the family's memo (`CubicFamily.cached`), each built next to its
-one reader, so each costs one computation per run; the suites keep
-`quadric_independence` and the system determinants there too.
+The m-flag and, per distinct single-hyperplane slice, its kernel, the
+kernel's note and its all-nonzero vector are kept in the family's memo
+(`CubicFamily.cached`), each built next to its one reader, so each costs
+one computation per run; the suites keep `quadric_independence` and the
+system determinants there too.
 """
 
 from __future__ import annotations
@@ -53,37 +54,31 @@ NON_REFERENCE = "non_reference_points"
 INCONCLUSIVE = "inconclusive"
 
 
-class Stratum(namedtuple("Stratum", "taken")):
-    """`taken`: the indices i in cofactor order (T,X,Y,Z) whose coordinate vanishes."""
+def points_str(points) -> str:
+    return ", ".join(point_name(p) for p in points) if points else "(none)"
+
+
+class Stratum(namedtuple("Stratum",
+                         "taken quadrics hyperplane_names label reference_points points_str")):
+    """`taken`: the indices i in cofactor order (T,X,Y,Z) whose coordinate
+    vanishes; every other field is derived from it once, in `Stratum(taken)`.
+    `reference_points` are the points e_v of the free coordinates v, in
+    REFERENCE_POINTS order, and `points_str` their printed text."""
 
     __slots__ = ()
 
-    @property
-    def quadrics(self):
-        return tuple(j for j in range(4) if j not in self.taken)
-
-    @property
-    def hyperplane_names(self):
-        return tuple(COFACTOR_COORDS[i] for i in self.taken)
-
-    def label(self) -> str:
-        hs = ".".join(self.hyperplane_names) or "-"
-        qs = ".".join(f"Q{j}" for j in self.quadrics) or "-"
-        return f"{hs}|{qs}"
-
-    def reference_points(self):
-        """The points e_v of the free coordinates v, in REFERENCE_POINTS order."""
-        free = {COFACTOR_COORDS[j] for j in self.quadrics}
-        return tuple(pt for v, pt in zip(GEOM_VARS, REFERENCE_POINTS) if v in free)
+    def __new__(cls, taken):
+        quadrics = tuple(j for j in range(4) if j not in taken)
+        names = tuple(COFACTOR_COORDS[i] for i in taken)
+        label = (".".join(names) or "-") + "|" + (".".join(f"Q{j}" for j in quadrics) or "-")
+        points = tuple(pt for v, pt in zip(GEOM_VARS, REFERENCE_POINTS)
+                       if COFACTOR_COORDS.index(v) in quadrics)
+        return super().__new__(cls, taken, quadrics, names, label, points, points_str(points))
 
 
-def all_strata():
-    """The 16 strata in the displayed order: mask descending, T the top bit."""
-    out = []
-    for mask in range(15, -1, -1):
-        taken = tuple(i for i in range(4) if mask & (8 >> i))
-        out.append(Stratum(taken))
-    return out
+# the 16 strata in the displayed order: mask descending, T the top bit
+ALL_STRATA = tuple(Stratum(tuple(i for i in range(4) if mask & (8 >> i)))
+                   for mask in range(15, -1, -1))
 
 
 # points: tuples of 4 NFElem, in X,Y,Z,T positions; notes: the printed
@@ -103,14 +98,14 @@ def _monomial_name(exp) -> str:
 
 def _result(family, stratum, kind, points, notes) -> StratumResult:
     """The result of `stratum`.  A REFERENCE result carries
-    `stratum.reference_points()`, which lie on the stratum's hyperplanes and,
+    `stratum.reference_points`, which lie on the stratum's hyperplanes and,
     since M exists, on every Q_j.  The points of a NON_REFERENCE result are
     computed, so each is checked by exact substitution to kill every defining
     form of the stratum; InternalCheckError names the first that does not."""
     for pt in (points if kind == NON_REFERENCE else ()):
         if (any(not pt[GEOM_VARS.index(COFACTOR_COORDS[i])].is_zero() for i in stratum.taken)
                 or not all(eval_at_point(family.quadrics[j], pt).is_zero() for j in stratum.quadrics)):
-            raise InternalCheckError(f"{point_name(pt)} fails exact substitution on {stratum.label()}")
+            raise InternalCheckError(f"{point_name(pt)} fails exact substitution on {stratum.label}")
     return StratumResult(stratum, kind, tuple(points), notes)
 
 
@@ -134,7 +129,7 @@ def _double_hyperplane(family, stratum) -> StratumResult:
                 f"the coefficient of the Q{j} restriction is ({coeff}): a unit for every m except m = 0"
             )
     # the product monomial vanishes where either free coordinate does
-    return _result(family, stratum, REFERENCE, stratum.reference_points(),
+    return _result(family, stratum, REFERENCE, stratum.reference_points,
                    tuple(identities + notes))
 
 
@@ -197,6 +192,18 @@ def _all_nonzero_kernel_vector(basis):
     return None
 
 
+def _slice_kernel(a):
+    """The kernel of the slice `a`, its note, `a`'s first zero column (or None)
+    and, if no column is zero, the kernel's `_all_nonzero_kernel_vector`."""
+    kernel = tuple(nf_kernel_basis(a))
+    if not kernel:
+        return kernel, (), None, None
+    kernel_strs = ["(" + ", ".join(nf_str(c) for c in v) + ")" for v in kernel]
+    notes = (f"kernel dimension {len(kernel)}; basis " + "; ".join(kernel_strs),)
+    zero = next((col for col in range(3) if all(row[col].is_zero() for row in a)), None)
+    return kernel, notes, zero, None if zero is not None else _all_nonzero_kernel_vector(kernel)
+
+
 def _single_hyperplane(family, stratum) -> StratumResult:
     """Classify the stratum {h = 0} meet the three non-cofactor quadrics.
 
@@ -208,13 +215,13 @@ def _single_hyperplane(family, stratum) -> StratumResult:
     column vanishes (then a whole coordinate line lies in the stratum); a
     vector with exactly two nonzero entries never arises from a point.
 
-    The kernel is eliminated once per distinct matrix of the family; the
-    lift below uses this stratum's own basis and cycle.
+    The kernel, its note, the zero column and the all-nonzero vector are
+    found once per distinct matrix of the family (`_slice_kernel`); the lift
+    below uses this stratum's own basis and cycle.
     """
     (h,) = stratum.hyperplane_names
     mat, basis, row_quadrics, cycle = single_hyperplane_system(family, h)
     a = tuple(tuple(e.as_nfelem() for e in row) for row in mat)
-    ref_points = stratum.reference_points()
 
     def result(kind, points, identity, notes=()):
         return _result(family, stratum, kind, points, (
@@ -222,24 +229,19 @@ def _single_hyperplane(family, stratum) -> StratumResult:
             "a kernel vector with exactly two nonzero entries is never the monomial vector of a point",
             identity) + notes)
 
-    kernel = family.cached(("slice kernel", a), lambda _: tuple(nf_kernel_basis(a)))
+    kernel, notes, zero, vec = family.cached(("slice kernel", a), lambda _: _slice_kernel(a))
     if not kernel:
-        return result(REFERENCE, ref_points, "the specialized system is nonsingular: kernel = 0")
-
-    kernel_strs = ["(" + ", ".join(nf_str(c) for c in v) + ")" for v in kernel]
-    notes = (f"kernel dimension {len(kernel)}; basis " + "; ".join(kernel_strs),)
+        return result(REFERENCE, stratum.reference_points, "the specialized system is nonsingular: kernel = 0")
 
     # one-nonzero-entry vectors come from zero columns
-    for col in range(3):
-        if all(row[col].is_zero() for row in a):
-            # the point with 1 at both coordinates of the column's monomial
-            sample = tuple(NFElem(e) for e in basis[col])
-            return result(
-                NON_REFERENCE, (sample,),
-                f"matrix column for {_monomial_name(basis[col])} vanishes: the whole line with the other coordinates 0 lies in the stratum",
-                notes)
+    if zero is not None:
+        # the point with 1 at both coordinates of the column's monomial
+        sample = tuple(NFElem(e) for e in basis[zero])
+        return result(
+            NON_REFERENCE, (sample,),
+            f"matrix column for {_monomial_name(basis[zero])} vanishes: the whole line with the other coordinates 0 lies in the stratum",
+            notes)
 
-    vec = _all_nonzero_kernel_vector(kernel)
     if vec is not None:
         u, v, w = vec
         lifted = dict(zip(cycle, (u * w, u * v, v * w)))
@@ -252,7 +254,7 @@ def _single_hyperplane(family, stratum) -> StratumResult:
     confined = [col for col in range(3) if all(v[col].is_zero() for v in kernel)]
     mono_names = [_monomial_name(basis[c]) for c in confined]
     return result(
-        REFERENCE, ref_points,
+        REFERENCE, stratum.reference_points,
         f"every kernel vector has {', '.join(mono_names)} entry 0, and no matrix column vanishes: "
         "no monomial vector of a non-reference point lies in the kernel",
         notes)
@@ -282,7 +284,7 @@ def _torus(family, stratum) -> StratumResult:
     kernel = nf_kernel_basis([[e.as_nfelem() for e in row] for row in family.mixed_matrix])
     if len(kernel) != 2:
         raise InternalCheckError(f"the mixed-monomial kernel has dimension {len(kernel)}, not 2")
-    all_ref = stratum.reference_points()
+    all_ref = stratum.reference_points
     base_identities = (
         "a common zero with some coordinate 0 lies in a stratum with more hyperplanes",
         "torus points correspond to all-nonzero kernel vectors of the 4x6 mixed-monomial system "
@@ -397,7 +399,7 @@ def classify_stratum(family, stratum) -> StratumResult:
     if k == 3:
         # no column: the surviving quadric vanishes identically
         (qj,) = stratum.quadrics
-        return _result(family, stratum, REFERENCE, stratum.reference_points(), (
+        return _result(family, stratum, REFERENCE, stratum.reference_points, (
             f"Q{qj} with the three coordinates set to 0 is identically 0 in {COFACTOR_COORDS[qj]}",))
     if k < 2 and symbolic:
         identity, analysis = _NEEDS_M[k]
@@ -417,7 +419,3 @@ def aggregate(results):
     if set(points) != set(REFERENCE_POINTS):
         raise InternalCheckError("conclusive strata do not union to the four reference points")
     return REFERENCE, REFERENCE_POINTS
-
-
-def points_str(points) -> str:
-    return ", ".join(point_name(p) for p in points) if points else "(none)"

@@ -11,8 +11,9 @@ the rotation.
 
 A `CubicFamily` lasts one run.  It keeps M and one memo, `cached`, and
 each layer keeps there what it computes once per run, next to its one
-reader: `baselocus` the m-flag and the slice kernels; `suites` the
-system determinants and the independence analysis; `tangent` and `genus`,
+reader: `baselocus` the m-flag and, per distinct slice, its kernel with
+the kernel's note and all-nonzero vector; `suites` the system
+determinants and the independence analysis; `tangent` and `genus`,
 through `derive`, the chart-gradient rows and the pencil on r.
 """
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import baselocus, divisors, genus, tangent
 from .baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
-                        all_strata, classify_stratum, points_str,
+                        ALL_STRATA, classify_stratum, points_str,
                         quadric_independence, single_hyperplane_det_analysis,
                         single_hyperplane_system)
 from .claims import (CLAIMED_TANGENT_ROWS, DISPLAY_UNIT, PRINTED_CIRCULANT_ENTRIES,
@@ -128,15 +128,15 @@ _STRATUM_CLAIMS = {
 
 
 def _stratum_claim(stratum):
-    key = _STRATUM_CLAIMS.get(stratum.label()) or _STRATUM_CLAIMS[len(stratum.taken)]
+    key = _STRATUM_CLAIMS.get(stratum.label) or _STRATUM_CLAIMS[len(stratum.taken)]
     printed = claim(key)
     # a claim the source makes of several strata is filled with this one's points
-    return printed if printed.value is not None else claim(key, points_str(stratum.reference_points()))
+    return printed if printed.value is not None else claim(key, stratum.points_str)
 
 
 def _stratum_computed(res) -> str:
     if res.kind == REFERENCE:
-        return points_str(res.points)
+        return res.stratum.points_str
     if res.kind == NON_REFERENCE:
         return "non-reference points: " + points_str(res.points)
     return "empty" if res.kind == EMPTY else "inconclusive"
@@ -164,17 +164,16 @@ def _det_analysis(family, mat):
 def base_locus_suite(family, config: RunConfig, checks):
     family_m = family.at_m(config.m_value)
     results = []
-    for stratum in all_strata():
-        label = stratum.label()
+    for stratum in ALL_STRATA:
         try:
             res = classify_stratum(family_m, stratum)
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            checks.append(error_check(f"base-locus/stratum/{label}", exc))
+            checks.append(error_check(f"base-locus/stratum/{stratum.label}", exc))
             results.append(baselocus.StratumResult(stratum, INCONCLUSIVE, (), ()))
             continue
         results.append(res)
         checks.append(make_check(
-            f"base-locus/stratum/{label}",
+            f"base-locus/stratum/{stratum.label}",
             _stratum_computed(res),
             _stratum_claim(stratum),
             notes=res.notes,
@@ -185,10 +184,11 @@ def base_locus_suite(family, config: RunConfig, checks):
     printed = tuple(tuple(parse_display(t) for t in row) for row in PRINTED_SYSTEM_MATRIX)
     try:
         mat, _ = _printed_system(family, "T")
+        mat_str = _matrix_str(mat)
         checks.append(make_check(
             "base-locus/system/T/matrix",
-            _matrix_str(mat),
-            claim("single-system-matrix", _matrix_str(printed)),
+            mat_str,
+            claim("single-system-matrix", mat_str if mat == printed else _matrix_str(printed)),
             notes=("rows are the restrictions of Q1, Q2, Q3 to T = 0 over the basis (XY, YZ, ZX); "
                    "the first row is normalized by the display unit 3r-2",),
         ))

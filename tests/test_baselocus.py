@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -9,7 +10,7 @@ import cgv.suites as suites
 import cgv.baselocus as baselocus
 from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, QUADRIC_BASIS, REFERENCE,
                            Stratum, aggregate,
-                           all_strata, classify_stratum,
+                           ALL_STRATA, classify_stratum,
                            single_hyperplane_det_analysis,
                            single_hyperplane_system, quadric_independence)
 from cgv.cli import main
@@ -37,16 +38,38 @@ def nf_rows(mat):
 
 
 def test_sixteen_strata_in_display_order():
-    strata = all_strata()
-    assert len(strata) == 16
+    strata = ALL_STRATA
+    assert type(strata) is tuple and len(strata) == 16
     assert strata[0].taken == (0, 1, 2, 3)
     assert strata[-1].taken == ()
     sizes = [len(s.taken) for s in strata]
     assert sizes.count(4) == 1 and sizes.count(3) == 4
     assert sizes.count(2) == 6 and sizes.count(1) == 4 and sizes.count(0) == 1
     # the displayed decomposition starts T.X.Y.Z, then T.X.Y|Q3, T.X.Z|Q2, T.X|Q2.Q3
-    labels = [s.label() for s in strata[:4]]
+    labels = [s.label for s in strata[:4]]
     assert labels == ["T.X.Y.Z|-", "T.X.Y|Q3", "T.X.Z|Q2", "T.X|Q2.Q3"]
+
+
+def test_stratum_fields_follow_from_taken():
+    # cofactor order T, X, Y, Z names the hyperplanes; points are written in X, Y, Z, T positions
+    every = [taken for n in range(5) for taken in itertools.combinations(range(4), n)]
+    assert set(ALL_STRATA) == {Stratum(taken) for taken in every}
+    for taken in every:
+        stratum = Stratum(taken)
+        quadrics = tuple(j for j in range(4) if j not in taken)
+        names = tuple("TXYZ"[i] for i in taken)
+        free = [v for v in "XYZT" if "TXYZ".index(v) not in taken]
+        assert stratum.taken == taken and stratum.quadrics == quadrics
+        assert stratum.hyperplane_names == names
+        assert stratum.label == (".".join(names) or "-") + "|" + (".".join(f"Q{j}" for j in quadrics) or "-")
+        assert stratum.reference_points == tuple(tuple(NFElem(int(v == w)) for w in "XYZT") for v in free)
+        assert stratum.points_str == (", ".join("[" + ":".join("1" if v == w else "0" for w in "XYZT") + "]"
+                                                for v in free) or "(none)")
+    assert Stratum((0, 1)).label == "T.X|Q2.Q3"
+    assert Stratum((0, 1)).points_str == "[0:1:0:0], [0:0:1:0]"
+    assert Stratum((1, 2, 3)).points_str == "[0:0:0:1]"
+    assert Stratum((0, 1, 2, 3)).label == "T.X.Y.Z|-" and Stratum((0, 1, 2, 3)).points_str == "(none)"
+    assert Stratum(()).label == "-|Q0.Q1.Q2.Q3"
 
 
 def _unit_points(stratum):
@@ -56,8 +79,8 @@ def _unit_points(stratum):
 
 
 def test_stratum_reference_points(family):
-    for stratum in all_strata():
-        points = stratum.reference_points()
+    for stratum in ALL_STRATA:
+        points = stratum.reference_points
         assert points == _unit_points(stratum)
         assert len(points) == 4 - len(stratum.taken)
         # each lies on the stratum, identically in m
@@ -65,7 +88,7 @@ def test_stratum_reference_points(family):
             assert all(pt[GEOM_VARS.index(COFACTOR_COORDS[i])].is_zero() for i in stratum.taken)
             sub = dict(zip(GEOM_VARS, pt))
             assert all(family.quadrics[j].substitute(sub).is_zero() for j in stratum.quadrics)
-    assert Stratum(()).reference_points() == REFERENCE_POINTS
+    assert Stratum(()).reference_points == REFERENCE_POINTS
 
 
 # m, and how many of the 16 strata are REFERENCE there: all but the empty
@@ -79,11 +102,11 @@ def test_reference_results_report_the_stratum_reference_points(family, m, n_refe
     # `_result` substitutes nothing into a REFERENCE result, so its points
     # must be the stratum's own reference points
     fixed = family if m is None else family.at_m(m)
-    reference = [res for res in (classify_stratum(fixed, s) for s in all_strata())
+    reference = [res for res in (classify_stratum(fixed, s) for s in ALL_STRATA)
                  if res.kind == REFERENCE]
     assert len(reference) == n_reference
     for res in reference:
-        assert res.points == res.stratum.reference_points() == _unit_points(res.stratum)
+        assert res.points == res.stratum.reference_points == _unit_points(res.stratum)
 
 
 def test_quadruple_stratum_empty(family):
@@ -290,7 +313,7 @@ def test_every_reported_point_is_checked(family, monkeypatch, m):
     evals = count_calls(monkeypatch, "eval_at_point", baselocus)
     fixed = family.at_m(parse_poly(m).as_nfelem())
     kinds = []
-    for stratum in all_strata():
+    for stratum in ALL_STRATA:
         del evals[:]
         res = classify_stratum(fixed, stratum)
         kinds.append(res.kind)
@@ -356,7 +379,7 @@ def test_stratum_restrictions_are_slices_of_the_mixed_matrix(family, m):
     # dual route: substitute the stratum's zeros into each remaining quadric
     fam = family.at_m(m)
     assert len(fam.mixed_matrix) == 4 and all(len(row) == 6 for row in fam.mixed_matrix)
-    for stratum in all_strata():
+    for stratum in ALL_STRATA:
         zero = {name: 0 for name in stratum.hyperplane_names}
         columns = [k for k, e in enumerate(MIXED_MONOMIALS) if not any(e[GEOM_VARS.index(h)] for h in zero)]
         assert len(columns) == {4: 0, 3: 0, 2: 1, 1: 3, 0: 6}[len(stratum.taken)]
@@ -377,7 +400,7 @@ def _square_term_family(family):
 def test_a_square_term_makes_every_stratum_raise(family):
     bad = _square_term_family(family)
     for m in (None, M1):
-        for stratum in all_strata():
+        for stratum in ALL_STRATA:
             with pytest.raises(ConstructionError, match="Q0 has a term off the mixed monomials"):
                 classify_stratum(bad.at_m(m), stratum)
 
@@ -403,7 +426,7 @@ def test_a_raising_system_keeps_the_checks_already_made(family, monkeypatch, cap
     doc = json.loads(capsys.readouterr().out)
     errors = [c["check-id"] for c in doc["checks"] if c["computed"].startswith("internal error: ")]
     assert rc == 1
-    assert errors == ([f"base-locus/stratum/{s.label()}" for s in all_strata()]
+    assert errors == ([f"base-locus/stratum/{s.label}" for s in ALL_STRATA]
                       + [f"base-locus/system/{h}" for h in "TXYZ"]
                       + ["base-locus/quadric-independence"])
     assert doc["summary"]["errors"] == "21"
@@ -414,7 +437,7 @@ def test_a_raising_system_keeps_the_checks_already_made(family, monkeypatch, cap
 
 def test_sigma_equivariance_of_strata(family):
     # transporting the stratum data by the rotation permutes the points by it
-    for stratum in all_strata():
+    for stratum in ALL_STRATA:
         res = classify_stratum(family.at_m(M1), stratum)
         image = Stratum(tuple(sorted((i + 1) % 4 for i in stratum.taken)))
         res_img = classify_stratum(family.at_m(M1), image)
@@ -424,20 +447,20 @@ def test_sigma_equivariance_of_strata(family):
 
 
 def test_aggregate_confirmed_at_m1(family):
-    results = [classify_stratum(family.at_m(M1), s) for s in all_strata()]
+    results = [classify_stratum(family.at_m(M1), s) for s in ALL_STRATA]
     kind, points = aggregate(results)
     assert kind == REFERENCE
     assert points == REFERENCE_POINTS
 
 
 def test_aggregate_indeterminate_when_m_symbolic(family):
-    results = [classify_stratum(family.at_m(None), s) for s in all_strata()]
+    results = [classify_stratum(family.at_m(None), s) for s in ALL_STRATA]
     kind, _ = aggregate(results)
     assert kind == INCONCLUSIVE
 
 
 def test_aggregate_never_silently_confirmed(family):
-    results = [classify_stratum(family.at_m(M1), s) for s in all_strata()]
+    results = [classify_stratum(family.at_m(M1), s) for s in ALL_STRATA]
     # degrade one stratum to inconclusive: the aggregate must follow
     from cgv.baselocus import StratumResult
     results[7] = StratumResult(results[7].stratum, INCONCLUSIVE, (), ())
@@ -534,7 +557,7 @@ def test_a_nonsingular_single_hyperplane_system_leaves_the_reference_points(fami
     res = classify_stratum(family.at_m(M1), stratum)
     assert res.kind == REFERENCE
     assert res.notes[-1] == "the specialized system is nonsingular: kernel = 0"
-    assert res.points == stratum.reference_points()
+    assert res.points == stratum.reference_points
     # the three identities of the kernel lift, and no remark after them
     assert len(res.notes) == 3
 
@@ -559,6 +582,23 @@ def test_one_run_substitutes_nothing_at_the_reference_points(monkeypatch, capsys
     assert counts == [(0, 2, 1)] * 2
 
 
+@pytest.mark.parametrize("m", [NFElem(1), NFElem(0, 1), NFElem(-1)], ids=["1", "r", "-1"])
+def test_the_single_strata_share_one_slice_kernel(family, monkeypatch, m):
+    # the four slices of the rotation-invariant family are equal, so the four
+    # single strata eliminate, search and print their kernel once between them
+    kernels = count_calls(monkeypatch, "nf_kernel_basis", baselocus)
+    searches = count_calls(monkeypatch, "_all_nonzero_kernel_vector", baselocus)
+    printed = count_calls(monkeypatch, "nf_str", baselocus)
+    fixed = family.at_m(m)
+    results = [classify_stratum(fixed, Stratum((i,))) for i in range(4)]
+    assert len(kernels) == 1 and len(searches) <= 1
+    kernel = nf_kernel_basis(*kernels[0])
+    # the note prints each entry of the kernel basis once, and every stratum carries it
+    assert kernel and len(printed) == 3 * len(kernel)
+    note = f"kernel dimension {len(kernel)}; basis "
+    assert all(sum(n.startswith(note) for n in res.notes) == 1 for res in results)
+
+
 def _mixed_term_family(family):
     """The family with X*Y added to Q1: M still exists, but the rotation no
     longer permutes the quadrics, and the four single-hyperplane slices differ."""
@@ -569,15 +609,15 @@ def _mixed_term_family(family):
 
 def test_results_are_reused_by_value_not_by_position(family, monkeypatch):
     # the real family first, so that a cache keyed by h or by stratum holds its values
-    real = [classify_stratum(family.at_m(M1), s) for s in all_strata()]
+    real = [classify_stratum(family.at_m(M1), s) for s in ALL_STRATA]
     real_checks = suites.run_suite("base-locus", run_config(m_expr="1"))
     altered = _mixed_term_family(family)
     shared = altered.at_m(M1)
     slices = {h: single_hyperplane_system(shared, h)[0] for h in COFACTOR_COORDS}
     assert len(set(slices.values())) == 3
     # each stratum of one family equals the same stratum of its own fresh family
-    results = [classify_stratum(shared, stratum) for stratum in all_strata()]
-    assert results == [classify_stratum(altered.at_m(M1), s) for s in all_strata()]
+    results = [classify_stratum(shared, stratum) for stratum in ALL_STRATA]
+    assert results == [classify_stratum(altered.at_m(M1), s) for s in ALL_STRATA]
     assert results != real
     # and each slice's kernel is its own: T and Z are nonsingular here, X and Y are not
     for res in results:
