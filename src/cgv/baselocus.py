@@ -27,13 +27,13 @@ Every classifier returns through `_result`, which checks each point a
 classifier computes (a kernel lift, a zero-column sample, a torus point) by
 exact substitution before it builds the result.  A reference point needs
 no substitution: it lies on every Q_j because M exists.  The system of a
-single-hyperplane stratum is M's slice as it stands.
+single-hyperplane stratum is M's slice as it stands, on the rows and
+columns that `SLICES` fixes once per hyperplane.
 
 The m-flag and, per distinct single-hyperplane slice, its kernel, the
 kernel's note and its all-nonzero vector are kept in the family's memo
 (`CubicFamily.cached`), each built next to its one reader, so each costs
-one computation per run; the suites keep `quadric_independence` and the
-system determinants there too.
+one computation per run; the suites keep `quadric_independence` there too.
 """
 
 from __future__ import annotations
@@ -89,6 +89,19 @@ StratumResult = namedtuple("StratumResult", "stratum kind points notes")
 def _monomial(names):
     """The exponent vector of the product of the named coordinates."""
     return tuple(names.count(v) for v in GEOM_VARS)
+
+
+def _slice_geometry(h):
+    """(basis exponent vectors, row quadric indices, free cycle, M's columns)
+    of the h = 0 slice; see `single_hyperplane_system`."""
+    i, start = COFACTOR_COORDS.index(h), GEOM_VARS.index(h)
+    cycle = tuple(GEOM_VARS[(start + n) % 4] for n in (1, 2, 3))
+    basis = tuple(_monomial((cycle[n], cycle[(n + 1) % 3])) for n in range(3))
+    return basis, tuple((i + k) % 4 for k in (1, 2, 3)), cycle, tuple(map(MIXED_MONOMIALS.index, basis))
+
+
+# the slice geometry of each hyperplane, which no family changes
+SLICES = {h: _slice_geometry(h) for h in COFACTOR_COORDS}
 
 
 def _monomial_name(exp) -> str:
@@ -148,16 +161,12 @@ def single_hyperplane_system(family, h: str):
     coordinates after h in (X, Y, Z, T) taken cyclically: (X, Y, Z) for
     h = T, and the rotation transports it to every other h.
 
-    Returns (matrix, basis exponent vectors, row quadric indices, free cycle).
+    Returns (matrix, basis exponent vectors, row quadric indices, free
+    cycle); all but the matrix are the constant `SLICES[h]`.
     """
-    i = COFACTOR_COORDS.index(h)
-    start = GEOM_VARS.index(h)
-    cycle = tuple(GEOM_VARS[(start + n) % 4] for n in (1, 2, 3))
-    basis = [_monomial((cycle[n], cycle[(n + 1) % 3])) for n in range(3)]
-    row_quadrics = tuple((i + k) % 4 for k in (1, 2, 3))
-    cols = [MIXED_MONOMIALS.index(e) for e in basis]
-    rows = tuple(tuple(family.mixed_matrix[j][k] for k in cols) for j in row_quadrics)
-    return rows, basis, row_quadrics, cycle
+    basis, row_quadrics, cycle, cols = SLICES[h]
+    mixed = family.mixed_matrix
+    return tuple(tuple(mixed[j][k] for k in cols) for j in row_quadrics), list(basis), row_quadrics, cycle
 
 
 DetAnalysis = namedtuple("DetAnalysis", "det m_coefficient m_free_part")

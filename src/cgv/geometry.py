@@ -12,9 +12,10 @@ the rotation.
 A `CubicFamily` lasts one run.  It keeps M and one memo, `cached`, and
 each layer keeps there what it computes once per run, next to its one
 reader: `baselocus` the m-flag and, per distinct slice, its kernel with
-the kernel's note and all-nonzero vector; `suites` the system
-determinants and the independence analysis; `tangent` and `genus`,
-through `derive`, the chart-gradient rows and the pencil on r.
+the kernel's note and all-nonzero vector; `suites` the independence
+analysis; `tangent` and `genus`, through `derive`, the chart-gradient rows
+and the pencil on r.  With m fixed, M is the symbolic M with m fixed entry
+by entry, and the quadrics are substituted only where they are read.
 """
 
 from __future__ import annotations
@@ -186,12 +187,15 @@ class CubicFamily:
 class _FamilyAtM(CubicFamily):
     """The family `parent` with m fixed to a value v (`CubicFamily.at_m`).
 
-    Its cubics and quadrics are the parent's with m := v, substituted on
-    first use, so M and every `cached` value are built on this family.  A
-    `derive` value is instead the parent's symbolic value, built once per
-    run on the parent, with m := v in each entry: fixing m is a ring map, so
-    it commutes with the partials, with T := 1, with products and with
-    restriction to a line.
+    Fixing m is a ring map, so it commutes with reading M off the quadrics,
+    with the partials, with T := 1, with products and with restriction to a
+    line.  M is the parent's M with m := v, entry by entry, and so raises
+    wherever the parent's does: a square term raises at every v, even at a
+    v where its coefficient vanishes.  A `derive` value is likewise the
+    parent's symbolic value, built once per run on the parent, with m := v
+    in each entry.  The cubics and quadrics are the parent's with m := v,
+    substituted on first use, and every `cached` value is built on this
+    family.
     """
 
     def __init__(self, parent: CubicFamily, value):
@@ -202,6 +206,18 @@ class _FamilyAtM(CubicFamily):
 
     def _specialized(self, polys) -> tuple:
         return tuple(p.substitute(self._m) for p in polys)
+
+    @functools.cached_property
+    def mixed_matrix(self):
+        # each entry of the parent's M is a polynomial in m alone
+        power = functools.cache(self._m["m"].__pow__)
+
+        def at_v(entry):
+            if not entry.involves("m"):
+                return entry
+            values = [c * power(e[4]) if e[4] else c for e, c in entry.terms.items()]
+            return MPoly.constant(sum(values[1:], values[0]))
+        return tuple(tuple(map(at_v, row)) for row in self.parent.mixed_matrix)
 
     @functools.cached_property
     def cubics(self):

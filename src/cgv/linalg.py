@@ -7,7 +7,8 @@ nonzero pivot, a unit of the fraction field, so polynomial entries never
 need a quotient and the rank over Q(r)(X,Y,Z,T,m) is exact.  It runs
 column by column and stops at full row rank, so the columns after the
 last pivot are never eliminated.  Kernels are read off the reduced row
-echelon form over Q(r).
+echelon form over Q(r), whose Gauss-Jordan steps scale and subtract only
+the nonzero entries of the pivot row, from the pivot column on.
 """
 
 from __future__ import annotations
@@ -92,8 +93,9 @@ def matrix_rank(rows):
 def nf_rref(rows):
     """Reduced row echelon form over Q(r); returns (rref rows, pivot columns)."""
     a = [list(r) for r in rows]
+    nc = _width(a)
     pivots = []
-    for col in range(_width(a)):
+    for col in range(nc):
         top = len(pivots)
         if top == len(a):
             break
@@ -101,12 +103,17 @@ def nf_rref(rows):
         if piv is None:
             continue
         a[top], a[piv] = a[piv], a[top]
-        inv = a[top][col].inverse()
-        a[top] = [e * inv for e in a[top]]
+        prow = a[top]
+        inv = prow[col].inverse()
+        # left of col the pivot row is 0, so only its nonzero entries from col on change any row
+        scaled = [(j, prow[j] * inv) for j in range(col, nc) if not prow[j].is_zero()]
+        for j, y in scaled:
+            prow[j] = y
         for i, row in enumerate(a):
             f = row[col]
             if i != top and not f.is_zero():
-                a[i] = [x - f * y for x, y in zip(row, a[top])]
+                for j, y in scaled:
+                    row[j] = row[j] - f * y
         pivots.append(col)
     return a, pivots
 

@@ -156,11 +156,6 @@ def _matrix_str(mat) -> str:
     return "[" + "; ".join(", ".join(str(e) for e in row) for row in mat) + "]"
 
 
-def _det_analysis(family, mat):
-    """The determinant analysis of `mat`, once per run and matrix value."""
-    return family.cached(("system determinant", mat), lambda _: single_hyperplane_det_analysis(mat))
-
-
 def base_locus_suite(family, config: RunConfig, checks):
     family_m = family.at_m(config.m_value)
     results = []
@@ -182,6 +177,7 @@ def base_locus_suite(family, config: RunConfig, checks):
 
     # the single-hyperplane systems as printed and their determinants, h = T first
     printed = tuple(tuple(parse_display(t) for t in row) for row in PRINTED_SYSTEM_MATRIX)
+    t_mat = t_analysis = None   # reused for an X, Y or Z matrix equal to T's
     try:
         mat, _ = _printed_system(family, "T")
         mat_str = _matrix_str(mat)
@@ -192,15 +188,15 @@ def base_locus_suite(family, config: RunConfig, checks):
             notes=("rows are the restrictions of Q1, Q2, Q3 to T = 0 over the basis (XY, YZ, ZX); "
                    "the first row is normalized by the display unit 3r-2",),
         ))
-        analysis = _det_analysis(family, mat)
+        t_mat, t_analysis = mat, single_hyperplane_det_analysis(mat)
         checks.append(make_check(
             "base-locus/det/T/m-coefficient",
-            nf_str(analysis.m_coefficient),
+            nf_str(t_analysis.m_coefficient),
             claim("det-m-coefficient"),
         ))
         checks.append(make_check(
             "base-locus/det/T/m-free-part",
-            nf_str(analysis.m_free_part),
+            nf_str(t_analysis.m_free_part),
             claim("det-m-free-part"),
             notes=("the determinant of the printed matrix reduces to 0 identically in m over Q(r); "
                    "the printed nonzero value arises from arithmetic slips in the printed expansion",
@@ -226,9 +222,10 @@ def base_locus_suite(family, config: RunConfig, checks):
                 if mat == printed else "differs from the transported h=T matrix",
                 notes=(f"rows Q{row_quadrics[0]}, Q{row_quadrics[1]}, Q{row_quadrics[2]} restricted to {h} = 0",),
             ))
+            analysis = t_analysis if mat == t_mat else single_hyperplane_det_analysis(mat)
             checks.append(make_check(
                 f"base-locus/det/{h}/value",
-                str(_det_analysis(family, mat).det),
+                str(analysis.det),
                 notes=("determinant over Q(r)[m] of the transported system",),
             ))
         except Exception as exc:  # noqa: BLE001 - the checks already made stay

@@ -1,13 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cgv.claims as claims
 import cgv.geometry as geometry
 from cgv.claims import QUADRIC_TEXTS
-from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, ConstructionError, CoordMap, LINE_R,
-                          LINE_R_PRIME, REFERENCE_POINTS, SIGMA, SIGMA2,
+from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, ConstructionError, CoordMap, CubicFamily,
+                          LINE_R, LINE_R_PRIME, REFERENCE_POINTS, SIGMA, SIGMA2, _mixed_row,
                           build_cubics, eval_at_point, fixed_line_check, point_name)
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NF_R, NFElem
@@ -171,13 +171,43 @@ def test_at_m_substitutes_on_first_use(family, monkeypatch):
     real = MPoly.substitute
     monkeypatch.setattr(MPoly, "substitute", lambda p, mapping: substituted.append(p) or real(p, mapping))
     fixed = family.at_m(NFElem(2))
-    assert substituted == []
+    # M is the parent's M with m fixed entry by entry, so it substitutes no quadric
     fixed.mixed_matrix
+    assert substituted == []
+    fixed.quadrics, fixed.quadrics
     assert substituted == list(family.quadrics)
-    fixed.quadrics, fixed.mixed_matrix
-    assert substituted == list(family.quadrics)
-    fixed.cubics
+    fixed.cubics, fixed.mixed_matrix
     assert substituted == list(family.quadrics + family.cubics)
+
+
+# the ledger's a, b, c and -c, where the torus stratum has base points
+LEDGER_M = ("5/7+18/7*r+8/7*r^2", "-9/7-10/7*r-20/7*r^2", "2/7-4/7*r+6/7*r^2", "-2/7+4/7*r-6/7*r^2")
+
+
+@settings(max_examples=60, deadline=None)
+@given(nf_elems)
+@example(NFElem(0))
+@example(NFElem(1))
+@example(NF_R)
+@example(parse_poly(LEDGER_M[0]).as_nfelem())
+@example(parse_poly(LEDGER_M[1]).as_nfelem())
+@example(parse_poly(LEDGER_M[2]).as_nfelem())
+@example(parse_poly(LEDGER_M[3]).as_nfelem())
+def test_mixed_matrix_at_m_is_read_off_the_fixed_quadrics(family, value):
+    fixed = family.at_m(value)
+    assert fixed.mixed_matrix == tuple(_mixed_row(j, q) for j, q in enumerate(fixed.quadrics))
+
+
+def test_a_square_term_raises_at_every_m(family):
+    # m*X^2 added to Q0: the symbolic M raises, so M at every m raises too,
+    # even at m = 0, where the fixed Q0 has lost the square term
+    quadrics = (family.quadrics[0] + MPoly.var("m") * MPoly.var("X") ** 2,) + family.quadrics[1:]
+    cubics = tuple(MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics))
+    bad = CubicFamily(cubics, quadrics, family.sigma_index_map)
+    assert _mixed_row(0, bad.at_m(NFElem(0)).quadrics[0]) == family.at_m(NFElem(0)).mixed_matrix[0]
+    for m in (None, NFElem(0), NFElem(1)):
+        with pytest.raises(ConstructionError, match="Q0 has a term off the mixed monomials"):
+            bad.at_m(m).mixed_matrix
 
 
 def test_cached_builds_once_per_family_and_key():

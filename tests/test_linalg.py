@@ -13,7 +13,7 @@ from cgv.linalg import circulant_det_formula, matrix_det, matrix_rank, nf_kernel
 from cgv.mpoly import MPoly
 from cgv.nf import NFElem
 
-from conftest import circulant_matrix, mpoly_products, random_nfelem
+from conftest import circulant_matrix, mpoly_products, nf_products, random_nfelem
 
 
 def nf_matrix(rows):
@@ -297,6 +297,28 @@ def test_lazy_rank_matches_whole_matrix_elimination_over_mpoly(rows):
     got = matrix_rank(rows)
     assert got == right_looking_rank(rows)
     assert got[0] == sympy_rank(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(NF_ENTRIES, NFElem, 5, 6))
+def test_nf_rref_matches_sympy_over_qr(rows):
+    # the reduced row echelon form is unique: the same entries and the same pivots
+    got, pivots = linalg.nf_rref(rows)
+    want, want_pivots = DomainMatrix([[qr_elem(e) for e in row] for row in rows],
+                                     (len(rows), len(rows[0])), QR).rref()
+    assert tuple(pivots) == want_pivots
+    assert [[qr_elem(e) for e in row] for row in got] == want.to_list()
+
+
+def test_nf_rref_multiplies_from_the_pivot_column_on(monkeypatch):
+    # each step multiplies the nonzero pivot-row entries from the pivot column
+    # on, once to scale them and once per other row it clears: 3 * 2 at column
+    # 0, which leaves the second row (0, 1, 2), then 2 * 2 at column 1, where
+    # whole rows would make 3 * 2 again
+    rows = nf_matrix([[1, 1, 1], [1, 2, 3]])
+    (rref, pivots), calls = nf_products(monkeypatch, lambda: linalg.nf_rref(rows))
+    assert (rref, pivots) == (nf_matrix([[1, 0, -1], [0, 1, 2]]), [0, 1])
+    assert calls == ["mul"] * 10
 
 
 class Untouchable:
