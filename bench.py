@@ -27,7 +27,7 @@ from pathlib import Path
 sys.path.append(str(Path(__file__).resolve().parent / "src"))
 
 import cgv  # noqa: E402
-from cgv.baselocus import ALL_STRATA, classify_stratum, single_hyperplane_system  # noqa: E402
+from cgv.baselocus import ALL_STRATA, SLICES, classify_stratum  # noqa: E402
 from cgv.claims import QUADRIC_TEXTS  # noqa: E402
 from cgv.cli import main as cli_main  # noqa: E402
 from cgv.geometry import build_cubics  # noqa: E402
@@ -45,9 +45,11 @@ def _rows():
     family = build_cubics()
     one = NFElem(1)
     p = parse_poly("X + r*Y - m + 2/3*T")
-    slice_t = [[e.as_nfelem() for e in row] for row in single_hyperplane_system(family.at_m(one), "T")[0]]
     mixed = [[e.as_nfelem() for e in row] for row in family.at_m(one).mixed_matrix]
-    symbolic_t = single_hyperplane_system(family, "T")[0]
+    # the h = T slice read off M through `SLICES`, which older checkouts share
+    _, rows_t, _, cols_t = SLICES["T"]
+    slice_t = [[mixed[j][k] for k in cols_t] for j in rows_t]
+    symbolic_t = tuple(tuple(family.mixed_matrix[j][k] for k in cols_t) for j in rows_t)
     strata_m = parse_poly(STRATA_M).as_nfelem()
 
     def loop(n, op):

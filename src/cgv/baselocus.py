@@ -30,8 +30,8 @@ no substitution: it lies on every Q_j because M exists.  The system of a
 single-hyperplane stratum is M's slice as it stands, on the rows and
 columns that `SLICES` fixes once per hyperplane.
 
-The m-flag and, per distinct single-hyperplane slice, its kernel, the
-kernel's note and its all-nonzero vector are kept in the family's memo
+M over Q(r), empty while m is a symbol, and per distinct slice its kernel,
+the kernel's note and its all-nonzero vector are kept in the family's memo
 (`CubicFamily.cached`), each built next to its one reader, so each costs
 one computation per run; the suites keep `quadric_independence` there too.
 """
@@ -148,9 +148,9 @@ def _double_hyperplane(family, stratum) -> StratumResult:
 
 # -- single-hyperplane strata -------------------------------------------------
 
-def single_hyperplane_system(family, h: str):
-    """The 3x3 coefficient matrix of the three non-cofactor quadrics on h = 0,
-    a slice of M.
+def single_hyperplane_system(mixed, h: str):
+    """The 3x3 coefficient matrix of the three non-cofactor quadrics on h = 0:
+    the slice of `mixed`, M over Q(r)[m] or over Q(r), that `SLICES[h]` fixes.
 
     Rows are Q_{i+1}, Q_{i+2}, Q_{i+3} (cofactor order), columns the pairwise
     products of the free coordinates in cyclic order.  Every entry of the
@@ -160,13 +160,9 @@ def single_hyperplane_system(family, h: str):
     The free cycle (p, q, s), with basis (pq, qs, sp), is the three
     coordinates after h in (X, Y, Z, T) taken cyclically: (X, Y, Z) for
     h = T, and the rotation transports it to every other h.
-
-    Returns (matrix, basis exponent vectors, row quadric indices, free
-    cycle); all but the matrix are the constant `SLICES[h]`.
     """
-    basis, row_quadrics, cycle, cols = SLICES[h]
-    mixed = family.mixed_matrix
-    return tuple(tuple(mixed[j][k] for k in cols) for j in row_quadrics), list(basis), row_quadrics, cycle
+    _, row_quadrics, _, cols = SLICES[h]
+    return tuple(tuple(mixed[j][k] for k in cols) for j in row_quadrics)
 
 
 DetAnalysis = namedtuple("DetAnalysis", "det m_coefficient m_free_part")
@@ -213,7 +209,7 @@ def _slice_kernel(a):
     return kernel, notes, zero, None if zero is not None else _all_nonzero_kernel_vector(kernel)
 
 
-def _single_hyperplane(family, stratum) -> StratumResult:
+def _single_hyperplane(family, stratum, nf_matrix) -> StratumResult:
     """Classify the stratum {h = 0} meet the three non-cofactor quadrics.
 
     A point of the plane h = 0 has monomial vector (pq, qs, sp) in the kernel
@@ -225,12 +221,12 @@ def _single_hyperplane(family, stratum) -> StratumResult:
     vector with exactly two nonzero entries never arises from a point.
 
     The kernel, its note, the zero column and the all-nonzero vector are
-    found once per distinct matrix of the family (`_slice_kernel`); the lift
-    below uses this stratum's own basis and cycle.
+    found once per distinct slice of `nf_matrix`, M over Q(r)
+    (`_slice_kernel`); the lift below uses this stratum's own basis and cycle.
     """
     (h,) = stratum.hyperplane_names
-    mat, basis, row_quadrics, cycle = single_hyperplane_system(family, h)
-    a = tuple(tuple(e.as_nfelem() for e in row) for row in mat)
+    basis, _, cycle, _ = SLICES[h]
+    a = single_hyperplane_system(nf_matrix, h)
 
     def result(kind, points, identity, notes=()):
         return _result(family, stratum, kind, points, (
@@ -277,7 +273,7 @@ def _consistency(u, w):
     return tuple(u[0] * w[5] - u[k] * w[5 - k] for k in (1, 2))
 
 
-def _torus(family, stratum) -> StratumResult:
+def _torus(family, stratum, nf_matrix) -> StratumResult:
     """Points with all four coordinates nonzero on every quadric.
 
     The mixed-monomial vector of such a point is an all-nonzero kernel vector
@@ -290,7 +286,7 @@ def _torus(family, stratum) -> StratumResult:
     determinant `quadric_independence` takes and the suites check nonzero;
     so M has rank 4 and its kernel is a plane for every m.
     """
-    kernel = nf_kernel_basis([[e.as_nfelem() for e in row] for row in family.mixed_matrix])
+    kernel = nf_kernel_basis(nf_matrix)
     if len(kernel) != 2:
         raise InternalCheckError(f"the mixed-monomial kernel has dimension {len(kernel)}, not 2")
     all_ref = stratum.reference_points
@@ -390,9 +386,11 @@ _NEEDS_M = {
 }
 
 
-def _involves_m(family) -> bool:
-    """Does any entry of M involve m?  False once `at_m` fixed it."""
-    return any(e.involves("m") for row in family.mixed_matrix for e in row)
+def _nf_matrix(family):
+    """M over Q(r), or () while some entry of M involves m."""
+    if any(e.involves("m") for row in family.mixed_matrix for e in row):
+        return ()
+    return tuple(tuple(e.as_nfelem() for e in row) for row in family.mixed_matrix)
 
 
 def classify_stratum(family, stratum) -> StratumResult:
@@ -400,7 +398,7 @@ def classify_stratum(family, stratum) -> StratumResult:
     Raises when a quadric has a square term, since M then does not exist."""
     # M is read first, so a square term raises on every stratum; m stays a
     # symbol unless `CubicFamily.at_m` fixed it
-    symbolic = family.cached("involves m", _involves_m)
+    nf_matrix = family.cached("M over Q(r)", _nf_matrix)
     k = len(stratum.taken)
     if k == 4:
         return _result(family, stratum, EMPTY, (), (
@@ -410,11 +408,13 @@ def classify_stratum(family, stratum) -> StratumResult:
         (qj,) = stratum.quadrics
         return _result(family, stratum, REFERENCE, stratum.reference_points, (
             f"Q{qj} with the three coordinates set to 0 is identically 0 in {COFACTOR_COORDS[qj]}",))
-    if k < 2 and symbolic:
+    if k < 2 and not nf_matrix:
         identity, analysis = _NEEDS_M[k]
         return _result(family, stratum, INCONCLUSIVE, (),
                        (identity, f"m left symbolic; supply --m to run the {analysis}"))
-    return {2: _double_hyperplane, 1: _single_hyperplane, 0: _torus}[k](family, stratum)
+    if k == 2:
+        return _double_hyperplane(family, stratum)
+    return (_single_hyperplane if k else _torus)(family, stratum, nf_matrix)
 
 
 def aggregate(results):

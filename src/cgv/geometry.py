@@ -11,7 +11,7 @@ the rotation.
 
 A `CubicFamily` lasts one run.  It keeps M and one memo, `cached`, and
 each layer keeps there what it computes once per run, next to its one
-reader: `baselocus` the m-flag and, per distinct slice, its kernel with
+reader: `baselocus` M over Q(r) and, per distinct slice, its kernel with
 the kernel's note and all-nonzero vector; `suites` the independence
 analysis; `tangent` and `genus`, through `derive`, the chart-gradient rows
 and the pencil on r.  With m fixed, M is the symbolic M with m fixed entry

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import baselocus, divisors, genus, tangent
 from .baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, REFERENCE,
-                        ALL_STRATA, classify_stratum, points_str,
+                        ALL_STRATA, SLICES, classify_stratum, points_str,
                         quadric_independence, single_hyperplane_det_analysis,
                         single_hyperplane_system)
 from .claims import (CLAIMED_TANGENT_ROWS, DISPLAY_UNIT, PRINTED_CIRCULANT_ENTRIES,
@@ -147,9 +147,9 @@ _INV_DISPLAY_UNIT = parse_display(DISPLAY_UNIT).as_nfelem().inverse()
 
 
 def _printed_system(family, h):
-    """The h = 0 system as the source prints it, and its row quadrics."""
-    mat, _, row_quadrics, _ = single_hyperplane_system(family, h)
-    return (tuple(e * _INV_DISPLAY_UNIT for e in mat[0]),) + mat[1:], row_quadrics
+    """The h = 0 system as the source prints it, over Q(r)[m]."""
+    mat = single_hyperplane_system(family.mixed_matrix, h)
+    return (tuple(e * _INV_DISPLAY_UNIT for e in mat[0]),) + mat[1:]
 
 
 def _matrix_str(mat) -> str:
@@ -179,7 +179,7 @@ def base_locus_suite(family, config: RunConfig, checks):
     printed = tuple(tuple(parse_display(t) for t in row) for row in PRINTED_SYSTEM_MATRIX)
     t_mat = t_analysis = None   # reused for an X, Y or Z matrix equal to T's
     try:
-        mat, _ = _printed_system(family, "T")
+        mat = _printed_system(family, "T")
         mat_str = _matrix_str(mat)
         checks.append(make_check(
             "base-locus/system/T/matrix",
@@ -215,12 +215,12 @@ def base_locus_suite(family, config: RunConfig, checks):
         checks.append(error_check("base-locus/system/T", exc))
     for h in ("X", "Y", "Z"):
         try:
-            mat, row_quadrics = _printed_system(family, h)
+            mat = _printed_system(family, h)
             checks.append(make_check(
                 f"base-locus/system/{h}/matrix",
                 "entry-for-entry equal to the printed h=T matrix under the rotation transport"
                 if mat == printed else "differs from the transported h=T matrix",
-                notes=(f"rows Q{row_quadrics[0]}, Q{row_quadrics[1]}, Q{row_quadrics[2]} restricted to {h} = 0",),
+                notes=("rows " + ", ".join(f"Q{j}" for j in SLICES[h][1]) + f" restricted to {h} = 0",),
             ))
             analysis = t_analysis if mat == t_mat else single_hyperplane_det_analysis(mat)
             checks.append(make_check(

@@ -174,8 +174,6 @@ def squarefree_part(f: UPoly) -> UPoly:
     """f / gcd(f, f'), monic; the result has no repeated roots."""
     if f.is_zero():
         raise ValueError("squarefree part of 0 is undefined")
-    if f.degree() == 0:
-        return f.monic()
     g = upoly_gcd(f, f.derivative())
     q, rem = divmod(f, g)
     if not rem.is_zero():

@@ -95,7 +95,7 @@ def test_criterion_04_triple_and_double_strata(family):
 
 
 def test_criterion_05_printed_matrix_and_determinant(family):
-    mat = over_display_unit(single_hyperplane_system(family, "T")[0])
+    mat = over_display_unit(single_hyperplane_system(family.mixed_matrix, "T"))
     printed = (
         (parse_poly("1"), parse_poly("r+1"), parse_poly("m")),
         (parse_poly("r^2*(3*r-2)"), parse_poly("3*r-2"), parse_poly("-6*r^2+2*r+2")),

@@ -10,11 +10,11 @@ import cgv.suites as suites
 import cgv.baselocus as baselocus
 from cgv.baselocus import (EMPTY, INCONCLUSIVE, NON_REFERENCE, QUADRIC_BASIS, REFERENCE,
                            Stratum, aggregate,
-                           ALL_STRATA, classify_stratum,
+                           ALL_STRATA, SLICES, classify_stratum,
                            single_hyperplane_det_analysis,
                            single_hyperplane_system, quadric_independence)
 from cgv.cli import main
-from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, MIXED_MONOMIALS,
+from cgv.geometry import (COFACTOR_COORDS, GENERIC_POINT, MIXED_MONOMIALS, build_cubics,
                           REFERENCE_POINTS, SIGMA, ConstructionError, CubicFamily,
                           InternalCheckError, eval_at_point, point_name)
 from cgv.linalg import circulant_det_formula, matrix_det, matrix_rank, nf_kernel_basis
@@ -174,8 +174,8 @@ def test_double_stratum_TX_example(family):
 
 
 def test_single_system_matches_printed_matrix(family):
-    mat, basis, row_quadrics, cycle = single_hyperplane_system(family, "T")
-    mat = over_display_unit(mat)
+    mat = over_display_unit(single_hyperplane_system(family.mixed_matrix, "T"))
+    basis, row_quadrics, cycle, _ = SLICES["T"]
     printed = (
         (parse_poly("1"), parse_poly("r+1"), parse_poly("m")),
         (parse_poly("r^2*(3*r-2)"), parse_poly("3*r-2"), parse_poly("-6*r^2+2*r+2")),
@@ -188,7 +188,8 @@ def test_single_system_matches_printed_matrix(family):
 
 
 def test_single_systems_sigma_conjugate(family):
-    base, basis_t, _, cycle_t = single_hyperplane_system(family, "T")
+    base = single_hyperplane_system(family.mixed_matrix, "T")
+    basis_t, _, cycle_t, _ = SLICES["T"]
 
     def name(f):
         return GEOM_VARS[f.geom_support()[0].index(1)]
@@ -204,17 +205,18 @@ def test_single_systems_sigma_conjugate(family):
         cycle = [eval_at_point(f, pullback) for f in cycle]
         basis = [eval_at_point(f, pullback) for f in basis]
         h = name(h_var)
-        mat, basis_h, _, cycle_h = single_hyperplane_system(family, h)
+        mat = single_hyperplane_system(family.mixed_matrix, h)
+        basis_h, _, cycle_h, _ = SLICES[h]
         assert mat == base
         assert cycle_h == tuple(name(f) for f in cycle)
-        assert basis_h == [f.geom_support()[0] for f in basis]
+        assert basis_h == tuple(f.geom_support()[0] for f in basis)
         seen.append(h)
     assert seen == ["Z", "Y", "X"]
 
 
 def test_det_analysis_identically_zero(family):
     for h in ("T", "X", "Y", "Z"):
-        mat, _, _, _ = single_hyperplane_system(family, h)
+        mat = single_hyperplane_system(family.mixed_matrix, h)
         analysis = single_hyperplane_det_analysis(mat)
         assert analysis.det.is_zero()
         assert analysis.m_coefficient.is_zero()
@@ -223,7 +225,7 @@ def test_det_analysis_identically_zero(family):
 
 def test_det_numeric_crosscheck(family):
     # independent float cofactor expansion of the printed matrix at m in {1, 2}
-    mat, _, _, _ = single_hyperplane_system(family, "T")
+    mat = single_hyperplane_system(family.mixed_matrix, "T")
     for m_val in (1.0, 2.0):
         rows = []
         for row in mat:
@@ -245,7 +247,7 @@ def test_kernel_lift_at_m1(family):
     names = [point_name(p) for p in res.points]
     assert names == ["[1:0:0:0]", "[0:1:0:0]", "[0:0:1:0]"]
     # the kernel is one-dimensional with vanishing ZX component; frozen direction
-    mat, _, _, _ = single_hyperplane_system(family.at_m(M1), "T")
+    mat = single_hyperplane_system(family.at_m(M1).mixed_matrix, "T")
     kernel = nf_kernel_basis(nf_rows(mat))
     assert len(kernel) == 1
     vec = kernel[0]
@@ -599,6 +601,18 @@ def test_the_single_strata_share_one_slice_kernel(family, monkeypatch, m):
     assert all(sum(n.startswith(note) for n in res.notes) == 1 for res in results)
 
 
+@pytest.mark.parametrize("m, conversions", [(NFElem(1), 24), (NFElem(0, 1), 24), (NFElem(-1), 24), (None, 0)],
+                         ids=["1", "r", "-1", "symbolic"])
+def test_the_strata_convert_m_to_q_r_once(monkeypatch, m, conversions):
+    # the 24 entries of M go to Q(r) once per family, for the four slices and
+    # the torus alike; while m is a symbol no entry is converted
+    fixed = build_cubics().at_m(m)
+    calls = count_calls(monkeypatch, "as_nfelem", MPoly)
+    for stratum in ALL_STRATA:
+        classify_stratum(fixed, stratum)
+    assert len(calls) == conversions
+
+
 def _mixed_term_family(family):
     """The family with X*Y added to Q1: M still exists, but the rotation no
     longer permutes the quadrics, and the four single-hyperplane slices differ."""
@@ -613,7 +627,7 @@ def test_results_are_reused_by_value_not_by_position(family, monkeypatch):
     real_checks = suites.run_suite("base-locus", run_config(m_expr="1"))
     altered = _mixed_term_family(family)
     shared = altered.at_m(M1)
-    slices = {h: single_hyperplane_system(shared, h)[0] for h in COFACTOR_COORDS}
+    slices = {h: single_hyperplane_system(shared.mixed_matrix, h) for h in COFACTOR_COORDS}
     assert len(set(slices.values())) == 3
     # each stratum of one family equals the same stratum of its own fresh family
     results = [classify_stratum(shared, stratum) for stratum in ALL_STRATA]
@@ -630,7 +644,7 @@ def test_results_are_reused_by_value_not_by_position(family, monkeypatch):
     # each determinant of one suite run is the expansion of its own matrix
     monkeypatch.setattr(suites, "build_cubics", lambda: _mixed_term_family(family))
     checks = {c.check_id: c.computed for c in suites.run_suite("base-locus", run_config(m_expr="1"))}
-    dets = {h: matrix_det(over_display_unit(single_hyperplane_system(_mixed_term_family(family), h)[0]))
+    dets = {h: matrix_det(over_display_unit(single_hyperplane_system(_mixed_term_family(family).mixed_matrix, h)))
             for h in COFACTOR_COORDS}
     assert len(set(dets.values())) > 1
     for h in ("X", "Y", "Z"):

@@ -54,7 +54,7 @@ def test_tangent_rows_match_independent_differentiation(family):
 
 
 def test_printed_matrix_determinant_vanishes(family):
-    mat, _, _, _ = single_hyperplane_system(family, "T")
+    mat = single_hyperplane_system(family.mixed_matrix, "T")
     smat = sp.Matrix([[to_sympy(e) for e in row] for row in mat])
     assert red(smat.det()) == 0
     analysis = single_hyperplane_det_analysis(mat)

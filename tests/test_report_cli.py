@@ -553,6 +553,23 @@ def test_quadric_independence_entries_compared_with_the_display(monkeypatch):
     assert check.notes == ("the XY coefficients of Q0..Q3 differ from the displayed entries",)
 
 
+def test_the_cubics_suite_refutes_a_cubic_off_its_cofactor(monkeypatch):
+    import cgv.suites as suites
+    from cgv.geometry import CubicFamily, build_cubics
+    family = build_cubics()
+    # C1 gains r*X^3 and the quadrics stay: C1 is no longer X*Q1, and it is r at [0:1:0:0]
+    cubics = (family.cubics[0], family.cubics[1] + parse_poly("r*X^3")) + family.cubics[2:]
+    monkeypatch.setattr(suites, "build_cubics",
+                        lambda: CubicFamily(cubics, family.quadrics, family.sigma_index_map))
+    checks = {c.check_id: c for c in run_suite("cubics", run_config())}
+    for i in range(4):
+        check = checks[f"cubics/factorization/C{i}"]
+        assert check.computed == ("factorization fails" if i == 1 else "exact factorization")
+        assert check.agreement == (REFUTED if i == 1 else CONFIRMED)
+    vanishing = checks["cubics/reference-point-vanishing"]
+    assert (vanishing.computed, vanishing.agreement) == ("vanishing fails", REFUTED)
+
+
 def test_check_all_reads_every_claim(monkeypatch):
     import cgv.suites as suites
     from cgv.claims import CLAIMS

@@ -96,6 +96,11 @@ def test_squarefree_mixed_multiplicities():
     assert squarefree_part(f) == poly(0, -1, 1)
 
 
+def test_squarefree_nonzero_constant_is_one():
+    # the gcd with the zero derivative is the constant made monic
+    assert squarefree_part(poly(5)) == poly(1)
+
+
 def test_squarefree_zero_rejected():
     with pytest.raises(ValueError):
         squarefree_part(UPoly(()))
