@@ -30,13 +30,16 @@ import cgv  # noqa: E402
 from cgv.baselocus import ALL_STRATA, SLICES, classify_stratum  # noqa: E402
 from cgv.claims import QUADRIC_TEXTS  # noqa: E402
 from cgv.cli import main as cli_main  # noqa: E402
-from cgv.geometry import build_cubics  # noqa: E402
+from cgv.geometry import LINE_R, X, Z, build_cubics, eval_at_point  # noqa: E402
 from cgv.linalg import matrix_det, nf_rref  # noqa: E402
 from cgv.nf import NFElem  # noqa: E402
 from cgv.parsing import parse_poly  # noqa: E402
 
 # the m of the classify_stratum row: no exceptional value, so every stratum is decided
 STRATA_M = "8/3 + 3*r - 3/2*r^2"
+# one `cgv check` op whose suite is cheap, so that the row times the fixed cost
+# around a suite: parsing the command line and --m, and writing the report
+GENUS_ARGV = ["check", "genus", "--format", "json", "--m=-3/7-7/6*r-9*r^2"]
 
 
 def _rows():
@@ -45,6 +48,7 @@ def _rows():
     family = build_cubics()
     one = NFElem(1)
     p = parse_poly("X + r*Y - m + 2/3*T")
+    xz_c0 = X * Z * family.cubics[0]
     mixed = [[e.as_nfelem() for e in row] for row in family.at_m(one).mixed_matrix]
     # the h = T slice read off M through `SLICES`, which older checkouts share
     _, rows_t, _, cols_t = SLICES["T"]
@@ -63,6 +67,11 @@ def _rows():
         with contextlib.redirect_stdout(io.StringIO()):
             cli_main(["check", "base-locus", "--m=1"])
 
+    def genus_ops():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(100):
+                cli_main(GENUS_ARGV)
+
     return (
         ("nf.mul x1000", loop(1000, lambda: a * b)),
         ("nf.add x1000", loop(1000, lambda: a + b)),
@@ -77,6 +86,8 @@ def _rows():
         ("parse_poly the four quadrics", lambda: [parse_poly(t) for t in QUADRIC_TEXTS]),
         (f"classify_stratum 16 strata at m={STRATA_M}", classify_all),
         ("check base-locus --m=1 in-process", base_locus_op),
+        (f"{' '.join(GENUS_ARGV)} in-process x100", genus_ops),
+        ("eval_at_point X*Z*C0 on LINE_R x100", loop(100, lambda: eval_at_point(xz_c0, LINE_R))),
     )
 
 

@@ -25,8 +25,9 @@ PIPE_EXIT = 3
 
 @functools.cache
 def _build_parser():
-    """The argument parser and the option strings of `cgv check`, built once
-    per process; parsing leaves them unchanged."""
+    """The argument parser, the option strings of `cgv check` and the parser
+    of each subcommand by name, built once per process; parsing leaves them
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="cgv",
         description="Exact-arithmetic verification of the tricanonical-system "
@@ -51,7 +52,7 @@ def _build_parser():
 
     ev = sub.add_parser("eval", help="evaluate a polynomial expression to canonical form")
     ev.add_argument("expr")
-    return parser, tuple(s for action in options for s in action.option_strings)
+    return parser, tuple(s for action in options for s in action.option_strings), sub.choices
 
 
 def _is_check_option(arg, check_options) -> bool:
@@ -111,10 +112,18 @@ def main(argv=None) -> int:
     lift_limit = getattr(sys, "set_int_max_str_digits", None)
     if lift_limit is not None:
         lift_limit(0)
-    parser, check_options = _build_parser()
+    parser, check_options, commands = _build_parser()
+    argv = _shield_dash_values(sys.argv[1:] if argv is None else argv, check_options)
     try:
-        args = parser.parse_args(_shield_dash_values(sys.argv[1:] if argv is None else argv,
-                                                     check_options))
+        if argv and argv[0] in commands:
+            # straight to the parser that argparse's top-level pass would hand
+            # the rest to; leftovers get the error that pass prints
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize.  --help has
         # printed its text to stdout

@@ -18,6 +18,10 @@ that cancelled to 0, so `MPoly.__mul__` wraps its dict as it is.  A
 dual-route test ties the two copies of the rule together.  A difference
 p - q subtracts the coefficients of q in one pass, with no negated operand;
 a scalar minus p converts the scalar once and subtracts the same way.
+`substitute` maps each term to one term under a one-term image, a scalar
+or an identity entry among them, so restricting to a line such as
+Z = -X, T = -Y takes no product of polynomials; only images of two or more
+terms go through `_mul_terms`.
 """
 
 from __future__ import annotations
@@ -25,13 +29,15 @@ from __future__ import annotations
 from math import gcd
 
 from .nf import NFElem, NF_ONE, NF_ZERO, _elem, binary_power, join_terms, nf_str, term_str
-from .upoly import UPoly
+from .upoly import UPoly, _upoly
 
 VARS = ("X", "Y", "Z", "T", "m")
 VAR_INDEX = {v: i for i, v in enumerate(VARS)}
 GEOM_VARS = VARS[:4]
 NVARS = len(VARS)
 ZERO_EXP = (0,) * NVARS
+# the exponent tuple of each variable
+_VAR_EXP = {v: tuple(int(w == v) for w in VARS) for v in VARS}
 
 
 def _mul_terms(a, b):
@@ -130,9 +136,9 @@ class MPoly:
 
     @classmethod
     def var(cls, name: str) -> "MPoly":
-        if name not in VAR_INDEX:
+        if (e := _VAR_EXP.get(name)) is None:
             raise KeyError(f"unknown variable {name!r}")
-        return _mpoly({tuple(int(v == name) for v in VARS): NF_ONE})
+        return _mpoly({e: NF_ONE})
 
     @staticmethod
     def coerce(v) -> "MPoly":
@@ -228,36 +234,41 @@ class MPoly:
         """Ring homomorphism sending each variable to its image.
 
         `mapping` takes variable names (a name outside VARS is a KeyError) to
-        MPoly, NFElem or int; missing variables map to themselves.
-        A term with a positive exponent on a zero scalar image is dropped
-        before any product, an image 1 is never multiplied, and any other
-        scalar image (a constant MPoly included) folds its power into the
-        coefficient, and the term goes straight into the result.  Polynomial
-        images multiply out term by term.  Each image power is computed once
-        per call.
+        MPoly, NFElem or int; missing variables map to themselves.  A one-term
+        image c*x^s maps each term to one term: the coefficient is multiplied
+        by c^k, computed once per (variable, k) in a call, and the exponent is
+        shifted by k*s.  A scalar is the case s = 0 and an identity entry the
+        case c = 1, s = x, so they share that path; a coefficient c = 1 is
+        never multiplied, and the image 1 leaves the term as it is.  A term
+        with a positive exponent on a zero image is dropped before any
+        product.  Only images of two or more terms multiply out, term by
+        term, through `_mul_terms` and their MPoly powers.
         """
         for v in mapping:
             if v not in VAR_INDEX:
                 raise KeyError(f"unknown variable {v!r}")
-        zeros, scalars, polys = [], [], []
+        zeros, monos, polys = [], [], []
         kept = [1] * NVARS   # 0 on each substituted variable
         for i, v in enumerate(VARS):
             img = mapping.get(v)
             if img is None:
                 continue
             kept[i] = 0
-            if type(img) is not NFElem:
-                img = MPoly.coerce(img)
-                if not img.is_constant():
-                    polys.append((i, img))
-                    continue
-                img = img.as_nfelem()
-            if img.is_zero():
+            items = img.terms.items() if isinstance(img, MPoly) else ((ZERO_EXP, NFElem.coerce(img)),)
+            if len(items) > 1:
+                polys.append((i, img))
+                continue
+            (s, c), = items or ((ZERO_EXP, NF_ZERO),)   # the zero MPoly has no term
+            if c.is_zero():
                 zeros.append(i)
-            elif img != NF_ONE:
-                scalars.append((i, img))
+                continue
+            # c*x^s as (i, c, s), with None for c = 1 and for s = 0
+            c = None if c == NF_ONE else c
+            s = None if s == ZERO_EXP else s
+            if c is not None or s is not None:
+                monos.append((i, c, s))
         k0, k1, k2, k3, k4 = kept
-        powers = {}   # (variable index, k) -> image ** k
+        powers = {}   # (variable index, k) -> c ** k, or a polynomial image ** k
 
         def power(i, img, k):
             p = powers.get((i, k))
@@ -271,12 +282,25 @@ class MPoly:
         out = {}
         get = out.get
         for e, c in terms:
-            for i, s in scalars:
+            x, y, z, t, w = e
+            x *= k0
+            y *= k1
+            z *= k2
+            t *= k3
+            w *= k4
+            for i, a, s in monos:
                 k = e[i]
                 if k:
-                    c = c * power(i, s, k)
-            x, y, z, t, w = e
-            e0 = (x * k0, y * k1, z * k2, t * k3, w * k4)
+                    if a is not None:
+                        c = c * power(i, a, k)
+                    if s is not None:
+                        sx, sy, sz, st, sw = s
+                        x += k * sx
+                        y += k * sy
+                        z += k * sz
+                        t += k * st
+                        w += k * sw
+            e0 = (x, y, z, t, w)
             if polys:
                 acc = {e0: c}
                 for i, img in polys:
@@ -325,7 +349,7 @@ class MPoly:
                 raise ValueError("polynomial involves geometric variables")
             cs[e[4]] = c
         n = max(cs, default=-1) + 1
-        return UPoly(tuple(cs.get(k, NF_ZERO) for k in range(n)))
+        return _upoly([cs.get(k, NF_ZERO) for k in range(n)])
 
     def div_by_var(self, name: str):
         """Exact division by a variable: (quotient, True) or (self, False)."""

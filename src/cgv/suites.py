@@ -370,10 +370,11 @@ def divisors_suite(family, config: RunConfig, checks):
         str(divisors.pair(e0, e0)),
         claim("exceptional-selfintersection"),
     ))
-    for n in (1, 2, 3, 5):
+    multiplicity = {n: divisors.exceptional_multiplicity(n) for n in (1, 2, 3, 5)}
+    for n, n_i in multiplicity.items():
         checks.append(make_check(
             f"divisors/exceptional-multiplicity/n={n}",
-            str(divisors.exceptional_multiplicity(n)),
+            str(n_i),
             claim(f"exceptional-multiplicity-{n}"),
         ))
     k = divisors.CANONICAL
@@ -384,10 +385,9 @@ def divisors_suite(family, config: RunConfig, checks):
         notes=("K = H - E1 - E2 - E3 - E4 gives K.K = 5 - 4 = 1",),
     ))
     squares = []
-    for n in (1, 2, 3, 5):
+    for n, n_i in multiplicity.items():
         nk = n * k
-        rebuilt = (n * divisors.HYPERPLANE
-                   + divisors.exceptional_multiplicity(n) * divisors.SUM_EXCEPTIONAL)
+        rebuilt = n * divisors.HYPERPLANE + n_i * divisors.SUM_EXCEPTIONAL
         if nk != rebuilt:
             checks.append(error_check(f"divisors/nK-decomposition/n={n}", ArithmeticError(
                 "mismatch between n*K and the pullback-plus-exceptional decomposition")))
@@ -410,7 +410,7 @@ def divisors_suite(family, config: RunConfig, checks):
     ))
     checks.append(make_check(
         "divisors/sign-convention",
-        str(divisors.exceptional_multiplicity(1)),
+        str(multiplicity[1]),
         claim("divisor-sign-convention"),
         ambiguous=True,
         notes=('the printed intermediate line "-1-n_i=0 ... n_i=1" contradicts the displayed '

@@ -4,7 +4,7 @@ from math import gcd
 
 from hypothesis import example, given, settings, strategies as st
 
-from cgv.geometry import LINE_R, eval_at_point
+from cgv.geometry import LINE_R, LINE_R_PRIME, build_cubics, eval_at_point
 from cgv.mpoly import GEOM_VARS, MPoly, VARS, ZERO_EXP
 from cgv.nf import NFElem, nf_invert
 from cgv.parsing import parse_poly
@@ -110,8 +110,21 @@ permutations = st.tuples(st.permutations(GEOM_VARS), signs).map(
     lambda ps: {v: s * MPoly.var(w) for v, w, s in zip(GEOM_VARS, *ps)})
 
 
+# the restrictions of the cubics to r and to r'
+ON_R, ON_R_PRIME = (dict(zip(GEOM_VARS, line)) for line in (LINE_R, LINE_R_PRIME))
+CUBICS = build_cubics().cubics
+
+
 @settings(max_examples=80, deadline=None)
 @given(sources, st.one_of(st.dictionaries(st.sampled_from(VARS), images, max_size=5), permutations))
+@example(CUBICS[0], ON_R)
+@example(CUBICS[1], ON_R)
+@example(CUBICS[2], ON_R)
+@example(CUBICS[3], ON_R)
+@example(CUBICS[0], ON_R_PRIME)
+@example(CUBICS[1], ON_R_PRIME)
+@example(CUBICS[2], ON_R_PRIME)
+@example(CUBICS[3], ON_R_PRIME)
 # images that mix 0, 1, r and a polynomial, as at a reference point or on a line
 @example(parse_poly("X^2*Y + 2*X*Z*m + Z^2*T - 3*T*m^2 + r*Y^2"),
          {"X": 1, "Y": 0, "Z": NFElem(0, 1), "T": parse_poly("X - r*m")})
@@ -130,6 +143,42 @@ def test_substitute_matches_sympy(f, mapping):
     sym_images = {SYMS[v]: to_sympy(MPoly.coerce(img)) for v, img in mapping.items()}
     expected = red(to_sympy(f).xreplace(sym_images))
     assert red(to_sympy(f.substitute(mapping)) - expected) == 0
+
+
+# one-term images c*x^s, with c = 1, -1 or a rational and x^s a variable or a
+# monomial of degree 0 to 5, mixed with scalars, identity entries and images of
+# two or more terms; "identity" stands for the variable's own image
+one_term_images = st.builds(
+    lambda c, s: MPoly({s: c}),
+    st.one_of(st.sampled_from([NFElem(1), NFElem(-1)]), fractions.filter(bool).map(frac_elem)),
+    small_exponents)
+many_term_images = st.dictionaries(small_exponents, nf_elems, min_size=2, max_size=3).map(MPoly)
+mixed_images = st.dictionaries(
+    st.sampled_from(VARS),
+    st.one_of(one_term_images, scalar_images, many_term_images, st.just("identity")),
+    max_size=5).map(lambda d: {v: MPoly.var(v) if isinstance(img, str) else img for v, img in d.items()})
+
+
+def multiplied_out(f, mapping):
+    """Reference for `substitute`: the sum over the terms c*x^e of f of
+    c * prod(image ** k), multiplied out with MPoly `*` and `**`."""
+    images = [MPoly.coerce(mapping.get(v, MPoly.var(v))) for v in VARS]
+    out = MPoly()
+    for e, c in f.terms.items():
+        term = MPoly.constant(c)
+        for img, k in zip(images, e):
+            term = term * img ** k
+        out = out + term
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(sources, st.one_of(mixed_images, permutations))
+@example(CUBICS[0], ON_R)
+@example(parse_poly("X^2*Y*m + 3*Z^2 - r*T*m^2"), {"X": parse_poly("-r*Y"), "Y": MPoly.var("Y"),
+                                                   "Z": parse_poly("2/3*X*T"), "m": -1})
+def test_one_term_substitution_matches_multiplying_out(f, mapping):
+    assert f.substitute(mapping) == multiplied_out(f, mapping)
 
 
 @settings(max_examples=80, deadline=None)

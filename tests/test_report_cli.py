@@ -135,6 +135,14 @@ def test_divisor_suite_confirms_the_four_multiplicities():
     assert all(c.agreement == CONFIRMED for c in mult_checks)
 
 
+def test_divisor_suite_computes_each_multiplicity_once(monkeypatch):
+    # the multiplicity checks, the nK decompositions and the sign convention share them
+    from cgv import divisors
+    calls = count_calls(monkeypatch, "exceptional_multiplicity", divisors)
+    run_suite("divisors", run_config())
+    assert calls == [(1,), (2,), (3,), (5,)]
+
+
 def test_a_failed_divisor_identity_is_an_error(monkeypatch, capsys):
     from cgv import divisors
     real = divisors.exceptional_multiplicity
@@ -230,6 +238,102 @@ def test_cli_without_a_command_prints_the_usage(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "usage: cgv [-h] {check,eval} ...\n"
+
+
+# (command line, exit code, stdout, stderr) of a usage error, a help text or a
+# command line that argparse resolves; a report is pinned by its sha256.
+# argparse's wording and wrapping vary between Python versions: these bytes are
+# Python 3.11's at 80 columns, the version the benchmark runs on
+CLI_USAGE_PINS = (
+    ("", 2, "", "usage: cgv [-h] {check,eval} ...\n"),
+    ("-h", 0,
+     "usage: cgv [-h] {check,eval} ...\n"
+     "\n"
+     "Exact-arithmetic verification of the tricanonical-system and quotient-curve\n"
+     "computations on the invariant quintic.\n"
+     "\n"
+     "positional arguments:\n"
+     "  {check,eval}\n"
+     "    check       run a named check suite\n"
+     "    eval        evaluate a polynomial expression to canonical form\n"
+     "\n"
+     "options:\n"
+     "  -h, --help    show this help message and exit\n",
+     ""),
+    ("bogus", 2, "",
+     "usage: cgv [-h] {check,eval} ...\n"
+     "cgv: error: argument command: invalid choice: 'bogus' (choose from 'check', 'eval')\n"),
+    ("check", 2, "",
+     "usage: cgv check [-h] [--m M_EXPR] [--seed SEED] [--survey SURVEY]\n"
+     "                 [--bound BOUND] [--format {text,json}] [--out OUT]\n"
+     "                 {sigma,cubics,base-locus,quadric-independence,tangent,divisors,genus,pencil,all}\n"
+     "cgv check: error: the following arguments are required: suite\n"),
+    ("check -h", 0,
+     "usage: cgv check [-h] [--m M_EXPR] [--seed SEED] [--survey SURVEY]\n"
+     "                 [--bound BOUND] [--format {text,json}] [--out OUT]\n"
+     "                 {sigma,cubics,base-locus,quadric-independence,tangent,divisors,genus,pencil,all}\n"
+     "\n"
+     "positional arguments:\n"
+     "  {sigma,cubics,base-locus,quadric-independence,tangent,divisors,genus,pencil,all}\n"
+     "\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --m M_EXPR            specialize the parameter m to an exact expression,\n"
+     "                        e.g. 1 or r^2\n"
+     "  --seed SEED           64-bit seed for the rank survey\n"
+     "  --survey SURVEY       number of survey points\n"
+     "  --bound BOUND         scan bound for the witness search\n"
+     "  --format {text,json}\n"
+     "  --out OUT             write the report to this path instead of stdout\n",
+     ""),
+    ("check all --bogus", 2, "",
+     "usage: cgv [-h] {check,eval} ...\n"
+     "cgv: error: unrecognized arguments: --bogus\n"),
+    ("check genus --fo=json", 0,
+     "sha256:b3e3b378856d6330614b9b0134c78e1240629d10b9a4a625a85d91e5d08249fa", ""),
+    ("eval", 2, "",
+     "usage: cgv eval [-h] expr\n"
+     "cgv eval: error: the following arguments are required: expr\n"),
+    ("eval X Y", 2, "",
+     "usage: cgv [-h] {check,eval} ...\n"
+     "cgv: error: unrecognized arguments: Y\n"),
+    ("eval -- -X", 0, "-X\n", ""),
+    ("check all --m -r --format json", 0,
+     "sha256:2002651874585a16247d60fc2889faae1a83ee948e5ccea7c41451bf585ff1d7", ""),
+)
+
+
+def top_level_pass(argv, capsys):
+    """(exit code, stdout, stderr) of argparse's top-level pass: the `cgv`
+    parser reading the whole command line, a bare one answered with the usage
+    as `main` answers it; None when the command line parses to a command."""
+    parser, check_options, *_ = cli._build_parser()
+    try:
+        args = parser.parse_args(cli._shield_dash_values(argv, check_options))
+    except SystemExit as exc:
+        code = 0 if exc.code in (0, None) else 2
+    else:
+        if args.command is not None:
+            return None
+        parser.print_usage(sys.stderr)
+        code = 2
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("line, code, out, err", CLI_USAGE_PINS, ids=[p[0] or "-" for p in CLI_USAGE_PINS])
+def test_cli_usage_bytes_are_pinned(line, code, out, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = line.split()
+    got_code = main(argv)
+    got = capsys.readouterr()
+    shown = "sha256:" + hashlib.sha256(got.out.encode()).hexdigest() if out.startswith("sha256:") else got.out
+    reference = top_level_pass(argv, capsys)
+    if reference is not None:
+        # argparse answered: with the bytes of its own top-level pass
+        assert (got_code, got.out, got.err) == reference
+    if reference is None or sys.version_info[:2] == (3, 11):
+        assert (got_code, shown, got.err) == (code, out, err)
 
 
 def test_cli_check_runs_and_writes(tmp_path, capsys):
