@@ -4,7 +4,10 @@ Usage: python3 bench.py [--repeat N] [--out FILE]
 
 Each row runs a fixed input and reports the best of N runs (default 5) of
 `time.perf_counter`, in seconds, for the whole row; a row named "xN"
-repeats its operation N times.  The JSON also records the commit of the
+repeats its operation N times.  A "warm" row runs its `cgv check` op once
+before it is timed, as a process that runs many ops would have; the
+"fresh interpreter" row times the first op of a new Python process, inside
+that process, after its imports.  The JSON also records the commit of the
 `cgv` package that ran and the Python version.  `cgv` is imported from
 PYTHONPATH when it is set there, else from this checkout's `src`, so
 `PYTHONPATH=<other checkout>/src python3 bench.py` times another commit with
@@ -40,6 +43,21 @@ STRATA_M = "8/3 + 3*r - 3/2*r^2"
 # one `cgv check` op whose suite is cheap, so that the row times the fixed cost
 # around a suite: parsing the command line and --m, and writing the report
 GENUS_ARGV = ["check", "genus", "--format", "json", "--m=-3/7-7/6*r-9*r^2"]
+# the end-to-end `cgv check` ops, each timed warm in this process
+WARM_ARGVS = (["check", "all"], ["check", "all", "--m=1"], ["check", "tangent", "--m=1", "--survey", "1000"],
+              ["check", "pencil", "--m=1", "--bound", "40"])
+FRESH_ARGV = ["check", "all", "--m=1"]
+# run in a new interpreter: argv[1] is the directory of the `cgv` that ran
+# here, the rest the op; prints the seconds of the op alone
+FRESH_CHILD = """
+import contextlib, io, sys, time
+sys.path.insert(0, sys.argv[1])
+from cgv.cli import main
+start = time.perf_counter()
+with contextlib.redirect_stdout(io.StringIO()):
+    main(sys.argv[2:])
+print(time.perf_counter() - start)
+"""
 
 
 def _rows():
@@ -72,6 +90,18 @@ def _rows():
             for _ in range(100):
                 cli_main(GENUS_ARGV)
 
+    def warm(argv):
+        def op():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli_main(argv)
+        op()
+        return op
+
+    def fresh_op():
+        out = subprocess.run([sys.executable, "-c", FRESH_CHILD, str(Path(cgv.__file__).parent.parent),
+                              *FRESH_ARGV], capture_output=True, text=True, check=True)
+        return float(out.stdout)
+
     return (
         ("nf.mul x1000", loop(1000, lambda: a * b)),
         ("nf.add x1000", loop(1000, lambda: a + b)),
@@ -88,15 +118,19 @@ def _rows():
         ("check base-locus --m=1 in-process", base_locus_op),
         (f"{' '.join(GENUS_ARGV)} in-process x100", genus_ops),
         ("eval_at_point X*Z*C0 on LINE_R x100", loop(100, lambda: eval_at_point(xz_c0, LINE_R))),
+        *((f"{' '.join(argv)} in-process warm", warm(argv)) for argv in WARM_ARGVS),
+        (f"first {' '.join(FRESH_ARGV)} in a fresh interpreter", fresh_op),
     )
 
 
 def best_of(fn, repeat: int) -> float:
+    """The least time of `repeat` calls of fn; a call that returns a float
+    reports that time instead (the fresh-interpreter row, timed in its child)."""
     best = None
     for _ in range(repeat):
         start = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - start
+        own = fn()
+        elapsed = own if type(own) is float else time.perf_counter() - start
         best = elapsed if best is None else min(best, elapsed)
     return best
 

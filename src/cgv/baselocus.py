@@ -30,6 +30,7 @@ no substitution: it lies on every Q_j because M exists.  The system of a
 single-hyperplane stratum is M's slice as it stands, on the rows and
 columns that `SLICES` fixes once per hyperplane.
 
+M itself is kept once per process, in the store (`CubicFamily.mixed_matrix`).
 M over Q(r), empty while m is a symbol, and per distinct slice its kernel,
 the kernel's note and its all-nonzero vector are kept in the family's memo
 (`CubicFamily.cached`), each built next to its one reader, so each costs

@@ -145,7 +145,7 @@ def multiplicity_pattern(form):
 
 def _pencil_on_r(family):
     """((XZ C0)|r, (YT C1)|r), the generators of the witness pencil restricted
-    to r, once per family (`CubicFamily.derive`); with m fixed, the symbolic
+    to r, once per store (`CubicFamily.derive`); with m fixed, the symbolic
     family's pair with m := v."""
     def build(f):
         a = MPoly.var("X") * MPoly.var("Z") * f.cubics[0]
@@ -157,11 +157,12 @@ def _pencil_on_r(family):
 def pencil_factorization(family):
     """The exact identity (lambda XZ C0 + mu YT C1)|r
     = XY (lambda X Qbar0 - mu Y Qbar1), checked on the two generators;
-    both sides are linear in (lambda, mu), so this is the symbolic identity."""
+    both sides are linear in (lambda, mu), so this is the symbolic identity.
+    Q0 and Q1 are restricted to r once per store (`CubicFamily.derive`)."""
     a, b = _pencil_on_r(family)
     x, y = MPoly.var("X"), MPoly.var("Y")
-    qbar0 = eval_at_point(family.quadrics[0], LINE_R)
-    qbar1 = eval_at_point(family.quadrics[1], LINE_R)
+    qbar0, qbar1 = family.derive("quadrics on r", lambda f: tuple(
+        eval_at_point(q, LINE_R) for q in f.quadrics[:2]))
     first = a == x * x * y * qbar0
     second = b == -(x * y * y * qbar1)
     return first, second, qbar0, qbar1

@@ -9,13 +9,15 @@ mixed monomials, so Q_i is homogeneous of degree 2, and Q_i and
 C_i = coord_i * Q_i vanish at the reference points), then closure under
 the rotation.
 
-A `CubicFamily` lasts one run.  It keeps M and one memo, `cached`, and
-each layer keeps there what it computes once per run, next to its one
+What the printed quadrics alone determine is kept once per process, in
+the verified family's store: M, read off by the construction check, and
+the `derive` values, the chart-gradient rows and D (`tangent`), the pencil
+on r and Q0, Q1 on r (`genus`).  A `CubicFamily` lasts one run; its memo,
+`cached`, keeps what a layer computes once per run, next to its one
 reader: `baselocus` M over Q(r) and, per distinct slice, its kernel with
 the kernel's note and all-nonzero vector; `suites` the independence
-analysis; `tangent` and `genus`, through `derive`, the chart-gradient rows
-and the pencil on r.  With m fixed, M is the symbolic M with m fixed entry
-by entry, and the quadrics are substituted only where they are read.
+analysis.  With m fixed, M and each `derive` value are the stored ones
+with m fixed, kept for the run; the quadrics are substituted where read.
 """
 
 from __future__ import annotations
@@ -142,8 +144,10 @@ def _mixed_row(j: int, q: MPoly) -> tuple:
 class CubicFamily:
     """The four cubics C_0..C_3 and their quadric cofactors Q_0..Q_3.
 
-    Compared by identity, so M (`mixed_matrix`) and the values in the memo
-    (`cached`, `derive`) last one run; `at_m` substitutes nothing up front
+    Compared by identity.  M (`mixed_matrix`) and the `derive` values are
+    kept in a store: one per process, shared by every family `build_cubics`
+    returns, and one of its own for a family built from other polynomials.
+    The memo (`cached`) lasts one run; `at_m` substitutes nothing up front
     (see `_FamilyAtM`).
     """
 
@@ -151,6 +155,7 @@ class CubicFamily:
         object.__setattr__(self, "cubics", cubics)
         object.__setattr__(self, "quadrics", quadrics)
         object.__setattr__(self, "sigma_index_map", sigma_index_map)
+        object.__setattr__(self, "_store", {})
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -163,17 +168,14 @@ class CubicFamily:
     def cached(self, key, build):
         """`build(self)`, computed once per family and key; `build` never
         returns None, which marks a key not yet built."""
-        value = self._memo.get(key)
-        if value is None:
-            value = self._memo[key] = build(self)
-        return value
+        return _kept(self._memo, key, build, self)
 
     def derive(self, key, build):
-        """`cached` for a tuple of polynomials whose `build` commutes with
-        fixing m, so that a family with m fixed specialises this value."""
-        return self.cached(key, build)
+        """`cached` in the store, for a tuple of polynomials whose `build`
+        commutes with fixing m, so that a family with m fixed specialises it."""
+        return _kept(self._store, key, build, self)
 
-    @functools.cached_property
+    @property
     def mixed_matrix(self):
         """M: the 4x6 coefficients of Q_0..Q_3 over MIXED_MONOMIALS, in Q(r)[m].
 
@@ -181,7 +183,15 @@ class CubicFamily:
         the restriction of Q_j to a base-locus stratum is row j of M on the
         stratum's columns.
         """
-        return tuple(_mixed_row(j, q) for j, q in enumerate(self.quadrics))
+        return _kept(self._store, "M",
+                     lambda f: tuple(_mixed_row(j, q) for j, q in enumerate(f.quadrics)), self)
+
+
+def _kept(table, key, build, family):
+    value = table.get(key)
+    if value is None:
+        value = table[key] = build(family)
+    return value
 
 
 class _FamilyAtM(CubicFamily):
@@ -192,10 +202,10 @@ class _FamilyAtM(CubicFamily):
     line.  M is the parent's M with m := v, entry by entry, and so raises
     wherever the parent's does: a square term raises at every v, even at a
     v where its coefficient vanishes.  A `derive` value is likewise the
-    parent's symbolic value, built once per run on the parent, with m := v
-    in each entry.  The cubics and quadrics are the parent's with m := v,
-    substituted on first use, and every `cached` value is built on this
-    family.
+    parent's stored symbolic value with m := v in each entry, kept in this
+    family's memo, so the parent's store holds no value at any v.  The
+    cubics and quadrics are the parent's with m := v, substituted on first
+    use, and every `cached` value is built on this family.
     """
 
     def __init__(self, parent: CubicFamily, value):
@@ -232,15 +242,15 @@ class _FamilyAtM(CubicFamily):
 
 
 @functools.cache
-def _verified_family():
+def _verified_family() -> CubicFamily:
     """Parse the printed quadrics and check the construction, once per process.
 
-    Returns (cubics, quadrics, index_map).  The polynomials are shared by
-    every family `build_cubics` returns, so no caller may mutate their terms.
+    Its store, which starts with M as the check reads it off, and its
+    polynomials are shared by every family `build_cubics` returns, so no
+    caller may mutate their terms.
     """
     quadrics = tuple(claims.parse_display(t) for t in claims.QUADRIC_TEXTS)
-    for i, q in enumerate(quadrics):
-        _mixed_row(i, q)
+    mixed = tuple(_mixed_row(i, q) for i, q in enumerate(quadrics))
     cubics = tuple(MPoly.var(c) * q for c, q in zip(COFACTOR_COORDS, quadrics))
 
     # closure under the rotation: each C_i maps to some C_j
@@ -255,13 +265,17 @@ def _verified_family():
     if sorted(index_map) != [0, 1, 2, 3]:
         raise ConstructionError("the rotation does not permute the family")
 
-    return cubics, quadrics, tuple(index_map)
+    family = CubicFamily(cubics, quadrics, tuple(index_map))
+    family._store["M"] = mixed
+    return family
 
 
 def build_cubics() -> CubicFamily:
     """The verified family, as a fresh `CubicFamily` on every call.
 
-    The family is a new object each time because M and the values in its
-    memo are meant to last one run (see `CubicFamily`).
+    It shares the verified family's polynomials and store, which last the
+    process, and has a memo of its own for one run (see `CubicFamily`).
     """
-    return CubicFamily(*_verified_family())
+    family = object.__new__(CubicFamily)
+    family.__dict__.update(vars(_verified_family()), _memo={})
+    return family

@@ -5,13 +5,13 @@ symbolic tangent row is a triple of polynomials in (X, Y, Z, m) over Q(r).
 Each computed row is compared componentwise with the printed display that
 the tangent suite parses, the printed lambda-elimination is reproduced
 down to its obstruction element, and a deterministic integer-point survey
-measures the exact rank of the three stacked rows.  The survey builds D,
-the determinant of the three symbolic rows, once per call and packs it
+measures the exact rank of the three stacked rows.  The survey reads D,
+the determinant of the three symbolic rows, with m fixed, and packs it
 into one integer polynomial nested for Horner (`_packed_horner`), so that
 each point costs one integer sum, zero exactly when D is; only where D
 vanishes does it substitute the rows and eliminate.  The lambda and
-pairwise checks take the rows `chart_gradient` built, indexed by cubic;
-each row is built once per run (`chart_gradient`).
+pairwise checks take the rows `chart_gradient` built, indexed by cubic.
+The symbolic rows and D are built once per process (`CubicFamily.derive`).
 """
 
 from __future__ import annotations
@@ -27,10 +27,19 @@ CHART_VARS = ("X", "Y", "Z")
 
 def chart_gradient(family, i: int):
     """Gradient row of C_i on the chart T = 1, symbolic in the coordinates,
-    once per family (`CubicFamily.derive`).  With m fixed it is the
+    once per store (`CubicFamily.derive`).  With m fixed it is the
     symbolic family's row with m := v."""
     return family.derive(("chart gradient", i), lambda f: tuple(
         f.cubics[i].partial(v).substitute({"T": 1}) for v in CHART_VARS))
+
+
+def tangent_determinant(family):
+    """D, the determinant of the chart-gradient rows of C_0, C_1, C_2, once
+    per store (`CubicFamily.derive`).  With m fixed it is the symbolic D
+    with m := v, one substitution into D and no elimination."""
+    (det,) = family.derive("tangent determinant", lambda f: (
+        matrix_det([chart_gradient(f, i) for i in range(3)]),))
+    return det
 
 
 def display_agreement(row, printed):
@@ -109,22 +118,21 @@ SurveyResult = namedtuple("SurveyResult", "histogram skipped")
 
 def rank_survey(family, n: int, seed: int) -> SurveyResult:
     """Exact rank of the stacked C_0, C_1, C_2 tangent rows at n sampled points
-    of a family with m fixed (`CubicFamily.at_m`), whose symbolic rows are
-    the symbolic family's rows with m := v (`chart_gradient`).
+    of a family with m fixed (`CubicFamily.at_m`).
 
-    D, the determinant of the three symbolic rows, is built once and packed
-    for coordinates up to SAMPLE_BOUND (`_packed_horner`): each point costs
-    one integer sum by Horner in X, Y and Z, zero exactly when D(p) is.  Over
-    a field a nonzero D(p) proves rank 3 at p, and then no row is zero.  Only
-    where D(p) vanishes are the rows substituted, points on a degeneracy locus
-    (a zero gradient row) skipped and the rest eliminated.  Sampled
-    coordinates are never 0, so no sample is a reference point.  A family
-    whose m is not fixed raises ValueError.
+    D is the stored symbolic D with m := v (`tangent_determinant`), packed
+    for coordinates up to SAMPLE_BOUND (`_packed_horner`) once per call:
+    each point costs one integer sum by Horner in X, Y and Z, zero exactly
+    when D(p) is.  Over a field a nonzero D(p) proves rank 3 at p, and then
+    no row is zero.  Only where D(p) vanishes are the rows with m := v built
+    (`chart_gradient`) and substituted, points on a degeneracy locus (a zero
+    gradient row) skipped and the rest eliminated.  Sampled coordinates are
+    never 0, so no sample is a reference point.  A family whose m is not
+    fixed raises ValueError.
     """
     if n < 1:
         raise ValueError("survey size must be >= 1")
-    rows_sym = [chart_gradient(family, i) for i in range(3)]
-    packed_det = _packed_horner(matrix_det(rows_sym), SAMPLE_BOUND)[1]
+    packed_det = _packed_horner(tangent_determinant(family), SAMPLE_BOUND)[1]
     points = sample_points(seed)
     hist = {}
     skipped = 0
@@ -134,7 +142,7 @@ def rank_survey(family, n: int, seed: int) -> SurveyResult:
             rank = 3
         else:
             sub = {"X": x, "Y": y, "Z": z}
-            rows = [[g.substitute(sub).as_nfelem() for g in row] for row in rows_sym]
+            rows = [[g.substitute(sub).as_nfelem() for g in chart_gradient(family, i)] for i in range(3)]
             if any(all(c.is_zero() for c in row) for row in rows):
                 skipped += 1
                 continue

@@ -5,6 +5,7 @@ from math import lcm
 import pytest
 import sympy as sp
 
+from cgv import geometry
 from cgv.claims import DISPLAY_UNIT
 from cgv.cli import _build_parser
 from cgv.geometry import build_cubics
@@ -20,6 +21,17 @@ R_FLOAT = 0.7548776662466928
 @pytest.fixture(scope="session")
 def family():
     return build_cubics()
+
+
+@pytest.fixture(autouse=True)
+def cleared_stores(family):
+    """Empty every store after each test, so that no value a test's
+    monkeypatch built (a patched `genus.LINE_R`, say) is read by another
+    test: the session family's store, and the process's store, which goes
+    with the verified family that `build_cubics` builds again."""
+    yield
+    family._store.clear()
+    geometry._verified_family.cache_clear()
 
 
 def over_display_unit(mat):

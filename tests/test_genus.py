@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cgv.genus as genus_mod
+from cgv import geometry
 from cgv.genus import (RamificationError, _binary_form,
                        ci_genus, cubic_one_root_probe, distinct_points,
                        multiplicity_pattern, pencil_factorization, pencil_member,
@@ -411,19 +412,26 @@ def test_pencil_on_line_specializes_any_m(family, n0, n1, n2, d):
     assert pencil_on_line(family.at_m(value)) == restricted_after_fixing_m(family, value)
 
 
-def test_the_pencil_on_r_is_restricted_once_per_run(monkeypatch):
-    # the symbolic family restricts the generators once; pencil_factorization
-    # reads that pair, and each family with m fixed only substitutes m into it
-    fam = build_cubics()
-    first = pencil_on_line(fam.at_m(M1))
-    restrictions = []
+def test_the_pencil_on_r_is_restricted_once_per_process(monkeypatch):
+    # from a cleared store, the symbolic family of the first run restricts the
+    # generators and Qbar0, Qbar1 once; pencil_factorization reads them, and
+    # a later run's families, symbolic or with m fixed, restrict nothing
+    geometry._verified_family.cache_clear()
+    runs = [build_cubics() for _ in range(2)]
+    first = pencil_on_line(runs[0].at_m(M1))
     real = genus_mod.eval_at_point
-    monkeypatch.setattr(genus_mod, "eval_at_point", lambda f, pt: restrictions.append(pt) or real(f, pt))
-    (holds0, holds1, _, _), products = mpoly_products(monkeypatch, lambda: pencil_factorization(fam))
-    assert holds0 and holds1
-    assert restrictions == [LINE_R, LINE_R]   # Qbar0 and Qbar1 only
-    assert len(products) == 6                 # X*X*Y*Qbar0 and X*Y*Y*Qbar1
-    again, products = mpoly_products(monkeypatch, lambda: pencil_on_line(fam.at_m(M1)))
+
+    def factorization_restrictions(fam):
+        restrictions = []
+        monkeypatch.setattr(genus_mod, "eval_at_point", lambda f, pt: restrictions.append(pt) or real(f, pt))
+        (holds0, holds1, _, _), products = mpoly_products(monkeypatch, lambda: pencil_factorization(fam))
+        assert holds0 and holds1
+        assert len(products) == 6             # X*X*Y*Qbar0 and X*Y*Y*Qbar1, in every run
+        return restrictions
+
+    assert factorization_restrictions(runs[0]) == [LINE_R, LINE_R]   # Qbar0 and Qbar1 only
+    assert factorization_restrictions(runs[1]) == []
+    again, products = mpoly_products(monkeypatch, lambda: pencil_on_line(runs[1].at_m(M1)))
     assert again == first and products == []
 
 

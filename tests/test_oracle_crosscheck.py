@@ -13,7 +13,7 @@ from cgv.baselocus import (quadric_independence, single_hyperplane_det_analysis,
 from cgv.geometry import MIXED_MONOMIALS
 from cgv.linalg import circulant_det_formula
 from cgv.nf import NFElem
-from cgv.tangent import chart_gradient
+from cgv.tangent import chart_gradient, tangent_determinant
 
 from conftest import RR, SYMS, circulant_matrix, nf_to_sympy, red, to_sympy
 
@@ -51,6 +51,14 @@ def test_tangent_rows_match_independent_differentiation(family):
         for v, g in zip((SX, SY, SZ), row):
             expected = sp.diff(c, v).subs({ST: 1})
             assert red(to_sympy(g) - expected) == 0
+
+
+def test_tangent_determinant_matches_independent_expansion(family):
+    # dual route for the stored D, symbolic in m: sympy's determinant of the
+    # rows differentiated from the independently expanded cubics
+    q0, q1, q2, _ = independent_quadrics()
+    rows = [[sp.diff(c, v).subs({ST: 1}) for v in (SX, SY, SZ)] for c in (ST * q0, SX * q1, SY * q2)]
+    assert red(sp.Matrix(rows).det() - to_sympy(tangent_determinant(family))) == 0
 
 
 def test_printed_matrix_determinant_vanishes(family):

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import os
 import re
@@ -609,23 +610,67 @@ def test_family_is_collected_after_its_run(monkeypatch):
     assert family() is None
 
 
-def test_check_all_leaves_the_shared_polynomials_unchanged():
+# the values the printed family alone determines: what the process keeps
+STORE_KEYS = {"M", ("chart gradient", 0), ("chart gradient", 1), ("chart gradient", 2),
+              "tangent determinant", "pencil on r", "quadrics on r"}
+# m symbolic, 0, 1, r and the ledger's a, where the torus stratum has base points
+STORE_M = (None, "0", "1", "r", "5/7 + 18/7*r + 8/7*r^2")
+
+
+def _stored_polys(store):
+    """The terms of each polynomial of each stored value, by key."""
+    return {key: [dict(p.terms) for p in itertools.chain.from_iterable(
+        e if isinstance(e, tuple) else (e,) for e in value)] for key, value in store.items()}
+
+
+def test_check_all_keeps_a_fixed_set_of_values_per_process():
     from cgv.geometry import _verified_family
-    cubics, quadrics, _ = _verified_family()
+    _verified_family.cache_clear()
+    assert set(_verified_family()._store) == {"M"}
+    for m_expr in STORE_M:
+        run_suite("all", run_config(m_expr=m_expr, survey=5))
+        # a value with m fixed lasts its run, so the keys do not grow with m
+        assert set(_verified_family()._store) == STORE_KEYS
+
+
+def test_check_all_leaves_the_shared_polynomials_unchanged():
+    import cgv.genus as genus
+    import cgv.tangent as tangent
+    from cgv.geometry import CubicFamily, _verified_family
+    verified = _verified_family()
+    cubics, quadrics = verified.cubics, verified.quadrics
     before = [dict(p.terms) for p in cubics + quadrics]
-    for m_expr in (None, "0", "1", "r"):
+    run_suite("all", run_config(m_expr="1", survey=5))
+    stored = dict(verified._store)
+    stored_before = _stored_polys(stored)
+    for m_expr in STORE_M:
         run_suite("all", run_config(m_expr=m_expr))
-    assert _verified_family()[:2] == (cubics, quadrics)
+    assert _verified_family() is verified
+    assert (verified.cubics, verified.quadrics) == (cubics, quadrics)
     assert [p.terms for p in cubics + quadrics] == before
+    # each stored value is the same object with the same terms, and equals
+    # the value that a family with a store of its own builds
+    assert verified._store.keys() == stored.keys()
+    assert all(verified._store[k] is v for k, v in stored.items())
+    assert _stored_polys(verified._store) == stored_before
+    own = CubicFamily(cubics, quadrics, verified.sigma_index_map)
+    own.mixed_matrix, tangent.tangent_determinant(own), genus.pencil_factorization(own)
+    assert own._store == stored
 
 
 def test_check_all_builds_each_chart_gradient_row_once(monkeypatch):
     import cgv.tangent as tangent
+    from cgv.geometry import _verified_family
+    _verified_family.cache_clear()
     calls = count_calls(monkeypatch, "chart_gradient", tangent)
-    run_suite("all", run_config(m_expr="1", survey=5))
-    # rows 0, 1, 2 of the symbolic family, then of the family at m = 1 for the survey
-    assert [i for _, i in calls] == [0, 1, 2, 0, 1, 2]
-    assert len({id(family) for family, _ in calls}) == 2
+    # rows 0, 1, 2 of the run's symbolic family for the suite and, from a
+    # cleared store, again to build D; the survey at m = 1 reads D alone, so
+    # it builds no row with m fixed, and a second run reads D from the store
+    for rows in ([0, 1, 2, 0, 1, 2], [0, 1, 2]):
+        calls.clear()
+        run_suite("all", run_config(m_expr="1", survey=5))
+        assert [i for _, i in calls] == rows
+        assert len({id(family) for family, _ in calls}) == 1
 
 
 @pytest.mark.parametrize("m_expr, builds", [(None, 4), ("1", 8)])

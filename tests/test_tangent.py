@@ -7,15 +7,16 @@ import sympy as sp
 from hypothesis import example, given, settings, strategies as st
 
 import cgv.tangent as tangent
+from cgv import geometry
 from cgv.claims import CLAIMED_TANGENT_ROWS
-from cgv.geometry import REFERENCE_POINTS, CubicFamily, build_cubics, eval_at_point
+from cgv.geometry import REFERENCE_POINTS, CubicFamily, _mixed_row, build_cubics, eval_at_point
 from cgv.linalg import matrix_det, matrix_rank, nf_rref
 from cgv.mpoly import GEOM_VARS, MPoly
 from cgv.nf import NFElem, nf_invert
 from cgv.parsing import parse_poly
 from cgv.tangent import (CHART_VARS, sample_points, _packed_horner,
                          chart_gradient, display_agreement, lambda_replay,
-                         pairwise_independence, rank_survey)
+                         pairwise_independence, rank_survey, tangent_determinant)
 
 from conftest import mpoly_products, random_nfelem, red, to_sympy
 
@@ -270,13 +271,13 @@ def test_packed_horner_refuses_t_m_and_a_bound_below_one():
         _packed_horner(parse_poly("X"), 0)
 
 
-def test_survey_at_fixed_m_needs_no_elimination(family, monkeypatch):
+def test_survey_at_fixed_m_needs_no_elimination(monkeypatch):
     # D(p) is nonzero at every sampled point: no point takes the row
-    # substitution or matrix_rank.  With the symbolic rows built, as the
-    # tangent suite builds them before its survey, the survey's only
-    # substitutions are m := 1 in the 9 entries of the three rows it reads
-    chart_rows(family)
-    fixed = family.at_m(M1)
+    # substitution or matrix_rank.  From a cleared store the first survey
+    # builds the symbolic rows (T := 1 in each of the 9 partials) and D; after
+    # that a survey, in any run, makes one substitution: m := 1 in D
+    geometry._verified_family.cache_clear()
+    runs = [build_cubics().at_m(M1) for _ in range(2)]
     ranks, substitutions = [], []
     real_substitute = MPoly.substitute
 
@@ -286,10 +287,12 @@ def test_survey_at_fixed_m_needs_no_elimination(family, monkeypatch):
 
     monkeypatch.setattr(tangent, "matrix_rank", lambda rows: ranks.append(rows))
     monkeypatch.setattr(MPoly, "substitute", substitute)
-    survey = rank_survey(fixed, 100, 1)
-    assert survey.histogram == ((3, 100),)
+    for fixed, expected in zip(runs, ([{"T": 1}] * 9 + [{"m": M1}], [{"m": M1}])):
+        substitutions.clear()
+        survey = rank_survey(fixed, 100, 1)
+        assert survey.histogram == ((3, 100),)
+        assert substitutions == expected
     assert ranks == []
-    assert substitutions == [{"m": M1}] * 9
 
 
 def test_survey_rejects_symbolic_m(family):
@@ -342,20 +345,64 @@ def test_chart_gradient_specializes_any_m(family, n0, n1, n2, d, i):
     assert chart_gradient(family.at_m(value), i) == substituted_first_row(family, i, value)
 
 
+# the ledger's a, b, c and -c, where the torus stratum has base points
+LEDGER_M = ("5/7+18/7*r+8/7*r^2", "-9/7-10/7*r-20/7*r^2", "2/7-4/7*r+6/7*r^2", "-2/7+4/7*r-6/7*r^2")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.builds(NFElem, st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9), st.integers(1, 9)))
+@example(NFElem(0))
+@example(NFElem(1))
+@example(NFElem(0, 1))
+@example(scalar(LEDGER_M[0]))
+@example(scalar(LEDGER_M[1]))
+@example(scalar(LEDGER_M[2]))
+@example(scalar(LEDGER_M[3]))
+def test_the_stored_d_with_m_fixed_is_the_determinant_at_m(family, value):
+    # dual route: D with m := v against the determinant of the rows of the
+    # cubics with m fixed first, then differentiated
+    rows = [substituted_first_row(family, i, value) for i in range(3)]
+    assert tangent_determinant(family.at_m(value)) == matrix_det(rows)
+
+
+def test_a_mutant_family_reads_its_own_m_rows_and_d():
+    # Q0 gains m*X*Y, so row 0 of M, the row of C0 = T*Q0 and D all change.
+    # The printed family's store is filled first: a mutant that read it
+    # would get the printed family's values
+    verified = build_cubics()
+    printed = (verified.mixed_matrix, chart_rows(verified), tangent_determinant(verified))
+    quadrics = (verified.quadrics[0] + parse_poly("m*X*Y"),) + verified.quadrics[1:]
+    cubics = (MPoly.var("T") * quadrics[0],) + verified.cubics[1:]
+    mutant = CubicFamily(cubics, quadrics, verified.sigma_index_map)
+    rows = tuple(tuple(c.partial(v).substitute({"T": 1}) for v in CHART_VARS) for c in cubics[:3])
+    own = (tuple(_mixed_row(j, q) for j, q in enumerate(quadrics)), rows, matrix_det(rows))
+    assert (mutant.mixed_matrix, chart_rows(mutant), tangent_determinant(mutant)) == own
+    assert all(a != b for a, b in zip(own, printed))
+    # with m fixed each family specialises its own D, and a new run of the
+    # printed family still reads the printed values
+    fixed = mutant.at_m(M1)
+    assert tangent_determinant(fixed) == matrix_det(chart_rows(fixed)) != tangent_determinant(verified.at_m(M1))
+    fresh = build_cubics()
+    assert (fresh.mixed_matrix, chart_rows(fresh), tangent_determinant(fresh)) == printed
+
+
 def test_a_fixed_family_builds_each_symbolic_row_once(monkeypatch):
-    # the symbolic rows are differentiated once per run; every family with
-    # m fixed only substitutes m into them, and at_m itself substitutes nothing
-    fam = build_cubics()
+    # from a cleared store the symbolic rows are differentiated once per
+    # process; every family with m fixed, in any run, only substitutes m into
+    # them, and at_m itself substitutes nothing
+    geometry._verified_family.cache_clear()
+    runs = [build_cubics() for _ in range(2)]
     partials, substitutions = [], []
     real_partial, real_substitute = MPoly.partial, MPoly.substitute
     monkeypatch.setattr(MPoly, "partial", lambda p, v: partials.append(v) or real_partial(p, v))
     monkeypatch.setattr(MPoly, "substitute",
                         lambda p, mapping: substitutions.append(dict(mapping)) or real_substitute(p, mapping))
-    fixed = [fam.at_m(scalar(m_text)) for m_text in SPECIAL_M]
+    fixed = [fam.at_m(scalar(m_text)) for fam in runs for m_text in SPECIAL_M]
     assert substitutions == []
     for f in fixed:
         chart_rows(f)
         chart_rows(f)
     assert len(partials) == 9
     assert sum("T" in s for s in substitutions) == 9
-    assert [s for s in substitutions if "m" in s] == [{"m": scalar(t)} for t in SPECIAL_M for _ in range(9)]
+    assert [s for s in substitutions if "m" in s] == [
+        {"m": scalar(t)} for _ in runs for t in SPECIAL_M for _ in range(9)]
